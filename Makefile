@@ -1,8 +1,8 @@
 # Tier-1 verification: everything a change must pass before merging.
 # `make tier1` = format gate + build + tests + vet + race detector on the
 # packages that actually run concurrent code (the distributed protocol,
-# the goroutine runtime, the adaptive controller, and the observability
-# layer's lock-free paths).
+# the goroutine runtime, the adaptive controller, the observability
+# layer's lock-free paths, and the tree's shared fingerprint memo).
 
 GO ?= go
 
@@ -29,7 +29,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race . ./internal/engine ./internal/proto ./internal/runtime ./internal/adapt ./internal/sim ./internal/obs ./internal/obs/analyze ./internal/server ./api/v1 ./cmd/bwsched
+	$(GO) test -race . ./internal/tree ./internal/engine ./internal/proto ./internal/runtime ./internal/adapt ./internal/sim ./internal/obs ./internal/obs/analyze ./internal/server ./api/v1 ./cmd/bwsched
 
 # Differential smoke: the virtual-time and wall-clock backends must
 # produce byte-identical per-node event streams through the shared

@@ -6,15 +6,21 @@
 package suite
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"bwc"
+	apiv1 "bwc/api/v1"
 	"bwc/internal/benchfix"
 	"bwc/internal/bwfirst"
 	"bwc/internal/des"
 	"bwc/internal/perf"
 	"bwc/internal/rat"
+	"bwc/internal/server"
 	"bwc/internal/tree"
 	"bwc/internal/treegen"
 )
@@ -48,12 +54,18 @@ func Default() *perf.Suite {
 
 	// SessionSolveCold / SessionSolveCached bracket the Session memo: the
 	// full negotiation wave versus the cache hit on a 64-node platform.
+	// A cold solve gets a fresh clone each iteration, made outside the
+	// timer, so it pays for the fingerprint as a first submit does
+	// rather than reusing the one memoized on a shared tree.
 	s.Register(perf.Bench{Name: "SessionSolveCold", Short: true, Fn: func(b *testing.B) {
 		tr := benchfix.Uniform64()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bwc.NewSession().Solve(tr)
+			b.StopTimer()
+			fresh := tr.Clone()
+			b.StartTimer()
+			bwc.NewSession().Solve(fresh)
 		}
 	}})
 	s.Register(perf.Bench{Name: "SessionSolveCached", Short: true, Fn: func(b *testing.B) {
@@ -64,6 +76,46 @@ func Default() *perf.Suite {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sess.Solve(tr)
+		}
+	}})
+
+	// Fingerprint is the tenant key's cost on a platform seen for the
+	// first time: serialize and hash a 256-node SETI tree (a fresh clone
+	// per iteration, since the key is memoized on the tree).
+	s.Register(perf.Bench{Name: "Fingerprint", Short: true, Fn: func(b *testing.B) {
+		tr := treegen.Generate(treegen.SETI, 256, 11)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := tr.Clone()
+			b.StartTimer()
+			bwc.PlatformFingerprint(fresh)
+		}
+	}})
+
+	// ServeSubmitHit is one repeat submit of a primed 64-node tenant
+	// through bwschedd's full handler, in process (httptest, no
+	// network): decode, tenant resolution, the memo lookups, the
+	// rendered wire fields and the JSON encode.
+	s.Register(perf.Bench{Name: "ServeSubmitHit", Short: true, Fn: func(b *testing.B) {
+		h := server.New(server.Options{}).Handler()
+		body, err := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
+		if err != nil {
+			b.Fatal(err)
+		}
+		submit := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		submit() // the miss that primes the tenant
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			submit()
 		}
 	}})
 

@@ -160,6 +160,45 @@ func parsePlatform(platform string) (*bwc.Tree, *apiv1.Error) {
 	return t, nil
 }
 
+// tenantRef is a request's platform once validated: the live tenant its
+// exact text indexes, or else the tree parsed from that text.
+type tenantRef struct {
+	key  textKey
+	live *shardEntry
+	tree *bwc.Tree
+}
+
+// tenant validates a request's platform without admitting it. A
+// byte-identical resubmission of a live tenant's (platform,
+// uniform_return) text is a lookup in the shard's text index; any other
+// text is parsed. Handlers resolve the platform first, so its error
+// takes precedence over theirs, and admit only once every field is valid.
+func (s *Server) tenant(platform, uniformReturn string) (tenantRef, *apiv1.Error) {
+	key := textKey{platform, uniformReturn}
+	if e, ok := s.shard.ByText(key); ok {
+		return tenantRef{key: key, live: e}, nil
+	}
+	t, we := parsePlatform(platform)
+	if we != nil {
+		return tenantRef{}, we
+	}
+	if t, we = applyUniformReturn(t, uniformReturn); we != nil {
+		return tenantRef{}, we
+	}
+	return tenantRef{key: key, tree: t}, nil
+}
+
+// admit returns ref's tenant, moving a live one to the LRU front and
+// admitting a parsed one through the shard; the bool reports a warm
+// re-admission from an evicted tenant's ghost.
+func (s *Server) admit(ref tenantRef) (*shardEntry, bool) {
+	if ref.live != nil {
+		s.shard.Touch(ref.live)
+		return ref.live, false
+	}
+	return s.shard.Get(ref.key, ref.tree)
+}
+
 func parseOptRat(field, s string) (bwc.Rational, *apiv1.Error) {
 	if s == "" {
 		return bwc.Rational{}, nil
@@ -236,22 +275,65 @@ func (s *Server) publishVerdicts(runID string, rep *apiv1.Report) {
 
 // --- handlers ---
 
+// wireFields are the submit-response fields derived from one schedule:
+// pure functions of the platform, rendered once per schedule.
+type wireFields struct {
+	sched          *bwc.Schedule
+	treePeriod     string
+	rootlessPeriod string
+	startupBound   string
+	deployment     json.RawMessage
+	folded         string // FoldedThroughput; empty on forward-only platforms
+}
+
+func renderWire(sch *bwc.Schedule) (*wireFields, error) {
+	dep, err := bwc.MarshalDeployment(sch)
+	if err != nil {
+		return nil, err
+	}
+	w := &wireFields{
+		sched:          sch,
+		treePeriod:     sch.TreePeriod().String(),
+		rootlessPeriod: sch.RootlessPeriod().String(),
+		startupBound:   sch.MaxStartupBound().String(),
+		deployment:     dep,
+	}
+	if sch.Tree.HasResultReturn() {
+		if ft, err := bwc.FoldedThroughput(sch.Tree); err == nil {
+			w.folded = ft.String()
+		}
+	}
+	return w, nil
+}
+
+// wireFor returns sch's rendered fields, rendering again only when the
+// tenant's Session returned a different schedule than last time (a
+// re-prime, an invalidation or the other Block setting).
+func (e *shardEntry) wireFor(sch *bwc.Schedule) (*wireFields, error) {
+	if w := e.wire.Load(); w != nil && w.sched == sch {
+		return w, nil
+	}
+	w, err := renderWire(sch)
+	if err != nil {
+		return nil, err
+	}
+	e.wire.Store(w)
+	return w, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.SubmitRequest
 	if e := decode(r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
-	t, e := parsePlatform(req.Platform)
+	ref, e := s.tenant(req.Platform, req.UniformReturn)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	if t, e = applyUniformReturn(t, req.UniformReturn); e != nil {
-		writeError(w, e)
-		return
-	}
-	sess, fp, reprimed := s.shard.Get(t)
+	ten, reprimed := s.admit(ref)
+	t, sess, fp := ten.tree, ten.sess, ten.fp
 	runID := s.beginRun("submit", fp)
 	var opts []bwc.Option
 	if req.Block {
@@ -270,11 +352,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.shard.CountMiss(fp)
 	}
-	sch, err := sess.BuildSchedule(t, opts...)
-	if err != nil {
+	fail := func(err error) {
 		we := apiv1.NewError(err)
 		s.endRun(runID, "", we)
 		writeError(w, we)
+	}
+	sch, err := sess.BuildSchedule(t, opts...)
+	if err != nil {
+		fail(err)
 		return
 	}
 	resp := apiv1.SubmitResponse{
@@ -285,36 +370,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ThroughputFloat: res.Throughput.Float64(),
 		Nodes:           t.Len(),
 		Visited:         res.VisitedCount,
+		ResultReturn:    t.HasResultReturn(),
 	}
-	deployed := sch
+	var wire *wireFields
 	if req.Quantize > 0 {
-		qs, qr, err := bwc.QuantizeSchedule(res, req.Quantize, opts...)
-		if err != nil {
-			we := apiv1.NewError(err)
-			s.endRun(runID, "", we)
-			writeError(w, we)
+		var qr bwc.Rational
+		if sch, qr, err = bwc.QuantizeSchedule(res, req.Quantize, opts...); err != nil {
+			fail(err)
 			return
 		}
-		deployed = qs
 		resp.Quantized = qr.String()
+		wire, err = renderWire(sch)
+	} else {
+		wire, err = ten.wireFor(sch)
 	}
-	resp.TreePeriod = deployed.TreePeriod().String()
-	resp.RootlessPeriod = deployed.RootlessPeriod().String()
-	resp.StartupBound = deployed.MaxStartupBound().String()
-	dep, err := bwc.MarshalDeployment(deployed)
 	if err != nil {
-		we := apiv1.NewError(err)
-		s.endRun(runID, "", we)
-		writeError(w, we)
+		fail(err)
 		return
 	}
-	resp.Deployment = dep
-	if t.HasResultReturn() {
-		resp.ResultReturn = true
-		if ft, err := bwc.FoldedThroughput(t); err == nil {
-			resp.FoldedThroughput = ft.String()
-		}
-	}
+	resp.TreePeriod = wire.treePeriod
+	resp.RootlessPeriod = wire.rootlessPeriod
+	resp.StartupBound = wire.startupBound
+	resp.Deployment = wire.deployment
+	resp.FoldedThroughput = wire.folded
 	s.endRun(runID, fmt.Sprintf("throughput %s (%s)", resp.Throughput, marker), nil)
 	s.hub.Publish(apiv1.Event{Run: runID, Name: "submit.solved", Attrs: map[string]string{
 		"throughput": resp.Throughput, "cache": marker, "fingerprint": fpLabel(fp),
@@ -383,12 +461,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	t, e := parsePlatform(req.Platform)
+	ref, e := s.tenant(req.Platform, req.UniformReturn)
 	if e != nil {
-		writeError(w, e)
-		return
-	}
-	if t, e = applyUniformReturn(t, req.UniformReturn); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -400,10 +474,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Block {
 		opts = append(opts, bwc.WithBlock())
 	}
-	sess, fp, _ := s.shard.Get(t)
+	ten, _ := s.admit(ref)
+	fp := ten.fp
 	runID := s.beginRun("simulate", fp)
 	opts = append(opts, bwc.WithObserver(s.runObserver(runID)))
-	run, err := sess.Simulate(t, opts...)
+	run, err := ten.sess.Simulate(ten.tree, opts...)
 	if err != nil {
 		we := apiv1.NewError(err)
 		s.endRun(runID, "", we)
@@ -441,7 +516,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	t, e := parsePlatform(req.Platform)
+	ref, e := s.tenant(req.Platform, "")
 	if e != nil {
 		writeError(w, e)
 		return
@@ -460,10 +535,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Block {
 		opts = append(opts, bwc.WithBlock())
 	}
-	sess, fp, _ := s.shard.Get(t)
+	ten, _ := s.admit(ref)
+	fp := ten.fp
 	runID := s.beginRun("analyze", fp)
 	opts = append(opts, bwc.WithObserver(s.runObserver(runID)))
-	rep, err := sess.Analyze(t, opts...)
+	rep, err := ten.sess.Analyze(ten.tree, opts...)
 	if err != nil {
 		we := apiv1.NewError(err)
 		s.endRun(runID, "", we)
@@ -520,7 +596,7 @@ func (s *Server) handleAdaptive(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	t, e := parsePlatform(req.Platform)
+	ref, e := s.tenant(req.Platform, "")
 	if e != nil {
 		writeError(w, e)
 		return
@@ -538,7 +614,8 @@ func (s *Server) handleAdaptive(w http.ResponseWriter, r *http.Request) {
 	if !stop.IsPos() {
 		stop = bwc.RatInt(400)
 	}
-	sess, fp, _ := s.shard.Get(t)
+	ten, _ := s.admit(ref)
+	t, sess, fp := ten.tree, ten.sess, ten.fp
 	runID := s.beginRun("adaptive", fp)
 	opts := []bwc.Option{
 		bwc.WithStop(stop),
@@ -587,7 +664,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	t, e := parsePlatform(req.Platform)
+	ref, e := s.tenant(req.Platform, "")
 	if e != nil {
 		writeError(w, e)
 		return
@@ -600,7 +677,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if !dur.IsPos() {
 		dur = bwc.RatInt(600)
 	}
-	sess, fp, _ := s.shard.Get(t)
+	ten, _ := s.admit(ref)
+	fp := ten.fp
 	runID := s.beginRun("churn", fp)
 	cfg := bwc.ChurnConfig{Seed: req.Seed, Rate: req.Rate, CrashFraction: req.CrashFraction}
 	opts := []bwc.Option{
@@ -611,7 +689,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if req.RetentionFloor > 0 {
 		opts = append(opts, bwc.WithRetentionFloor(req.RetentionFloor))
 	}
-	rep, err := sess.SimulateChurn(t, opts...)
+	rep, err := ten.sess.SimulateChurn(ten.tree, opts...)
 	if err != nil {
 		we := apiv1.NewError(err)
 		s.endRun(runID, "", we)

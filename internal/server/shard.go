@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bwc"
 	apiv1 "bwc/api/v1"
@@ -18,10 +19,15 @@ import (
 // solving cold: exactly (same fingerprint) via Session.Prime, or
 // incrementally (same shape, drifted weights) via Prime +
 // InvalidateDelta's spine re-solve.
+//
+// Beside the fingerprint map the shard keeps an exact-text index: at
+// most one request text per live tenant, so a byte-identical
+// resubmission resolves its tenant without parsing or fingerprinting.
 type shard struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*shardEntry
+	texts   map[textKey]*shardEntry
 	order   *list.List // *shardEntry, front = most recently used
 	ghosts  map[string]ghost
 	gorder  *list.List // fingerprint string, front = most recent
@@ -29,11 +35,19 @@ type shard struct {
 	scope   *obs.Scope
 }
 
+// textKey is a request's platform as sent: the exact platform text and
+// uniform_return string.
+type textKey struct{ platform, uniformReturn string }
+
 type shardEntry struct {
 	fp   string
 	tree *bwc.Tree
 	sess *bwc.Session
 	elem *list.Element
+	text textKey // the text that admitted this tenant, its index key
+	// wire holds the submit fields rendered from the schedule the
+	// Session last returned.
+	wire atomic.Pointer[wireFields]
 }
 
 // ghost is the retained state of an evicted platform: enough to re-prime
@@ -51,6 +65,7 @@ func newShard(capacity int, scope *obs.Scope) *shard {
 	return &shard{
 		cap:     capacity,
 		entries: make(map[string]*shardEntry),
+		texts:   make(map[textKey]*shardEntry),
 		order:   list.New(),
 		ghosts:  make(map[string]ghost),
 		gorder:  list.New(),
@@ -81,40 +96,61 @@ func (sh *shard) CountMiss(fp string) {
 	sh.counter("bwschedd_cache_misses_total", "submits that ran the negotiation wave cold", fp)
 }
 
-// Get returns the tenant Session for t, creating (and possibly warm
-// re-priming) it on a miss. reprimed is true only for the call that
-// re-admitted an evicted platform from its ghost — the submit that gets
-// the "reprimed" cache marker.
-func (sh *shard) Get(t *bwc.Tree) (sess *bwc.Session, fp string, reprimed bool) {
-	fp = bwc.PlatformFingerprint(t)
+// ByText returns the live tenant indexed under key, leaving the LRU
+// order as it is.
+func (sh *shard) ByText(key textKey) (*shardEntry, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[fp]; ok {
+	e, ok := sh.texts[key]
+	return e, ok
+}
+
+// Touch moves a tenant found by ByText to the LRU front, as Get does on
+// a hit. A tenant evicted since the lookup has left the list, so it
+// stays out.
+func (sh *shard) Touch(e *shardEntry) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.order.MoveToFront(e.elem)
+}
+
+// Get returns the tenant for t, creating (and possibly warm re-priming)
+// it on a miss; a created tenant is indexed under key, the request text
+// t was parsed from. reprimed is true only for the call that re-admitted
+// an evicted platform from its ghost — the submit that gets the
+// "reprimed" cache marker.
+func (sh *shard) Get(key textKey, t *bwc.Tree) (e *shardEntry, reprimed bool) {
+	fp := bwc.PlatformFingerprint(t)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[fp]
+	if ok {
 		sh.order.MoveToFront(e.elem)
-		return e.sess, fp, false
-	}
-	sess = bwc.NewSession()
-	if g, ok := sh.ghosts[fp]; ok {
-		// Exact match: the evicted platform came back unchanged.
-		sess.Prime(g.tree, g.res)
-		sh.dropGhostLocked(fp)
-		reprimed = true
-	} else if g, old, ok := sh.findShapeGhostLocked(t); ok {
-		// Same shape, drifted weights: carry the retained result onto
-		// the mutated platform along the dirty spine.
-		sess.Prime(g.tree, g.res)
-		if sess.InvalidateDelta(g.tree, t) != nil {
+	} else {
+		sess := bwc.NewSession()
+		if g, ok := sh.ghosts[fp]; ok {
+			// Exact match: the evicted platform came back unchanged.
+			sess.Prime(g.tree, g.res)
+			sh.dropGhostLocked(fp)
 			reprimed = true
+		} else if g, old, ok := sh.findShapeGhostLocked(t); ok {
+			// Same shape, drifted weights: carry the retained result onto
+			// the mutated platform along the dirty spine.
+			sess.Prime(g.tree, g.res)
+			if sess.InvalidateDelta(g.tree, t) != nil {
+				reprimed = true
+			}
+			sh.dropGhostLocked(old)
 		}
-		sh.dropGhostLocked(old)
+		e = &shardEntry{fp: fp, tree: t, sess: sess, text: key}
+		e.elem = sh.order.PushFront(e)
+		sh.entries[fp] = e
+		sh.texts[key] = e
 	}
-	e := &shardEntry{fp: fp, tree: t, sess: sess}
-	e.elem = sh.order.PushFront(e)
-	sh.entries[fp] = e
 	for len(sh.entries) > sh.cap {
 		sh.evictLocked()
 	}
-	return sess, fp, reprimed
+	return e, reprimed
 }
 
 // Lookup returns the live Session for a fingerprint without admitting
@@ -129,12 +165,15 @@ func (sh *shard) Lookup(fp string) (*bwc.Session, *bwc.Tree, bool) {
 	return e.sess, e.tree, true
 }
 
-// findShapeGhostLocked scans the retained ghosts for one whose platform
-// has the same size as t (the cheap precondition of a weight-delta
-// re-prime; DiffWeights inside InvalidateDelta does the exact check).
+// findShapeGhostLocked scans the retained ghosts, most recently evicted
+// first, for one whose platform has the same size as t (the cheap
+// precondition of a weight-delta re-prime; DiffWeights inside
+// InvalidateDelta does the exact check). The fixed order makes whether a
+// miss re-primes a function of the request sequence alone.
 func (sh *shard) findShapeGhostLocked(t *bwc.Tree) (ghost, string, bool) {
-	for fp, g := range sh.ghosts {
-		if g.tree.Len() == t.Len() {
+	for el := sh.gorder.Front(); el != nil; el = el.Next() {
+		fp := el.Value.(string)
+		if g := sh.ghosts[fp]; g.tree.Len() == t.Len() {
 			return g, fp, true
 		}
 	}
@@ -160,6 +199,7 @@ func (sh *shard) evictLocked() {
 	e := back.Value.(*shardEntry)
 	sh.order.Remove(back)
 	delete(sh.entries, e.fp)
+	delete(sh.texts, e.text)
 	sh.evicted++
 	sh.counter("bwschedd_cache_evictions_total", "tenant sessions evicted by the LRU bound", e.fp)
 	if res, ok := e.sess.Cached(e.tree); ok {

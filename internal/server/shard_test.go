@@ -17,6 +17,13 @@ const (
 	platAMut = "P0 - - 9\nP1 P0 2 8\nP2 P0 2 3\n"
 )
 
+// shardGet admits t, parsed from text, through Get: the tree-level
+// admission these tests drive directly.
+func shardGet(sh *shard, text string, t *bwc.Tree) (*bwc.Session, string, bool) {
+	e, reprimed := sh.Get(textKey{text, ""}, t)
+	return e.sess, e.fp, reprimed
+}
+
 func mustParse(t *testing.T, text string) *bwc.Tree {
 	t.Helper()
 	tr, err := bwc.ParsePlatformString(text)
@@ -33,18 +40,18 @@ func TestShardLRUEviction(t *testing.T) {
 	sh := newShard(2, nil)
 	a, b, c := mustParse(t, platA), mustParse(t, platB), mustParse(t, platC)
 
-	sessA, fpA, reprimed := sh.Get(a)
+	sessA, fpA, reprimed := shardGet(sh, platA, a)
 	if reprimed {
 		t.Fatal("first admission must not be reprimed")
 	}
 	if _, cached := sessA.SolveCached(a); cached {
 		t.Fatal("first solve must be cold")
 	}
-	sh.Get(b)
+	shardGet(sh, platB, b)
 	if sh.Len() != 2 || sh.Evicted() != 0 {
 		t.Fatalf("len=%d evicted=%d, want 2/0", sh.Len(), sh.Evicted())
 	}
-	sh.Get(c) // evicts a (LRU)
+	shardGet(sh, platC, c) // evicts a (LRU)
 	if sh.Len() != 2 || sh.Evicted() != 1 {
 		t.Fatalf("len=%d evicted=%d, want 2/1", sh.Len(), sh.Evicted())
 	}
@@ -53,7 +60,7 @@ func TestShardLRUEviction(t *testing.T) {
 	}
 
 	// Re-admission: exact ghost → reprimed, and the solve is warm.
-	sessA2, _, reprimed := sh.Get(a)
+	sessA2, _, reprimed := shardGet(sh, platA, a)
 	if !reprimed {
 		t.Fatal("re-admitted evicted platform must report reprimed")
 	}
@@ -74,11 +81,11 @@ func TestShardRepriveIncremental(t *testing.T) {
 	sh := newShard(1, nil)
 	a, b, aMut := mustParse(t, platA), mustParse(t, platB), mustParse(t, platAMut)
 
-	sessA, _, _ := sh.Get(a)
+	sessA, _, _ := shardGet(sh, platA, a)
 	sessA.SolveCached(a)
-	sh.Get(b) // evicts a with its solved ghost
+	shardGet(sh, platB, b) // evicts a with its solved ghost
 
-	sessMut, _, reprimed := sh.Get(aMut)
+	sessMut, _, reprimed := shardGet(sh, platAMut, aMut)
 	if !reprimed {
 		t.Fatal("mutated re-admission must report reprimed (incremental path)")
 	}
@@ -99,7 +106,7 @@ func TestShardInFlightSolveSurvivesEviction(t *testing.T) {
 	sh := newShard(1, nil)
 	a, b, c := mustParse(t, platA), mustParse(t, platB), mustParse(t, platC)
 
-	sess, _, _ := sh.Get(a)
+	sess, _, _ := shardGet(sh, platA, a)
 	done := make(chan *bwc.Result)
 	go func() {
 		res, _ := sess.SolveCached(a)
@@ -107,8 +114,8 @@ func TestShardInFlightSolveSurvivesEviction(t *testing.T) {
 	}()
 	// Concurrently churn the shard so a's entry is evicted while the
 	// solve may still be in flight.
-	sh.Get(b)
-	sh.Get(c)
+	shardGet(sh, platB, b)
+	shardGet(sh, platC, c)
 	res := <-done
 	want := bwc.Solve(a).Throughput
 	if !res.Throughput.Equal(want) {
@@ -128,7 +135,7 @@ func TestShardExactlyOneColdSolve(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess, _, _ := sh.Get(tr)
+			sess, _, _ := shardGet(sh, platC, tr)
 			if _, cached := sess.SolveCached(tr); !cached {
 				cold.Add(1)
 			}
@@ -159,10 +166,11 @@ func TestShardConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				tr := trees[(w+i)%len(trees)]
-				sess, _, _ := sh.Get(tr)
+				k := (w + i) % len(trees)
+				tr := trees[k]
+				sess, _, _ := shardGet(sh, texts[k], tr)
 				res, _ := sess.SolveCached(tr)
-				if !res.Throughput.Equal(wants[(w+i)%len(trees)]) {
+				if !res.Throughput.Equal(wants[k]) {
 					t.Errorf("worker %d iter %d: wrong throughput %s", w, i, res.Throughput)
 					return
 				}
@@ -181,7 +189,7 @@ func TestShardConcurrentChurn(t *testing.T) {
 	}
 	// Final sanity: every platform still solves to its exact optimum.
 	for i, tr := range trees {
-		sess, _, _ := sh.Get(tr)
+		sess, _, _ := shardGet(sh, texts[i], tr)
 		res, _ := sess.SolveCached(tr)
 		if !res.Throughput.Equal(wants[i]) {
 			t.Fatalf("platform %d: final throughput %s, want %s", i, res.Throughput, wants[i])
@@ -194,7 +202,7 @@ func TestShardConcurrentChurn(t *testing.T) {
 func TestShardTenantStats(t *testing.T) {
 	sh := newShard(2, nil)
 	a := mustParse(t, platA)
-	sess, fpA, _ := sh.Get(a)
+	sess, fpA, _ := shardGet(sh, platA, a)
 	sess.SolveCached(a)
 	sess.SolveCached(a)
 	ts, ok := sh.Tenant(fpA)

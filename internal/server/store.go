@@ -61,7 +61,10 @@ func (st *store) evictLocked() {
 			drop = 0
 		}
 		delete(st.byID, st.order[drop])
-		st.order = append(st.order[:drop:drop], st.order[drop+1:]...)
+		// Shift in place: once the history is full this runs on every
+		// request, and a fresh slice each time is capacity-sized garbage.
+		copy(st.order[drop:], st.order[drop+1:])
+		st.order = st.order[:len(st.order)-1]
 	}
 }
 

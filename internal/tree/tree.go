@@ -19,6 +19,7 @@ package tree
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/rat"
@@ -47,6 +48,10 @@ type node struct {
 type Tree struct {
 	nodes  []node
 	byName map[string]NodeID
+	// fp memoizes Fingerprint. Every constructor (Builder.Build, Clone
+	// and the With* derivations) returns a tree with it empty, so a
+	// derived platform never inherits its parent's key.
+	fp atomic.Pointer[string]
 }
 
 // Len returns the number of nodes.
@@ -503,8 +508,7 @@ func (b *Builder) Build() (*Tree, error) {
 	if len(b.t.nodes) == 0 {
 		return nil, fmt.Errorf("tree: no root: %w", bwcerr.ErrNotATree)
 	}
-	t := b.t
-	return &t, nil
+	return &Tree{nodes: b.t.nodes, byName: b.t.byName}, nil
 }
 
 // MustBuild is Build that panics on error; intended for tests and examples.

@@ -1,7 +1,10 @@
 package tree
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
 
 	"bwc/internal/rat"
@@ -353,5 +356,67 @@ func TestRootSwitch(t *testing.T) {
 	}
 	if !strings.Contains(tr.String(), "hub(w=inf)") {
 		t.Fatalf("String = %q", tr.String())
+	}
+}
+
+// TestTextFormat pins the line-oriented rendering the fingerprint
+// hashes: preorder, "-" for the root's parent and comm, "inf" for a
+// switch, and the ret column only once some link has d > 0.
+func TestTextFormat(t *testing.T) {
+	tr := sample(t)
+	want := "# name parent comm proc\n" +
+		"P0 - - 3\n" +
+		"P1 P0 1 2\n" +
+		"P2 P0 2 1\n" +
+		"P3 P0 1 inf\n" +
+		"P4 P3 1/2 4\n"
+	if got := tr.Text(); got != want {
+		t.Fatalf("Text:\n%s\nwant:\n%s", got, want)
+	}
+	ret, err := tr.WithReturnTime(tr.MustLookup("P4"), rat.New(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = "# name parent comm proc ret\n" +
+		"P0 - - 3 -\n" +
+		"P1 P0 1 2 0\n" +
+		"P2 P0 2 1 0\n" +
+		"P3 P0 1 inf 0\n" +
+		"P4 P3 1/2 4 1/3\n"
+	if got := ret.Text(); got != want {
+		t.Fatalf("Text with returns:\n%s\nwant:\n%s", got, want)
+	}
+	if got := (&Tree{}).Text(); got != "" {
+		t.Fatalf("empty tree Text = %q", got)
+	}
+}
+
+// TestFingerprintConcurrent fingerprints one fresh tree from many
+// goroutines at once (run under -race): every caller gets the hex
+// SHA-256 of Text, and the memo serves later calls.
+func TestFingerprintConcurrent(t *testing.T) {
+	tr := sample(t)
+	sum := sha256.Sum256([]byte(tr.Text()))
+	want := hex.EncodeToString(sum[:])
+	var wg sync.WaitGroup
+	got := make([]string, 16)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tr.Fingerprint()
+		}(i)
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("goroutine %d: fingerprint %s, want %s", i, fp, want)
+		}
+	}
+	if tr.fp.Load() == nil || tr.Fingerprint() != want {
+		t.Fatal("fingerprint not memoized")
+	}
+	if c := tr.Clone(); c.fp.Load() != nil {
+		t.Fatal("Clone inherited the fingerprint memo")
 	}
 }

@@ -2,158 +2,44 @@
 //
 // Three formats are supported:
 //
-//   - A line-oriented text format for hand-written platforms and CLI use:
-//     one node per line, "name parent comm proc", where the root uses "-"
-//     for parent and comm, and proc is a rational ("3", "1/2", "0.25") or
-//     "inf" for a switch. '#' starts a comment. Children keep file order.
-//     An optional fifth field "ret" carries the node's result-return time
-//     d (Section 9); it is written only when the platform has a non-zero
-//     return cost, so forward-only platforms round-trip byte-identically.
+//   - The line-oriented text format for hand-written platforms and CLI
+//     use, defined next to the tree it describes: tree.Tree.Text writes
+//     it and tree.ParseText reads it. ParseText and WriteText here are
+//     thin wrappers.
 //   - JSON, as a nested structure (for tooling).
 //   - Graphviz DOT export (for figures like the paper's Figure 1/4(a)).
 package treeio
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
-	"bwc/internal/bwcerr"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 )
 
-// ParseText reads the line-oriented format from r.
-func ParseText(r io.Reader) (*tree.Tree, error) {
-	b := tree.NewBuilder()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	seenRoot := false
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 4 && len(fields) != 5 {
-			return nil, fmt.Errorf("treeio: line %d: want 4 or 5 fields (name parent comm proc [ret]), got %d: %w", lineNo, len(fields), bwcerr.ErrNotATree)
-		}
-		name, parent, commS, procS := fields[0], fields[1], fields[2], fields[3]
-		retS := ""
-		if len(fields) == 5 {
-			retS = fields[4]
-		}
-		isRoot := parent == "-"
-		if isRoot {
-			if seenRoot {
-				return nil, fmt.Errorf("treeio: line %d: second root %q: %w", lineNo, name, bwcerr.ErrNotATree)
-			}
-			if commS != "-" {
-				return nil, fmt.Errorf("treeio: line %d: root must have comm '-': %w", lineNo, bwcerr.ErrNotATree)
-			}
-			if retS != "" && retS != "-" {
-				return nil, fmt.Errorf("treeio: line %d: root must have ret '-': %w", lineNo, bwcerr.ErrNotATree)
-			}
-			seenRoot = true
-			if procS == "inf" {
-				b.RootSwitch(name)
-			} else {
-				proc, err := rat.Parse(procS)
-				if err != nil {
-					return nil, fmt.Errorf("treeio: line %d: proc: %v: %w", lineNo, err, bwcerr.ErrNotATree)
-				}
-				b.Root(name, proc)
-			}
-			continue
-		}
-		comm, err := rat.Parse(commS)
-		if err != nil {
-			return nil, fmt.Errorf("treeio: line %d: comm: %v: %w", lineNo, err, bwcerr.ErrNotATree)
-		}
-		if procS == "inf" {
-			b.SwitchChild(parent, name, comm)
-		} else {
-			proc, err := rat.Parse(procS)
-			if err != nil {
-				return nil, fmt.Errorf("treeio: line %d: proc: %v: %w", lineNo, err, bwcerr.ErrNotATree)
-			}
-			b.Child(parent, name, comm, proc)
-		}
-		if retS != "" && retS != "-" {
-			ret, err := rat.Parse(retS)
-			if err != nil {
-				return nil, fmt.Errorf("treeio: line %d: ret: %v: %w", lineNo, err, bwcerr.ErrNotATree)
-			}
-			b.Return(name, ret)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b.Build()
-}
+// ParseText reads the line-oriented format from r (tree.ParseText).
+func ParseText(r io.Reader) (*tree.Tree, error) { return tree.ParseText(r) }
 
 // ParseTextString is ParseText on a string.
 func ParseTextString(s string) (*tree.Tree, error) {
 	return ParseText(strings.NewReader(s))
 }
 
-// WriteText writes t in the line-oriented format (preorder, so the file
-// round-trips through ParseText preserving child order).
+// WriteText writes t in the line-oriented format (tree.Text: preorder,
+// so the file round-trips through ParseText preserving child order).
 func WriteText(w io.Writer, t *tree.Tree) error {
 	if t.Len() == 0 {
 		return fmt.Errorf("treeio: empty tree")
 	}
-	bw := bufio.NewWriter(w)
-	// The ret column appears only on platforms that model result returns,
-	// so forward-only trees keep their historical byte-exact rendering
-	// (the Session fingerprint depends on this).
-	withRet := t.HasResultReturn()
-	if withRet {
-		fmt.Fprintln(bw, "# name parent comm proc ret")
-	} else {
-		fmt.Fprintln(bw, "# name parent comm proc")
-	}
-	var err error
-	t.Walk(t.Root(), func(id tree.NodeID) bool {
-		parent, comm := "-", "-"
-		if p := t.Parent(id); p != tree.None {
-			parent = t.Name(p)
-			comm = t.CommTime(id).String()
-		}
-		proc := "inf"
-		if w, ok := t.ProcTime(id); ok {
-			proc = w.String()
-		}
-		if withRet {
-			ret := "-"
-			if t.Parent(id) != tree.None {
-				ret = t.ReturnTime(id).String()
-			}
-			_, err = fmt.Fprintf(bw, "%s %s %s %s %s\n", t.Name(id), parent, comm, proc, ret)
-		} else {
-			_, err = fmt.Fprintf(bw, "%s %s %s %s\n", t.Name(id), parent, comm, proc)
-		}
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := io.WriteString(w, t.Text())
+	return err
 }
 
 // TextString renders t in the line-oriented format.
-func TextString(t *tree.Tree) string {
-	var sb strings.Builder
-	_ = WriteText(&sb, t)
-	return sb.String()
-}
+func TextString(t *tree.Tree) string { return t.Text() }
 
 // jsonNode is the nested JSON shape.
 type jsonNode struct {

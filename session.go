@@ -12,8 +12,6 @@ package bwc
 // memo on top.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 	"sync/atomic"
 
@@ -22,18 +20,15 @@ import (
 	"bwc/internal/runtime"
 	"bwc/internal/sim"
 	"bwc/internal/tree"
-	"bwc/internal/treeio"
 )
 
 // PlatformFingerprint returns the canonical fingerprint Sessions key
-// their memo by: the SHA-256 of the platform's text serialization
+// their memo by: the hex SHA-256 of the platform's text serialization
 // (FormatPlatform). Trees with the same names, shape and weights share a
 // fingerprint; any weight change — a degraded link, a slowed node —
-// yields a different one.
-func PlatformFingerprint(t *Tree) string {
-	sum := sha256.Sum256([]byte(treeio.TextString(t)))
-	return hex.EncodeToString(sum[:])
-}
+// yields a different one. The value is memoized on the tree, so only the
+// first call per *Tree serializes and hashes it.
+func PlatformFingerprint(t *Tree) string { return t.Fingerprint() }
 
 // Session is a goroutine-safe facade handle that memoizes the solver
 // layer. Create one per logical platform deployment (or one per process)
@@ -60,7 +55,6 @@ type Session struct {
 	defaults []Option
 
 	mu     sync.Mutex
-	fps    map[*Tree]string // Tree is immutable: fingerprint once per pointer
 	solves map[string]*solveEntry
 	scheds map[schedKey]*schedEntry
 	hits   int
@@ -69,13 +63,29 @@ type Session struct {
 }
 
 // solveEntry coalesces concurrent solves of one platform: the first
-// caller runs the wave inside once, later callers block on it and share
-// the result. done flips after res is written, so Cached can peek at a
-// completed entry without blocking on a solve still in flight.
+// caller of result runs the wave inside once, later callers block on it
+// and share the result. done flips after res is written, so Cached can
+// peek at a completed entry without blocking on a solve still in flight.
 type solveEntry struct {
 	once sync.Once
-	res  *Result
-	done atomic.Bool
+	// solve is the pending cold solve, cleared once run so the entry does
+	// not keep the first caller's options (observers included) alive.
+	solve func() *Result
+	res   *Result
+	done  atomic.Bool
+}
+
+// result returns the entry's result, running its solve if no caller has
+// yet. Every reader of a pending entry goes through it, so whichever
+// caller comes first runs the real solve and none can complete the
+// entry empty.
+func (e *solveEntry) result() *Result {
+	e.once.Do(func() {
+		e.res = e.solve()
+		e.solve = nil
+		e.done.Store(true)
+	})
+	return e.res
 }
 
 // solvedEntry wraps an already-computed result as a completed entry, the
@@ -136,7 +146,6 @@ type SessionStats struct {
 func NewSession(defaults ...Option) *Session {
 	return &Session{
 		defaults: defaults,
-		fps:      make(map[*Tree]string),
 		solves:   make(map[string]*solveEntry),
 		scheds:   make(map[schedKey]*schedEntry),
 		perFP:    make(map[string]*FingerprintStats),
@@ -156,20 +165,6 @@ func (se *Session) fpStatsLocked(fp string) *FingerprintStats {
 // hitLocked / missLocked record one memo outcome for fp under se.mu.
 func (se *Session) hitLocked(fp string)  { se.hits++; se.fpStatsLocked(fp).Hits++ }
 func (se *Session) missLocked(fp string) { se.misses++; se.fpStatsLocked(fp).Misses++ }
-
-// fingerprint is PlatformFingerprint memoized per tree pointer, so cache
-// hits skip re-serializing the platform. Distinct pointers to identical
-// platforms still converge on one fingerprint.
-func (se *Session) fingerprint(t *Tree) string {
-	se.mu.Lock()
-	fp, ok := se.fps[t]
-	if !ok {
-		fp = PlatformFingerprint(t)
-		se.fps[t] = fp
-	}
-	se.mu.Unlock()
-	return fp
-}
 
 func (se *Session) options(opts []Option) []Option {
 	if len(se.defaults) == 0 {
@@ -192,22 +187,18 @@ func (se *Session) Solve(t *Tree, opts ...Option) *Result {
 // caller per fingerprint observes cached == false — the observable the
 // control plane's cache-hit marker is built on.
 func (se *Session) SolveCached(t *Tree, opts ...Option) (res *Result, cached bool) {
-	fp := se.fingerprint(t)
+	fp := PlatformFingerprint(t)
 	se.mu.Lock()
 	e, ok := se.solves[fp]
 	if !ok {
-		e = &solveEntry{}
+		e = &solveEntry{solve: func() *Result { return Solve(t, se.options(opts)...) }}
 		se.solves[fp] = e
 		se.missLocked(fp)
 	} else {
 		se.hitLocked(fp)
 	}
 	se.mu.Unlock()
-	e.once.Do(func() {
-		e.res = Solve(t, se.options(opts)...)
-		e.done.Store(true)
-	})
-	return e.res, ok
+	return e.result(), ok
 }
 
 // Cached returns t's memoized BW-First result without solving: ok is
@@ -215,7 +206,7 @@ func (se *Session) SolveCached(t *Tree, opts ...Option) (res *Result, cached boo
 // flight. It never blocks — the lookup the shard layer uses to capture
 // an evicted platform's state.
 func (se *Session) Cached(t *Tree) (*Result, bool) {
-	fp := se.fingerprint(t)
+	fp := PlatformFingerprint(t)
 	se.mu.Lock()
 	e, ok := se.solves[fp]
 	se.mu.Unlock()
@@ -234,7 +225,7 @@ func (se *Session) Prime(t *Tree, res *Result) {
 	if res == nil {
 		return
 	}
-	fp := se.fingerprint(t)
+	fp := PlatformFingerprint(t)
 	se.mu.Lock()
 	se.solves[fp] = solvedEntry(res)
 	se.mu.Unlock()
@@ -245,7 +236,7 @@ func (se *Session) Prime(t *Tree, res *Result) {
 // WithScheduleOptions).
 func (se *Session) BuildSchedule(t *Tree, opts ...Option) (*Schedule, error) {
 	all := se.options(opts)
-	key := schedKey{fp: se.fingerprint(t), opt: buildCfg(all).schedOptions}
+	key := schedKey{fp: PlatformFingerprint(t), opt: buildCfg(all).schedOptions}
 	se.mu.Lock()
 	e, ok := se.scheds[key]
 	if !ok {
@@ -369,7 +360,7 @@ func (se *Session) reprime(t *Tree, resolved []*Schedule, opts []Option) {
 	if len(resolved) == 0 {
 		return
 	}
-	fp := se.fingerprint(t)
+	fp := PlatformFingerprint(t)
 	opt := buildCfg(se.options(opts)).buildAdaptOptions().Sched
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -389,7 +380,7 @@ func (se *Session) reprime(t *Tree, resolved []*Schedule, opts []Option) {
 // double-invalidation of the same platform racing a reprime — are safe:
 // each runs as one atomic critical section.
 func (se *Session) Invalidate(t *Tree) {
-	fp := se.fingerprint(t)
+	fp := PlatformFingerprint(t)
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	se.invalidateLocked(fp)
@@ -423,8 +414,8 @@ func (se *Session) invalidateLocked(fp string) {
 // was not cached, or the trees do not share a shape) — in that case it
 // degrades to a plain Invalidate and the next Solve runs cold.
 func (se *Session) InvalidateDelta(old, mutated *Tree) *Result {
-	oldFP := se.fingerprint(old)
-	newFP := se.fingerprint(mutated)
+	oldFP := PlatformFingerprint(old)
+	newFP := PlatformFingerprint(mutated)
 	dirty, derr := tree.DiffWeights(old, mutated)
 	se.mu.Lock()
 	e, ok := se.solves[oldFP]
@@ -432,10 +423,9 @@ func (se *Session) InvalidateDelta(old, mutated *Tree) *Result {
 	se.mu.Unlock()
 	var prev *Result
 	if ok {
-		// The entry may still be mid-solve in another goroutine; once.Do
-		// waits for it so reading res is ordered after the write.
-		e.once.Do(func() {})
-		prev = e.res
+		// The entry may still be mid-solve in another goroutine, or its
+		// solve not yet started; result waits for or runs it.
+		prev = e.result()
 	}
 	if derr != nil || prev == nil {
 		return nil
@@ -454,7 +444,6 @@ func (se *Session) InvalidateDelta(old, mutated *Tree) *Result {
 func (se *Session) Reset() {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	se.fps = make(map[*Tree]string)
 	se.solves = make(map[string]*solveEntry)
 	se.scheds = make(map[schedKey]*schedEntry)
 	se.perFP = make(map[string]*FingerprintStats)
