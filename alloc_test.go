@@ -1,0 +1,47 @@
+package bwc_test
+
+import (
+	"testing"
+
+	"bwc"
+	"bwc/internal/benchfix"
+)
+
+// TestBuildScheduleAllocs bounds the heap allocations of one schedule
+// build on the BuildSchedule stage fixture (64 nodes, largest bunch
+// 15,179 slots). Pattern slots hold no pointers and the Lemma-1 periods
+// are combined in int64, so the count tracks the nodes, not Ψ: an
+// allocation per slot would add thousands. The ceiling is the measured
+// 1,801 plus slack.
+func TestBuildScheduleAllocs(t *testing.T) {
+	res := bwc.Solve(benchfix.LongBunch64())
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := bwc.BuildSchedule(res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per schedule build", allocs)
+	if allocs > 2000 {
+		t.Fatalf("%.0f allocs per schedule build", allocs)
+	}
+}
+
+// TestFoldedThroughputAllocs bounds the folded-model solve of a 64-node
+// SETI platform with a return time on every link. The fold clones the
+// tree once, however many links carry returns. The ceiling is the
+// measured 52 plus slack.
+func TestFoldedThroughputAllocs(t *testing.T) {
+	tr, err := bwc.PlatformWithUniformResultReturn(bwc.GeneratePlatform(bwc.SETI, 64, 12), bwc.RatInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := bwc.FoldedThroughput(tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per folded solve", allocs)
+	if allocs > 70 {
+		t.Fatalf("%.0f allocs per folded solve", allocs)
+	}
+}

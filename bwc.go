@@ -420,26 +420,10 @@ func PlatformWithUniformResultReturn(t *Tree, d Rational) (*Tree, error) {
 // forward-only — what a scheduler that serializes the two flows on one
 // port pair would achieve. The gap to the separate-flows throughput
 // (Solve / Verify on the return platform itself) is the folded model's
-// error.
+// error. The call never fails; its error result is kept for API
+// stability.
 func FoldedThroughput(t *Tree) (Rational, error) {
-	folded := t
-	for i := 0; i < t.Len(); i++ {
-		id := NodeID(i)
-		d := t.ReturnTime(id)
-		if id == t.Root() || d.IsZero() {
-			continue
-		}
-		var err error
-		folded, err = folded.WithCommTime(id, t.CommTime(id).Add(d))
-		if err != nil {
-			return rat.Zero, err
-		}
-	}
-	folded, err := folded.WithUniformReturnTime(rat.Zero)
-	if err != nil {
-		return rat.Zero, err
-	}
-	return bwfirst.Solve(folded).Throughput, nil
+	return bwfirst.Solve(t.WithFoldedReturns()).Throughput, nil
 }
 
 // WithResultReturn wraps a platform with per-link result-return times d

@@ -25,6 +25,11 @@ func Uniform25() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 25, 3) }
 // Uniform64 is the Session solve platform (cold vs cached benchmarks).
 func Uniform64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 11) }
 
+// LongBunch64 is the BuildSchedule stage platform: a 64-node uniform
+// tree whose largest bunch Ψ is 15,179 slots, so building its schedule
+// is mostly materializing Figure-3 patterns.
+func LongBunch64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 10) }
+
 // ComputeLimited is the E9 scalability family: every node stays useful,
 // so the distributed procedure's message count scales with n.
 func ComputeLimited(n int) *bwc.Tree {

@@ -209,7 +209,7 @@ func TestPacerLaw(t *testing.T) {
 		t.Fatalf("pacer tw=%s len=%d, want %s/%d", p.TW(), p.Len(), root.TW, len(root.Pattern))
 	}
 	for i, slot := range root.Pattern {
-		want := root.TW.Mul(rat.Two).Add(slot.Pos.Mul(root.TW))
+		want := root.TW.Mul(rat.Two).Add(slot.Pos().Mul(root.TW))
 		if got := p.At(2, i); !got.Equal(want) {
 			t.Fatalf("slot %d period 2: at=%s want %s", i, got, want)
 		}

@@ -49,5 +49,5 @@ func (p *Pacer) At(n int64, i int) rat.R {
 	if p.burst {
 		return base
 	}
-	return base.Add(p.pattern[i].Pos.Mul(p.tw))
+	return base.Add(p.pattern[i].Pos().Mul(p.tw))
 }

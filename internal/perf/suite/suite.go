@@ -119,6 +119,20 @@ func Default() *perf.Suite {
 		}
 	}})
 
+	// BuildSchedule is the schedule stage alone: Lemma-1 periods, ψ
+	// counts and every node's Figure-3 pattern from a fixed BW-First
+	// result whose largest bunch is 15,179 slots.
+	s.Register(perf.Bench{Name: "BuildSchedule", Short: true, Fn: func(b *testing.B) {
+		res := bwc.Solve(benchfix.LongBunch64())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bwc.BuildSchedule(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+
 	// ObsDisabled / ObsEnabled are the bench_test.go observability pair:
 	// the paper's Figure-5 run with instrumentation off (nil Observer)
 	// and fully on. Their ratio is the telemetry tax.

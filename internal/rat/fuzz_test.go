@@ -1,6 +1,7 @@
 package rat
 
 import (
+	"math/big"
 	"testing"
 )
 
@@ -26,6 +27,30 @@ func FuzzParse(f *testing.F) {
 		}
 		if !back.Equal(v) {
 			t.Fatalf("round trip changed value: %q -> %s -> %s", s, v, back)
+		}
+	})
+}
+
+// FuzzLCM checks LCMInt and DenLCM against the math/big fold on
+// arbitrary int64 operands, including ones whose lcm overflows int64.
+func FuzzLCM(f *testing.F) {
+	f.Add(int64(4), int64(6))
+	f.Add(int64(0), int64(5))
+	f.Add(int64(-6), int64(4))
+	f.Add(int64(1)<<62, int64(3))
+	f.Add(int64(9223372036854775807), int64(2))
+	f.Add(int64(-9223372036854775808), int64(3))
+	f.Fuzz(func(t *testing.T, a, b int64) {
+		ba, bb := big.NewInt(a), big.NewInt(b)
+		if got, want := LCMInt(ba, bb), bigLCM(ba, bb); got.Cmp(want) != 0 {
+			t.Fatalf("LCMInt(%d, %d) = %s, want %s", a, b, got, want)
+		}
+		if a == 0 || b == 0 {
+			return
+		}
+		vs := []R{New(1, a), New(1, b), New(1, 6)}
+		if got, want := DenLCM(vs...), bigDenLCM(vs...); got.Cmp(want) != 0 {
+			t.Fatalf("DenLCM(1/%d, 1/%d, 1/6) = %s, want %s", a, b, got, want)
 		}
 	})
 }

@@ -433,8 +433,29 @@ func GCDInt(a, b *big.Int) *big.Int {
 	return new(big.Int).GCD(nil, nil, x, y)
 }
 
+// lcm64 returns lcm(|a|, |b|) and whether it was computed without
+// overflow; lcm with zero is zero. MinInt64 has no int64 magnitude, so it
+// reports overflow and the caller promotes.
+func lcm64(a, b int64) (int64, bool) {
+	if a == minInt64 || b == minInt64 {
+		return 0, false
+	}
+	a, b = abs64(a), abs64(b)
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	return mulCheck(a/gcd64(a, b), b)
+}
+
 // LCMInt returns lcm(|a|, |b|) as a new big.Int; lcm with zero is zero.
+// Operands that fit int64 are combined in int64, promoting to math/big
+// only when the result overflows.
 func LCMInt(a, b *big.Int) *big.Int {
+	if a.IsInt64() && b.IsInt64() {
+		if l, ok := lcm64(a.Int64(), b.Int64()); ok {
+			return big.NewInt(l)
+		}
+	}
 	if a.Sign() == 0 || b.Sign() == 0 {
 		return new(big.Int)
 	}
@@ -445,13 +466,26 @@ func LCMInt(a, b *big.Int) *big.Int {
 
 // DenLCM returns the least common multiple of the denominators of vs as a
 // new big.Int. The LCM of an empty list is 1 (the schedule period of a node
-// that sends nothing is one time unit).
+// that sends nothing is one time unit). The running lcm stays in int64
+// until it overflows or meets a value held as big; the rest of the list
+// then goes through LCMInt.
 func DenLCM(vs ...R) *big.Int {
-	l := big.NewInt(1)
-	for _, v := range vs {
-		l = LCMInt(l, v.Den())
+	l := int64(1)
+	for i, v := range vs {
+		v = v.norm()
+		if v.big == nil {
+			if next, ok := lcm64(l, v.d); ok {
+				l = next
+				continue
+			}
+		}
+		acc := big.NewInt(l)
+		for _, w := range vs[i:] {
+			acc = LCMInt(acc, w.Den())
+		}
+		return acc
 	}
-	return l
+	return big.NewInt(l)
 }
 
 // MulInt returns a * i where i is a big integer, as an R.

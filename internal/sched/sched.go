@@ -27,7 +27,7 @@ package sched
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"bwc/internal/bwfirst"
@@ -46,10 +46,36 @@ const Self Dest = -1
 type Slot struct {
 	// Dest says where the task handled by this slot goes.
 	Dest Dest
-	// Pos is the slot's position in the unit interval (the k/(ψ_d+1)
-	// construction of Figure 3). Scaled by T^w it is the slot's nominal
-	// time offset within a steady-state period.
-	Pos rat.R
+	// k/den is the slot's position, kept as two integers so patterns
+	// hold no pointers and comparisons need no gcd.
+	k, den int64
+}
+
+// Pos is the slot's position in the unit interval (the k/(ψ_d+1)
+// construction of Figure 3). Scaled by T^w it is the slot's nominal time
+// offset within a steady-state period. The zero Slot is at position 0.
+func (s Slot) Pos() rat.R {
+	if s.den == 0 {
+		return rat.Zero
+	}
+	return rat.New(s.k, s.den)
+}
+
+// before orders slots as the Figure-3 rule does: by position, then
+// smaller ψ (it wins the contested task; den = ψ+1), then smaller index
+// (Self = -1 first). A (position, destination) pair is unique, so the
+// order is total. Positions compare as the cross products k_a·den_b and
+// k_b·den_a, formed in 128 bits so no pattern length can overflow them.
+func before(a, b Slot) bool {
+	hiA, loA := bits.Mul64(uint64(a.k), uint64(b.den))
+	hiB, loB := bits.Mul64(uint64(b.k), uint64(a.den))
+	if hiA != hiB || loA != loB {
+		return hiA < hiB || hiA == hiB && loA < loB
+	}
+	if a.den != b.den {
+		return a.den < b.den
+	}
+	return a.Dest < b.Dest
 }
 
 // NodeSchedule is the compact, self-contained description of one node's
@@ -317,36 +343,55 @@ func destCounts(ns *NodeSchedule) []destCount {
 	return ds
 }
 
-// interleavePattern implements the Figure-3 strategy.
+// interleavePattern implements the Figure-3 strategy. Destination d's
+// slots k/(ψ_d+1), k = 1..ψ_d, already ascend in k, so a k-way merge of
+// the D streams (a binary min-heap over their next slots) yields the
+// whole bunch in order in O(Ψ log D).
 func interleavePattern(ns *NodeSchedule) []Slot {
 	ds := destCounts(ns)
-	total := 0
-	for _, d := range ds {
-		total += int(d.psi)
+	heads := make([]Slot, len(ds))
+	total := int64(0)
+	for i, d := range ds {
+		heads[i] = Slot{Dest: d.dest, k: 1, den: d.psi + 1}
+		total += d.psi
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
 	}
 	slots := make([]Slot, 0, total)
-	for _, d := range ds {
-		den := d.psi + 1
-		for k := int64(1); k <= d.psi; k++ {
-			slots = append(slots, Slot{Dest: d.dest, Pos: rat.New(k, den)})
+	for len(heads) > 0 {
+		top := &heads[0]
+		slots = append(slots, *top)
+		top.k++
+		if top.k == top.den { // stream exhausted
+			*top = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		if len(heads) > 0 {
+			siftDown(heads, 0)
 		}
 	}
-	psiOf := make(map[Dest]int64, len(ds))
-	for _, d := range ds {
-		psiOf[d.dest] = d.psi
-	}
-	sort.SliceStable(slots, func(i, j int) bool {
-		c := slots[i].Pos.Cmp(slots[j].Pos)
-		if c != 0 {
-			return c < 0
-		}
-		pi, pj := psiOf[slots[i].Dest], psiOf[slots[j].Dest]
-		if pi != pj {
-			return pi < pj // smaller ψ wins the contested task
-		}
-		return slots[i].Dest < slots[j].Dest // then smaller index (Self=-1 first)
-	})
 	return slots
+}
+
+// siftDown restores the min-heap order below h[i].
+func siftDown(h []Slot, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // blockPattern hands each destination all of its tasks consecutively (the
@@ -362,7 +407,7 @@ func blockPattern(ns *NodeSchedule) []Slot {
 	i := int64(0)
 	for _, d := range ds {
 		for k := int64(0); k < d.psi; k++ {
-			slots = append(slots, Slot{Dest: d.dest, Pos: rat.New(i+1, total+1)})
+			slots = append(slots, Slot{Dest: d.dest, k: i + 1, den: total + 1})
 			i++
 		}
 	}
@@ -470,26 +515,30 @@ func (s *Schedule) CheckInvariants() error {
 		if !chiIn.IsInt() || !chiIn.Equal(chiSum) {
 			return fmt.Errorf("node %s: Prop 3 violated: χ_{-1}=%s Σχ=%s", name, chiIn, chiSum)
 		}
-		// Pattern: right multiset of destinations, sorted positions.
+		// Pattern: right multiset of destinations, ordered by position
+		// (ties as the Figure-3 rule breaks them).
 		if ns.Pattern != nil {
-			counts := map[Dest]int64{}
-			last := rat.Zero
+			counts := make([]int64, len(ns.Psi)+1) // indexed by Dest+1, Self first
+			last := Slot{den: 1}
 			for _, sl := range ns.Pattern {
-				counts[sl.Dest]++
-				if sl.Pos.Less(last) {
-					return fmt.Errorf("node %s: pattern positions not monotone", name)
+				if sl.Dest < Self || int(sl.Dest) >= len(ns.Psi) {
+					return fmt.Errorf("node %s: pattern slot for unknown destination %d", name, sl.Dest)
 				}
-				last = sl.Pos
-				if !sl.Pos.IsPos() || !sl.Pos.Less(rat.One) {
-					return fmt.Errorf("node %s: pattern position %s outside (0,1)", name, sl.Pos)
+				counts[sl.Dest+1]++
+				if sl.k <= 0 || sl.k >= sl.den {
+					return fmt.Errorf("node %s: pattern position %s outside (0,1)", name, sl.Pos())
 				}
+				if !before(last, sl) {
+					return fmt.Errorf("node %s: pattern slots out of order", name)
+				}
+				last = sl
 			}
-			if counts[Self] != ns.Psi0.Int64() {
-				return fmt.Errorf("node %s: pattern has %d self slots, want %s", name, counts[Self], ns.Psi0)
+			if counts[0] != ns.Psi0.Int64() {
+				return fmt.Errorf("node %s: pattern has %d self slots, want %s", name, counts[0], ns.Psi0)
 			}
 			for j, p := range ns.Psi {
-				if counts[Dest(j)] != p.Int64() {
-					return fmt.Errorf("node %s: pattern has %d slots for child %d, want %s", name, counts[Dest(j)], j, p)
+				if counts[j+1] != p.Int64() {
+					return fmt.Errorf("node %s: pattern has %d slots for child %d, want %s", name, counts[j+1], j, p)
 				}
 			}
 		}

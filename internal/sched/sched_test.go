@@ -432,7 +432,7 @@ func TestPaperTreePalindromes(t *testing.T) {
 		}
 		ties := false
 		for j := 1; j < len(ns.Pattern); j++ {
-			if ns.Pattern[j].Pos.Equal(ns.Pattern[j-1].Pos) {
+			if ns.Pattern[j].Pos().Equal(ns.Pattern[j-1].Pos()) {
 				ties = true
 				break
 			}

@@ -610,6 +610,25 @@ func (t *Tree) WithReturnTimes(ds []rat.R) (*Tree, error) {
 	return u, nil
 }
 
+// WithFoldedReturns returns a forward-only copy of the tree with every
+// link's result-return time folded into its forward time: c' = c + d and
+// d' = 0 (Section 9's folded model, in which both flows serialize on one
+// port pair). It makes one clone however many links carry returns.
+func (t *Tree) WithFoldedReturns() *Tree {
+	u := t.Clone()
+	for i := range u.nodes {
+		n := &u.nodes[i]
+		if n.parent == None {
+			continue
+		}
+		if !n.retOut.IsZero() {
+			n.commIn = n.commIn.Add(n.retOut)
+		}
+		n.retOut = rat.Zero
+	}
+	return u
+}
+
 // WithProcTime returns a copy of the tree with node id's processing time
 // replaced (proc must be > 0).
 func (t *Tree) WithProcTime(id NodeID, proc rat.R) (*Tree, error) {

@@ -6,6 +6,7 @@ import (
 
 	"bwc"
 	"bwc/internal/resultflow"
+	"bwc/internal/treegen"
 )
 
 // counterExamplePlatform is Section 9's counter-example: a switch root
@@ -122,5 +123,77 @@ P2 M  1  1
 	}
 	if run.Stats.Makespan.Less(bwc.RatInt(tasks)) {
 		t.Fatalf("folded makespan %s beat the folded bound %d — model error inverted", run.Stats.Makespan, tasks)
+	}
+}
+
+// chainedFold is the folded platform built one link at a time, each
+// step a WithCommTime clone, then every return time cleared: the
+// reference for Tree.WithFoldedReturns.
+func chainedFold(t *testing.T, tr *bwc.Tree) *bwc.Tree {
+	t.Helper()
+	folded := tr
+	for i := 0; i < tr.Len(); i++ {
+		id := bwc.NodeID(i)
+		d := tr.ReturnTime(id)
+		if id == tr.Root() || d.IsZero() {
+			continue
+		}
+		var err error
+		if folded, err = folded.WithCommTime(id, tr.CommTime(id).Add(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folded, err := folded.WithUniformReturnTime(bwc.RatInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return folded
+}
+
+// TestFoldedReturnsMatchesChained: on every treegen family, forward,
+// with a uniform return time and with per-link return times (some
+// zero), the one-clone fold renders the same platform text as the
+// chained construction, FoldedThroughput equals the chained platform's
+// BW-First throughput, and the fold's fingerprint is computed afresh
+// even after its parent's was memoized.
+func TestFoldedReturnsMatchesChained(t *testing.T) {
+	for _, kind := range treegen.Kinds {
+		fwd := bwc.GeneratePlatform(kind, 40, 9)
+		uniform, err := bwc.PlatformWithUniformResultReturn(fwd, bwc.Rat(1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := make([]bwc.Rational, fwd.Len())
+		for i := 1; i < len(ds); i++ {
+			ds[i] = bwc.Rat(int64(i%4), int64(1+i%5)) // every fourth link returns for free
+		}
+		perLink, err := bwc.PlatformWithResultReturn(fwd, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			tr   *bwc.Tree
+		}{{"forward", fwd}, {"uniform", uniform}, {"per-link", perLink}} {
+			name := kind.String() + "/" + c.name
+			bwc.PlatformFingerprint(c.tr)
+			got, want := c.tr.WithFoldedReturns(), chainedFold(t, c.tr)
+			if got.HasResultReturn() {
+				t.Fatalf("%s: folded platform still carries return times", name)
+			}
+			if g, w := bwc.FormatPlatform(got), bwc.FormatPlatform(want); g != w {
+				t.Fatalf("%s: fold renders\n%s\nchained fold renders\n%s", name, g, w)
+			}
+			if bwc.PlatformFingerprint(got) != textSHA(got) {
+				t.Fatalf("%s: fold inherited a fingerprint", name)
+			}
+			folded, err := bwc.FoldedThroughput(c.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chained := bwc.Solve(want).Throughput; !folded.Equal(chained) {
+				t.Fatalf("%s: FoldedThroughput %s, chained fold solves to %s", name, folded, chained)
+			}
+		}
 	}
 }
