@@ -1,6 +1,7 @@
 package bwc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"bwc"
@@ -43,5 +44,37 @@ func TestFoldedThroughputAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per folded solve", allocs)
 	if allocs > 70 {
 		t.Fatalf("%.0f allocs per folded solve", allocs)
+	}
+}
+
+// TestAnalyzeRunAllocs bounds the heap allocations of one AnalyzeRun
+// over an observed 120-task run of the Analyze stage fixture (16 nodes),
+// materializing the run's deferred spans included. Each run is simulated
+// outside the count. The analyzer indexes spans by position and never
+// copies one per track or node, so the count tracks the nodes and checks,
+// not the spans. The ceiling is the measured 336 plus slack.
+func TestAnalyzeRunAllocs(t *testing.T) {
+	s, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 5
+	var total uint64
+	for i := 0; i < runs; i++ {
+		run, err := bwc.Simulate(s, bwc.WithTasks(benchfix.AnalyzeTasks), bwc.WithObserver(bwc.NewObserver()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bwc.AnalyzeRun(run)
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	allocs := float64(total) / runs
+	t.Logf("%.0f allocs per analysis", allocs)
+	if allocs > 400 {
+		t.Fatalf("%.0f allocs per analysis", allocs)
 	}
 }

@@ -30,6 +30,16 @@ func Uniform64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 11) }
 // is mostly materializing Figure-3 patterns.
 func LongBunch64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 10) }
 
+// Analyze16 is the Analyze and ServeSimulate stage platform: a 16-node
+// uniform tree (largest bunch Ψ 15) whose AnalyzeTasks-task observed run
+// gets past start-up, so every forward-only conformance check runs and
+// passes (result-return skips).
+func Analyze16() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 16, 1) }
+
+// AnalyzeTasks is the task count of the Analyze and ServeSimulate runs,
+// the count a simulate request with analyze sends.
+const AnalyzeTasks = 120
+
 // ComputeLimited is the E9 scalability family: every node stays useful,
 // so the distributed procedure's message count scales with n.
 func ComputeLimited(n int) *bwc.Tree {

@@ -10,7 +10,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 
 	"bwc/internal/rat"
@@ -26,22 +25,58 @@ type event struct {
 // never issued.
 type Handle uint64
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). seq is
+// unique, so the order is strict and total: any correct heap fires the
+// same events in the same sequence. Typed sift-up/sift-down keeps events
+// unboxed; pushing and popping allocate nothing beyond slice growth.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	c := h[i].at.Cmp(h[j].at)
-	if c != 0 {
+func (h eventHeap) less(i, j int) bool {
+	if c := h[i].at.Cmp(h[j].at); c != 0 {
 		return c < 0
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event        { return h[0] }
-func (h *eventHeap) popEvent() event   { return heap.Pop(h).(event) }
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
+
+func (h eventHeap) peek() event { return h[0] }
+
+func (h *eventHeap) pushEvent(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) popEvent() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference for the collector
+	q = q[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // Engine runs events in virtual time. The zero value is ready to use at
 // time 0.

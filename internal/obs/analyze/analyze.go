@@ -3,7 +3,7 @@ package analyze
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 
 	"bwc/internal/bwfirst"
@@ -66,24 +66,56 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// nodeEvid groups one node's spans by activity, each sorted by start.
-// sendTo splits the send spans per destination child.
+// nodeEvid indexes one node's spans by activity: positions into
+// Evidence.Spans, each list in start order. A node's compute, send and
+// receive lists are its "<node>/C", "/S" and "/R" track lists. sendTo
+// splits the sends per destination, and held is the node's ±1 buffer
+// replay, built on first use and shared by every check that needs it.
 type nodeEvid struct {
-	compute []obs.Span
-	send    []obs.Span
-	recv    []obs.Span
-	sendTo  map[tree.NodeID][]obs.Span
+	compute []int32
+	send    []int32
+	recv    []int32
+	sendTo  []destSends
+	held    []heldDelta
 }
 
+// destSends is one destination's share of a node's sends, in start order.
+type destSends struct {
+	dest tree.NodeID
+	pos  []int32
+}
+
+// sendsTo returns the positions of the node's sends to dest (nil when
+// none were recorded).
+func (ne *nodeEvid) sendsTo(dest tree.NodeID) []int32 {
+	for i := range ne.sendTo {
+		if ne.sendTo[i].dest == dest {
+			return ne.sendTo[i].pos
+		}
+	}
+	return nil
+}
+
+// serialTrack is one serial resource's spans: a node's port or CPU
+// ("<node>/S", "/R", "/C") or a runtime link ("A→B"), in start order.
+type serialTrack struct {
+	name string
+	pos  []int32
+}
+
+// analysis is one pass over read-only evidence. Every index into the
+// evidence is a position in ev.Spans; no span is copied, and ev.Spans is
+// never reordered — only the position lists are sorted.
 type analysis struct {
 	ev      *Evidence
 	opt     Options
 	s       *sched.Schedule
 	t       *tree.Tree
 	nodes   []nodeEvid
-	tracks  map[string][]obs.Span
+	serial  []serialTrack // sorted by name
 	horizon rat.R
-	haveSim bool // any exact simulator span (C/S/R track) present
+	haveSim bool       // any exact simulator span (C/S/R track) present
+	cover   []interval // busyCover's buffer, reused node to node
 }
 
 // Analyze runs every conformance check against the evidence and returns
@@ -113,28 +145,84 @@ func Analyze(ev *Evidence, opt Options) *HealthReport {
 	return rep
 }
 
-// parse indexes the evidence: spans per track, and (when a schedule names
-// the platform) per node and activity. Track naming follows the
-// simulator's convention: "<node>/C", "<node>/S", "<node>/R"; the live
-// runtime uses "<parent>→<child>" link tracks instead.
+// parse indexes the evidence: one position list per serial track and
+// (when a schedule names the platform) per node and activity. Track
+// naming follows the simulator's convention: "<node>/C", "<node>/S",
+// "<node>/R"; the live runtime uses "<parent>→<child>" link tracks
+// instead. Each distinct track name is resolved once; other tracks
+// ("des", "proto") only extend the horizon.
 func (a *analysis) parse() {
-	a.tracks = map[string][]obs.Span{}
-	if a.t != nil {
-		a.nodes = make([]nodeEvid, a.t.Len())
-	}
-	for _, sp := range a.ev.Spans {
+	spans := a.ev.Spans
+	// First pass: resolve each span's track to a list index (-1 for
+	// tracks no check reads) and count the list sizes, so the lists can
+	// share one backing array.
+	index := map[string]int32{}
+	var names []string
+	var sizes []int32
+	track := make([]int32, len(spans))
+	last := int32(-1)
+	for i := range spans {
+		sp := &spans[i]
 		if a.horizon.Less(sp.End) {
 			a.horizon = sp.End
 		}
-		a.tracks[sp.Track] = append(a.tracks[sp.Track], sp)
-		if a.t == nil || len(sp.Track) < 2 {
-			continue
+		if i == 0 || sp.Track != spans[i-1].Track {
+			k, ok := index[sp.Track]
+			if !ok {
+				k = -1
+				if isSerialTrack(sp.Track) {
+					k = int32(len(names))
+					names = append(names, sp.Track)
+					sizes = append(sizes, 0)
+				}
+				index[sp.Track] = k
+			}
+			last = k
 		}
-		kind := sp.Track[len(sp.Track)-2:]
+		track[i] = last
+		if last >= 0 {
+			sizes[last]++
+		}
+	}
+	total := int32(0)
+	for _, n := range sizes {
+		total += n
+	}
+	backing := make([]int32, total)
+	a.serial = make([]serialTrack, len(names))
+	off := int32(0)
+	for k, name := range names {
+		a.serial[k] = serialTrack{name: name, pos: backing[off : off : off+sizes[k]]}
+		off += sizes[k]
+	}
+	for i, k := range track {
+		if k >= 0 {
+			a.serial[k].pos = append(a.serial[k].pos, int32(i))
+		}
+	}
+
+	// Producers record every track in start order, so the check is
+	// usually all the sorting there is; out-of-order evidence (a
+	// hand-edited or merged file) falls back to a stable sort, which
+	// keeps equal starts in evidence order.
+	byStart := func(p, q int32) int { return spans[p].Start.Cmp(spans[q].Start) }
+	for k := range a.serial {
+		if pos := a.serial[k].pos; !slices.IsSortedFunc(pos, byStart) {
+			slices.SortStableFunc(pos, byStart)
+		}
+	}
+	slices.SortFunc(a.serial, func(x, y serialTrack) int { return strings.Compare(x.name, y.name) })
+
+	if a.t == nil {
+		return
+	}
+	a.nodes = make([]nodeEvid, a.t.Len())
+	for _, st := range a.serial {
+		kind := st.name[len(st.name)-2:]
 		if kind != "/C" && kind != "/S" && kind != "/R" {
 			continue
 		}
-		id, ok := a.t.Lookup(sp.Track[:len(sp.Track)-2])
+		id, ok := a.t.Lookup(st.name[:len(st.name)-2])
 		if !ok {
 			continue
 		}
@@ -142,31 +230,41 @@ func (a *analysis) parse() {
 		ne := &a.nodes[id]
 		switch kind {
 		case "/C":
-			ne.compute = append(ne.compute, sp)
+			ne.compute = st.pos
 		case "/S":
-			ne.send = append(ne.send, sp)
-			if child, ok := a.t.Lookup(strings.TrimPrefix(sp.Name, "send ")); ok {
-				if ne.sendTo == nil {
-					ne.sendTo = map[tree.NodeID][]obs.Span{}
-				}
-				ne.sendTo[child] = append(ne.sendTo[child], sp)
-			}
+			ne.send = st.pos
+			a.splitSends(ne)
 		case "/R":
-			ne.recv = append(ne.recv, sp)
+			ne.recv = st.pos
 		}
-	}
-	for track := range a.tracks {
-		sortSpans(a.tracks[track])
-	}
-	for i := range a.nodes {
-		sortSpans(a.nodes[i].compute)
-		sortSpans(a.nodes[i].send)
-		sortSpans(a.nodes[i].recv)
 	}
 }
 
-func sortSpans(sps []obs.Span) {
-	sort.SliceStable(sps, func(i, j int) bool { return sps[i].Start.Less(sps[j].Start) })
+// splitSends groups a node's sends by the node each one is addressed to
+// ("send <name>"), keeping start order within each destination.
+func (a *analysis) splitSends(ne *nodeEvid) {
+	dests := make([]tree.NodeID, len(ne.send))
+	var order []tree.NodeID
+	for i, p := range ne.send {
+		id, ok := a.t.Lookup(strings.TrimPrefix(a.ev.Spans[p].Name, "send "))
+		if !ok {
+			id = tree.None
+		} else if !slices.Contains(order, id) {
+			order = append(order, id)
+		}
+		dests[i] = id
+	}
+	backing := make([]int32, 0, len(ne.send))
+	ne.sendTo = make([]destSends, len(order))
+	for j, d := range order {
+		start := len(backing)
+		for i, p := range ne.send {
+			if dests[i] == d {
+				backing = append(backing, p)
+			}
+		}
+		ne.sendTo[j] = destSends{dest: d, pos: backing[start:len(backing):len(backing)]}
+	}
 }
 
 // analysisEnd is the instant windowed estimators measure up to: the
@@ -182,17 +280,20 @@ func (a *analysis) analysisEnd() rat.R {
 // ---------------------------------------------------------------------------
 // Windowed rate estimation
 
-// windowCounts buckets sorted event times into L windows of the given
-// period ([k·period, (k+1)·period)).
-func windowCounts(times []rat.R, period rat.R, L int64) []int64 {
-	counts := make([]int64, L)
-	for _, t := range times {
-		k, ok := t.Div(period).Floor().Int64()
-		if ok && k >= 0 && k < L {
+// spanStart and spanEnd pick the instant of a span windowCounts buckets.
+func spanStart(sp *obs.Span) rat.R { return sp.Start }
+func spanEnd(sp *obs.Span) rat.R   { return sp.End }
+
+// windowCounts adds each listed span's instant (its start or end) to its
+// window [k·period, (k+1)·period) in counts, ignoring instants outside
+// the len(counts) windows. Input order does not matter.
+func (a *analysis) windowCounts(counts []int64, pos []int32, at func(*obs.Span) rat.R, period rat.R) {
+	for _, p := range pos {
+		k, ok := at(&a.ev.Spans[p]).Div(period).Floor().Int64()
+		if ok && k >= 0 && k < int64(len(counts)) {
 			counts[k]++
 		}
 	}
-	return counts
 }
 
 // steadyOnset returns the first window index from which every later
@@ -218,23 +319,6 @@ func (a *analysis) fullWindows(period rat.R) int64 {
 	return L
 }
 
-// spanEnds extracts the end times of a sorted span slice.
-func spanEnds(sps []obs.Span) []rat.R {
-	out := make([]rat.R, len(sps))
-	for i, sp := range sps {
-		out[i] = sp.End
-	}
-	return out
-}
-
-func spanStarts(sps []obs.Span) []rat.R {
-	out := make([]rat.R, len(sps))
-	for i, sp := range sps {
-		out[i] = sp.Start
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Checks
 
@@ -244,42 +328,35 @@ func spanStarts(sps []obs.Span) []rat.R {
 // non-overlapping spans (shared endpoints are allowed).
 func (a *analysis) singlePort() Check {
 	c := Check{Name: "single-port"}
-	names := make([]string, 0, len(a.tracks))
-	for tr := range a.tracks {
-		if isSerialTrack(tr) {
-			names = append(names, tr)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
+	if len(a.serial) == 0 {
 		c.Verdict, c.Detail = Skip, "no port tracks in evidence"
 		return c
 	}
 	violations := 0
-	for _, tr := range names {
-		sps := a.tracks[tr]
-		maxEnd := sps[0].End
-		for i := 1; i < len(sps); i++ {
-			if sps[i].Start.Less(maxEnd) {
+	for _, tr := range a.serial {
+		maxEnd := a.ev.Spans[tr.pos[0]].End
+		for _, p := range tr.pos[1:] {
+			sp := &a.ev.Spans[p]
+			if sp.Start.Less(maxEnd) {
 				violations++
 				if len(c.Evidence) < 16 {
 					c.Evidence = append(c.Evidence, fmt.Sprintf(
 						"%s: %q [%s,%s] overlaps preceding activity ending at %s",
-						tr, sps[i].Name, sps[i].Start, sps[i].End, maxEnd))
+						tr.name, sp.Name, sp.Start, sp.End, maxEnd))
 				}
 			}
-			if maxEnd.Less(sps[i].End) {
-				maxEnd = sps[i].End
+			if maxEnd.Less(sp.End) {
+				maxEnd = sp.End
 			}
 		}
 	}
 	if violations > 0 {
 		c.Verdict = Fail
-		c.Detail = fmt.Sprintf("%d overlapping activities across %d port tracks", violations, len(names))
+		c.Detail = fmt.Sprintf("%d overlapping activities across %d port tracks", violations, len(a.serial))
 		return c
 	}
 	c.Verdict = Pass
-	c.Detail = fmt.Sprintf("%d port tracks serialized, no overlap", len(names))
+	c.Detail = fmt.Sprintf("%d port tracks serialized, no overlap", len(a.serial))
 	return c
 }
 
@@ -322,7 +399,8 @@ func (a *analysis) throughputConformance() Check {
 		}
 		quota := ns.Alpha.Mul(t0)
 		q, _ := quota.Int64() // integer by Prop. 3 (T_0 is a multiple of T^c)
-		counts := windowCounts(spanEnds(a.nodes[id].compute), t0, L)
+		counts := make([]int64, L)
+		a.windowCounts(counts, a.nodes[id].compute, spanEnd, t0)
 		onset, ok := steadyOnset(counts, q)
 		checked++
 		ratio := 0.0
@@ -334,13 +412,13 @@ func (a *analysis) throughputConformance() Check {
 			achieved := rat.FromInt(total).Div(t0.Mul(rat.FromInt(L - onset)))
 			ratio = achieved.Div(ns.Alpha).Float64()
 		}
-		line := fmt.Sprintf("%s: α=%s over T0=%s windows %v, steady from window %d, achieved/α=%.3f",
-			a.t.Name(id), ns.Alpha, t0, counts, onset, ratio)
 		if !ok || ratio < a.opt.MinRateRatio {
 			failed++
-			if !ok {
-				line = fmt.Sprintf("%s: α=%s over T0=%s windows %v: no steady suffix reaches quota %d",
-					a.t.Name(id), ns.Alpha, t0, counts, q)
+			line := fmt.Sprintf("%s: α=%s over T0=%s windows %v: no steady suffix reaches quota %d",
+				a.t.Name(id), ns.Alpha, t0, counts, q)
+			if ok {
+				line = fmt.Sprintf("%s: α=%s over T0=%s windows %v, steady from window %d, achieved/α=%.3f",
+					a.t.Name(id), ns.Alpha, t0, counts, onset, ratio)
 			}
 			c.Evidence = append(c.Evidence, line)
 		}
@@ -391,32 +469,25 @@ func (a *analysis) linkUtilization() Check {
 				continue
 			}
 			checked++
-			sps := a.nodes[id].sendTo[child]
-			link := a.t.Name(id) + "→" + a.t.Name(child)
-			if len(sps) == 0 {
+			sends := a.nodes[id].sendsTo(child)
+			if len(sends) == 0 {
 				failed++
-				c.Evidence = append(c.Evidence, fmt.Sprintf("%s: scheduled at η=%s but no transfers recorded", link, eta))
+				c.Evidence = append(c.Evidence, fmt.Sprintf("%s→%s: scheduled at η=%s but no transfers recorded",
+					a.t.Name(id), a.t.Name(child), eta))
 				continue
 			}
 			quota := ns.Phi[j].Int64()
-			counts := windowCounts(spanStarts(sps), ts, L)
+			counts := make([]int64, L)
+			a.windowCounts(counts, sends, spanStart, ts)
 			_, ok := steadyOnset(counts, quota)
 			// Busy fraction over the measured range vs the plan η·c.
 			window := ts.Mul(rat.FromInt(L))
-			busy := rat.Zero
-			for _, sp := range sps {
-				end := rat.Min(sp.End, window)
-				if sp.Start.Less(end) {
-					busy = busy.Add(end.Sub(sp.Start))
-				}
-			}
-			util := busy.Div(window).Float64()
+			util := a.busyUntil(sends, window).Div(window).Float64()
 			planned := eta.Mul(a.t.CommTime(child)).Float64()
-			line := fmt.Sprintf("%s: η=%s, φ=%d/T^s=%s windows %v, busy %.3f vs planned %.3f",
-				link, eta, quota, ts, counts, util, planned)
 			if !ok || util > planned*(1+a.opt.UtilTolerance) {
 				failed++
-				c.Evidence = append(c.Evidence, line)
+				c.Evidence = append(c.Evidence, fmt.Sprintf("%s→%s: η=%s, φ=%d/T^s=%s windows %v, busy %.3f vs planned %.3f",
+					a.t.Name(id), a.t.Name(child), eta, quota, ts, counts, util, planned))
 			}
 		}
 	}
@@ -453,14 +524,13 @@ func (a *analysis) bufferWatermark() Check {
 			continue
 		}
 		checked++
-		peak := maxHeld(a.nodes[id])
+		peak := maxHeld(a.held(id))
 		chi := a.s.Chi(id)
 		bound := new(big.Int).Add(chi, big.NewInt(int64(a.opt.BufferSlack)))
-		line := fmt.Sprintf("%s: peak %d buffered vs χ=%s (+%d slack)",
-			a.t.Name(id), peak, chi, a.opt.BufferSlack)
 		if bound.Cmp(big.NewInt(int64(peak))) < 0 {
 			failed++
-			c.Evidence = append(c.Evidence, line)
+			c.Evidence = append(c.Evidence, fmt.Sprintf("%s: peak %d buffered vs χ=%s (+%d slack)",
+				a.t.Name(id), peak, chi, a.opt.BufferSlack))
 			if over := peak - int(chi.Int64()); over > peakOver {
 				peakOver = over
 			}
@@ -485,29 +555,36 @@ type heldDelta struct {
 	d  int
 }
 
-// heldDeltas builds the sorted ±1 event list of one node's buffer: a task
-// is buffered from the end of its receive until the start of its compute
-// or send.
-func heldDeltas(ne nodeEvid) []heldDelta {
+// held returns the node's ±1 buffer steps in time order, building them on
+// first use: a task is buffered from the end of its receive until the
+// start of its compute or send. The order among steps at one instant is
+// left arbitrary — every replay (maxHeld, backloggedIdleTime,
+// WindowStats) nets all steps at an instant before it samples, so that
+// order cannot change a result.
+func (a *analysis) held(id tree.NodeID) []heldDelta {
+	ne := &a.nodes[id]
+	if ne.held != nil {
+		return ne.held
+	}
 	ds := make([]heldDelta, 0, len(ne.recv)+len(ne.compute)+len(ne.send))
-	for _, sp := range ne.recv {
-		ds = append(ds, heldDelta{sp.End, +1})
+	for _, p := range ne.recv {
+		ds = append(ds, heldDelta{a.ev.Spans[p].End, +1})
 	}
-	for _, sp := range ne.compute {
-		ds = append(ds, heldDelta{sp.Start, -1})
+	for _, p := range ne.compute {
+		ds = append(ds, heldDelta{a.ev.Spans[p].Start, -1})
 	}
-	for _, sp := range ne.send {
-		ds = append(ds, heldDelta{sp.Start, -1})
+	for _, p := range ne.send {
+		ds = append(ds, heldDelta{a.ev.Spans[p].Start, -1})
 	}
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].at.Less(ds[j].at) })
+	slices.SortFunc(ds, func(x, y heldDelta) int { return x.at.Cmp(y.at) })
+	ne.held = ds
 	return ds
 }
 
 // maxHeld replays the deltas, netting all events at one instant before
 // sampling — a task that enters service the moment it arrives is never
 // counted as buffered, matching the simulator's accounting.
-func maxHeld(ne nodeEvid) int {
-	ds := heldDeltas(ne)
+func maxHeld(ds []heldDelta) int {
 	held, peak := 0, 0
 	for i := 0; i < len(ds); {
 		j := i
@@ -549,13 +626,12 @@ func (a *analysis) steadyStateOnset() (Check, rat.R, bool) {
 	}
 	quota, _ := rate.Mul(period).Int64()
 	root := a.t.Root()
-	var ends []rat.R
+	counts := make([]int64, L)
 	for i := range a.nodes {
 		if tree.NodeID(i) != root {
-			ends = append(ends, spanEnds(a.nodes[i].compute)...)
+			a.windowCounts(counts, a.nodes[i].compute, spanEnd, period)
 		}
 	}
-	counts := windowCounts(ends, period, L)
 	onset, ok := steadyOnset(counts, quota)
 	// Proposition 4's bound, rounded up to the window the estimator can
 	// actually resolve.
@@ -602,8 +678,8 @@ func (a *analysis) startupUsefulWork(onset rat.R, onsetOK bool) Check {
 	rate := a.s.Res.Throughput
 	done := 0
 	for i := range a.nodes {
-		for _, sp := range a.nodes[i].compute {
-			if sp.End.Less(onset) || sp.End.Equal(onset) {
+		for _, p := range a.nodes[i].compute {
+			if a.ev.Spans[p].End.LessEq(onset) {
 				done++
 			}
 		}
@@ -639,7 +715,8 @@ func (a *analysis) idleWhileBacklogged() Check {
 			continue
 		}
 		checked++
-		idle := backloggedIdleTime(*ne)
+		a.cover = a.busyCover(a.cover[:0], ne)
+		idle := backloggedIdleTime(a.held(tree.NodeID(i)), a.cover)
 		if idle.IsPos() {
 			failed++
 			c.Evidence = append(c.Evidence, fmt.Sprintf("%s: %s time units idle with tasks buffered",
@@ -660,18 +737,18 @@ func (a *analysis) idleWhileBacklogged() Check {
 }
 
 // backloggedIdleTime returns the total time the node spends with a
-// positive reconstructed buffer while no compute or send span covers the
-// instant. Exact rational interval arithmetic throughout.
-func backloggedIdleTime(ne nodeEvid) rat.R {
-	busy := mergeIntervals(append(append([]obs.Span(nil), ne.compute...), ne.send...))
-	ds := heldDeltas(ne)
+// positive reconstructed buffer while no interval of its busy cover
+// holds the instant. The buffer segments and the cover are both in time
+// order, so one forward sweep pairs them. Exact rational interval
+// arithmetic throughout.
+func backloggedIdleTime(ds []heldDelta, cover []interval) rat.R {
 	idle := rat.Zero
-	held := 0
+	held, next := 0, 0
 	var segStart rat.R
 	for i := 0; i < len(ds); {
 		at := ds[i].at
 		if held > 0 {
-			idle = idle.Add(uncovered(segStart, at, busy))
+			idle = idle.Add(uncovered(segStart, at, cover, &next))
 		}
 		for i < len(ds) && ds[i].at.Equal(at) {
 			held += ds[i].d
@@ -685,19 +762,22 @@ func backloggedIdleTime(ne nodeEvid) rat.R {
 // interval is a half-open rational interval [start, end).
 type interval struct{ start, end rat.R }
 
-// mergeIntervals sorts spans by start and merges overlapping/adjacent
-// ones into a disjoint cover.
-func mergeIntervals(sps []obs.Span) []interval {
-	if len(sps) == 0 {
-		return nil
-	}
-	sortSpans(sps)
-	out := []interval{{sps[0].Start, sps[0].End}}
-	for _, sp := range sps[1:] {
-		last := &out[len(out)-1]
-		if sp.Start.LessEq(last.end) {
-			if last.end.Less(sp.End) {
-				last.end = sp.End
+// busyCover appends to out the disjoint cover of the node's compute and
+// send spans: both lists are in start order, so merging them yields the
+// spans in start order, and overlapping or adjacent ones fuse.
+func (a *analysis) busyCover(out []interval, ne *nodeEvid) []interval {
+	cs, ss := ne.compute, ne.send
+	for len(cs) > 0 || len(ss) > 0 {
+		var p int32
+		if len(ss) == 0 || (len(cs) > 0 && a.ev.Spans[cs[0]].Start.LessEq(a.ev.Spans[ss[0]].Start)) {
+			p, cs = cs[0], cs[1:]
+		} else {
+			p, ss = ss[0], ss[1:]
+		}
+		sp := &a.ev.Spans[p]
+		if n := len(out); n > 0 && sp.Start.LessEq(out[n-1].end) {
+			if out[n-1].end.Less(sp.End) {
+				out[n-1].end = sp.End
 			}
 			continue
 		}
@@ -706,11 +786,19 @@ func mergeIntervals(sps []obs.Span) []interval {
 	return out
 }
 
-// uncovered returns the length of [from, to) not covered by the merged
-// intervals.
-func uncovered(from, to rat.R, cover []interval) rat.R {
+// uncovered returns the length of [from, to) not covered by cover. Calls
+// must come with non-decreasing from: *next skips the cover intervals
+// that end at or before from, and only intervals starting before to are
+// read, so a whole sweep reads each interval about once.
+func uncovered(from, to rat.R, cover []interval, next *int) rat.R {
+	for *next < len(cover) && cover[*next].end.LessEq(from) {
+		*next++
+	}
 	gap := to.Sub(from)
-	for _, iv := range cover {
+	for _, iv := range cover[*next:] {
+		if !iv.start.Less(to) {
+			break
+		}
 		lo := rat.Max(from, iv.start)
 		hi := rat.Min(to, iv.end)
 		if lo.Less(hi) {
@@ -718,6 +806,18 @@ func uncovered(from, to rat.R, cover []interval) rat.R {
 		}
 	}
 	return gap
+}
+
+// busyUntil sums the time the listed spans occupy before end.
+func (a *analysis) busyUntil(pos []int32, end rat.R) rat.R {
+	busy := rat.Zero
+	for _, p := range pos {
+		sp := &a.ev.Spans[p]
+		if e := rat.Min(sp.End, end); sp.Start.Less(e) {
+			busy = busy.Add(e.Sub(sp.Start))
+		}
+	}
+	return busy
 }
 
 // computeLatency checks that every node's p99 compute time stays at its
@@ -748,7 +848,8 @@ func (a *analysis) computeLatency() Check {
 		h := reg.HistogramLabeled("analyze_compute_ratio", "per-task compute time over platform w",
 			[]float64{0.5, 0.9, 0.99, 1, 1.01, 1.1, 2},
 			"node", a.t.Name(id))
-		for _, sp := range ne.compute {
+		for _, p := range ne.compute {
+			sp := &a.ev.Spans[p]
 			h.Observe(sp.End.Sub(sp.Start).Div(w).Float64())
 		}
 		q99 := h.Quantile(0.99)
@@ -840,50 +941,41 @@ func (a *analysis) resultReturn() Check {
 			}
 			links++
 			parent := a.t.Parent(id)
-			sps := a.nodes[id].sendTo[parent]
-			up := a.t.Name(id) + "→" + a.t.Name(parent)
-			if len(sps) == 0 {
+			sends := a.nodes[id].sendsTo(parent)
+			if len(sends) == 0 {
 				if len(a.nodes[id].compute) > 0 || countSubtreeComputes(a, id) > 0 {
 					failed++
 					c.Evidence = append(c.Evidence, fmt.Sprintf(
-						"%s: results planned at η=%s but none recorded", up, ns.ReturnRate))
+						"%s→%s: results planned at η=%s but none recorded", a.t.Name(id), a.t.Name(parent), ns.ReturnRate))
 				}
 				continue
 			}
-			busy := rat.Zero
-			for _, sp := range sps {
-				e := rat.Min(sp.End, end)
-				if sp.Start.Less(e) {
-					busy = busy.Add(e.Sub(sp.Start))
-				}
-			}
-			util := busy.Div(end).Float64()
+			util := a.busyUntil(sends, end).Div(end).Float64()
 			planned := ns.ReturnRate.Mul(d).Float64()
 			if util > planned*(1+a.opt.UtilTolerance) {
 				failed++
 				c.Evidence = append(c.Evidence, fmt.Sprintf(
-					"%s: upward busy %.3f exceeds planned η·d %.3f", up, util, planned))
+					"%s→%s: upward busy %.3f exceeds planned η·d %.3f", a.t.Name(id), a.t.Name(parent), util, planned))
 			}
 		}
 	}
 
 	// Folded-model-error detection: measure the platform-wide completion
 	// rate over tree-period windows and compare it with the folded model's
-	// optimum when the plan claims an advantage.
+	// optimum when the plan claims an advantage. The folded model merges
+	// every d_i into c_i and solves forward-only (Section 9's baseline).
 	foldedNote := ""
 	if a.haveSim && a.s.Res != nil {
-		folded := foldedThroughput(a.t)
+		folded := bwfirst.Solve(a.t.WithFoldedReturns()).Throughput
 		planned := a.s.Res.Throughput
 		if folded.Less(planned) {
 			period := rat.FromBigInt(a.s.TreePeriod())
 			L := a.fullWindows(period)
 			if L > 0 {
-				var ends []rat.R
+				counts := make([]int64, L)
 				for i := range a.nodes {
-					ends = append(ends, spanEnds(a.nodes[i].compute)...)
+					a.windowCounts(counts, a.nodes[i].compute, spanEnd, period)
 				}
-				sort.Slice(ends, func(i, j int) bool { return ends[i].Less(ends[j]) })
-				counts := windowCounts(ends, period, L)
 				best := int64(0)
 				for _, n := range counts {
 					if n > best {
@@ -929,30 +1021,6 @@ func countSubtreeComputes(a *analysis, id tree.NodeID) int {
 		n += countSubtreeComputes(a, ch)
 	}
 	return n
-}
-
-// foldedThroughput is the folded model's optimum: every d_i merged into
-// the forward link time c_i, then solved forward-only (the Section-9
-// baseline the separate-flows schedule is measured against).
-func foldedThroughput(t *tree.Tree) rat.R {
-	folded := t
-	for i := 0; i < t.Len(); i++ {
-		id := tree.NodeID(i)
-		d := t.ReturnTime(id)
-		if id == t.Root() || d.IsZero() {
-			continue
-		}
-		var err error
-		folded, err = folded.WithCommTime(id, t.CommTime(id).Add(d))
-		if err != nil {
-			return rat.Zero
-		}
-	}
-	folded, err := folded.WithUniformReturnTime(rat.Zero)
-	if err != nil {
-		return rat.Zero
-	}
-	return bwfirst.Solve(folded).Throughput
 }
 
 func (a *analysis) counterValue(name string) (float64, bool) {

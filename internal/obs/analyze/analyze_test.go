@@ -2,6 +2,10 @@ package analyze
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,6 +170,105 @@ func TestOfflineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderEvidence: a JSONL file whose span lines are permuted
+// (and renumbered in their new order, since the reader orders spans by
+// ID) must give the report the ordered file gives. One injected compute
+// span overlaps a recorded one, so the fallback sort runs on both files
+// and the single-port check fails. The analysis must leave the
+// evidence's span order and contents untouched.
+func TestOutOfOrderEvidence(t *testing.T) {
+	s, sc := paperRun(t, rat.FromInt(200))
+	var buf bytes.Buffer
+	if err := sc.WriteSpansJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var first obs.Span
+	for _, sp := range sc.Spans() {
+		if strings.HasSuffix(sp.Track, "/C") {
+			first = sp
+			break
+		}
+	}
+	half := first.End.Sub(first.Start).Div(rat.Two)
+	extra := obs.New()
+	extra.AddSpan(obs.Span{Name: "compute", Track: first.Track, Start: first.Start.Add(half), End: first.End.Add(half)})
+	var xb bytes.Buffer
+	if err := extra.WriteSpansJSONL(&xb); err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, strings.TrimSpace(xb.String()))
+	renumber := func(lines []string) string {
+		var b strings.Builder
+		for i, line := range lines {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec["id"] = i + 1
+			out, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(out)
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	opt := Options{Schedule: s, Stop: rat.FromInt(200)}
+	report := func(text string) ([]byte, *Evidence) {
+		ev, err := ReadEvidence(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := slices.Clone(ev.Spans)
+		rep := Analyze(ev, opt)
+		WindowStats(ev, WindowOptions{Schedule: s, Window: rat.FromInt(40), End: rat.FromInt(200)})
+		if !reflect.DeepEqual(ev.Spans, before) {
+			t.Fatal("Analyze or WindowStats changed the evidence's spans")
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, ev
+	}
+
+	want, _ := report(renumber(lines))
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5; trial++ {
+		perm := slices.Clone(lines)
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		got, ev := report(renumber(perm))
+		if startOrdered(ev) {
+			t.Fatalf("trial %d: permuted evidence is still in start order per track", trial)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: permuted report\n%s\nordered report\n%s", trial, got, want)
+		}
+	}
+	var rep HealthReport
+	if err := json.Unmarshal(want, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Check("single-port"); c.Verdict != Fail || !strings.Contains(strings.Join(c.Evidence, "\n"), first.Track) {
+		t.Fatalf("single-port = %+v, want a FAIL on %s", c, first.Track)
+	}
+}
+
+// startOrdered reports whether every track's spans appear in ev in
+// start order.
+func startOrdered(ev *Evidence) bool {
+	last := map[string]rat.R{}
+	for _, sp := range ev.Spans {
+		if prev, ok := last[sp.Track]; ok && sp.Start.Less(prev) {
+			return false
+		}
+		last[sp.Track] = sp.Start
+	}
+	return true
+}
+
 // TestAnalyzeWithoutSchedule: schedule-free evidence still gets the
 // single-port verdict; everything needing expected values skips.
 func TestAnalyzeWithoutSchedule(t *testing.T) {
@@ -200,6 +303,28 @@ func TestSinglePortViolation(t *testing.T) {
 	}
 }
 
+// nodeAnalysis indexes hand-built spans as the evidence of node 0: an
+// analysis over exactly these receive, compute and send spans, each
+// list given in start order.
+func nodeAnalysis(recv, compute, send []obs.Span) *analysis {
+	ev := &Evidence{}
+	add := func(sps []obs.Span) []int32 {
+		var pos []int32
+		for _, sp := range sps {
+			pos = append(pos, int32(len(ev.Spans)))
+			ev.Spans = append(ev.Spans, sp)
+		}
+		return pos
+	}
+	ne := nodeEvid{recv: add(recv), compute: add(compute), send: add(send)}
+	return &analysis{ev: ev, nodes: []nodeEvid{ne}}
+}
+
+// span is a bare [start, end] span.
+func span(start, end int64) obs.Span {
+	return obs.Span{Start: rat.FromInt(start), End: rat.FromInt(end)}
+}
+
 func TestWindowCounts(t *testing.T) {
 	times := []rat.R{
 		rat.MustParse("1/2"), rat.One, rat.MustParse("3/2"), // window 0: [0,2)
@@ -207,12 +332,24 @@ func TestWindowCounts(t *testing.T) {
 		rat.FromInt(5),                   // window 2
 		rat.FromInt(6), rat.FromInt(100), // out of range
 	}
-	got := windowCounts(times, rat.FromInt(2), 3)
+	var sps []obs.Span
+	for _, at := range times {
+		sps = append(sps, obs.Span{Start: rat.Zero, End: at})
+	}
+	a := nodeAnalysis(nil, sps, nil)
+	got := make([]int64, 3)
+	a.windowCounts(got, a.nodes[0].compute, spanEnd, rat.FromInt(2))
 	want := []int64{3, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("windowCounts = %v, want %v", got, want)
 		}
+	}
+	// Starts are all 0: every span lands in window 0.
+	got = make([]int64, 3)
+	a.windowCounts(got, a.nodes[0].compute, spanStart, rat.FromInt(2))
+	if got[0] != int64(len(times)) || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("start counts = %v, want [%d 0 0]", got, len(times))
 	}
 }
 
@@ -241,38 +378,130 @@ func TestSteadyOnset(t *testing.T) {
 func TestMaxHeld(t *testing.T) {
 	// Two receives land before the first compute starts; the second
 	// compute starts the instant its input arrives (never buffered).
-	ne := nodeEvid{
-		recv: []obs.Span{
-			{Start: rat.Zero, End: rat.One},
-			{Start: rat.One, End: rat.FromInt(2)},
-			{Start: rat.FromInt(4), End: rat.FromInt(5)},
-		},
-		compute: []obs.Span{
-			{Start: rat.FromInt(3), End: rat.FromInt(4)},
-			{Start: rat.FromInt(4), End: rat.FromInt(5)},
-			{Start: rat.FromInt(5), End: rat.FromInt(6)},
-		},
-	}
-	if got := maxHeld(ne); got != 2 {
+	a := nodeAnalysis(
+		[]obs.Span{span(0, 1), span(1, 2), span(4, 5)},
+		[]obs.Span{span(3, 4), span(4, 5), span(5, 6)},
+		nil)
+	if got := maxHeld(a.held(0)); got != 2 {
 		t.Fatalf("maxHeld = %d, want 2", got)
 	}
+}
+
+// idleOf runs the idle sweep over node 0 of a.
+func idleOf(a *analysis) rat.R {
+	return backloggedIdleTime(a.held(0), a.busyCover(nil, &a.nodes[0]))
 }
 
 func TestBackloggedIdleTime(t *testing.T) {
 	// A task arrives at t=1 and nothing runs until t=3: two units of
 	// backlogged idleness.
-	ne := nodeEvid{
-		recv:    []obs.Span{{Start: rat.Zero, End: rat.One}},
-		compute: []obs.Span{{Start: rat.FromInt(3), End: rat.FromInt(4)}},
-	}
-	if got := backloggedIdleTime(ne); !got.Equal(rat.FromInt(2)) {
+	recv := []obs.Span{span(0, 1)}
+	compute := []obs.Span{span(3, 4)}
+	if got := idleOf(nodeAnalysis(recv, compute, nil)); !got.Equal(rat.FromInt(2)) {
 		t.Fatalf("backloggedIdleTime = %s, want 2", got)
 	}
 	// Busy the whole while: no idleness.
-	ne.send = []obs.Span{{Start: rat.One, End: rat.FromInt(3)}}
-	if got := backloggedIdleTime(ne); !got.IsZero() {
+	if got := idleOf(nodeAnalysis(recv, compute, []obs.Span{span(1, 3)})); !got.IsZero() {
 		t.Fatalf("backloggedIdleTime = %s, want 0", got)
 	}
+
+	// Overlapping compute and send spans fuse into one cover interval
+	// [3,7]. Held: 1 on [1,2), 2 on [2,3), 1 on [3,4), 0 on [4,6), 1 on
+	// [6,8). Idle: [1,3) and [7,8).
+	a := nodeAnalysis(
+		[]obs.Span{span(0, 1), span(1, 2), span(5, 6)},
+		[]obs.Span{span(3, 5), span(8, 9)},
+		[]obs.Span{span(4, 7)})
+	if got := idleOf(a); !got.Equal(rat.FromInt(3)) {
+		t.Fatalf("overlapping compute/send: idle %s, want 3", got)
+	}
+}
+
+// TestUncoveredSweep drives the sweep with buffer segments and covers
+// that consistent span evidence cannot produce on its own, and checks it
+// against the quadratic scan it replaced on random inputs.
+func TestUncoveredSweep(t *testing.T) {
+	at := func(v int64, d int) heldDelta { return heldDelta{rat.FromInt(v), d} }
+	iv := func(s, e int64) interval { return interval{rat.FromInt(s), rat.FromInt(e)} }
+	cases := []struct {
+		name  string
+		ds    []heldDelta
+		cover []interval
+		want  int64
+	}{
+		// One backlogged segment [0,10) holding three cover intervals.
+		{"several covers in one segment", []heldDelta{at(0, 1), at(10, -1)},
+			[]interval{iv(1, 2), iv(3, 4), iv(5, 6)}, 7},
+		// One cover interval [1,7] across the segments [0,2), [2,4),
+		// [4,6) and the idle gap [6,8); [8,9) is uncovered.
+		{"one cover across segments",
+			[]heldDelta{at(0, 1), at(2, 1), at(4, -1), at(6, -1), at(8, 1), at(9, -1)},
+			[]interval{iv(1, 7)}, 2},
+		// Cover before, between and after the backlog.
+		{"cover outside the backlog", []heldDelta{at(5, 1), at(6, -1)},
+			[]interval{iv(0, 1), iv(2, 5), iv(6, 9)}, 1},
+	}
+	for _, c := range cases {
+		if got := backloggedIdleTime(c.ds, c.cover); !got.Equal(rat.FromInt(c.want)) {
+			t.Errorf("%s: idle %s, want %d", c.name, got, c.want)
+		}
+		if ref := quadraticIdle(c.ds, c.cover); !ref.Equal(rat.FromInt(c.want)) {
+			t.Errorf("%s: reference idle %s, want %d", c.name, ref, c.want)
+		}
+	}
+
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		var ds []heldDelta
+		held := 0
+		for v := int64(0); v < 40; v++ {
+			if r.Intn(3) == 0 {
+				d := 1
+				if held > 0 && r.Intn(2) == 0 {
+					d = -1
+				}
+				held += d
+				ds = append(ds, heldDelta{rat.New(v, 2), d})
+			}
+		}
+		var cover []interval
+		for v := int64(0); v < 20; {
+			lo := v + int64(r.Intn(4))
+			hi := lo + 1 + int64(r.Intn(4))
+			cover = append(cover, interval{rat.New(lo, 1), rat.New(hi, 1)})
+			v = hi + 1
+		}
+		if got, want := backloggedIdleTime(ds, cover), quadraticIdle(ds, cover); !got.Equal(want) {
+			t.Fatalf("trial %d: sweep %s, quadratic scan %s", trial, got, want)
+		}
+	}
+}
+
+// quadraticIdle is the idle computation the sweep replaced: each
+// backlogged segment scans the whole cover.
+func quadraticIdle(ds []heldDelta, cover []interval) rat.R {
+	idle := rat.Zero
+	held := 0
+	var segStart rat.R
+	for i := 0; i < len(ds); {
+		at := ds[i].at
+		if held > 0 {
+			gap := at.Sub(segStart)
+			for _, iv := range cover {
+				lo, hi := rat.Max(segStart, iv.start), rat.Min(at, iv.end)
+				if lo.Less(hi) {
+					gap = gap.Sub(hi.Sub(lo))
+				}
+			}
+			idle = idle.Add(gap)
+		}
+		for i < len(ds) && ds[i].at.Equal(at) {
+			held += ds[i].d
+			i++
+		}
+		segStart = at
+	}
+	return idle
 }
 
 // TestReportRendering pins the text format the CLI prints and the JSON

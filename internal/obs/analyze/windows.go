@@ -83,8 +83,8 @@ func WindowStats(ev *Evidence, opt WindowOptions) []WindowStat {
 			continue
 		}
 		counts := make([]int64, n)
-		for _, end := range spanEnds(a.nodes[ns.Node].compute) {
-			k, ok := end.Sub(opt.Anchor).Div(opt.Window).Floor().Int64()
+		for _, p := range a.nodes[ns.Node].compute {
+			k, ok := a.ev.Spans[p].End.Sub(opt.Anchor).Div(opt.Window).Floor().Int64()
 			if ok && k >= 0 && k < n {
 				counts[k]++
 			}
@@ -116,7 +116,7 @@ func WindowStats(ev *Evidence, opt WindowOptions) []WindowStat {
 		name := a.t.Name(ns.Node)
 		held := 0
 		peaks := make([]int, n)
-		ds := heldDeltas(a.nodes[ns.Node])
+		ds := a.held(ns.Node)
 		for j := 0; j < len(ds); {
 			at := ds[j].at
 			for j < len(ds) && ds[j].at.Equal(at) {

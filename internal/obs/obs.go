@@ -69,7 +69,7 @@ type Scope struct {
 	reg     *Registry
 	chunks  [][]Span // fixed-capacity spanChunk blocks, only the last grows
 	nspans  int
-	pending []func() []Span // deferred producers, drained on first read
+	pending []func(emit func(Span)) // deferred producers, drained on first read
 	clock   func() rat.R
 
 	seq   atomic.Uint64
@@ -150,11 +150,12 @@ func (s *Scope) flushLocked() {
 	}
 	pending := s.pending
 	s.pending = nil
+	emit := func(sp Span) {
+		sp.ID = SpanID(s.nspans + 1)
+		s.appendLocked(sp)
+	}
 	for _, fn := range pending {
-		for _, sp := range fn() {
-			sp.ID = SpanID(s.nspans + 1)
-			s.appendLocked(sp)
-		}
+		fn(emit)
 	}
 }
 
@@ -240,9 +241,11 @@ func (s *Scope) AddSpans(sps []Span) SpanID {
 // assigned IDs) lazily, on the first subsequent read or span write. This
 // keeps bulk span conversion entirely off the producing hot path: a run
 // that is never inspected never pays for it, and one that is pays once at
-// read time. fn runs with the scope lock held and must not call back into
-// the scope.
-func (s *Scope) AddDeferredSpans(fn func() []Span) {
+// read time. fn passes each span, in order, to emit, which assigns its ID
+// and stores it directly, so no intermediate slice is built. fn runs with
+// the scope lock held and must not call back into the scope, nor keep
+// emit after it returns.
+func (s *Scope) AddDeferredSpans(fn func(emit func(Span))) {
 	if s == nil || fn == nil {
 		return
 	}

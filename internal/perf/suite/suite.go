@@ -133,6 +133,58 @@ func Default() *perf.Suite {
 		}
 	}})
 
+	// Analyze is the conformance analyzer alone: AnalyzeRun over an
+	// observed 120-task run of a 16-node uniform platform. Each iteration
+	// simulates a fresh run outside the timer, so materializing the run's
+	// deferred spans stays inside the timed part, as it does in a
+	// simulate request with analyze.
+	s.Register(perf.Bench{Name: "Analyze", Short: true, Fn: func(b *testing.B) {
+		sched, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			run, err := bwc.Simulate(sched, bwc.WithTasks(benchfix.AnalyzeTasks), bwc.WithObserver(bwc.NewObserver()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			bwc.AnalyzeRun(run)
+		}
+	}})
+
+	// ServeSimulate is one simulate request with analyze for a primed
+	// tenant through bwschedd's full handler, in process: decode, tenant
+	// lookup, the observed 120-task run, the analyzer and the JSON
+	// encode.
+	s.Register(perf.Bench{Name: "ServeSimulate", Short: true, Fn: func(b *testing.B) {
+		h := server.New(server.Options{}).Handler()
+		body, err := json.Marshal(apiv1.SimulateRequest{
+			Platform: bwc.FormatPlatform(benchfix.Analyze16()),
+			Tasks:    benchfix.AnalyzeTasks,
+			Analyze:  true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		simulate := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/simulate", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("simulate status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		simulate() // the miss that primes the tenant
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			simulate()
+		}
+	}})
+
 	// ObsDisabled / ObsEnabled are the bench_test.go observability pair:
 	// the paper's Figure-5 run with instrumentation off (nil Observer)
 	// and fully on. Their ratio is the telemetry tax.

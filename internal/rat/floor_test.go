@@ -1,0 +1,54 @@
+package rat
+
+import (
+	"math/big"
+	"testing"
+)
+
+// checkFloorFloat64 compares Floor, Ceil and Float64 of v with the
+// math/big results.
+func checkFloorFloat64(t *testing.T, v R) {
+	t.Helper()
+	num, den := v.Num(), v.Den()
+	floor := new(big.Int).Div(num, den) // Euclidean: floor for den > 0
+	if got := v.Floor(); !got.Equal(FromBigInt(floor)) {
+		t.Errorf("Floor(%s) = %s, want %s", v, got, floor)
+	}
+	ceil := new(big.Int).Neg(new(big.Int).Div(new(big.Int).Neg(num), den))
+	if got := v.Ceil(); !got.Equal(FromBigInt(ceil)) {
+		t.Errorf("Ceil(%s) = %s, want %s", v, got, ceil)
+	}
+	want, _ := new(big.Rat).SetFrac(num, den).Float64()
+	if got := v.Float64(); got != want {
+		t.Errorf("Float64(%s) = %v, want %v", v, got, want)
+	}
+}
+
+// TestFloorFloat64Edges pins the int64 fast paths of Floor and Float64
+// to the math/big results at their edges: negatives, the zero value, a
+// MinInt64 numerator, ±2^53 (the last exact float64 magnitude, fast
+// path) and ±(2^53+1) (big path), and values held as big.Rat.
+func TestFloorFloat64Edges(t *testing.T) {
+	const p53 = int64(1) << 53
+	vs := []R{
+		{}, Zero, One, FromInt(-1),
+		New(7, 2), New(-7, 2), New(-6, 3), New(-1, 3), New(1, 3), New(-5, 1),
+		FromInt(minInt64), New(minInt64, 3), New(minInt64, p53), New(minInt64+1, 7),
+		FromInt(1<<63 - 1), New(1<<63-1, 2), New(1<<63-1, 1<<62+1),
+		FromInt(p53), FromInt(-p53), New(p53, 3), New(-p53, 3), New(1, p53), New(-1, p53),
+		FromInt(p53 + 1), FromInt(-(p53 + 1)), New(p53+1, 3), New(-(p53 + 1), 3),
+		New(1, p53+1), New(-3, p53+1), New(p53+1, p53+3),
+		MustParse("123456789012345678901234567890/7"),
+		MustParse("-123456789012345678901234567890/7"),
+		MustParse("1/123456789012345678901234567890"),
+		MustParse("-98765432109876543210"),
+	}
+	for _, v := range vs {
+		checkFloorFloat64(t, v)
+	}
+	for _, s := range []string{"123456789012345678901234567890/7", "-98765432109876543210"} {
+		if !MustParse(s).IsBig() {
+			t.Fatalf("%s is not held as big.Rat", s)
+		}
+	}
+}

@@ -54,3 +54,21 @@ func FuzzLCM(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFloorFloat64 checks Floor, Ceil and Float64 against math/big on
+// arbitrary int64 fractions, whichever path the value takes.
+func FuzzFloorFloat64(f *testing.F) {
+	f.Add(int64(7), int64(2))
+	f.Add(int64(-7), int64(2))
+	f.Add(int64(0), int64(5))
+	f.Add(int64(-9223372036854775808), int64(3))
+	f.Add(int64(1)<<53+1, int64(3))
+	f.Add(-(int64(1)<<53 + 1), int64(1)<<53)
+	f.Add(int64(5), int64(-9223372036854775808))
+	f.Fuzz(func(t *testing.T, n, d int64) {
+		if d == 0 {
+			return
+		}
+		checkFloorFloat64(t, New(n, d))
+	})
+}

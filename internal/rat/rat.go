@@ -325,9 +325,19 @@ func (a R) IsInt() bool {
 	return a.d == 1
 }
 
+// maxExactFloat is 2^53: every integer of at most this magnitude is an
+// exact float64.
+const maxExactFloat = 1 << 53
+
 // Float64 returns the nearest float64 (for reporting only; never used in
-// scheduling decisions).
+// scheduling decisions). When numerator and denominator are both exact
+// float64 values, IEEE division rounds their quotient correctly, which is
+// the nearest value math/big returns; otherwise it goes through big.Rat.
 func (a R) Float64() float64 {
+	a = a.norm()
+	if a.big == nil && -maxExactFloat <= a.n && a.n <= maxExactFloat && a.d <= maxExactFloat {
+		return float64(a.n) / float64(a.d)
+	}
 	f, _ := a.bigRat().Float64()
 	return f
 }
@@ -507,9 +517,18 @@ func (a R) Abs() R {
 	return a
 }
 
-// Floor returns the largest integer <= a, as an R.
+// Floor returns the largest integer <= a, as an R. int64 values divide
+// in int64: Go's quotient truncates toward zero, so a negative non-integer
+// steps down by one.
 func (a R) Floor() R {
 	a = a.norm()
+	if a.big == nil {
+		q := a.n / a.d
+		if a.n%a.d != 0 && a.n < 0 {
+			q--
+		}
+		return R{n: q, d: 1}
+	}
 	if a.IsInt() {
 		return a
 	}

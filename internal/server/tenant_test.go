@@ -12,6 +12,7 @@ import (
 
 	"bwc"
 	apiv1 "bwc/api/v1"
+	"bwc/internal/benchfix"
 )
 
 // serve runs one JSON request through h in process and returns the
@@ -269,5 +270,37 @@ func TestSubmitHitAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per submit hit", allocs)
 	if allocs > 80 {
 		t.Fatalf("%.0f allocs per submit hit", allocs)
+	}
+}
+
+// TestSimulateAnalyzeAllocs bounds the heap allocations of one simulate
+// request with analyze for a primed tenant through the full handler, on
+// the Analyze stage fixture (16 nodes, 120 tasks). The analyzer indexes
+// the run's spans by position, deferred spans are emitted straight into
+// the span store, and the event heap boxes nothing, so an allocation per
+// span or per event would add hundreds. The ceiling is the measured 1,311
+// plus slack.
+func TestSimulateAnalyzeAllocs(t *testing.T) {
+	h := New(Options{}).Handler()
+	body, err := json.Marshal(apiv1.SimulateRequest{
+		Platform: bwc.FormatPlatform(benchfix.Analyze16()),
+		Tasks:    benchfix.AnalyzeTasks,
+		Analyze:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/simulate", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	simulate() // the miss that primes the tenant
+	allocs := testing.AllocsPerRun(10, simulate)
+	t.Logf("%.0f allocs per simulate with analyze", allocs)
+	if allocs > 1500 {
+		t.Fatalf("%.0f allocs per simulate with analyze", allocs)
 	}
 }

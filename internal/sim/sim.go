@@ -411,20 +411,17 @@ func (sm *simulator) exportIntervalSpans() {
 	if sm.sc == nil || sm.opt.SkipIntervals {
 		return
 	}
-	sm.sc.AddDeferredSpans(func() []obs.Span {
-		ivs := sm.tr.Intervals
-		sps := make([]obs.Span, 0, len(ivs))
-		for _, iv := range ivs {
+	sm.sc.AddDeferredSpans(func(emit func(obs.Span)) {
+		for _, iv := range sm.tr.Intervals {
 			switch iv.Kind {
 			case trace.Compute:
-				sps = append(sps, obs.Span{Name: "compute", Track: sm.trkC[iv.Node], Start: iv.Start, End: iv.End})
+				emit(obs.Span{Name: "compute", Track: sm.trkC[iv.Node], Start: iv.Start, End: iv.End})
 			case trace.Send:
-				sps = append(sps, obs.Span{Name: sm.sendNm[iv.Peer], Track: sm.trkS[iv.Node], Start: iv.Start, End: iv.End})
+				emit(obs.Span{Name: sm.sendNm[iv.Peer], Track: sm.trkS[iv.Node], Start: iv.Start, End: iv.End})
 			case trace.Recv:
-				sps = append(sps, obs.Span{Name: sm.recvNm[iv.Peer], Track: sm.trkR[iv.Node], Start: iv.Start, End: iv.End})
+				emit(obs.Span{Name: sm.recvNm[iv.Peer], Track: sm.trkR[iv.Node], Start: iv.Start, End: iv.End})
 			}
 		}
-		return sps
 	})
 }
 
@@ -459,20 +456,18 @@ func (sm *simulator) drainObserved(maxEvents uint64) error {
 	}
 	sm.evCtr.Add(events)
 	sm.batchHist.Merge(buckets[:], sum)
-	sm.sc.AddDeferredSpans(func() []obs.Span {
-		sps := make([]obs.Span, len(recs))
+	sm.sc.AddDeferredSpans(func(emit func(obs.Span)) {
 		attrs := make([]obs.Attr, len(recs))
 		for i, r := range recs {
 			attrs[i] = obs.A("events", smallInt(r.n))
-			sps[i] = obs.Span{
+			emit(obs.Span{
 				Name:  "batch",
 				Track: "des",
 				Start: r.start,
 				End:   r.end,
 				Attrs: attrs[i : i+1 : i+1],
-			}
+			})
 		}
-		return sps
 	})
 	return err
 }
