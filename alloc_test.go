@@ -48,11 +48,11 @@ func TestFoldedThroughputAllocs(t *testing.T) {
 }
 
 // TestAnalyzeRunAllocs bounds the heap allocations of one AnalyzeRun
-// over an observed 120-task run of the Analyze stage fixture (16 nodes),
-// materializing the run's deferred spans included. Each run is simulated
-// outside the count. The analyzer indexes spans by position and never
-// copies one per track or node, so the count tracks the nodes and checks,
-// not the spans. The ceiling is the measured 336 plus slack.
+// over an observed 120-task run of the Analyze stage fixture (16 nodes).
+// Each run is simulated outside the count. The analyzer indexes the run's
+// trace by position and builds no span, so the count tracks the nodes and
+// checks, not the intervals. The ceiling is the measured 336 (322 since
+// the analyzer reads the trace) plus slack.
 func TestAnalyzeRunAllocs(t *testing.T) {
 	s, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
 	if err != nil {

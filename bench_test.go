@@ -219,11 +219,11 @@ func BenchmarkE10ResultReturn(b *testing.B) {
 	var opt, folded bwc.Rational
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt, _, err = p.OptimalThroughput()
+		opt, _, err = bwc.LPThroughput(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		folded, err = p.FoldedThroughput()
+		folded, err = bwc.FoldedThroughput(p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -61,7 +61,6 @@ import (
 	"bwc/internal/paperexample"
 	"bwc/internal/proto"
 	"bwc/internal/rat"
-	"bwc/internal/resultflow"
 	"bwc/internal/runtime"
 	"bwc/internal/sched"
 	"bwc/internal/sensitivity"
@@ -132,8 +131,6 @@ type (
 	ResourceUpgrade = sensitivity.Upgrade
 	// DemandRun is a completed demand-driven simulation.
 	DemandRun = kreaseck.Run
-	// ResultPlatform is a platform whose links also return results.
-	ResultPlatform = resultflow.Platform
 	// InfiniteSpec describes a uniform infinite k-ary tree (Section 5's
 	// infinite-network analysis).
 	InfiniteSpec = infinite.Spec
@@ -223,7 +220,8 @@ type (
 	// AnalyzeOptions tunes the conformance thresholds and supplies the
 	// schedule expected values are derived from.
 	AnalyzeOptions = analyze.Options
-	// RunEvidence is the raw material of an analysis (spans + metrics).
+	// RunEvidence is the raw material of an analysis (a run's record or
+	// spans, plus metrics).
 	RunEvidence = analyze.Evidence
 )
 
@@ -234,13 +232,15 @@ const (
 	HealthSkip = analyze.Skip
 )
 
-// AnalyzeRun checks an observed simulation against the paper's theory:
-// per-node throughput vs the solver's η, single-port discipline, link
-// utilization vs Lemma 1, buffer peaks vs Proposition 3's χ, steady-state
-// onset vs Proposition 4, start-up useful work, and backlogged idleness.
-// The run must have been simulated with an Observer attached; the
-// schedule and stop time are taken from the run unless overridden
-// (WithAnalyzeOptions, WithStop).
+// AnalyzeRun checks a simulation against the paper's theory: per-node
+// throughput vs the solver's η, single-port discipline, link utilization
+// vs Lemma 1, buffer peaks vs Proposition 3's χ, steady-state onset vs
+// Proposition 4, start-up useful work, and backlogged idleness. It reads
+// the run's trace in place, plus the counters of the Observer the run
+// was simulated with, if any: without one, task-conservation SKIPs, and
+// a run simulated WithSkipIntervals has no intervals, so the checks that
+// read them SKIP. The schedule and stop time are taken from the run
+// unless overridden (WithAnalyzeOptions, WithStop).
 func AnalyzeRun(run *Run, opts ...Option) *HealthReport {
 	o := buildCfg(opts).buildAnalyzeOptions()
 	if o.Schedule == nil {
@@ -249,20 +249,22 @@ func AnalyzeRun(run *Run, opts ...Option) *HealthReport {
 	if o.Stop.IsZero() {
 		o.Stop = run.Stats.StopAt
 	}
-	return analyze.Analyze(analyze.FromScope(run.Obs), o)
+	return analyze.Analyze(analyze.FromRun(run.Trace, run.Obs), o)
 }
 
-// AnalyzeDynamicRun checks an observed dynamic simulation against one
-// schedule's expectations — pass the schedule the run was *supposed* to
-// conform to (typically the last phase's). A run whose physics degraded
-// under a stale schedule fails the throughput and buffer checks; that is
-// the detector the Section 5 adaptation loop needs.
+// AnalyzeDynamicRun checks a dynamic simulation against one schedule's
+// expectations — pass the schedule the run was *supposed* to conform to
+// (typically the last phase's). A run whose physics degraded under a
+// stale schedule fails the throughput and buffer checks; that is the
+// detector the Section 5 adaptation loop needs. Like AnalyzeRun, it
+// reads the run's trace, and the counters of its Observer when it had
+// one.
 func AnalyzeDynamicRun(run *DynRun, s *Schedule, opts ...Option) *HealthReport {
 	o := buildCfg(opts).buildAnalyzeOptions()
 	if o.Schedule == nil {
 		o.Schedule = s
 	}
-	return analyze.Analyze(analyze.FromScope(run.Obs), o)
+	return analyze.Analyze(analyze.FromRun(run.Trace, run.Obs), o)
 }
 
 // AnalyzeObserver analyzes whatever evidence a live Observer holds (e.g.
@@ -424,20 +426,6 @@ func PlatformWithUniformResultReturn(t *Tree, d Rational) (*Tree, error) {
 // stability.
 func FoldedThroughput(t *Tree) (Rational, error) {
 	return bwfirst.Solve(t.WithFoldedReturns()).Throughput, nil
-}
-
-// WithResultReturn wraps a platform with per-link result-return times d
-// (indexed by NodeID; the root entry is ignored) for the Section 9 LP
-// analysis. The returned ResultPlatform is the LP cross-check view;
-// PlatformWithResultReturn is the native pipeline entry point.
-func WithResultReturn(t *Tree, d []Rational) (ResultPlatform, error) {
-	return resultflow.NewPlatform(t, d)
-}
-
-// WithUniformResultReturn is WithResultReturn with the same d on every
-// link.
-func WithUniformResultReturn(t *Tree, d Rational) (ResultPlatform, error) {
-	return resultflow.UniformResult(t, d)
 }
 
 // Platform I/O.

@@ -124,15 +124,15 @@ w2 m  1/2 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := bwc.WithUniformResultReturn(tr, bwc.Rat(1, 2))
+	p, err := bwc.PlatformWithUniformResultReturn(tr, bwc.Rat(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := p.OptimalThroughput()
+	opt, _, err := bwc.LPThroughput(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := p.FoldedThroughput()
+	folded, err := bwc.FoldedThroughput(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,5 +492,72 @@ func TestFacadeAnalyze(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"healthy": true`) {
 		t.Fatalf("healthz %d:\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestAnalyzeRunReadsTheRecord pins what AnalyzeRun reads: the run's
+// trace, not its Observer's spans. An unobserved run gets the observed
+// run's report, except that task-conservation, which needs the
+// Observer's counters, SKIPs. An observed run keeps its intervals even
+// WithSkipIntervals, so its report is unchanged; an unobserved run that
+// skipped them leaves nothing to read, and every check SKIPs.
+func TestAnalyzeRunReadsTheRecord(t *testing.T) {
+	s, err := bwc.BuildSchedule(bwc.Solve(bwc.PaperExampleTree()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(opts ...bwc.Option) *bwc.Run {
+		t.Helper()
+		run, err := bwc.Simulate(s, append(opts, bwc.WithStop(bwc.RatInt(200)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	observed := simulate(bwc.WithObserver(bwc.NewObserver()))
+	want := bwc.AnalyzeRun(observed)
+	if want.Failed != 0 || want.Passed < 9 {
+		t.Fatalf("observed run: %d passed, %d failed", want.Passed, want.Failed)
+	}
+
+	got := bwc.AnalyzeRun(simulate())
+	if len(got.Checks) != len(want.Checks) || got.Passed != want.Passed-1 || got.Skipped != want.Skipped+1 {
+		t.Fatalf("unobserved run: %d passed, %d skipped of %d; observed %d, %d of %d",
+			got.Passed, got.Skipped, len(got.Checks), want.Passed, want.Skipped, len(want.Checks))
+	}
+	for i, w := range want.Checks {
+		g := got.Checks[i]
+		if w.Name == "task-conservation" {
+			if w.Verdict != bwc.HealthPass || g.Verdict != bwc.HealthSkip {
+				t.Errorf("task-conservation: observed %s, unobserved %s; want PASS and SKIP", w.Verdict, g.Verdict)
+			}
+			continue
+		}
+		if g.Name != w.Name || g.Verdict != w.Verdict || g.Detail != w.Detail || strings.Join(g.Evidence, "\n") != strings.Join(w.Evidence, "\n") {
+			t.Errorf("unobserved %+v, observed %+v", g, w)
+		}
+	}
+
+	kept := simulate(bwc.WithObserver(bwc.NewObserver()), bwc.WithSkipIntervals())
+	if len(kept.Trace.Intervals) != len(observed.Trace.Intervals) {
+		t.Fatalf("observed WithSkipIntervals run kept %d intervals, want %d",
+			len(kept.Trace.Intervals), len(observed.Trace.Intervals))
+	}
+	var a, b strings.Builder
+	if err := bwc.AnalyzeRun(kept).WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("observed WithSkipIntervals report\n%s\nwant\n%s", a.String(), b.String())
+	}
+
+	bare := bwc.AnalyzeRun(simulate(bwc.WithSkipIntervals()))
+	if bare.Skipped != len(bare.Checks) {
+		var sb strings.Builder
+		bare.WriteText(&sb)
+		t.Errorf("unobserved run without intervals ran checks:\n%s", sb.String())
 	}
 }

@@ -287,21 +287,21 @@ w2 m  1/2 1
 `)
 	check(err)
 	fmt.Printf("paper:    3-node platform, c = d = 1/2: true optimum 2 tasks/unit, folded model 1\n")
-	p, err := bwc.WithUniformResultReturn(base, bwc.Rat(1, 2))
+	p, err := bwc.PlatformWithUniformResultReturn(base, bwc.Rat(1, 2))
 	check(err)
-	opt, _, err := p.OptimalThroughput()
+	opt, _, err := bwc.LPThroughput(p)
 	check(err)
-	folded, err := p.FoldedThroughput()
+	folded, err := bwc.FoldedThroughput(p)
 	check(err)
 	fmt.Printf("measured: true optimum %s, folded model %s\n", opt, folded)
 	fmt.Printf("sweep of result/input ratio (d with c = 1/2):\n")
 	fmt.Printf("          %-8s %12s %12s\n", "d", "true", "folded")
 	for _, d := range []bwc.Rational{bwc.RatInt(0), bwc.Rat(1, 8), bwc.Rat(1, 4), bwc.Rat(1, 2), bwc.RatInt(1)} {
-		p, err := bwc.WithUniformResultReturn(base, d)
+		p, err := bwc.PlatformWithUniformResultReturn(base, d)
 		check(err)
-		opt, _, err := p.OptimalThroughput()
+		opt, _, err := bwc.LPThroughput(p)
 		check(err)
-		folded, err := p.FoldedThroughput()
+		folded, err := bwc.FoldedThroughput(p)
 		check(err)
 		fmt.Printf("          %-8s %12s %12s\n", d, opt, folded)
 	}

@@ -57,15 +57,15 @@ func main() {
 	// What if results were NOT negligible? Section 9: with result files
 	// 1/4 the size of inputs, the folded model misestimates the optimum.
 	d := bwc.Rat(1, 4)
-	p, err := bwc.WithUniformResultReturn(platform, d)
+	p, err := bwc.PlatformWithUniformResultReturn(platform, d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trueOpt, _, err := p.OptimalThroughput()
+	trueOpt, _, err := bwc.LPThroughput(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	folded, err := p.FoldedThroughput()
+	folded, err := bwc.FoldedThroughput(p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		drift, found := scan(analyze.FromScope(run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
+		drift, found := scan(analyze.FromRun(run.Trace, run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
 		if !found {
 			break
 		}
@@ -306,7 +306,7 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 	}
 	rep.Run = run
 	rep.Stop = verifyStop
-	ev := analyze.FromScope(run.Obs)
+	ev := analyze.FromRun(run.Trace, run.Obs)
 	if len(rep.Adaptations) == 0 {
 		rep.Post = analyze.Analyze(ev, analyze.Options{Schedule: s, Stop: verifyStop})
 		rep.Healed = rep.Post.Healthy()

@@ -321,7 +321,7 @@ func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		drift, found := scan(analyze.FromScope(run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
+		drift, found := scan(analyze.FromRun(run.Trace, run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
 		if !found {
 			break
 		}

@@ -61,16 +61,16 @@ func PrimeHeavy() *bwc.Tree {
 // ResultReturnStar is the E10 Section 9 counter-example: two workers
 // behind half-bandwidth links with uniform result-return cost 1/2.
 // Separate flows reach 2 tasks/unit; the folded model predicts 1.
-func ResultReturnStar() (bwc.ResultPlatform, error) {
+func ResultReturnStar() (*bwc.Tree, error) {
 	tr, err := bwc.ParsePlatformString(`
 m  -  -   inf
 w1 m  1/2 1
 w2 m  1/2 1
 `)
 	if err != nil {
-		return bwc.ResultPlatform{}, err
+		return nil, err
 	}
-	return bwc.WithUniformResultReturn(tr, bwc.Rat(1, 2))
+	return bwc.PlatformWithUniformResultReturn(tr, bwc.Rat(1, 2))
 }
 
 // PaperSchedule builds the Figure-5 schedule of the paper's Section 8

@@ -138,16 +138,6 @@ func (e *Engine) Cancel(h Handle) bool {
 	return false
 }
 
-// NextAt returns the time of the earliest pending event (false when the
-// queue is empty). Observed drain loops use it to group events that fire
-// at the same virtual instant into one batch.
-func (e *Engine) NextAt() (rat.R, bool) {
-	if len(e.events) == 0 {
-		return rat.Zero, false
-	}
-	return e.events.peek().at, true
-}
-
 // After schedules fn d time units from now (d must be non-negative).
 func (e *Engine) After(d rat.R, fn func()) {
 	e.At(e.now.Add(d), fn)

@@ -316,15 +316,8 @@ func (c *Core) Buffered(n tree.NodeID) int {
 	return c.nodes[n].held
 }
 
-// Watermark returns the peak buffered-task count node n reached — the
-// quantity Proposition 3's χ bounds.
-func (c *Core) Watermark(n tree.NodeID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[n].heldMax
-}
-
-// MaxWatermark returns the largest Watermark over all nodes.
+// MaxWatermark returns the peak buffered-task count over all nodes — the
+// largest of the per-node quantities Proposition 3's χ bounds.
 func (c *Core) MaxWatermark() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

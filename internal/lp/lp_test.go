@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,20 +149,117 @@ func TestEmptyTreeThroughput(t *testing.T) {
 // TestLPMatchesBWFirst is experiment E6's core assertion: three
 // independently implemented oracles agree exactly.
 func TestLPMatchesBWFirst(t *testing.T) {
-	for _, k := range treegen.Kinds {
-		for seed := int64(0); seed < 8; seed++ {
-			for _, n := range []int{1, 3, 8, 20} {
-				tr := treegen.Generate(k, n, seed)
-				want := bwfirst.Solve(tr).Throughput
-				got, _, err := OptimalThroughput(tr)
-				if err != nil {
-					t.Fatalf("%v/%d/%d: %v", k, seed, n, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%v/%d/%d: LP %s != BW-First %s\n%s", k, seed, n, got, want, tr)
+	// each calls f on every generated tree with its BW-First throughput.
+	each := func(t *testing.T, f func(at string, tr *tree.Tree, want rat.R)) {
+		for _, k := range treegen.Kinds {
+			for seed := int64(0); seed < 8; seed++ {
+				for _, n := range []int{1, 3, 8, 20} {
+					tr := treegen.Generate(k, n, seed)
+					f(fmt.Sprintf("%v/%d/%d", k, seed, n), tr, bwfirst.Solve(tr).Throughput)
 				}
 			}
 		}
+	}
+	t.Run("forward", func(t *testing.T) {
+		each(t, func(at string, tr *tree.Tree, want rat.R) {
+			got, _, err := OptimalThroughput(tr)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: LP %s != BW-First %s\n%s", at, got, want, tr)
+			}
+		})
+	})
+	// Zero result-return times reduce the separate-flows LP and the
+	// folded model to the forward optimum.
+	t.Run("zero return times", func(t *testing.T) {
+		each(t, func(at string, tr *tree.Tree, want rat.R) {
+			zero, err := tr.WithUniformReturnTime(rat.Zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := OptimalThroughput(zero)
+			if err != nil {
+				t.Fatalf("%s: d=0: %v", at, err)
+			}
+			folded := bwfirst.Solve(zero.WithFoldedReturns()).Throughput
+			if !got.Equal(want) || !folded.Equal(want) {
+				t.Fatalf("%s: d=0 LP %s, folded %s, forward %s", at, got, folded, want)
+			}
+		})
+	})
+}
+
+// TestLPOnReturnTrees pins the separate-flows LP on return trees
+// (Section 9) over uniform result-return times d: the optimum never
+// rises with d, and each case may pin the optimum, its witness and the
+// folded model's throughput (d merged into c on one port pair), or
+// require folded ≤ separate flows.
+func TestLPOnReturnTrees(t *testing.T) {
+	half := rat.New(1, 2)
+	counter := tree.NewBuilder().
+		RootSwitch("master").
+		Child("master", "w1", half, rat.One).
+		Child("master", "w2", half, rat.One).
+		MustBuild()
+	star := tree.NewBuilder().
+		RootSwitch("m").
+		Child("m", "w1", half, rat.One).
+		Child("m", "w2", half, rat.One).
+		Child("m", "w3", rat.One, rat.Two).
+		MustBuild()
+	cases := []struct {
+		name         string
+		base         *tree.Tree
+		ds           []rat.R // increasing
+		opt, folded  rat.R   // pinned at every d unless zero
+		witness      []rat.R // pinned at every d unless nil
+		foldedAtMost bool    // folded ≤ separate flows at every d
+	}{
+		// The paper's counter-example: separate flows reach 2 tasks
+		// per unit, the folded model only 1.
+		{name: "counter-example", base: counter, ds: []rat.R{half},
+			opt: rat.Two, witness: []rat.R{rat.Zero, rat.One, rat.One}, folded: rat.One},
+		{name: "symmetric star", base: star,
+			ds: []rat.R{rat.New(1, 8), rat.New(1, 4), half, rat.One}, foldedAtMost: true},
+		// A lone node has no link to return results over.
+		{name: "single node", base: tree.NewBuilder().Root("P0", rat.Two).MustBuild(),
+			ds: []rat.R{rat.Zero, rat.One}, opt: half},
+		{name: "uniform-12", base: treegen.Generate(treegen.Uniform, 12, 7),
+			ds: []rat.R{rat.Zero, rat.New(1, 4), half, rat.One, rat.Two}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var prev rat.R
+			for i, d := range c.ds {
+				rt, err := c.base.WithUniformReturnTime(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt, x, err := OptimalThroughput(rt)
+				if err != nil {
+					t.Fatalf("d=%s: %v", d, err)
+				}
+				if i > 0 && prev.Less(opt) {
+					t.Errorf("optimum rose from %s to %s at d=%s", prev, opt, d)
+				}
+				prev = opt
+				if !c.opt.IsZero() && !opt.Equal(c.opt) {
+					t.Errorf("d=%s: optimum %s, want %s", d, opt, c.opt)
+				}
+				if c.witness != nil && !slices.EqualFunc(x, c.witness, rat.R.Equal) {
+					t.Errorf("d=%s: witness %v, want %v", d, x, c.witness)
+				}
+				folded := bwfirst.Solve(rt.WithFoldedReturns()).Throughput
+				if !c.folded.IsZero() && !folded.Equal(c.folded) {
+					t.Errorf("d=%s: folded %s, want %s", d, folded, c.folded)
+				}
+				if c.foldedAtMost && opt.Less(folded) {
+					t.Errorf("d=%s: folded %s exceeds separate flows %s", d, folded, opt)
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"bwc/internal/obs"
 	"bwc/internal/rat"
 	"bwc/internal/sched"
+	"bwc/internal/trace"
 	"bwc/internal/tree"
 )
 
@@ -66,11 +67,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// nodeEvid indexes one node's spans by activity: positions into
-// Evidence.Spans, each list in start order. A node's compute, send and
-// receive lists are its "<node>/C", "/S" and "/R" track lists. sendTo
-// splits the sends per destination, and held is the node's ±1 buffer
-// replay, built on first use and shared by every check that needs it.
+// nodeEvid indexes one node's activity: positions into the evidence,
+// each list in start order. A node's compute, send and receive lists are
+// its "<node>/C", "/S" and "/R" track lists. sendTo splits the sends per
+// destination, and held is the node's ±1 buffer replay, built on first
+// use and shared by every check that needs it.
 type nodeEvid struct {
 	compute []int32
 	send    []int32
@@ -96,7 +97,7 @@ func (ne *nodeEvid) sendsTo(dest tree.NodeID) []int32 {
 	return nil
 }
 
-// serialTrack is one serial resource's spans: a node's port or CPU
+// serialTrack is one serial resource's activity: a node's port or CPU
 // ("<node>/S", "/R", "/C") or a runtime link ("A→B"), in start order.
 type serialTrack struct {
 	name string
@@ -104,8 +105,9 @@ type serialTrack struct {
 }
 
 // analysis is one pass over read-only evidence. Every index into the
-// evidence is a position in ev.Spans; no span is copied, and ev.Spans is
-// never reordered — only the position lists are sorted.
+// evidence is a position in ev.Spans or, for a run's record, in
+// ev.rec.Intervals; nothing is copied, and neither list is ever
+// reordered — only the position lists are sorted.
 type analysis struct {
 	ev      *Evidence
 	opt     Options
@@ -114,7 +116,7 @@ type analysis struct {
 	nodes   []nodeEvid
 	serial  []serialTrack // sorted by name
 	horizon rat.R
-	haveSim bool       // any exact simulator span (C/S/R track) present
+	haveSim bool       // any exact simulator activity (C/S/R track) present
 	cover   []interval // busyCover's buffer, reused node to node
 }
 
@@ -149,63 +151,19 @@ func Analyze(ev *Evidence, opt Options) *HealthReport {
 // (when a schedule names the platform) per node and activity. Track
 // naming follows the simulator's convention: "<node>/C", "<node>/S",
 // "<node>/R"; the live runtime uses "<parent>→<child>" link tracks
-// instead. Each distinct track name is resolved once; other tracks
-// ("des", "proto") only extend the horizon.
+// instead. Nodes resolve by name against the schedule's tree.
 func (a *analysis) parse() {
-	spans := a.ev.Spans
-	// First pass: resolve each span's track to a list index (-1 for
-	// tracks no check reads) and count the list sizes, so the lists can
-	// share one backing array.
-	index := map[string]int32{}
-	var names []string
-	var sizes []int32
-	track := make([]int32, len(spans))
-	last := int32(-1)
-	for i := range spans {
-		sp := &spans[i]
-		if a.horizon.Less(sp.End) {
-			a.horizon = sp.End
-		}
-		if i == 0 || sp.Track != spans[i-1].Track {
-			k, ok := index[sp.Track]
-			if !ok {
-				k = -1
-				if isSerialTrack(sp.Track) {
-					k = int32(len(names))
-					names = append(names, sp.Track)
-					sizes = append(sizes, 0)
-				}
-				index[sp.Track] = k
-			}
-			last = k
-		}
-		track[i] = last
-		if last >= 0 {
-			sizes[last]++
-		}
-	}
-	total := int32(0)
-	for _, n := range sizes {
-		total += n
-	}
-	backing := make([]int32, total)
-	a.serial = make([]serialTrack, len(names))
-	off := int32(0)
-	for k, name := range names {
-		a.serial[k] = serialTrack{name: name, pos: backing[off : off : off+sizes[k]]}
-		off += sizes[k]
-	}
-	for i, k := range track {
-		if k >= 0 {
-			a.serial[k].pos = append(a.serial[k].pos, int32(i))
-		}
+	if a.ev.rec != nil {
+		a.parseRun()
+	} else {
+		a.parseSpans()
 	}
 
 	// Producers record every track in start order, so the check is
 	// usually all the sorting there is; out-of-order evidence (a
 	// hand-edited or merged file) falls back to a stable sort, which
 	// keeps equal starts in evidence order.
-	byStart := func(p, q int32) int { return spans[p].Start.Cmp(spans[q].Start) }
+	byStart := func(p, q int32) int { return a.start(p).Cmp(a.start(q)) }
 	for k := range a.serial {
 		if pos := a.serial[k].pos; !slices.IsSortedFunc(pos, byStart) {
 			slices.SortStableFunc(pos, byStart)
@@ -240,13 +198,146 @@ func (a *analysis) parse() {
 	}
 }
 
+// parseSpans indexes span evidence. Each distinct track name is resolved
+// once; other tracks ("des", "proto") only extend the horizon.
+func (a *analysis) parseSpans() {
+	spans := a.ev.Spans
+	// First pass: resolve each span's track to a list index (-1 for
+	// tracks no check reads) and count the list sizes, so the lists can
+	// share one backing array.
+	index := map[string]int32{}
+	var names []string
+	var sizes []int32
+	track := make([]int32, len(spans))
+	last := int32(-1)
+	for i := range spans {
+		sp := &spans[i]
+		if a.horizon.Less(sp.End) {
+			a.horizon = sp.End
+		}
+		if i == 0 || sp.Track != spans[i-1].Track {
+			k, ok := index[sp.Track]
+			if !ok {
+				k = -1
+				if isSerialTrack(sp.Track) {
+					k = int32(len(names))
+					names = append(names, sp.Track)
+					sizes = append(sizes, 0)
+				}
+				index[sp.Track] = k
+			}
+			last = k
+		}
+		track[i] = last
+		if last >= 0 {
+			sizes[last]++
+		}
+	}
+	a.serial = newTracks(names, sizes)
+	for i, k := range track {
+		if k >= 0 {
+			a.serial[k].pos = append(a.serial[k].pos, int32(i))
+		}
+	}
+}
+
+// parseRun indexes a run's record: one list per (node, activity) with
+// any interval, named as the simulator exports its spans, and filled by
+// a counting pass. The horizon is the record's end.
+func (a *analysis) parseRun() {
+	rec, ivs := a.ev.rec, a.ev.rec.Intervals
+	a.horizon = rec.End
+	list := func(i int) int { return 3*int(ivs[i].Node) + int(ivs[i].Kind) }
+	count := make([]int32, 3*rec.Tree.Len())
+	for i := range ivs {
+		count[list(i)]++
+	}
+	// Name the lists that have intervals with substrings of one string;
+	// count[k] then becomes list k's track index.
+	var b strings.Builder
+	ends, sizes := make([]int, 0, len(count)), make([]int32, 0, len(count))
+	for k, c := range count {
+		if c > 0 {
+			b.WriteString(rec.Tree.Name(tree.NodeID(k / 3)))
+			b.WriteByte('/')
+			b.WriteString(trace.Kind(k % 3).String())
+			count[k] = int32(len(sizes))
+			ends, sizes = append(ends, b.Len()), append(sizes, c)
+		}
+	}
+	all, names, start := b.String(), make([]string, len(ends)), 0
+	for j, end := range ends {
+		names[j], start = all[start:end], end
+	}
+	a.serial = newTracks(names, sizes)
+	for i := range ivs {
+		st := &a.serial[count[list(i)]]
+		st.pos = append(st.pos, int32(i))
+	}
+}
+
+// newTracks returns one serial track per name, with room for sizes[k]
+// positions, all in one backing array.
+func newTracks(names []string, sizes []int32) []serialTrack {
+	total := int32(0)
+	for _, n := range sizes {
+		total += n
+	}
+	backing := make([]int32, total)
+	tracks := make([]serialTrack, len(names))
+	off := int32(0)
+	for k, name := range names {
+		tracks[k] = serialTrack{name: name, pos: backing[off : off : off+sizes[k]]}
+		off += sizes[k]
+	}
+	return tracks
+}
+
+// start and end return the bounds of the activity at position p.
+func (a *analysis) start(p int32) rat.R {
+	if a.ev.rec != nil {
+		return a.ev.rec.Intervals[p].Start
+	}
+	return a.ev.Spans[p].Start
+}
+
+func (a *analysis) end(p int32) rat.R {
+	if a.ev.rec != nil {
+		return a.ev.rec.Intervals[p].End
+	}
+	return a.ev.Spans[p].End
+}
+
+// name returns the name of the activity at position p; a record
+// interval's is built as the simulator names its exported span.
+func (a *analysis) name(p int32) string {
+	if a.ev.rec == nil {
+		return a.ev.Spans[p].Name
+	}
+	rec := a.ev.rec
+	switch iv := &rec.Intervals[p]; iv.Kind {
+	case trace.Send:
+		return "send " + rec.Tree.Name(iv.Peer)
+	case trace.Recv:
+		return "recv " + rec.Tree.Name(iv.Peer)
+	}
+	return "compute"
+}
+
 // splitSends groups a node's sends by the node each one is addressed to
-// ("send <name>"), keeping start order within each destination.
+// (the interval's peer, or the span's "send <name>"), keeping start
+// order within each destination.
 func (a *analysis) splitSends(ne *nodeEvid) {
 	dests := make([]tree.NodeID, len(ne.send))
 	var order []tree.NodeID
 	for i, p := range ne.send {
-		id, ok := a.t.Lookup(strings.TrimPrefix(a.ev.Spans[p].Name, "send "))
+		var name string
+		if rec := a.ev.rec; rec != nil {
+			name = rec.Tree.Name(rec.Intervals[p].Peer)
+		} else {
+			name = strings.TrimPrefix(a.ev.Spans[p].Name, "send ")
+		}
+		id, ok := a.t.Lookup(name)
 		if !ok {
 			id = tree.None
 		} else if !slices.Contains(order, id) {
@@ -280,16 +371,16 @@ func (a *analysis) analysisEnd() rat.R {
 // ---------------------------------------------------------------------------
 // Windowed rate estimation
 
-// spanStart and spanEnd pick the instant of a span windowCounts buckets.
-func spanStart(sp *obs.Span) rat.R { return sp.Start }
-func spanEnd(sp *obs.Span) rat.R   { return sp.End }
+// spanStart and spanEnd pick the instant windowCounts buckets.
+func spanStart(a *analysis, p int32) rat.R { return a.start(p) }
+func spanEnd(a *analysis, p int32) rat.R   { return a.end(p) }
 
-// windowCounts adds each listed span's instant (its start or end) to its
-// window [k·period, (k+1)·period) in counts, ignoring instants outside
-// the len(counts) windows. Input order does not matter.
-func (a *analysis) windowCounts(counts []int64, pos []int32, at func(*obs.Span) rat.R, period rat.R) {
+// windowCounts adds each listed activity's instant (its start or end) to
+// its window [k·period, (k+1)·period) in counts, ignoring instants
+// outside the len(counts) windows. Input order does not matter.
+func (a *analysis) windowCounts(counts []int64, pos []int32, at func(*analysis, int32) rat.R, period rat.R) {
 	for _, p := range pos {
-		k, ok := at(&a.ev.Spans[p]).Div(period).Floor().Int64()
+		k, ok := at(a, p).Div(period).Floor().Int64()
 		if ok && k >= 0 && k < int64(len(counts)) {
 			counts[k]++
 		}
@@ -334,19 +425,19 @@ func (a *analysis) singlePort() Check {
 	}
 	violations := 0
 	for _, tr := range a.serial {
-		maxEnd := a.ev.Spans[tr.pos[0]].End
+		maxEnd := a.end(tr.pos[0])
 		for _, p := range tr.pos[1:] {
-			sp := &a.ev.Spans[p]
-			if sp.Start.Less(maxEnd) {
+			start, end := a.start(p), a.end(p)
+			if start.Less(maxEnd) {
 				violations++
 				if len(c.Evidence) < 16 {
 					c.Evidence = append(c.Evidence, fmt.Sprintf(
 						"%s: %q [%s,%s] overlaps preceding activity ending at %s",
-						tr.name, sp.Name, sp.Start, sp.End, maxEnd))
+						tr.name, a.name(p), start, end, maxEnd))
 				}
 			}
-			if maxEnd.Less(sp.End) {
-				maxEnd = sp.End
+			if maxEnd.Less(end) {
+				maxEnd = end
 			}
 		}
 	}
@@ -568,13 +659,13 @@ func (a *analysis) held(id tree.NodeID) []heldDelta {
 	}
 	ds := make([]heldDelta, 0, len(ne.recv)+len(ne.compute)+len(ne.send))
 	for _, p := range ne.recv {
-		ds = append(ds, heldDelta{a.ev.Spans[p].End, +1})
+		ds = append(ds, heldDelta{a.end(p), +1})
 	}
 	for _, p := range ne.compute {
-		ds = append(ds, heldDelta{a.ev.Spans[p].Start, -1})
+		ds = append(ds, heldDelta{a.start(p), -1})
 	}
 	for _, p := range ne.send {
-		ds = append(ds, heldDelta{a.ev.Spans[p].Start, -1})
+		ds = append(ds, heldDelta{a.start(p), -1})
 	}
 	slices.SortFunc(ds, func(x, y heldDelta) int { return x.at.Cmp(y.at) })
 	ne.held = ds
@@ -679,7 +770,7 @@ func (a *analysis) startupUsefulWork(onset rat.R, onsetOK bool) Check {
 	done := 0
 	for i := range a.nodes {
 		for _, p := range a.nodes[i].compute {
-			if a.ev.Spans[p].End.LessEq(onset) {
+			if a.end(p).LessEq(onset) {
 				done++
 			}
 		}
@@ -769,19 +860,19 @@ func (a *analysis) busyCover(out []interval, ne *nodeEvid) []interval {
 	cs, ss := ne.compute, ne.send
 	for len(cs) > 0 || len(ss) > 0 {
 		var p int32
-		if len(ss) == 0 || (len(cs) > 0 && a.ev.Spans[cs[0]].Start.LessEq(a.ev.Spans[ss[0]].Start)) {
+		if len(ss) == 0 || (len(cs) > 0 && a.start(cs[0]).LessEq(a.start(ss[0]))) {
 			p, cs = cs[0], cs[1:]
 		} else {
 			p, ss = ss[0], ss[1:]
 		}
-		sp := &a.ev.Spans[p]
-		if n := len(out); n > 0 && sp.Start.LessEq(out[n-1].end) {
-			if out[n-1].end.Less(sp.End) {
-				out[n-1].end = sp.End
+		start, end := a.start(p), a.end(p)
+		if n := len(out); n > 0 && start.LessEq(out[n-1].end) {
+			if out[n-1].end.Less(end) {
+				out[n-1].end = end
 			}
 			continue
 		}
-		out = append(out, interval{sp.Start, sp.End})
+		out = append(out, interval{start, end})
 	}
 	return out
 }
@@ -808,13 +899,13 @@ func uncovered(from, to rat.R, cover []interval, next *int) rat.R {
 	return gap
 }
 
-// busyUntil sums the time the listed spans occupy before end.
+// busyUntil sums the time the listed activities occupy before end.
 func (a *analysis) busyUntil(pos []int32, end rat.R) rat.R {
 	busy := rat.Zero
 	for _, p := range pos {
-		sp := &a.ev.Spans[p]
-		if e := rat.Min(sp.End, end); sp.Start.Less(e) {
-			busy = busy.Add(e.Sub(sp.Start))
+		start := a.start(p)
+		if e := rat.Min(a.end(p), end); start.Less(e) {
+			busy = busy.Add(e.Sub(start))
 		}
 	}
 	return busy
@@ -849,8 +940,7 @@ func (a *analysis) computeLatency() Check {
 			[]float64{0.5, 0.9, 0.99, 1, 1.01, 1.1, 2},
 			"node", a.t.Name(id))
 		for _, p := range ne.compute {
-			sp := &a.ev.Spans[p]
-			h.Observe(sp.End.Sub(sp.Start).Div(w).Float64())
+			h.Observe(a.end(p).Sub(a.start(p)).Div(w).Float64())
 		}
 		q99 := h.Quantile(0.99)
 		if q99 > 1+a.opt.LatencyTolerance {

@@ -15,6 +15,8 @@ import (
 	"bwc/internal/rat"
 	"bwc/internal/sched"
 	"bwc/internal/sim"
+	"bwc/internal/trace"
+	"bwc/internal/tree"
 )
 
 // paperRun solves and simulates the paper's example tree under
@@ -286,7 +288,8 @@ func TestAnalyzeWithoutSchedule(t *testing.T) {
 }
 
 // TestSinglePortViolation: synthetic overlapping sends on one port track
-// must fail the check, with the overlap in evidence.
+// must fail the check, with the overlap in evidence, read from spans or
+// from a run's record.
 func TestSinglePortViolation(t *testing.T) {
 	ev := &Evidence{Spans: []obs.Span{
 		{Name: "send P1", Track: "P0/S", Start: rat.Zero, End: rat.FromInt(2)},
@@ -300,6 +303,34 @@ func TestSinglePortViolation(t *testing.T) {
 	}
 	if len(c.Evidence) != 1 || !strings.Contains(c.Evidence[0], "send P2") {
 		t.Errorf("evidence = %v, want exactly the P2 overlap", c.Evidence)
+	}
+
+	// The same kind of activity as a run's record must read as its
+	// spans do: tracks in name order ("P/C" before "Q/C", though Q is
+	// node 1 and P node 2) and the simulator's span names.
+	tr := tree.NewBuilder().
+		Root("R", rat.One).
+		Child("R", "Q", rat.One, rat.One).
+		Child("R", "P", rat.One, rat.One).
+		MustBuild()
+	rec := &trace.Trace{Tree: tr, End: rat.FromInt(3)}
+	var spans []obs.Span
+	add := func(node tree.NodeID, kind trace.Kind, peer tree.NodeID, start int64, name string) {
+		iv := trace.Interval{Node: node, Kind: kind, Start: rat.FromInt(start), End: rat.FromInt(start + 2), Peer: peer}
+		rec.AddInterval(iv)
+		spans = append(spans, obs.Span{Name: name, Track: tr.Name(node) + "/" + kind.String(), Start: iv.Start, End: iv.End})
+	}
+	for _, id := range []tree.NodeID{1, 2} {
+		add(id, trace.Compute, tree.None, 0, "compute")
+		add(id, trace.Compute, tree.None, 1, "compute")
+	}
+	add(0, trace.Send, 1, 0, "send Q")
+	add(0, trace.Send, 2, 1, "send P")
+	want := Analyze(&Evidence{Spans: spans}, Options{}).Check("single-port")
+	got := Analyze(FromRun(rec, nil), Options{}).Check("single-port")
+	if !reflect.DeepEqual(got, want) || len(got.Evidence) != 3 || !strings.HasPrefix(got.Evidence[0], "P/C") ||
+		!strings.Contains(got.Evidence[2], `"send P"`) {
+		t.Errorf("record evidence %+v, span evidence %+v", got, want)
 	}
 }
 

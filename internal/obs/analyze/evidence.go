@@ -7,14 +7,20 @@ import (
 	"io"
 
 	"bwc/internal/obs"
+	"bwc/internal/trace"
 )
 
-// Evidence is the raw material of an analysis: the spans of a run and,
-// when analyzing a live scope, its metric snapshot. File-based evidence
-// (ReadEvidence) has spans only.
+// Evidence is the raw material of an analysis: what a run did and, when
+// analyzing a live run, its metric snapshot. What the run did is either
+// the simulator's record of it (FromRun), read in place, or spans: those
+// of a live scope (FromScope) or of an exporter's file (ReadEvidence,
+// which has no metrics).
 type Evidence struct {
 	Spans   []obs.Span
 	Metrics []obs.Metric
+	// rec is the record of FromRun evidence (or a clip of it); Spans is
+	// then empty.
+	rec *trace.Trace
 }
 
 // FromScope snapshots a live scope. A nil/disabled scope yields empty
@@ -24,6 +30,18 @@ func FromScope(sc *obs.Scope) *Evidence {
 		return &Evidence{}
 	}
 	return &Evidence{Spans: sc.Spans(), Metrics: sc.Registry().Snapshot()}
+}
+
+// FromRun reads a simulated run's record in place, building no span;
+// its report equals FromScope's on the same observed run. sc, the scope
+// the run was observed with, supplies the metrics; without it the
+// counter-based checks SKIP.
+func FromRun(tr *trace.Trace, sc *obs.Scope) *Evidence {
+	ev := &Evidence{rec: tr}
+	if sc.Enabled() {
+		ev.Metrics = sc.Registry().Snapshot()
+	}
+	return ev
 }
 
 // ReadEvidence reads offline evidence from r, accepting either of the two

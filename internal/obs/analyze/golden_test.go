@@ -46,20 +46,38 @@ const (
 // wind-down drained) and degraded-physics runs under a stale schedule
 // follow: a slow link, a slow processor, and a slow link whose re-solved
 // schedule is swapped in half-way.
-func goldenCorpus(t *testing.T) (map[string][]byte, []*analyze.HealthReport) {
+//
+// Every run is also analyzed from its record (analyze.FromRun), and each
+// such output must be byte-identical to the one its spans give: the live
+// report, the reports without a schedule and without a stop, both
+// clipped halves (the first without a stop, so the clipped horizon
+// bounds its windows), the windows, and the dynamic runs' live reports
+// and windows. It returns how many of these pairs it compared.
+func goldenCorpus(t *testing.T) (map[string][]byte, []*analyze.HealthReport, int) {
 	t.Helper()
 	out := map[string][]byte{}
 	var reports []*analyze.HealthReport
-	put := func(name string, v any) {
+	marshal := func(name string, v any) []byte {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out[name] = b
+		return b
+	}
+	put := func(name string, v any) {
+		out[name] = marshal(name, v)
 		if rep, ok := v.(*analyze.HealthReport); ok {
 			reports = append(reports, rep)
 		}
 	}
+	pairs := 0
+	same := func(name string, spans, record any) {
+		pairs++
+		if b, r := marshal(name, spans), marshal(name, record); !bytes.Equal(b, r) {
+			t.Errorf("%s: record evidence gives\n%s\nspan evidence gives\n%s", name, r, b)
+		}
+	}
+	c := goldenCase{put: put, same: same}
 	half := rat.New(1, 2)
 	for _, kind := range treegen.Kinds {
 		for _, n := range []int{8, 16, 32} {
@@ -80,17 +98,24 @@ func goldenCorpus(t *testing.T) (map[string][]byte, []*analyze.HealthReport) {
 							continue
 						}
 						name := fmt.Sprintf("%s/n%d/s%d/%s/%s", kind, n, seed, ret, map[bool]string{false: "il", true: "blk"}[block])
-						live, stop := goldenStatic(t, name, s, put)
+						live, stop := goldenStatic(t, name, s, c)
 						if !block && seed == 1 && n <= 16 {
 							put(name+"/atstop", analyze.Analyze(atStop(live, stop), analyze.Options{Schedule: s, Stop: stop}))
-							goldenDynamic(t, "dyn/"+name, s, put)
+							goldenDynamic(t, "dyn/"+name, s, c)
 						}
 					}
 				}
 			}
 		}
 	}
-	return out, reports
+	return out, reports, pairs
+}
+
+// goldenCase is how a corpus run reports: put records a digested output,
+// and same asserts that record and span evidence agree on one.
+type goldenCase struct {
+	put  func(name string, v any)
+	same func(name string, spans, record any)
 }
 
 // goldenSchedule builds res's schedule, reporting false when its largest
@@ -112,7 +137,7 @@ func goldenSchedule(t *testing.T, res *bwfirst.Result, block bool) (*sched.Sched
 
 // goldenStatic runs one 120-task observed simulation and records its five
 // outputs. It returns the live evidence and the run's stop.
-func goldenStatic(t *testing.T, name string, s *sched.Schedule, put func(string, any)) (*analyze.Evidence, rat.R) {
+func goldenStatic(t *testing.T, name string, s *sched.Schedule, c goldenCase) (*analyze.Evidence, rat.R) {
 	t.Helper()
 	sc := obs.New()
 	run, err := sim.Simulate(s, sim.Options{Tasks: goldenTasks, Obs: sc})
@@ -121,8 +146,13 @@ func goldenStatic(t *testing.T, name string, s *sched.Schedule, put func(string,
 	}
 	stop := run.Stats.StopAt
 	opt := analyze.Options{Schedule: s, Stop: stop}
-	live := analyze.FromScope(sc)
-	put(name+"/live", analyze.Analyze(live, opt))
+	live, rec := analyze.FromScope(sc), analyze.FromRun(run.Trace, sc)
+	report := analyze.Analyze(live, opt)
+	c.put(name+"/live", report)
+	c.same(name+"/live", report, analyze.Analyze(rec, opt))
+	c.same(name+"/nosched", analyze.Analyze(live, analyze.Options{}), analyze.Analyze(rec, analyze.Options{}))
+	nostop := analyze.Options{Schedule: s}
+	c.same(name+"/nostop", analyze.Analyze(live, nostop), analyze.Analyze(rec, nostop))
 
 	var chrome, jsonl bytes.Buffer
 	if err := sc.WriteChromeTrace(&chrome); err != nil {
@@ -139,7 +169,7 @@ func goldenStatic(t *testing.T, name string, s *sched.Schedule, put func(string,
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, f.name, err)
 		}
-		put(name+"/"+f.name, analyze.Analyze(ev, opt))
+		c.put(name+"/"+f.name, analyze.Analyze(ev, opt))
 	}
 
 	mid := stop.Div(rat.Two)
@@ -147,13 +177,24 @@ func goldenStatic(t *testing.T, name string, s *sched.Schedule, put func(string,
 	for _, sp := range live.Spans {
 		end = rat.Max(end, sp.End)
 	}
-	clipped := analyze.ClipEvidence(live, mid, end)
-	put(name+"/clip", analyze.Analyze(clipped, analyze.Options{Schedule: s, Stop: stop.Sub(mid)}))
+	for _, half := range []struct {
+		name           string
+		from, to, stop rat.R
+		digest         bool
+	}{{"/clip0", rat.Zero, mid, rat.Zero, false}, {"/clip", mid, end, stop.Sub(mid), true}} {
+		hopt := analyze.Options{Schedule: s, Stop: half.stop}
+		clipped := analyze.Analyze(analyze.ClipEvidence(live, half.from, half.to), hopt)
+		if half.digest {
+			c.put(name+half.name, clipped)
+		}
+		c.same(name+half.name, clipped, analyze.Analyze(analyze.ClipEvidence(rec, half.from, half.to), hopt))
+	}
 
 	if stop.IsPos() {
-		put(name+"/windows", analyze.WindowStats(live, analyze.WindowOptions{
-			Schedule: s, Window: stop.Div(rat.FromInt(4)), End: stop,
-		}))
+		wopt := analyze.WindowOptions{Schedule: s, Window: stop.Div(rat.FromInt(4)), End: stop}
+		windows := analyze.WindowStats(live, wopt)
+		c.put(name+"/windows", windows)
+		c.same(name+"/windows", windows, analyze.WindowStats(rec, wopt))
 	}
 	return live, stop
 }
@@ -184,7 +225,7 @@ func atStop(ev *analyze.Evidence, stop rat.R) *analyze.Evidence {
 // root link three times slower, the busiest processor twice slower, and
 // the slow link again with the schedule re-solved for it activated at
 // the stop's midpoint (the engine re-routes the tasks it strands).
-func goldenDynamic(t *testing.T, name string, s *sched.Schedule, put func(string, any)) {
+func goldenDynamic(t *testing.T, name string, s *sched.Schedule, c goldenCase) {
 	t.Helper()
 	static, err := sim.Simulate(s, sim.Options{Tasks: goldenTasks})
 	if err != nil {
@@ -227,19 +268,24 @@ func goldenDynamic(t *testing.T, name string, s *sched.Schedule, put func(string
 			phases = append(phases, sim.Phase{At: stop.Div(rat.Two), Schedule: next})
 		}
 		sc := obs.New()
-		if _, err := sim.SimulateDynamic(sim.DynOptions{
+		run, err := sim.SimulateDynamic(sim.DynOptions{
 			Phases:  phases,
 			Physics: []sim.PhysicsChange{{Tree: v.slow}},
 			Stop:    stop,
 			Obs:     sc,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("%s/%s: %v", name, v.name, err)
 		}
-		ev := analyze.FromScope(sc)
-		put(name+"/"+v.name+"/live", analyze.Analyze(ev, analyze.Options{Schedule: s, Stop: stop}))
-		put(name+"/"+v.name+"/windows", analyze.WindowStats(ev, analyze.WindowOptions{
-			Schedule: s, Window: stop.Div(rat.FromInt(4)), End: stop,
-		}))
+		ev, rec := analyze.FromScope(sc), analyze.FromRun(run.Trace, sc)
+		opt := analyze.Options{Schedule: s, Stop: stop}
+		report := analyze.Analyze(ev, opt)
+		c.put(name+"/"+v.name+"/live", report)
+		c.same(name+"/"+v.name+"/live", report, analyze.Analyze(rec, opt))
+		wopt := analyze.WindowOptions{Schedule: s, Window: stop.Div(rat.FromInt(4)), End: stop}
+		windows := analyze.WindowStats(ev, wopt)
+		c.put(name+"/"+v.name+"/windows", windows)
+		c.same(name+"/"+v.name+"/windows", windows, analyze.WindowStats(rec, wopt))
 	}
 }
 
@@ -272,7 +318,7 @@ func busiestCPU(s *sched.Schedule) tree.NodeID {
 // any change to a verdict, detail or evidence line — or to a window
 // statistic — fails here. Run with -update to re-record.
 func TestGoldenReports(t *testing.T) {
-	outputs, reports := goldenCorpus(t)
+	outputs, reports, pairs := goldenCorpus(t)
 	got := make(map[string]string, len(outputs))
 	for name, b := range outputs {
 		sum := sha256.Sum256(b)
@@ -323,7 +369,7 @@ func TestGoldenReports(t *testing.T) {
 			t.Errorf("check %s never FAILs in the corpus", name)
 		}
 	}
-	t.Logf("%d outputs, %d reports", len(outputs), len(reports))
+	t.Logf("%d outputs, %d reports, %d record-vs-span comparisons", len(outputs), len(reports), pairs)
 }
 
 func writeDigests(t *testing.T, path string, sums map[string]string) {

@@ -10,6 +10,7 @@ package analyze
 import (
 	"bwc/internal/rat"
 	"bwc/internal/sched"
+	"bwc/internal/trace"
 )
 
 // WindowOptions configures a windowed scan of run evidence.
@@ -84,7 +85,7 @@ func WindowStats(ev *Evidence, opt WindowOptions) []WindowStat {
 		}
 		counts := make([]int64, n)
 		for _, p := range a.nodes[ns.Node].compute {
-			k, ok := a.ev.Spans[p].End.Sub(opt.Anchor).Div(opt.Window).Floor().Int64()
+			k, ok := a.end(p).Sub(opt.Anchor).Div(opt.Window).Floor().Int64()
 			if ok && k >= 0 && k < n {
 				counts[k]++
 			}
@@ -139,20 +140,44 @@ func WindowStats(ev *Evidence, opt WindowOptions) []WindowStat {
 }
 
 // ClipEvidence returns the sub-run evidence for the half-open window
-// [from, to): spans overlapping the window are clipped to it and shifted
-// so that `from` becomes t=0. Metrics are dropped — cumulative counters
+// [from, to): activity overlapping the window is clipped to it and
+// shifted so that `from` becomes t=0. A run's record stays a record, its
+// end clipped the same way. Metrics are dropped — cumulative counters
 // cannot be windowed — so counter-based checks SKIP on the result. Use
 // it to analyze one regime of a multi-phase run against the schedule
 // that was active during it.
 func ClipEvidence(ev *Evidence, from, to rat.R) *Evidence {
+	if rec := ev.rec; rec != nil {
+		out := &trace.Trace{Tree: rec.Tree}
+		for _, iv := range rec.Intervals {
+			if clip(&iv.Start, &iv.End, from, to) {
+				out.Intervals = append(out.Intervals, iv)
+			}
+		}
+		// The horizon clips as [0, End], as the run's batch spans do
+		// whenever the window holds an interval (no check reads it else).
+		start, end := rat.Zero, rec.End
+		if clip(&start, &end, from, to) {
+			out.End = end
+		}
+		return &Evidence{rec: out}
+	}
 	out := &Evidence{}
 	for _, sp := range ev.Spans {
-		if sp.End.LessEq(from) || to.LessEq(sp.Start) {
-			continue
+		if clip(&sp.Start, &sp.End, from, to) {
+			out.Spans = append(out.Spans, sp)
 		}
-		sp.Start = rat.Max(sp.Start, from).Sub(from)
-		sp.End = rat.Min(sp.End, to).Sub(from)
-		out.Spans = append(out.Spans, sp)
 	}
 	return out
+}
+
+// clip clips [*start, *end] to the window [from, to), shifted so that
+// from becomes 0, and reports whether the two overlap.
+func clip(start, end *rat.R, from, to rat.R) bool {
+	if end.LessEq(from) || to.LessEq(*start) {
+		return false
+	}
+	*start = rat.Max(*start, from).Sub(from)
+	*end = rat.Min(*end, to).Sub(from)
+	return true
 }

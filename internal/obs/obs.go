@@ -216,27 +216,6 @@ func (s *Scope) AddSpan(sp Span) SpanID {
 	return sp.ID
 }
 
-// AddSpans records a batch of complete spans under one lock acquisition,
-// assigning sequential IDs and returning the first. This is the bulk
-// import path for producers that buffer their intervals elsewhere during a
-// run (the simulator's trace) and convert them to spans once at the end,
-// keeping per-event hot loops free of span bookkeeping.
-func (s *Scope) AddSpans(sps []Span) SpanID {
-	if s == nil || len(sps) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-	first := SpanID(s.nspans + 1)
-	for i := range sps {
-		sp := sps[i]
-		sp.ID = SpanID(s.nspans + 1)
-		s.appendLocked(sp)
-	}
-	return first
-}
-
 // AddDeferredSpans registers a producer whose spans are materialized (and
 // assigned IDs) lazily, on the first subsequent read or span write. This
 // keeps bulk span conversion entirely off the producing hot path: a run

@@ -32,7 +32,7 @@ type Thresholds struct {
 	// once-costs. Zero disables.
 	AllocsRel float64
 	// Min and Max are absolute floors/ceilings on derived metrics of the
-	// NEW trajectory (e.g. obs_enabled_overhead_pct <= 10,
+	// NEW trajectory (e.g. obs_enabled_overhead_pct <= 25,
 	// cached_solve_speedup >= 10) — the portable acceptance bounds.
 	Min map[string]float64
 	Max map[string]float64

@@ -135,9 +135,9 @@ func Default() *perf.Suite {
 
 	// Analyze is the conformance analyzer alone: AnalyzeRun over an
 	// observed 120-task run of a 16-node uniform platform. Each iteration
-	// simulates a fresh run outside the timer, so materializing the run's
-	// deferred spans stays inside the timed part, as it does in a
-	// simulate request with analyze.
+	// simulates a fresh run outside the timer, so any per-run work of the
+	// analyzer (indexing the run's trace) stays inside the timed part, as
+	// it does in a simulate request with analyze.
 	s.Register(perf.Bench{Name: "Analyze", Short: true, Fn: func(b *testing.B) {
 		sched, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
 		if err != nil {

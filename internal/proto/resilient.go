@@ -144,16 +144,6 @@ func (s *Session) RunResilient(opt ResilientOptions) (*Result, error) {
 	return res, nil
 }
 
-// RenegotiateResilient swaps in a re-measured platform (same topology)
-// and runs a resilient round.
-func (s *Session) RenegotiateResilient(t *tree.Tree, opt ResilientOptions) (*Result, error) {
-	if err := sameTopology(s.t, t); err != nil {
-		return nil, err
-	}
-	s.t = t
-	return s.RunResilient(opt)
-}
-
 // SolveResilient is a convenience wrapper: one resilient negotiation on t
 // with the given nodes marked fail-stop.
 func SolveResilient(t *tree.Tree, downNodes []tree.NodeID, opt ResilientOptions) (*Result, error) {

@@ -92,13 +92,10 @@ type Report struct {
 }
 
 // swapReq asks the master to install a new schedule at the next period
-// boundary; done receives the outcome exactly once. changed, when
-// non-nil, routes the install through the engine's delta seam so only
-// the listed nodes lose their pattern-cursor position.
+// boundary; done receives the outcome exactly once.
 type swapReq struct {
-	s       *sched.Schedule
-	changed []tree.NodeID
-	done    chan error
+	s    *sched.Schedule
+	done chan error
 }
 
 // Execution is a live run of a batch.
@@ -374,11 +371,7 @@ func (e *Execution) applySwap(req swapReq) error {
 	for !e.core.Quiescent() {
 		time.Sleep(e.cfg.Scale / 4)
 	}
-	if req.changed != nil {
-		e.core.InstallDelta(req.s, req.changed)
-	} else {
-		e.core.Install(req.s)
-	}
+	e.core.Install(req.s)
 	e.swaps.Add(1)
 	req.done <- nil
 	return nil
@@ -427,18 +420,6 @@ func (e *Execution) Done() <-chan struct{} { return e.doneCh }
 // invalid, shaped differently, or the batch already fully released.
 func (e *Execution) Swap(s *sched.Schedule) error {
 	return e.swap(swapReq{s: s, done: make(chan error, 1)})
-}
-
-// SwapDelta is Swap through the engine's delta seam: after the drain,
-// only the nodes in changed (engine.ChangedNodes against the deployed
-// schedule) have their pattern cursor reset; everything untouched by
-// the re-solve keeps its Ψ-bunch position. An empty (non-nil) changed
-// list resets nothing.
-func (e *Execution) SwapDelta(s *sched.Schedule, changed []tree.NodeID) error {
-	if changed == nil {
-		changed = []tree.NodeID{}
-	}
-	return e.swap(swapReq{s: s, changed: changed, done: make(chan error, 1)})
 }
 
 func (e *Execution) swap(req swapReq) error {

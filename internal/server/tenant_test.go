@@ -276,10 +276,10 @@ func TestSubmitHitAllocs(t *testing.T) {
 // TestSimulateAnalyzeAllocs bounds the heap allocations of one simulate
 // request with analyze for a primed tenant through the full handler, on
 // the Analyze stage fixture (16 nodes, 120 tasks). The analyzer indexes
-// the run's spans by position, deferred spans are emitted straight into
-// the span store, and the event heap boxes nothing, so an allocation per
-// span or per event would add hundreds. The ceiling is the measured 1,311
-// plus slack.
+// the run's trace by position and builds no span, and the event heap
+// boxes nothing, so an allocation per interval or per event would add
+// hundreds. The ceiling is the measured 1,311 (1,295 since the analyzer
+// reads the trace) plus slack.
 func TestSimulateAnalyzeAllocs(t *testing.T) {
 	h := New(Options{}).Handler()
 	body, err := json.Marshal(apiv1.SimulateRequest{

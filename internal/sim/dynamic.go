@@ -56,7 +56,8 @@ type DynOptions struct {
 	Stop rat.R
 	// MaxEvents bounds the engine (default 20 million).
 	MaxEvents uint64
-	// SkipIntervals suppresses Gantt interval recording.
+	// SkipIntervals suppresses Gantt interval recording in an unobserved
+	// run (see Options.SkipIntervals).
 	SkipIntervals bool
 	// Obs, when enabled, instruments the run exactly like Options.Obs:
 	// spans per interval and DES batch, per-node buffer gauges, task and

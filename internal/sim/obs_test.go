@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"bwc/internal/obs"
 	"bwc/internal/rat"
@@ -97,6 +99,35 @@ func TestObservedSpans(t *testing.T) {
 		}
 		if !batches[i-1].End.Equal(batches[i].Start) {
 			t.Fatalf("batch %d gap: prev end %s, start %s", i, batches[i-1].End, batches[i].Start)
+		}
+	}
+}
+
+// TestObservedRunReleasesItsTree: once the caller drops an observed run,
+// its platform must become collectable. A long-lived process (bwschedd)
+// simulates every platform it is sent; a package-level cache keyed by
+// the tree would keep each one reachable forever.
+func TestObservedRunReleasesItsTree(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		tr := obsTree()
+		runtime.SetFinalizer(tr, func(*tree.Tree) { close(freed) })
+		sc := obs.New()
+		simulate(t, tr, Options{Periods: 2, Obs: sc})
+		if sc.SpanCount() == 0 {
+			t.Fatal("observed run exported no spans")
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the run's tree is still reachable 5 s after the run was dropped")
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math/big"
 	"strconv"
-	"sync"
 
 	"bwc/internal/des"
 	"bwc/internal/engine"
@@ -64,7 +63,9 @@ type Options struct {
 	// MaxEvents bounds the discrete-event engine (default 20 million).
 	MaxEvents uint64
 	// SkipIntervals suppresses Gantt interval recording (completions and
-	// buffer samples are always recorded); useful for large sweeps.
+	// buffer samples are always recorded); useful for large sweeps. It
+	// applies to unobserved runs only: an observed run keeps its
+	// intervals, the record its spans are exported from.
 	SkipIntervals bool
 	// Recorder, when non-nil, captures the backend-independent per-node
 	// decision streams of the run (engine.Recorder); the differential
@@ -120,7 +121,8 @@ type Run struct {
 	Trace    *trace.Trace
 	Stats    Stats
 	// Obs is the scope the run was observed with (nil when unobserved);
-	// it carries the spans and metrics conformance analysis consumes.
+	// it carries the run's metrics, and its spans: a view of Trace built
+	// when first read.
 	Obs *obs.Scope
 }
 
@@ -138,9 +140,8 @@ type simulator struct {
 	stats *Stats
 
 	// sc is the (possibly nil) observability scope. When set, the fields
-	// below hold its pre-registered instruments and the per-node span
-	// track names (precomputed so the hot loop builds no strings). Hot
-	// paths guard on sc == nil once and otherwise call nil-safe no-ops.
+	// below hold its pre-registered instruments. Hot paths guard on
+	// sc == nil once and otherwise call nil-safe no-ops.
 	sc        *obs.Scope
 	genCtr    *obs.Counter
 	doneCtr   *obs.Counter
@@ -150,54 +151,16 @@ type simulator struct {
 	bufG      []*obs.Gauge
 	bufMaxG   []*obs.Gauge
 	doneNode  []*obs.Counter
-	trkC      []string
-	trkS      []string
-	trkR      []string
-	sendNm    []string // "send <node>", indexed by destination node
-	recvNm    []string // "recv <node>", indexed by sending node
-}
-
-// trackNames is the per-tree cache of the span track and event name
-// strings initObs needs — the "label scratch" of an observed run. Trees
-// are immutable and long-lived (sessions key their memos on them), so
-// deriving the ~5·n strings once per tree instead of once per observed
-// run keeps repeated instrumented simulations off the allocator.
-var trackNames sync.Map // *tree.Tree -> *nameTable
-
-type nameTable struct {
-	trkC, trkS, trkR []string
-	sendNm, recvNm   []string
-}
-
-func namesFor(t *tree.Tree) *nameTable {
-	if nt, ok := trackNames.Load(t); ok {
-		return nt.(*nameTable)
-	}
-	n := t.Len()
-	nt := &nameTable{
-		trkC:   make([]string, n),
-		trkS:   make([]string, n),
-		trkR:   make([]string, n),
-		sendNm: make([]string, n),
-		recvNm: make([]string, n),
-	}
-	for i := 0; i < n; i++ {
-		name := t.Name(tree.NodeID(i))
-		nt.trkC[i] = name + "/C"
-		nt.trkS[i] = name + "/S"
-		nt.trkR[i] = name + "/R"
-		nt.sendNm[i] = "send " + name
-		nt.recvNm[i] = "recv " + name
-	}
-	actual, _ := trackNames.LoadOrStore(t, nt)
-	return actual.(*nameTable)
 }
 
 // initObs registers the simulation's instruments on sc. Gauge families
 // are labeled by node name so the Prometheus export reads like the
-// paper's per-node buffer table (Section 6.3).
+// paper's per-node buffer table (Section 6.3). An observed run always
+// records its intervals: they are the record its spans are exported
+// from.
 func (sm *simulator) initObs(sc *obs.Scope) {
 	sm.sc = sc
+	sm.opt.SkipIntervals = false
 	reg := sc.Registry()
 	sm.genCtr = reg.Counter("bwc_sim_tasks_generated_total",
 		"tasks released by the root")
@@ -214,9 +177,6 @@ func (sm *simulator) initObs(sc *obs.Scope) {
 	sm.bufG = make([]*obs.Gauge, n)
 	sm.bufMaxG = make([]*obs.Gauge, n)
 	sm.doneNode = make([]*obs.Counter, n)
-	nt := namesFor(sm.t)
-	sm.trkC, sm.trkS, sm.trkR = nt.trkC, nt.trkS, nt.trkR
-	sm.sendNm, sm.recvNm = nt.sendNm, nt.recvNm
 	for i := 0; i < n; i++ {
 		name := sm.t.Name(tree.NodeID(i))
 		sm.bufG[i] = reg.GaugeLabeled("bwc_node_buffer_tasks",
@@ -236,11 +196,6 @@ func (sm *simulator) ComputeStarted(n tree.NodeID, tk engine.Task, w rat.R) {
 	end := start.Add(w)
 	if !sm.opt.SkipIntervals {
 		sm.tr.AddInterval(trace.Interval{Node: n, Kind: trace.Compute, Start: start, End: end, Peer: tree.None})
-	} else if sm.sc != nil {
-		// With intervals suppressed the span store is the only record, so
-		// pay the per-event append; otherwise spans are bulk-converted from
-		// the trace after the run (exportIntervalSpans).
-		sm.sc.AddSpan(obs.Span{Name: "compute", Track: sm.trkC[n], Start: start, End: end})
 	}
 }
 
@@ -258,9 +213,6 @@ func (sm *simulator) SendStarted(n, child tree.NodeID, tk engine.Task, c rat.R) 
 	if !sm.opt.SkipIntervals {
 		sm.tr.AddInterval(trace.Interval{Node: n, Kind: trace.Send, Start: start, End: end, Peer: child})
 		sm.tr.AddInterval(trace.Interval{Node: child, Kind: trace.Recv, Start: start, End: end, Peer: n})
-	} else if sm.sc != nil {
-		sm.sc.AddSpan(obs.Span{Name: sm.sendNm[child], Track: sm.trkS[n], Start: start, End: end})
-		sm.sc.AddSpan(obs.Span{Name: sm.recvNm[n], Track: sm.trkR[child], Start: start, End: end})
 	}
 }
 
@@ -291,9 +243,6 @@ func (sm *simulator) ResultSendStarted(n, parent tree.NodeID, tk engine.Task, d 
 	if !sm.opt.SkipIntervals {
 		sm.tr.AddInterval(trace.Interval{Node: n, Kind: trace.Send, Start: start, End: end, Peer: parent})
 		sm.tr.AddInterval(trace.Interval{Node: parent, Kind: trace.Recv, Start: start, End: end, Peer: n})
-	} else if sm.sc != nil {
-		sm.sc.AddSpan(obs.Span{Name: sm.sendNm[parent], Track: sm.trkS[n], Start: start, End: end})
-		sm.sc.AddSpan(obs.Span{Name: sm.recvNm[n], Track: sm.trkR[parent], Start: start, End: end})
 	}
 }
 
@@ -400,27 +349,34 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	return &Run{Schedule: s, Trace: sm.tr, Stats: *st, Obs: sm.sc}, nil
 }
 
-// exportIntervalSpans registers a deferred producer that converts the
-// recorded Gantt intervals into spans. During the run the trace is the
-// single store for interval data; duplicating every interval into the span
-// store as it happens costs ~10% of the whole simulation (lock + append +
-// GC barriers per event), so the observed run materializes spans lazily on
-// the first span read. Only SkipIntervals runs record spans inline (the
-// trace then has no intervals to convert).
+// exportIntervalSpans registers the deferred producer that exports the
+// run's record as spans: one per interval, on tracks "<node>/C|S|R".
+// The trace is the run's one record and its spans are a view of it,
+// built with their names only when something reads the scope's spans
+// (an exporter, Spans, analyze.FromScope); conformance analysis reads
+// the record in place (analyze.FromRun) and builds none.
 func (sm *simulator) exportIntervalSpans() {
-	if sm.sc == nil || sm.opt.SkipIntervals {
+	if sm.sc == nil {
 		return
 	}
+	t, ivs := sm.t, sm.tr.Intervals
 	sm.sc.AddDeferredSpans(func(emit func(obs.Span)) {
-		for _, iv := range sm.tr.Intervals {
-			switch iv.Kind {
-			case trace.Compute:
-				emit(obs.Span{Name: "compute", Track: sm.trkC[iv.Node], Start: iv.Start, End: iv.End})
-			case trace.Send:
-				emit(obs.Span{Name: sm.sendNm[iv.Peer], Track: sm.trkS[iv.Node], Start: iv.Start, End: iv.End})
-			case trace.Recv:
-				emit(obs.Span{Name: sm.recvNm[iv.Peer], Track: sm.trkR[iv.Node], Start: iv.Start, End: iv.End})
+		// Indexed by 3·node + kind: the node's track, and the name of a
+		// transfer whose peer it is ("send <node>", "recv <node>").
+		track, peer := make([]string, 3*t.Len()), make([]string, 3*t.Len())
+		for i := range t.Len() {
+			name := t.Name(tree.NodeID(i))
+			for k, verb := range [...]string{trace.Send: "send ", trace.Recv: "recv "} {
+				track[3*i+k] = name + "/" + trace.Kind(k).String()
+				peer[3*i+k] = verb + name
 			}
+		}
+		for _, iv := range ivs {
+			sp := obs.Span{Name: "compute", Track: track[3*int(iv.Node)+int(iv.Kind)], Start: iv.Start, End: iv.End}
+			if iv.Kind != trace.Compute {
+				sp.Name = peer[3*int(iv.Peer)+int(iv.Kind)]
+			}
+			emit(sp)
 		}
 	})
 }

@@ -19,9 +19,6 @@ func TestEmptyTraceStatistics(t *testing.T) {
 	if got := tr.BufferAt(0, rat.FromInt(5)); got != 0 {
 		t.Fatalf("BufferAt on empty trace = %d", got)
 	}
-	if got := tr.TotalBufferAt(rat.Zero); got != 0 {
-		t.Fatalf("TotalBufferAt on empty trace = %d", got)
-	}
 	if _, ok := tr.LastCompletion(); ok {
 		t.Fatal("LastCompletion on empty trace reported a completion")
 	}
@@ -49,8 +46,8 @@ func TestSingleSampleStatistics(t *testing.T) {
 	if got := tr.MaxBufferHeld(); got[1] != 4 || got[0] != 0 {
 		t.Fatalf("MaxBufferHeld = %v", got)
 	}
-	if got := tr.TotalBufferAt(rat.FromInt(3)); got != 4 {
-		t.Fatalf("TotalBufferAt = %d", got)
+	if got := tr.BufferAt(0, rat.FromInt(3)); got != 0 {
+		t.Fatalf("BufferAt of the unsampled node = %d", got)
 	}
 }
 
@@ -94,8 +91,5 @@ func TestBufferAtInterleavedNodes(t *testing.T) {
 	}
 	if got := tr.BufferAt(1, rat.FromInt(3)); got != 7 {
 		t.Fatalf("BufferAt(1,3) = %d, want 7", got)
-	}
-	if got := tr.TotalBufferAt(rat.FromInt(3)); got != 9 {
-		t.Fatalf("TotalBufferAt = %d", got)
 	}
 }

@@ -99,17 +99,6 @@ func (tr *Trace) CompletedIn(from, to rat.R) int {
 	return n
 }
 
-// CompletedBy counts completions with t <= at.
-func (tr *Trace) CompletedBy(at rat.R) int {
-	n := 0
-	for _, c := range tr.Completions {
-		if c.At.LessEq(at) {
-			n++
-		}
-	}
-	return n
-}
-
 // PeriodCounts splits [0, horizon) into consecutive windows of length
 // period and returns the completion count of each full window.
 func (tr *Trace) PeriodCounts(period rat.R, horizon rat.R) []int {
@@ -174,15 +163,6 @@ func (tr *Trace) BufferAt(node tree.NodeID, t rat.R) int {
 		held = s.Held
 	}
 	return held
-}
-
-// TotalBufferAt sums BufferAt over all nodes.
-func (tr *Trace) TotalBufferAt(t rat.R) int {
-	sum := 0
-	for id := 0; id < tr.Tree.Len(); id++ {
-		sum += tr.BufferAt(tree.NodeID(id), t)
-	}
-	return sum
 }
 
 // LastCompletion returns the time of the last completed task (zero, false

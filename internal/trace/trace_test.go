@@ -27,9 +27,6 @@ func TestCompletionCounting(t *testing.T) {
 	if got := tr.CompletedIn(rat.FromInt(3), rat.FromInt(6)); got != 3 {
 		t.Fatalf("CompletedIn[3,6) = %d", got) // 3,4,5
 	}
-	if got := tr.CompletedBy(rat.FromInt(4)); got != 4 {
-		t.Fatalf("CompletedBy(4) = %d", got)
-	}
 	if got := tr.PeriodCounts(rat.FromInt(4), rat.FromInt(10)); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("PeriodCounts = %v", got) // [1,2,3] then [4..7]
 	}
@@ -76,8 +73,8 @@ func TestBuffers(t *testing.T) {
 	if got := tr.BufferAt(1, rat.FromInt(9)); got != 0 {
 		t.Fatalf("BufferAt(1,9) = %d", got)
 	}
-	if got := tr.TotalBufferAt(rat.New(5, 2)); got != 5 {
-		t.Fatalf("TotalBufferAt = %d", got)
+	if got := tr.BufferAt(0, rat.New(5, 2)); got != 2 {
+		t.Fatalf("BufferAt(0,5/2) = %d", got)
 	}
 	mx := tr.MaxBufferHeld()
 	if mx[0] != 2 || mx[1] != 3 {

@@ -272,6 +272,38 @@ func TestWithCommTimeErrors(t *testing.T) {
 	}
 }
 
+// TestWithReturnTimesErrors: per-link result-return times come one per
+// node, are non-negative, and leave the root, which has no parent link,
+// at zero; a valid slice reads back per link.
+func TestWithReturnTimesErrors(t *testing.T) {
+	tr := sample(t)
+	p4 := tr.MustLookup("P4")
+	with := func(id NodeID, d rat.R) []rat.R {
+		ds := make([]rat.R, tr.Len())
+		ds[id] = d
+		return ds
+	}
+	for _, c := range []struct {
+		name string
+		ds   []rat.R
+	}{
+		{"wrong length", make([]rat.R, tr.Len()-1)},
+		{"negative", with(p4, rat.FromInt(-1))},
+		{"root", with(tr.Root(), rat.One)},
+	} {
+		if _, err := tr.WithReturnTimes(c.ds); err == nil {
+			t.Errorf("%s: return times %v accepted", c.name, c.ds)
+		}
+	}
+	ret, err := tr.WithReturnTimes(with(p4, rat.New(1, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ret.ReturnTime(p4).Equal(rat.New(1, 3)) || !ret.ReturnTime(tr.MustLookup("P1")).IsZero() {
+		t.Fatalf("return times read back as %s, %s", ret.ReturnTime(p4), ret.ReturnTime(tr.MustLookup("P1")))
+	}
+}
+
 func TestEqualDetectsDifferences(t *testing.T) {
 	a := sample(t)
 	b := sample(t)

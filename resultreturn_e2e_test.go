@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"bwc"
-	"bwc/internal/resultflow"
+	"bwc/internal/graphlp"
 	"bwc/internal/treegen"
 )
 
@@ -23,8 +23,8 @@ P2 M  1/2 1   1/2
 // model predicts 1, and an actual engine run must realize the separate
 // flows — every result drained to the root, the conformance analyzer's
 // result-return verdict PASS (its folded-model detector asserts the
-// measured rate exceeds the folded bound). The isolated resultflow LP
-// stays as a cross-check oracle against the general lp path.
+// measured rate exceeds the folded bound). The graph layer's own
+// separate-flows LP stays as an independent oracle for the tree LP.
 func TestE10ResultReturnEndToEnd(t *testing.T) {
 	tr, err := bwc.ParsePlatformString(counterExamplePlatform)
 	if err != nil {
@@ -52,18 +52,23 @@ func TestE10ResultReturnEndToEnd(t *testing.T) {
 		t.Fatalf("folded baseline %s, want 1", folded)
 	}
 
-	// Cross-check: the isolated resultflow LP must agree with the
-	// general pipeline on the same platform.
-	p, err := resultflow.UniformResult(tr, bwc.Rat(1, 2))
+	// Cross-check: the same star built as a platform graph, solved by
+	// the graph layer's separate-flows LP (an independent formulation),
+	// must agree with the tree LP.
+	g := bwc.NewGraphBuilder().
+		Switch("M").
+		Node("P1", bwc.RatInt(1)).
+		Node("P2", bwc.RatInt(1)).
+		Link("M", "P1", bwc.Rat(1, 2)).
+		Link("M", "P2", bwc.Rat(1, 2)).
+		Master("M").
+		MustBuild()
+	graphOpt, err := graphlp.OptimalThroughputWithReturns(g, bwc.Rat(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rfOpt, _, err := p.OptimalThroughput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rfOpt.Equal(exact) {
-		t.Fatalf("resultflow LP %s disagrees with general LP %s", rfOpt, exact)
+	if !graphOpt.Equal(exact) {
+		t.Fatalf("graph LP %s disagrees with tree LP %s", graphOpt, exact)
 	}
 
 	// Engine layer: run a batch, require full drain and the analyzer's
