@@ -25,8 +25,12 @@ build:
 test:
 	$(GO) test -count=2 ./...
 
+# e2ebench is a module of its own (replace bwc => ../), so the root
+# ./... never compiles it; vet it too so a facade change that breaks the
+# benchmark fails here.
 vet:
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet ./...
 
 race:
 	$(GO) test -race . ./internal/tree ./internal/engine ./internal/proto ./internal/runtime ./internal/adapt ./internal/sim ./internal/obs ./internal/obs/analyze ./internal/server ./api/v1 ./cmd/bwsched

@@ -2,12 +2,12 @@ package bwc
 
 // Adaptive runtime: the closed loop the paper leaves open in Section 5.
 // BW-First is cheap enough to re-run whenever the platform drifts, so
-// SimulateAdaptive / ExecuteAdaptive inject faults on a timeline, watch
-// windowed per-node throughput (and, in simulation, buffer watermarks)
-// against the active schedule, re-negotiate on the measured platform —
-// crashed children pruned by the resilient wave after bounded retries —
-// and hot-swap the new schedule at a period boundary without stopping
-// the run. See internal/adapt.
+// SimulateAdaptive and SimulateChurn inject faults on a timeline, watch
+// windowed per-node throughput and buffer watermarks against the active
+// schedule, re-negotiate on the measured platform — crashed children
+// pruned by the resilient wave after bounded retries — and hot-swap the
+// new schedule at a period boundary without stopping the run. See
+// internal/adapt.
 
 import (
 	"bwc/internal/adapt"
@@ -16,9 +16,6 @@ import (
 
 // Adaptive-runtime types.
 type (
-	// AdaptOptions is the full adaptive-controller configuration
-	// (WithAdaptOptions seeds it; dedicated options override fields).
-	AdaptOptions = adapt.Options
 	// Fault is one scripted perturbation of the platform at a point in
 	// virtual time.
 	Fault = adapt.Fault
@@ -30,8 +27,6 @@ type (
 	// verification run, the adaptation log, and the pre-/post-swap
 	// conformance reports.
 	AdaptReport = adapt.SimReport
-	// AdaptExecReport is the outcome of an ExecuteAdaptive run.
-	AdaptExecReport = adapt.ExecReport
 	// DriftReport is one detected deviation from the active schedule.
 	DriftReport = adapt.Drift
 	// DriftWindow is the windowed statistic that fired the detector.
@@ -102,24 +97,6 @@ func RandomFaults(t *Tree, seed int64, n int, horizon Rational) []Fault {
 // timelines.
 func SimulateAdaptive(s *Schedule, opts ...Option) (*AdaptReport, error) {
 	return adapt.SimulateAdaptive(s, buildCfg(opts).buildAdaptOptions())
-}
-
-// ExecuteAdaptive runs a finite batch (WithTasks, WithScale) on the real
-// goroutine runtime with the fault timeline injected at wall-clock
-// instants and a monitor goroutine watching the per-node execution
-// counters window by window; on drift it re-solves and hot-swaps
-// mid-batch. The batch always runs to completion — adaptation errors are
-// reported alongside the completed report, never by abandoning in-flight
-// tasks. Wall-clock detection jitters, so thresholds should be looser
-// than in simulation.
-func ExecuteAdaptive(s *Schedule, opts ...Option) (*AdaptExecReport, error) {
-	cfg := buildCfg(opts)
-	return adapt.ExecuteAdaptive(s, adapt.ExecOptions{
-		Options: cfg.buildAdaptOptions(),
-		Tasks:   cfg.tasks,
-		Scale:   cfg.scale,
-		Work:    cfg.work,
-	})
 }
 
 // DetectDrift runs the detection half of the loop without ever adapting:

@@ -33,7 +33,7 @@
 // bwc.WithPeriods / bwc.WithTasks set horizons and batch sizes,
 // bwc.WithTimeout / bwc.WithRetry make the distributed protocol
 // resilient to unresponsive nodes, and bwc.WithFaults drives the
-// adaptive runtime (SimulateAdaptive / ExecuteAdaptive).
+// adaptive runtime (SimulateAdaptive / SimulateChurn).
 //
 // Solve runs the paper's BW-First transaction procedure; SolveDistributed
 // runs the same procedure with one goroutine per node exchanging single
@@ -197,15 +197,6 @@ type MetricsServer = runtime.MetricsServer
 // free port; the bound address is in the returned server's Addr).
 func ServeObserverMetrics(o *Observer, addr string) (*MetricsServer, error) {
 	return runtime.ServeMetrics(o, addr)
-}
-
-// ServeObserverHealth is ServeObserverMetrics plus the live conformance
-// endpoints: a self-contained HTML dashboard at / (per-node progress vs
-// the schedule's α shares, buffer occupancy vs χ) and a machine-readable
-// /healthz that turns the same metrics into verdicts (HTTP 503 when any
-// fail). s supplies the expected values; nil serves metrics only.
-func ServeObserverHealth(o *Observer, s *Schedule, addr string) (*MetricsServer, error) {
-	return runtime.ServeHealth(o, s, addr)
 }
 
 // Conformance analysis: turning a run's telemetry into verdicts against

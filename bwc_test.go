@@ -2,8 +2,6 @@ package bwc_test
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -418,7 +416,8 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 // TestFacadeAnalyze drives the conformance loop through the public API:
 // an observed simulation passes AnalyzeRun, a trace export round-trips
 // through AnalyzeTrace, a degraded-link dynamic run fails
-// AnalyzeDynamicRun, and ServeObserverHealth serves live verdicts.
+// AnalyzeDynamicRun, and an observed wall-clock Execute passes
+// AnalyzeObserver.
 func TestFacadeAnalyze(t *testing.T) {
 	tr := bwc.PaperExampleTree()
 	s, err := bwc.BuildSchedule(bwc.Solve(tr))
@@ -478,20 +477,22 @@ func TestFacadeAnalyze(t *testing.T) {
 		t.Fatalf("buffer-watermark: %+v", c)
 	}
 
-	// Live endpoints.
-	ms, err := bwc.ServeObserverHealth(ob, s, "127.0.0.1:0")
-	if err != nil {
+	// A wall-clock run has one conformance path: AnalyzeObserver over the
+	// Observer attached to Execute. Its evidence is link spans and
+	// counters, so the exact-timing checks SKIP; the single-port scan
+	// must PASS and no check may FAIL.
+	live := bwc.NewObserver()
+	if _, err := bwc.Execute(s, bwc.WithTasks(200), bwc.WithScale(100*time.Microsecond), bwc.WithObserver(live)); err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Close()
-	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", ms.Addr))
-	if err != nil {
-		t.Fatal(err)
+	lrep := bwc.AnalyzeObserver(live, bwc.WithAnalyzeOptions(bwc.AnalyzeOptions{Schedule: s}))
+	if lrep.Failed != 0 {
+		var sb strings.Builder
+		lrep.WriteText(&sb)
+		t.Fatalf("observed execution failed %d checks:\n%s", lrep.Failed, sb.String())
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"healthy": true`) {
-		t.Fatalf("healthz %d:\n%s", resp.StatusCode, body)
+	if c := lrep.Check("single-port"); c == nil || c.Verdict != bwc.HealthPass {
+		t.Fatalf("single-port: %+v", c)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
-	"bwc/internal/engine"
 	"bwc/internal/obs"
 	"bwc/internal/obs/analyze"
 	"bwc/internal/proto"
@@ -16,7 +15,7 @@ import (
 	"bwc/internal/tree"
 )
 
-// Options configures an adaptive run (simulated or wall-clock).
+// Options configures an adaptive run.
 type Options struct {
 	// Faults is the scripted perturbation timeline (see RandomFaults for
 	// a generated one).
@@ -33,10 +32,6 @@ type Options struct {
 	// Consecutive is how many bad windows in a row fire the detector
 	// (default 2).
 	Consecutive int
-	// BufferSlack is the tolerated peak-buffer excess over χ per window
-	// (default 2: schedule transitions jitter occupancy by a task or
-	// two).
-	BufferSlack int
 	// MaxAdapts bounds the number of re-negotiations. 0 means the
 	// default (4). Negative means detect only: the first drift surfaces
 	// as ErrScheduleStale (DetectOnly wraps this).
@@ -46,15 +41,6 @@ type Options struct {
 	Timeout time.Duration
 	Backoff time.Duration
 	Retries int
-	// CrashFactor is the compute slowdown standing in for a fail-stopped
-	// process (its goroutines must still drain in wall-clock runs, so
-	// infinity is not an option). Zero uses 1<<20 in simulation and 16
-	// in wall-clock execution.
-	CrashFactor int64
-	// VerifyPeriods is how many rootless periods of the final schedule
-	// the post-swap verification window must cover; the verification run
-	// extends its horizon past Stop if needed (default 4).
-	VerifyPeriods int64
 	// Sched configures re-solved schedule construction.
 	Sched sched.Options
 	// Obs, when enabled, receives the controller's adaptation events and
@@ -62,15 +48,26 @@ type Options struct {
 	Obs *obs.Scope
 }
 
-func (o Options) withDefaults(crashDefault int64) Options {
+// Controller constants.
+const (
+	// bufferSlack is the tolerated peak-buffer excess over χ per window:
+	// schedule transitions jitter occupancy by a task or two.
+	bufferSlack = 2
+	// crashFactor is the compute slowdown standing in for a fail-stopped
+	// process.
+	crashFactor = 1 << 20
+	// verifyPeriods is how many tree periods of the final schedule the
+	// post-swap verification window must cover; the verification run
+	// extends its horizon past Stop if needed.
+	verifyPeriods = 4
+)
+
+func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = 0.85
 	}
 	if o.Consecutive <= 0 {
 		o.Consecutive = 2
-	}
-	if o.BufferSlack == 0 {
-		o.BufferSlack = 2
 	}
 	switch {
 	case o.MaxAdapts == 0:
@@ -78,18 +75,12 @@ func (o Options) withDefaults(crashDefault int64) Options {
 	case o.MaxAdapts < 0: // detect only
 		o.MaxAdapts = 0
 	}
-	if o.CrashFactor <= 0 {
-		o.CrashFactor = crashDefault
-	}
-	if o.VerifyPeriods <= 0 {
-		o.VerifyPeriods = 4
-	}
 	return o
 }
 
 // detector builds the detector configured by o.
 func (o Options) detector() *Detector {
-	return &Detector{Threshold: o.Threshold, BufferSlack: o.BufferSlack, Consecutive: o.Consecutive}
+	return &Detector{Threshold: o.Threshold, BufferSlack: bufferSlack, Consecutive: o.Consecutive}
 }
 
 func (o Options) resilient() proto.ResilientOptions {
@@ -116,14 +107,11 @@ type Adaptation struct {
 	// Drift is the detection that triggered the cycle.
 	Drift Drift
 	// SwapAt is the period boundary the stale schedule was deactivated
-	// at (the simulated controller swaps at the first boundary after
-	// detection; the wall-clock controller records the boundary it
-	// measured).
+	// at: the first root period boundary after detection.
 	SwapAt rat.R
 	// ResumeAt is when the new schedule started releasing: SwapAt plus
-	// the pause the simulated controller inserts to drain the stale
-	// backlog off the root's send port (equal to SwapAt when no drain
-	// was needed; the wall-clock runtime drains inside Swap itself).
+	// the pause the controller inserts to drain the stale backlog off
+	// the root's send port (equal to SwapAt when no drain was needed).
 	ResumeAt rat.R
 	// Throughput is the re-negotiated steady-state rate on the measured
 	// platform.
@@ -187,9 +175,9 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 	if !opt.Stop.IsPos() {
 		return nil, fmt.Errorf("adapt: Stop must be positive")
 	}
-	opt = opt.withDefaults(1 << 20)
+	opt = opt.withDefaults()
 	base := s.Tree
-	physics, err := Timeline(base, opt.Faults, rat.FromInt(opt.CrashFactor))
+	physics, err := Timeline(base, opt.Faults, rat.FromInt(crashFactor))
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +208,11 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 			obs.A("at", drift.At.String()),
 			obs.A("node", drift.Window.WorstNode),
 			obs.A("ratio", fmt.Sprintf("%.3f", drift.Window.MinRatio)))
-		// The engine classifies confirmed drift (exact detection instant:
-		// the simulated evidence is replayed, so t is not approximate).
 		if opt.MaxAdapts == 0 {
-			return rep, engine.StaleDrift(drift.At, false, drift.Window.WorstNode, drift.Window.MinRatio)
+			return rep, staleDrift(drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
 		}
 		if len(rep.Adaptations) >= opt.MaxAdapts {
-			return rep, engine.AdaptExhausted(drift.At, false, len(rep.Adaptations))
+			return rep, adaptExhausted(drift.At, len(rep.Adaptations))
 		}
 
 		measured := physicsAt(base, physics, drift.At)
@@ -239,10 +225,9 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 			return rep, err
 		}
 		// The stale regime kept releasing at its old rate onto the faulted
-		// platform, piling transfers onto the root's send port. Mirror the
-		// wall-clock runtime's drain-then-swap: pause the root at the
-		// boundary long enough for the backlog to clear, then start the
-		// new schedule from a clean port.
+		// platform, piling transfers onto the root's send port. Drain, then
+		// swap: pause the root at the boundary long enough for the backlog
+		// to clear, then start the new schedule from a clean port.
 		drain := drainBound(active, measured, swapAt.Sub(segStart))
 		resumeAt := swapAt
 		if drain.IsPos() {
@@ -278,7 +263,7 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 
 // verifyAndReport runs the verification pass shared by the adaptive and
 // churn controllers: extend the horizon so the final regime has
-// VerifyPeriods full tree periods past its settle time, re-simulate the
+// verifyPeriods full tree periods past its settle time, re-simulate the
 // grown timeline, and split the evidence at the swap boundaries. The
 // post window starts on the final schedule's tree-period grid (anchored
 // at the last swap) so that per-node steady-state expectations are
@@ -297,7 +282,7 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 		}
 		k := final.MaxStartupBound().Div(tp).Ceil()
 		postFrom = segStart.Add(k.Mul(tp))
-		verifyStop = rat.Max(verifyStop, postFrom.Add(tp.Mul(rat.FromInt(opt.VerifyPeriods))))
+		verifyStop = rat.Max(verifyStop, postFrom.Add(tp.Mul(rat.FromInt(verifyPeriods))))
 		onsetW = tp
 	}
 	run, err := simulateOnce(phases, physics, verifyStop)
@@ -398,8 +383,7 @@ func nextBoundary(active *sched.Schedule, segStart, detectedAt, stop rat.R) (rat
 
 // pauseSchedule returns old with its root deactivated: every other node
 // keeps its pattern (in-flight and buffered tasks still route and
-// compute), but the root releases nothing — the simulator's analogue of
-// the wall-clock master holding releases while the platform drains.
+// compute), but the root releases nothing while the platform drains.
 func pauseSchedule(old *sched.Schedule) *sched.Schedule {
 	pause := *old
 	pause.Nodes = append([]sched.NodeSchedule(nil), old.Nodes...)

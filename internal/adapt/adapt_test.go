@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"bwc/internal/bwcerr"
@@ -142,6 +143,26 @@ func TestCrashPrunesSubtree(t *testing.T) {
 			}
 		}
 		t.Fatalf("post-crash regime not healthy: %v", failing)
+	}
+}
+
+// TestDriftClassification: a confirmed drift surfaces as
+// ErrScheduleStale when adaptation is disabled and as ErrAdaptTimeout
+// once the adaptation budget is spent, with the detection instant.
+func TestDriftClassification(t *testing.T) {
+	err := staleDrift(rat.FromInt(120), "P1", 0.43)
+	if !errors.Is(err, bwcerr.ErrScheduleStale) {
+		t.Fatalf("staleDrift must wrap ErrScheduleStale: %v", err)
+	}
+	if want := "adapt: drift at t=120 (worst node P1 at 43% of α) with adaptation disabled"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %q, want substring %q", err, want)
+	}
+	err = adaptExhausted(rat.FromInt(300), 4)
+	if !errors.Is(err, bwcerr.ErrAdaptTimeout) {
+		t.Fatalf("adaptExhausted must wrap ErrAdaptTimeout: %v", err)
+	}
+	if want := "adapt: drift persists at t=300 after 4 adaptations"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %q, want substring %q", err, want)
 	}
 }
 

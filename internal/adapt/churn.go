@@ -206,7 +206,7 @@ func (o ChurnOptions) withChurnDefaults() ChurnOptions {
 	if !o.FlapWindow.IsPos() {
 		o.FlapWindow = o.Stop.Div(rat.FromInt(4))
 	}
-	o.Options = o.Options.withDefaults(1 << 20)
+	o.Options = o.Options.withDefaults()
 	return o
 }
 
@@ -283,7 +283,7 @@ func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
 	faults := GenerateChurn(base, opt.Stop, opt.Churn)
 	faults = append(faults, opt.Faults...)
 	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At.Less(faults[j].At) })
-	physics, err := Timeline(base, faults, rat.FromInt(opt.CrashFactor))
+	physics, err := Timeline(base, faults, rat.FromInt(crashFactor))
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +327,7 @@ func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
 		}
 		rep.logf("drift t=%s node=%s ratio=%.3f", drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
 		if len(rep.Adaptations) >= opt.MaxAdapts {
-			return rep, engine.AdaptExhausted(drift.At, false, len(rep.Adaptations))
+			return rep, adaptExhausted(drift.At, len(rep.Adaptations))
 		}
 
 		measured := physicsAt(base, physics, drift.At)

@@ -1,6 +1,9 @@
 package adapt
 
 import (
+	"fmt"
+
+	"bwc/internal/bwcerr"
 	"bwc/internal/obs/analyze"
 	"bwc/internal/rat"
 	"bwc/internal/sched"
@@ -74,4 +77,19 @@ func scan(ev *analyze.Evidence, s *sched.Schedule, segStart, settle, stop, windo
 		}
 	}
 	return Drift{}, false
+}
+
+// staleDrift classifies a confirmed drift while adaptation is disabled:
+// the deployed schedule no longer matches the platform and nothing will
+// fix it. Wraps bwcerr.ErrScheduleStale.
+func staleDrift(at rat.R, worstNode string, minRatio float64) error {
+	return fmt.Errorf("adapt: drift at t=%s (worst node %s at %.0f%% of α) with adaptation disabled: %w",
+		at, worstNode, minRatio*100, bwcerr.ErrScheduleStale)
+}
+
+// adaptExhausted classifies drift that survived the full adaptation
+// budget. Wraps bwcerr.ErrAdaptTimeout.
+func adaptExhausted(at rat.R, adaptations int) error {
+	return fmt.Errorf("adapt: drift persists at t=%s after %d adaptations: %w",
+		at, adaptations, bwcerr.ErrAdaptTimeout)
 }

@@ -10,10 +10,9 @@
 // platform (resilient mode: a crashed child is pruned after bounded
 // retries) and installs the new schedule at a period boundary.
 //
-// Two controllers share the machinery: SimulateAdaptive drives the exact
-// discrete-event simulator (deterministic, used by tests and the
-// `bwsched adapt` demo) and ExecuteAdaptive drives the wall-clock
-// goroutine runtime (internal/runtime).
+// Two controllers share the machinery, both on the exact discrete-event
+// simulator and both deterministic: SimulateAdaptive (the `bwsched adapt`
+// demo) and SimulateChurn, the churn-hardened loop (`bwsched churn`).
 package adapt
 
 import (
@@ -96,7 +95,7 @@ func (f Fault) String() string {
 // crashes scale the victim's w by crashFactor (its link is untouched; a
 // crashed switch changes no weight — it is pruned at negotiation time
 // instead). The returned changes share the base tree's shape, as
-// sim.SimulateDynamic and runtime.SetPhysics require.
+// sim.SimulateDynamic requires.
 func Timeline(base *tree.Tree, faults []Fault, crashFactor rat.R) ([]sim.PhysicsChange, error) {
 	if len(faults) == 0 {
 		return nil, nil

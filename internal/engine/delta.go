@@ -50,8 +50,7 @@ func samePattern(a, b *sched.NodeSchedule) bool {
 func (c *Core) InstallDelta(s *sched.Schedule, changed []tree.NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cur.Store(s)
-	c.hasRet.Store(s.ResultReturn || s.Tree.HasResultReturn())
+	c.hasRet = s.ResultReturn || s.Tree.HasResultReturn()
 	reset := make([]bool, len(c.nodes))
 	for _, id := range changed {
 		reset[id] = true

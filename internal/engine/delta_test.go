@@ -113,12 +113,14 @@ func TestInstallDeltaClampsCursor(t *testing.T) {
 		}
 	}
 	c.InstallDelta(&short, nil)
-	if c.Schedule() != &short {
-		t.Fatal("InstallDelta did not publish the schedule")
-	}
 	c.mu.Lock()
 	for i := range c.nodes {
-		if n := &c.nodes[i]; len(n.pattern) > 0 && n.cursor >= len(n.pattern) {
+		n := &c.nodes[i]
+		if len(n.pattern) != len(short.Nodes[i].Pattern) {
+			c.mu.Unlock()
+			t.Fatalf("node %d not re-pointed at the installed pattern", i)
+		}
+		if len(n.pattern) > 0 && n.cursor >= len(n.pattern) {
 			c.mu.Unlock()
 			t.Fatalf("node %d cursor %d out of range for pattern %d", i, n.cursor, len(n.pattern))
 		}

@@ -14,10 +14,10 @@
 //   - buffer watermark tracking (Proposition 3): the buffered-task count
 //     (compute + send queues, excluding tasks in service) and its peak,
 //     the quantity χ bounds;
-//   - drain/resume for hot-swap: released/completed accounting that
-//     tells a controller when every in-flight task has been computed
-//     (Quiescent), and Install, which atomically re-points every node at
-//     a new schedule's patterns with reset bunch cursors.
+//   - schedule switches for dynamic runs: Install atomically re-points
+//     every node at a new schedule's patterns with reset bunch cursors
+//     (InstallDelta only the changed nodes), and SetPhysics publishes
+//     re-measured platform weights.
 //
 // Backends parameterize the core with two small interfaces: a Clock that
 // schedules callbacks in the backend's time domain (exact rational
@@ -173,12 +173,11 @@ type Config struct {
 }
 
 // Core is the shared scheduling engine: the set of node automata of one
-// platform plus the drain/resume bookkeeping of a run.
+// platform plus the release/completion counters of a run.
 type Core struct {
 	mu    sync.Mutex
 	t     *tree.Tree // topology (names, parent/child structure); immutable
 	phys  atomic.Pointer[tree.Tree]
-	cur   atomic.Pointer[sched.Schedule]
 	nodes []node
 
 	clock     Clock
@@ -188,9 +187,7 @@ type Core struct {
 	nopHooks  bool        // hooks is NopHooks: skip the dispatch entirely
 	rec       *Recorder
 	best      bool
-	// hasRet gates all result paths; atomic because Quiescent reads it
-	// lock-free from monitor goroutines while Install writes it mid-swap.
-	hasRet atomic.Bool
+	hasRet    bool // gates all result paths; guarded by mu
 
 	released    atomic.Int64
 	completed   atomic.Int64
@@ -228,13 +225,12 @@ func New(cfg Config) *Core {
 		c.nopHooks = true
 	}
 	c.resHooks, _ = c.hooks.(ResultHooks)
-	c.hasRet.Store(cfg.Schedule.ResultReturn || t.HasResultReturn())
+	c.hasRet = cfg.Schedule.ResultReturn || t.HasResultReturn()
 	c.transport = cfg.Transport
 	if c.transport == nil {
 		c.transport = localTransport{c}
 	}
 	c.phys.Store(t)
-	c.cur.Store(cfg.Schedule)
 	for i := range c.nodes {
 		c.nodes[i] = node{id: tree.NodeID(i), pattern: cfg.Schedule.Nodes[i].Pattern}
 	}
@@ -253,17 +249,11 @@ func (lt localTransport) Deliver(child tree.NodeID, tk Task) { lt.c.Arrive(child
 // Tree returns the platform topology the core was built over.
 func (c *Core) Tree() *tree.Tree { return c.t }
 
-// Physics returns the platform weights currently in effect.
-func (c *Core) Physics() *tree.Tree { return c.phys.Load() }
-
 // SetPhysics publishes re-measured platform weights. Transfers and
 // computations already in service finish under the weights they started
 // with; every later task reads the new tree. Callers are responsible for
 // shape validation (SameShape).
 func (c *Core) SetPhysics(t *tree.Tree) { c.phys.Store(t) }
-
-// Schedule returns the schedule currently installed.
-func (c *Core) Schedule() *sched.Schedule { return c.cur.Load() }
 
 // Released counts tasks injected at the root so far.
 func (c *Core) Released() int64 { return c.released.Load() }
@@ -278,29 +268,15 @@ func (c *Core) Dropped() int64 { return c.dropped.Load() }
 // at the root count immediately). Zero on forward-only platforms.
 func (c *Core) ResultsHome() int64 { return c.resultsHome.Load() }
 
-// Quiescent reports whether every released task has been accounted for
-// (computed or dropped) — the drain condition a hot-swap must wait for
-// so the single-port discipline never sees a mixed period. On
-// result-return platforms the condition extends to the upward flow:
-// every computed task's result must be home, so no result transfer is
-// in flight across the swap either.
-func (c *Core) Quiescent() bool {
-	if c.completed.Load()+c.dropped.Load() < c.released.Load() {
-		return false
-	}
-	return !c.hasRet.Load() || c.resultsHome.Load() >= c.completed.Load()
-}
-
 // Install atomically re-points every node at the schedule's patterns and
-// resets the bunch cursors — the resume half of a hot-swap (and the phase
-// switch of a dynamic run). Swapping controllers must drain first
-// (Quiescent) unless stale in-flight tasks are acceptable (the dynamic
-// simulator's detection-lag experiments deliberately leave them).
+// resets the bunch cursors — the phase switch of a dynamic run. Nothing
+// is drained first: tasks already in flight route through the new
+// patterns when they arrive (the dynamic simulator's detection-lag
+// experiments deliberately leave them).
 func (c *Core) Install(s *sched.Schedule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cur.Store(s)
-	c.hasRet.Store(s.ResultReturn || s.Tree.HasResultReturn())
+	c.hasRet = s.ResultReturn || s.Tree.HasResultReturn()
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		n.pattern = s.Nodes[i].Pattern
@@ -442,22 +418,22 @@ func (c *Core) kickCompute(ns *node) {
 		c.hooks.ComputeStarted(ns.id, tk, w)
 	}
 	c.clock.After(w, func() {
-		// The hook runs before the CPU is freed: a backend's user payload
-		// (runtime.Config.Work) is part of the task's service time, so the
-		// next local task must not start under it.
-		if !c.nopHooks {
-			c.hooks.ComputeFinished(ns.id, tk)
-		}
+		// Record before the hook: a backend may end its run from the hook
+		// (the runtime closes its batch on the last task), and the record
+		// must already hold that compute. The hook still runs before the
+		// CPU is freed: a backend's user payload (runtime.Config.Work) is
+		// part of the task's service time, so the next local task must not
+		// start under it.
 		if c.rec != nil {
 			c.rec.compute(ns.id)
 		}
-		// completed increments before the result enters the upward flow, so
-		// Quiescent can never observe resultsHome caught up to a completed
-		// count that is about to grow.
+		if !c.nopHooks {
+			c.hooks.ComputeFinished(ns.id, tk)
+		}
 		c.completed.Add(1)
 		c.mu.Lock()
 		ns.computing = false
-		if c.hasRet.Load() {
+		if c.hasRet {
 			c.resultReady(ns.id, tk)
 		}
 		c.kickCompute(ns)
@@ -471,7 +447,7 @@ func (c *Core) kickCompute(ns *node) {
 // dispatches to the generalized port arbiter instead; the forward-only
 // path below is untouched so forward runs stay byte-identical.
 func (c *Core) kickSend(ns *node) {
-	if c.hasRet.Load() {
+	if c.hasRet {
 		c.kickSendRet(ns)
 		return
 	}
@@ -643,8 +619,8 @@ func (c *Core) sampleBuffer(ns *node) {
 }
 
 // SameShape checks two trees share names and parent structure (weights
-// may differ) — the invariant both SetPhysics and a hot-swap Install
-// require.
+// may differ) — the invariant both SetPhysics and a schedule switch
+// (Install) require.
 func SameShape(a, b *tree.Tree) error {
 	if a.Len() != b.Len() {
 		return fmt.Errorf("topology changed: %d vs %d nodes", a.Len(), b.Len())

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
-	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
 	"bwc/internal/des"
 	"bwc/internal/rat"
@@ -64,15 +62,48 @@ func TestBatchConservation(t *testing.T) {
 	if c.Released() != 19 || c.Completed() != 19 || c.Dropped() != 0 {
 		t.Fatalf("released=%d completed=%d dropped=%d", c.Released(), c.Completed(), c.Dropped())
 	}
-	if !c.Quiescent() {
-		t.Fatal("drained core not quiescent")
-	}
 	var total int64
 	for id := 0; id < s.Tree.Len(); id++ {
 		total += rec.Computes(tree.NodeID(id))
 	}
 	if total != 19 {
 		t.Fatalf("recorder computes sum to %d, want 19", total)
+	}
+}
+
+// computeOrderHooks checks at every ComputeFinished that the recorder
+// already counts the task the hook reports.
+type computeOrderHooks struct {
+	NopHooks
+	t    *testing.T
+	rec  *Recorder
+	seen []int64
+}
+
+func (h *computeOrderHooks) ComputeFinished(n tree.NodeID, tk Task) {
+	h.seen[n]++
+	if got := h.rec.Computes(n); got != h.seen[n] {
+		h.t.Errorf("node %d: recorder holds %d computes when ComputeFinished reports the %d-th", n, got, h.seen[n])
+	}
+}
+
+// TestRecorderCountsComputeBeforeHook: a backend may end its run from
+// ComputeFinished (the runtime closes its batch on the last task), so
+// the recorder must already hold that compute when the hook fires, or a
+// fingerprint read right after the run misses it.
+func TestRecorderCountsComputeBeforeHook(t *testing.T) {
+	s := twoWorkers(t)
+	eng := &des.Engine{}
+	rec := NewRecorder()
+	h := &computeOrderHooks{t: t, rec: rec, seen: make([]int64, s.Tree.Len())}
+	c := New(Config{Schedule: s, Clock: eng, Hooks: h, Recorder: rec})
+	runBatch(t, c, NewPacer(s, false), eng, 19)
+	var total int64
+	for _, v := range h.seen {
+		total += v
+	}
+	if total != 19 {
+		t.Fatalf("ComputeFinished fired %d times, want 19", total)
 	}
 }
 
@@ -154,9 +185,6 @@ func TestInstallResetsCursors(t *testing.T) {
 	// remaining tasks still route without panicking.
 	runBatch(t, c, p, eng, 5)
 	c.Install(s)
-	if c.Schedule() != s {
-		t.Fatal("Install did not publish the schedule")
-	}
 	runBatch(t, c, p, eng, 5)
 	if c.Completed() != 10 {
 		t.Fatalf("completed %d, want 10", c.Completed())
@@ -222,26 +250,5 @@ func TestPacerLaw(t *testing.T) {
 		if !burst.At(3, i).Equal(burst.PeriodStart(3)) {
 			t.Fatal("burst pacer must release at the period start")
 		}
-	}
-}
-
-func TestDriftClassification(t *testing.T) {
-	err := StaleDrift(rat.FromInt(120), false, "P1", 0.43)
-	if !errors.Is(err, bwcerr.ErrScheduleStale) {
-		t.Fatalf("StaleDrift must wrap ErrScheduleStale: %v", err)
-	}
-	if want := "adapt: drift at t=120 (worst node P1 at 43% of α) with adaptation disabled"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("got %q, want substring %q", err, want)
-	}
-	err = StaleDrift(rat.FromInt(120), true, "P1", 0.43)
-	if !strings.Contains(err.Error(), "t≈120") {
-		t.Fatalf("approx drift must render t≈: %v", err)
-	}
-	err = AdaptExhausted(rat.FromInt(300), false, 4)
-	if !errors.Is(err, bwcerr.ErrAdaptTimeout) {
-		t.Fatalf("AdaptExhausted must wrap ErrAdaptTimeout: %v", err)
-	}
-	if want := "adapt: drift persists at t=300 after 4 adaptations"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("got %q, want substring %q", err, want)
 	}
 }

@@ -26,12 +26,6 @@ type MetricsServer struct {
 // /debug/pprof/. It returns as soon as the listener is bound; scrape
 // while an Execute run is in flight, Close when done.
 func ServeMetrics(sc *obs.Scope, addr string) (*MetricsServer, error) {
-	return serveMux(sc, addr, nil)
-}
-
-// serveMux binds addr and serves the base endpoints (/metrics, pprof)
-// plus whatever extra installs on the mux.
-func serveMux(sc *obs.Scope, addr string, extra func(*http.ServeMux)) (*MetricsServer, error) {
 	if !sc.Enabled() {
 		return nil, fmt.Errorf("runtime: metrics server needs an enabled scope")
 	}
@@ -49,9 +43,6 @@ func serveMux(sc *obs.Scope, addr string, extra func(*http.ServeMux)) (*MetricsS
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if extra != nil {
-		extra(mux)
-	}
 	ms := &MetricsServer{
 		Addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},

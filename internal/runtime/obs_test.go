@@ -5,11 +5,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"bwc/internal/obs"
 	"bwc/internal/paperexample"
+	"bwc/internal/rat"
+	"bwc/internal/sim"
 	"bwc/internal/tree"
 )
 
@@ -90,4 +93,63 @@ func TestServeMetrics(t *testing.T) {
 	if _, err := ServeMetrics(nil, "127.0.0.1:0"); err == nil {
 		t.Fatal("nil scope accepted")
 	}
+}
+
+// TestConcurrentScrape hammers /metrics from many goroutines while
+// instruments keep writing — the data-race gate for the whole metrics
+// pipeline (run under -race by the Makefile).
+func TestConcurrentScrape(t *testing.T) {
+	sc := obs.New()
+	if _, err := sim.Simulate(schedule(t, paperexample.Tree()), sim.Options{Stop: rat.FromInt(200), Obs: sc}); err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ServeMetrics(sc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+
+	reg := sc.Registry()
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			ctr := reg.Counter("bwc_scrape_churn_total", "")
+			g := reg.GaugeLabeled("bwc_node_buffer_tasks", "", "node", "P1")
+			h := reg.HistogramLabeled("bwc_scrape_hist", "", []float64{1, 2, 4}, "w", fmt.Sprint(w))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ctr.Inc()
+				g.Set(int64(i % 3))
+				h.Observe(float64(i % 5))
+				h.Quantile(0.99)
+			}
+		}(w)
+	}
+
+	var scrapers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for i := 0; i < 25; i++ {
+				resp, err := http.Get(fmt.Sprintf("http://%s/metrics", ms.Addr))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	scrapers.Wait()
+	close(stop)
+	writers.Wait()
 }

@@ -18,14 +18,11 @@
 // period p at wall time (p + pos_k)·T^w·Scale, keeping the platform in
 // steady state from the start (Section 7).
 //
-// An execution is a live object (Start/Wait), not just a function call:
-// the platform physics can be re-measured mid-run (SetPhysics — every
-// timer reads the current tree) and the deployed schedule can be hot-
-// swapped (Swap — applied at a root period boundary after draining every
-// in-flight task through the engine's quiescence counters, so the
-// single-port discipline and the pattern-cursor routing stay consistent
-// across the transition). Snapshot exposes the per-node execution
-// counters the drift detector watches.
+// Execute runs one batch to completion on a fixed platform and schedule.
+// Adapting to a drifting platform (Section 5) is the job of the
+// simulated controllers in internal/adapt; this package is the
+// wall-clock reference the sim ≡ runtime differential test compares the
+// simulator against.
 //
 // Because routing is deterministic (pattern cursors), the per-node
 // execution counts of a batch are exactly reproducible even though wall
@@ -35,7 +32,6 @@ package runtime
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,8 +77,6 @@ type Report struct {
 	Total int
 	// Elapsed is the wall-clock makespan of the batch.
 	Elapsed time.Duration
-	// Swaps is the number of schedule hot-swaps applied during the run.
-	Swaps int
 	// MaxBuffered is the peak buffered-task count over all nodes (the
 	// engine's watermark — the quantity Proposition 3's χ bounds).
 	MaxBuffered int
@@ -91,15 +85,8 @@ type Report struct {
 	ResultsReturned int
 }
 
-// swapReq asks the master to install a new schedule at the next period
-// boundary; done receives the outcome exactly once.
-type swapReq struct {
-	s    *sched.Schedule
-	done chan error
-}
-
-// Execution is a live run of a batch.
-type Execution struct {
+// execution is the state of one running batch.
+type execution struct {
 	cfg  Config
 	core *engine.Core
 
@@ -108,13 +95,9 @@ type Execution struct {
 	nHome    atomic.Int64
 	hasRet   bool          // batch only finishes once every result is home
 	doneCh   chan struct{} // closed when the batch finishes (see hasRet)
-	swapCh   chan swapReq
-	swaps    atomic.Int64
 
 	start   time.Time
-	elapsed atomic.Int64 // makespan in ns, set once at completion
-	master  sync.WaitGroup
-	waited  bool
+	elapsed time.Duration // makespan, written once before doneCh closes
 
 	// Pre-registered instruments and track names (nil when unobserved)
 	// so the hook path builds no strings and takes no registry locks.
@@ -125,16 +108,6 @@ type Execution struct {
 	bufMaxG   []*obs.Gauge
 	linkTrack []string     // "<parent>→<child>", indexed by child node
 	sendSpan  []obs.SpanID // active transfer span, indexed by sender
-}
-
-// Execute runs a batch of cfg.Tasks tasks to completion and reports the
-// per-node execution counts and the wall-clock makespan.
-func Execute(cfg Config) (*Report, error) {
-	e, err := Start(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Wait()
 }
 
 // checkSchedule validates a schedule for execution.
@@ -158,16 +131,15 @@ func checkSchedule(s *sched.Schedule) error {
 
 // wallClock realizes engine durations as scaled timers. Callbacks run on
 // timer goroutines; the engine serializes its own state.
-type wallClock struct{ e *Execution }
+type wallClock struct{ e *execution }
 
 func (c wallClock) After(d rat.R, fn func()) {
 	time.AfterFunc(c.e.scaleOf(d), fn)
 }
 
 // hooks adapts the engine's transition stream to the runtime's report
-// counters, completion signal and observability (kept off the public
-// Execution API).
-type hooks struct{ e *Execution }
+// counters, completion signal and observability.
+type hooks struct{ e *execution }
 
 func (h hooks) ComputeStarted(n tree.NodeID, tk engine.Task, w rat.R) {}
 
@@ -184,7 +156,7 @@ func (h hooks) ComputeFinished(n tree.NodeID, tk engine.Task) {
 	// result reaches the root (ResultHome closes doneCh); forward-only
 	// runs finish on the last computation, exactly as before.
 	if e.nDone.Add(1) == int64(e.cfg.Tasks) && !e.hasRet {
-		e.elapsed.Store(int64(time.Since(e.start)))
+		e.elapsed = time.Since(e.start)
 		close(e.doneCh)
 	}
 }
@@ -236,14 +208,14 @@ func (h hooks) ResultHome(tk engine.Task) {
 	e := h.e
 	e.retCtr.Inc()
 	if e.nHome.Add(1) == int64(e.cfg.Tasks) {
-		e.elapsed.Store(int64(time.Since(e.start)))
+		e.elapsed = time.Since(e.start)
 		close(e.doneCh)
 	}
 }
 
-// Start launches the engine and the clocked master and returns the live
-// execution. Wait must be called to collect the report.
-func Start(cfg Config) (*Execution, error) {
+// Execute runs a batch of cfg.Tasks tasks to completion and reports the
+// per-node execution counts and the wall-clock makespan.
+func Execute(cfg Config) (*Report, error) {
 	if err := checkSchedule(cfg.Schedule); err != nil {
 		return nil, err
 	}
@@ -256,12 +228,11 @@ func Start(cfg Config) (*Execution, error) {
 	s := cfg.Schedule
 	t := s.Tree
 
-	e := &Execution{
+	e := &execution{
 		cfg:      cfg,
 		executed: make([]atomic.Int64, t.Len()),
 		hasRet:   s.ResultReturn || t.HasResultReturn(),
 		doneCh:   make(chan struct{}),
-		swapCh:   make(chan swapReq),
 	}
 
 	// Instruments, pre-registered so the hook path only touches atomics.
@@ -299,151 +270,11 @@ func Start(cfg Config) (*Execution, error) {
 	})
 
 	e.start = time.Now()
-	e.master.Add(1)
-	go e.runMaster()
-	return e, nil
-}
-
-func (e *Execution) scaleOf(v rat.R) time.Duration {
-	return time.Duration(v.Float64() * float64(e.cfg.Scale))
-}
-
-// runMaster paces the batch release and serves swap requests at period
-// boundaries. Pacing is re-anchored after every swap so the new pattern's
-// slot offsets are honored from a clean boundary.
-func (e *Execution) runMaster() {
-	defer e.master.Done()
-	pacer := engine.NewPacer(e.core.Schedule(), false)
-	released := 0
-	anchor := e.start
-	p := int64(0)
-	for released < e.cfg.Tasks {
-		// A swap may only happen here: between periods, nothing has been
-		// released into the current period yet.
-		select {
-		case req := <-e.swapCh:
-			if err := e.applySwap(req); err == nil {
-				anchor, p = time.Now(), 0
-				pacer = engine.NewPacer(e.core.Schedule(), false)
-			}
-		default:
-		}
-		for i := 0; i < pacer.Len() && released < e.cfg.Tasks; i++ {
-			at := pacer.At(p, i)
-			if wait := e.scaleOf(at) - time.Since(anchor); wait > 0 {
-				time.Sleep(wait)
-			}
-			e.core.Release(pacer.Dest(i), engine.Task{ID: released})
-			released++
-		}
-		p++
-	}
-	// All tasks are in flight; refuse late swaps while waiting for the
-	// batch to finish.
-	for {
-		select {
-		case req := <-e.swapCh:
-			req.done <- fmt.Errorf("runtime: batch already fully released")
-		case <-e.doneCh:
-			return
-		}
-	}
-}
-
-// applySwap drains the platform (every released task computed — the
-// engine's quiescence condition), installs the new per-node patterns
-// atomically through the engine, and acknowledges the request. Called by
-// the master between periods.
-func (e *Execution) applySwap(req swapReq) error {
-	old := e.core.Schedule()
-	err := checkSchedule(req.s)
-	if err == nil {
-		if terr := engine.SameShape(old.Tree, req.s.Tree); terr != nil {
-			err = fmt.Errorf("runtime: swap: %v", terr)
-		}
-	}
-	if err != nil {
-		req.done <- err
-		return err
-	}
-	// Drain: in-flight bunches finish under the old routing, so the
-	// single-port discipline never sees a mixed period.
-	for !e.core.Quiescent() {
-		time.Sleep(e.cfg.Scale / 4)
-	}
-	e.core.Install(req.s)
-	e.swaps.Add(1)
-	req.done <- nil
-	return nil
-}
-
-// SetPhysics publishes a re-measured platform (same topology, new
-// weights). Timers started before the call finish under the old weights;
-// every later task reads the new tree — the wall-clock analogue of
-// sim.PhysicsChange.
-func (e *Execution) SetPhysics(t *tree.Tree) error {
-	if err := engine.SameShape(e.core.Physics(), t); err != nil {
-		return fmt.Errorf("runtime: physics: %v", err)
-	}
-	e.core.SetPhysics(t)
-	return nil
-}
-
-// Physics returns the platform tree currently in effect.
-func (e *Execution) Physics() *tree.Tree { return e.core.Physics() }
-
-// Schedule returns the schedule currently deployed.
-func (e *Execution) Schedule() *sched.Schedule { return e.core.Schedule() }
-
-// Snapshot returns the current per-node execution counts (indexed by
-// NodeID). Safe to call concurrently with the run.
-func (e *Execution) Snapshot() []int64 {
-	out := make([]int64, len(e.executed))
-	for i := range e.executed {
-		out[i] = e.executed[i].Load()
-	}
-	return out
-}
-
-// Completed returns how many tasks of the batch have been computed.
-func (e *Execution) Completed() int { return int(e.nDone.Load()) }
-
-// Done exposes completion: the channel closes when the last task of the
-// batch has been computed.
-func (e *Execution) Done() <-chan struct{} { return e.doneCh }
-
-// Swap installs a new schedule: the master stops releasing at the next
-// period boundary, waits until every released task has been computed
-// (draining all in-flight bunches), then atomically publishes the new
-// per-node patterns and re-anchors its pacing clock. Blocks until the
-// swap is applied or rejected; returns an error if the new schedule is
-// invalid, shaped differently, or the batch already fully released.
-func (e *Execution) Swap(s *sched.Schedule) error {
-	return e.swap(swapReq{s: s, done: make(chan error, 1)})
-}
-
-func (e *Execution) swap(req swapReq) error {
-	select {
-	case e.swapCh <- req:
-	case <-e.doneCh:
-		return fmt.Errorf("runtime: batch already complete")
-	}
-	return <-req.done
-}
-
-// Wait blocks until the batch completes and returns the report. It may
-// be called once.
-func (e *Execution) Wait() (*Report, error) {
-	if e.waited {
-		panic("runtime: Wait called twice")
-	}
-	e.waited = true
+	e.runMaster()
 	<-e.doneCh
-	e.master.Wait()
 	rep := &Report{
 		Executed:        make([]int, len(e.executed)),
-		Elapsed:         time.Duration(e.elapsed.Load()),
-		Swaps:           int(e.swaps.Load()),
+		Elapsed:         e.elapsed,
 		MaxBuffered:     e.core.MaxWatermark(),
 		ResultsReturned: int(e.core.ResultsHome()),
 	}
@@ -451,8 +282,28 @@ func (e *Execution) Wait() (*Report, error) {
 		rep.Executed[i] = int(e.executed[i].Load())
 		rep.Total += rep.Executed[i]
 	}
-	if rep.Total != e.cfg.Tasks {
-		return rep, fmt.Errorf("runtime: executed %d of %d tasks", rep.Total, e.cfg.Tasks)
+	if rep.Total != cfg.Tasks {
+		return rep, fmt.Errorf("runtime: executed %d of %d tasks", rep.Total, cfg.Tasks)
 	}
 	return rep, nil
+}
+
+func (e *execution) scaleOf(v rat.R) time.Duration {
+	return time.Duration(v.Float64() * float64(e.cfg.Scale))
+}
+
+// runMaster paces the batch release: task k of period p leaves the root
+// at (p + pos_k)·T^w·Scale after the start.
+func (e *execution) runMaster() {
+	pacer := engine.NewPacer(e.cfg.Schedule, false)
+	released := 0
+	for p := int64(0); released < e.cfg.Tasks; p++ {
+		for i := 0; i < pacer.Len() && released < e.cfg.Tasks; i++ {
+			if wait := e.scaleOf(pacer.At(p, i)) - time.Since(e.start); wait > 0 {
+				time.Sleep(wait)
+			}
+			e.core.Release(pacer.Dest(i), engine.Task{ID: released})
+			released++
+		}
+	}
 }

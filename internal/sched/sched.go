@@ -159,6 +159,15 @@ type nodeRates struct {
 	active bool
 }
 
+// recv is the node's receive rate η_{-1} = η_0 + Σ η_i.
+func (nr nodeRates) recv() rat.R {
+	r := nr.alpha
+	for _, v := range nr.sends {
+		r = r.Add(v)
+	}
+	return r
+}
+
 // Build constructs the full schedule from a BW-First result.
 func Build(res *bwfirst.Result, opt Options) (*Schedule, error) {
 	t := res.Tree
@@ -266,10 +275,7 @@ func (s *Schedule) buildNode(id tree.NodeID, nr nodeRates, opt Options) error {
 	ns.Node = id
 	ns.Alpha = nr.alpha
 	ns.Sends = nr.sends
-	ns.RecvRate = nr.alpha
-	for _, v := range nr.sends {
-		ns.RecvRate = ns.RecvRate.Add(v)
-	}
+	ns.RecvRate = nr.recv()
 	ns.Active = nr.active
 	if s.ResultReturn && ns.Active && id != t.Root() {
 		ns.ReturnRate = ns.RecvRate

@@ -63,7 +63,10 @@ func (s *Schedule) MarshalDeployment() ([]byte, error) {
 // UnmarshalDeployment rebuilds a schedule for platform t from a deployment
 // document: rates are recovered as η = ψ/T^w and every derived quantity
 // (periods, bunches, patterns) is recomputed locally, exactly as a
-// deployed node would.
+// deployed node would. The document comes from outside the program, so
+// rates that describe no steady state are an error: a negative ψ, a
+// computing switch, or a node that does not receive exactly what its
+// parent sends it.
 func UnmarshalDeployment(t *tree.Tree, data []byte, opt Options) (*Schedule, error) {
 	var nodes []wireNode
 	if err := json.Unmarshal(data, &nodes); err != nil {
@@ -89,6 +92,12 @@ func UnmarshalDeployment(t *tree.Tree, data []byte, opt Options) (*Schedule, err
 		if err != nil {
 			return nil, fmt.Errorf("sched: node %q: psi0: %v", w.Name, err)
 		}
+		if psi0.IsNeg() {
+			return nil, fmt.Errorf("sched: node %q: negative ψ_0", w.Name)
+		}
+		if psi0.IsPos() && t.IsSwitch(id) {
+			return nil, fmt.Errorf("sched: node %q: a switch cannot compute", w.Name)
+		}
 		nr := &rates[id]
 		nr.alpha = psi0.Div(tw)
 		nr.active = true
@@ -102,10 +111,23 @@ func UnmarshalDeployment(t *tree.Tree, data []byte, opt Options) (*Schedule, err
 			if err != nil {
 				return nil, fmt.Errorf("sched: node %q: ψ(%s): %v", w.Name, childName, err)
 			}
+			if p.IsNeg() {
+				return nil, fmt.Errorf("sched: node %q: negative ψ(%s)", w.Name, childName)
+			}
 			for j, c := range children {
 				if c == cid {
 					nr.sends[j] = p.Div(tw)
 				}
+			}
+		}
+	}
+	// Flow conservation: without it Lemma 1's φ_{-1} = η_{-1}·T^r need not
+	// be an integer.
+	for p := range rates {
+		for j, c := range t.Children(tree.NodeID(p)) {
+			if recv, sent := rates[c].recv(), rates[p].sends[j]; !recv.Equal(sent) {
+				return nil, fmt.Errorf("sched: node %q receives %s tasks per time unit but %q sends it %s",
+					t.Name(c), recv, t.Name(tree.NodeID(p)), sent)
 			}
 		}
 	}

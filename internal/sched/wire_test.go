@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"bwc/internal/bwfirst"
+	"bwc/internal/rat"
+	"bwc/internal/tree"
 	"bwc/internal/treegen"
 )
 
@@ -76,24 +78,62 @@ func TestDeploymentRoundTripAcrossGenerators(t *testing.T) {
 	}
 }
 
+// deploymentErrors are documents UnmarshalDeployment must reject on
+// the paper tree.
+var deploymentErrors = []string{
+	`[{"name":"nope","tw":"1","psi0":"1"}]`,
+	`[{"name":"P0","tw":"x","psi0":"1"}]`,
+	`[{"name":"P0","tw":"0","psi0":"1"}]`,
+	`[{"name":"P0","tw":"1","psi0":"x"}]`,
+	`[{"name":"P0","tw":"1","psi0":"1","psi":{"P3":"1"}}]`, // P3 not P0's child
+	`[{"name":"P0","tw":"1","psi0":"1","psi":{"P1":"zz"}}]`,
+	`[{"name":"P1","tw":"2","psi0":"1"}]`,                   // P0 never sends P1 what P1 computes
+	`[{"name":"P0","tw":"1","psi0":"-1"}]`,                  // negative ψ_0
+	`[{"name":"P0","tw":"2","psi0":"1","psi":{"P1":"-3"}}]`, // negative ψ_i
+}
+
 func TestDeploymentErrors(t *testing.T) {
 	tr := paperTree()
 	if _, err := UnmarshalDeployment(tr, []byte("{"), Options{}); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
-	cases := []string{
-		`[{"name":"nope","tw":"1","psi0":"1"}]`,
-		`[{"name":"P0","tw":"x","psi0":"1"}]`,
-		`[{"name":"P0","tw":"0","psi0":"1"}]`,
-		`[{"name":"P0","tw":"1","psi0":"x"}]`,
-		`[{"name":"P0","tw":"1","psi0":"1","psi":{"P3":"1"}}]`, // P3 not P0's child
-		`[{"name":"P0","tw":"1","psi0":"1","psi":{"P1":"zz"}}]`,
-	}
-	for _, c := range cases {
+	for _, c := range deploymentErrors {
 		if _, err := UnmarshalDeployment(tr, []byte(c), Options{}); err == nil {
 			t.Fatalf("accepted %s", c)
 		}
 	}
+	hub := tree.NewBuilder().RootSwitch("s").Child("s", "w", rat.One, rat.One).MustBuild()
+	if _, err := UnmarshalDeployment(hub, []byte(`[{"name":"s","tw":"1","psi0":"1"}]`), Options{}); err == nil {
+		t.Fatal("computing switch accepted")
+	}
+}
+
+// FuzzUnmarshalDeployment: a deployment document comes from outside the
+// program, so whatever it holds UnmarshalDeployment must not panic, and
+// every schedule it accepts must pass its own invariants.
+func FuzzUnmarshalDeployment(f *testing.F) {
+	tr := paperTree()
+	s, err := Build(bwfirst.Solve(tr), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	doc, err := s.MarshalDeployment()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc)
+	for _, c := range deploymentErrors {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalDeployment(tr, data, Options{})
+		if err != nil {
+			return
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("accepted %q: %v", data, err)
+		}
+	})
 }
 
 func TestDeploymentIsCompact(t *testing.T) {

@@ -20,10 +20,9 @@ import (
 //
 // Options that do not apply to a call are ignored, so shared helpers can
 // pass one option slice to several entry points. The struct-typed escape
-// hatches (WithSimOptions, WithScheduleOptions, WithAnalyzeOptions,
-// WithExecuteConfig, WithAdaptOptions) seed the full configuration for
-// the rare fields without a dedicated option; dedicated options applied
-// after them override the seeded fields.
+// hatches (WithSimOptions, WithScheduleOptions, WithAnalyzeOptions) seed
+// the full configuration for the rare fields without a dedicated option;
+// dedicated options applied after them override the seeded fields.
 type Option func(*callCfg)
 
 // callCfg accumulates the option state for one call; each entry point
@@ -31,8 +30,8 @@ type Option func(*callCfg)
 type callCfg struct {
 	obs *Observer
 
-	// Resilient negotiation (SolveDistributed, SimulateAdaptive,
-	// ExecuteAdaptive).
+	// Resilient negotiation (SolveDistributed and the re-solves of
+	// SimulateAdaptive / SimulateChurn).
 	timeout      time.Duration
 	backoff      time.Duration
 	retries      int
@@ -40,7 +39,7 @@ type callCfg struct {
 	resilient    bool
 
 	// Horizon and batch size (Simulate, Execute, SimulateAdaptive,
-	// ExecuteAdaptive).
+	// SimulateChurn).
 	stop       Rational
 	periods    int
 	tasks      int
@@ -52,18 +51,16 @@ type callCfg struct {
 	// UnmarshalDeployment, and re-solves inside the adaptive loop).
 	schedOptions ScheduleOptions
 
-	// Wall-clock execution (Execute, ExecuteAdaptive).
-	scale      time.Duration
-	work       func(NodeID, int)
-	execConfig ExecuteConfig
-	execSet    bool
+	// Wall-clock execution (Execute).
+	scale time.Duration
+	work  func(NodeID, int)
 
 	// Conformance analysis (AnalyzeRun and friends).
 	anOptions AnalyzeOptions
 	anSet     bool
 
-	// Adaptive runtime (SimulateAdaptive, ExecuteAdaptive, DetectDrift).
-	adaptOptions AdaptOptions
+	// Adaptive runtime (SimulateAdaptive, DetectDrift, SimulateChurn).
+	adaptOptions adapt.Options
 	faults       []Fault
 	detectOnly   bool
 
@@ -98,7 +95,7 @@ func WithObserver(o *Observer) Option {
 // negotiation wave: a proposal unacknowledged for this long is retried
 // (WithRetry) with linear backoff (WithBackoff). It applies to
 // SolveDistributed and to the re-solve waves inside SimulateAdaptive /
-// ExecuteAdaptive. Zero keeps the default (50ms).
+// SimulateChurn. Zero keeps the default (50ms).
 func WithTimeout(d time.Duration) Option {
 	return func(c *callCfg) { c.timeout = d; c.resilient = true }
 }
@@ -141,8 +138,7 @@ func WithPeriods(n int) Option {
 }
 
 // WithTasks sets the finite batch size: Simulate releases exactly n
-// tasks and stops; Execute and ExecuteAdaptive run the batch to
-// completion.
+// tasks and stops; Execute runs the batch to completion.
 func WithTasks(n int) Option {
 	return func(c *callCfg) { c.tasks = n }
 }
@@ -177,22 +173,15 @@ func WithBlock() Option {
 }
 
 // WithScale converts one virtual time unit to the given wall-clock
-// duration in Execute and ExecuteAdaptive.
+// duration in Execute.
 func WithScale(d time.Duration) Option {
 	return func(c *callCfg) { c.scale = d }
 }
 
 // WithWork installs the per-task payload run on the executing node's
-// goroutine in Execute and ExecuteAdaptive.
+// goroutine in Execute.
 func WithWork(f func(node NodeID, task int)) Option {
 	return func(c *callCfg) { c.work = f }
-}
-
-// WithExecuteConfig seeds the full execution configuration; the
-// schedule argument of Execute and dedicated options applied after it
-// override the seeded fields.
-func WithExecuteConfig(cfg ExecuteConfig) Option {
-	return func(c *callCfg) { c.execConfig = cfg; c.execSet = true }
 }
 
 // WithAnalyzeOptions seeds the full conformance-analysis configuration
@@ -203,8 +192,8 @@ func WithAnalyzeOptions(o AnalyzeOptions) Option {
 }
 
 // WithFaults appends scripted perturbations to the fault timeline of
-// SimulateAdaptive / ExecuteAdaptive (see DegradeLink, SlowNode,
-// CrashNode, RandomFaults).
+// SimulateAdaptive, DetectDrift and SimulateChurn (see DegradeLink,
+// SlowNode, CrashNode, RandomFaults).
 func WithFaults(faults ...Fault) Option {
 	return func(c *callCfg) { c.faults = append(c.faults, faults...) }
 }
@@ -239,27 +228,6 @@ func WithMaxAdapts(n int) Option {
 // re-solve. DetectDrift is shorthand for SimulateAdaptive with this.
 func WithDetectOnly() Option {
 	return func(c *callCfg) { c.detectOnly = true }
-}
-
-// WithCrashFactor sets the compute slowdown standing in for a
-// fail-stopped process (zero keeps the controller defaults: 1<<20 in
-// simulation, 16 in wall-clock execution, where the goroutines must
-// still drain).
-func WithCrashFactor(factor int64) Option {
-	return func(c *callCfg) { c.adaptOptions.CrashFactor = factor }
-}
-
-// WithVerifyPeriods sets how many periods of the final schedule the
-// post-swap verification window must cover (default 4); the adaptive
-// run extends its horizon past the stop time if needed.
-func WithVerifyPeriods(n int64) Option {
-	return func(c *callCfg) { c.adaptOptions.VerifyPeriods = n }
-}
-
-// WithAdaptOptions seeds the full adaptive-controller configuration;
-// dedicated options applied after it override the seeded fields.
-func WithAdaptOptions(o AdaptOptions) Option {
-	return func(c *callCfg) { c.adaptOptions = o }
 }
 
 // WithChurn seeds the stochastic churn generator of SimulateChurn: the
@@ -325,21 +293,7 @@ func (c callCfg) buildResilientOptions() proto.ResilientOptions {
 }
 
 func (c callCfg) buildExecConfig(s *Schedule) ExecuteConfig {
-	cfg := c.execConfig
-	cfg.Schedule = s
-	if c.tasks > 0 {
-		cfg.Tasks = c.tasks
-	}
-	if c.scale > 0 {
-		cfg.Scale = c.scale
-	}
-	if c.work != nil {
-		cfg.Work = c.work
-	}
-	if c.obs != nil {
-		cfg.Obs = c.obs
-	}
-	return cfg
+	return ExecuteConfig{Schedule: s, Tasks: c.tasks, Scale: c.scale, Work: c.work, Obs: c.obs}
 }
 
 func (c callCfg) buildAnalyzeOptions() AnalyzeOptions {
@@ -362,11 +316,9 @@ func (c callCfg) buildChurnOptions() adapt.ChurnOptions {
 	}
 }
 
-func (c callCfg) buildAdaptOptions() AdaptOptions {
+func (c callCfg) buildAdaptOptions() adapt.Options {
 	o := c.adaptOptions
-	if len(c.faults) > 0 {
-		o.Faults = append(append([]Fault(nil), o.Faults...), c.faults...)
-	}
+	o.Faults = append([]Fault(nil), c.faults...)
 	if c.stop.IsPos() {
 		o.Stop = c.stop
 	}

@@ -5,7 +5,7 @@ package bwc
 // every call re-runs the negotiation wave — while a Session memoizes the
 // solver layer across calls: platforms are keyed by a canonical
 // fingerprint of their text serialization, so repeated Solve /
-// BuildSchedule / Simulate / Execute calls on the same platform reuse
+// BuildSchedule / Simulate / Analyze calls on the same platform reuse
 // the cached BW-First result and materialized schedule instead of
 // re-deriving them. The execution layers below a Session all run on the
 // one shared scheduling engine (internal/engine); the Session adds the
@@ -17,7 +17,6 @@ import (
 
 	"bwc/internal/adapt"
 	"bwc/internal/bwfirst"
-	"bwc/internal/runtime"
 	"bwc/internal/sim"
 	"bwc/internal/tree"
 )
@@ -43,7 +42,7 @@ func PlatformFingerprint(t *Tree) string { return t.Fingerprint() }
 //
 // Cached entries are invalidated when the platform is re-measured: an
 // adaptive run that re-negotiated (Session.SimulateAdaptive /
-// Session.ExecuteAdaptive with at least one adaptation) drops the stale
+// Session.SimulateChurn with at least one adaptation) drops the stale
 // platform's entries and primes the memo with each re-solved schedule
 // under the measured platform's fingerprint. Invalidate and Reset give
 // manual control.
@@ -262,16 +261,6 @@ func (se *Session) Simulate(t *Tree, opts ...Option) (*Run, error) {
 	return sim.Simulate(s, buildCfg(se.options(opts)).buildSimOptions())
 }
 
-// Execute runs t's memoized schedule on the real-time backend of the
-// shared engine (WithTasks, WithScale, WithWork).
-func (se *Session) Execute(t *Tree, opts ...Option) (*ExecuteReport, error) {
-	s, err := se.BuildSchedule(t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return runtime.Execute(buildCfg(se.options(opts)).buildExecConfig(s))
-}
-
 // Analyze simulates t's memoized schedule under an Observer and checks
 // the run against the paper's theory, reusing cached solver state across
 // repeated calls.
@@ -314,27 +303,6 @@ func (se *Session) SimulateChurn(t *Tree, opts ...Option) (*ChurnReport, error) 
 		return nil, err
 	}
 	rep, rerr := adapt.SimulateChurn(s, buildCfg(se.options(opts)).buildChurnOptions())
-	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
-	}
-	return rep, rerr
-}
-
-// ExecuteAdaptive is SimulateAdaptive on the real-time backend
-// (WithTasks, WithScale): the batch runs to completion, and any
-// re-negotiations invalidate and re-prime the memo the same way.
-func (se *Session) ExecuteAdaptive(t *Tree, opts ...Option) (*AdaptExecReport, error) {
-	s, err := se.BuildSchedule(t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	cfg := buildCfg(se.options(opts))
-	rep, rerr := adapt.ExecuteAdaptive(s, adapt.ExecOptions{
-		Options: cfg.buildAdaptOptions(),
-		Tasks:   cfg.tasks,
-		Scale:   cfg.scale,
-		Work:    cfg.work,
-	})
 	if rep != nil {
 		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
 	}
