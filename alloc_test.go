@@ -50,9 +50,10 @@ func TestFoldedThroughputAllocs(t *testing.T) {
 // TestAnalyzeRunAllocs bounds the heap allocations of one AnalyzeRun
 // over an observed 120-task run of the Analyze stage fixture (16 nodes).
 // Each run is simulated outside the count. The analyzer indexes the run's
-// trace by position and builds no span, so the count tracks the nodes and
-// checks, not the intervals. The ceiling is the measured 336 (322 since
-// the analyzer reads the trace) plus slack.
+// trace by position and builds no span, merges each node's buffer replay
+// and reads the periods its schedule computed once, so the count tracks
+// the nodes and checks, not the intervals. The ceiling is the measured
+// 137 (322 before the periods were computed once) plus slack.
 func TestAnalyzeRunAllocs(t *testing.T) {
 	s, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
 	if err != nil {
@@ -74,7 +75,27 @@ func TestAnalyzeRunAllocs(t *testing.T) {
 	}
 	allocs := float64(total) / runs
 	t.Logf("%.0f allocs per analysis", allocs)
-	if allocs > 400 {
+	if allocs > 170 {
 		t.Fatalf("%.0f allocs per analysis", allocs)
+	}
+}
+
+// TestSimulateAllocs bounds the heap allocations of one unobserved run of
+// the paper's Figure-5 experiment (stop 115). Every DES event is a
+// pointer-free typed record, no per-task transition is a closure, and
+// the engine's queues reuse their storage, so the count tracks the
+// run's setup and the trace's growth, not its events: a closure or a
+// queue re-growth per task would add hundreds. The ceiling is the
+// measured 64 (910 with per-event closures) plus slack.
+func TestSimulateAllocs(t *testing.T) {
+	s := benchfix.PaperSchedule()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := bwc.Simulate(s, bwc.WithStop(bwc.RatInt(115))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per unobserved Figure-5 run", allocs)
+	if allocs > 80 {
+		t.Fatalf("%.0f allocs per unobserved Figure-5 run", allocs)
 	}
 }

@@ -96,7 +96,7 @@ func TestCmdBenchCompareGate(t *testing.T) {
 
 func TestCmdBenchList(t *testing.T) {
 	out := capture(t, func() error { return cmdBench([]string{"-list"}) })
-	for _, name := range []string{"EngineLoop", "ObsEnabled", "DistributedSolve"} {
+	for _, name := range []string{"DESHeap", "EngineRun", "ObsEnabled", "DistributedSolve"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("bench -list missing %q:\n%s", name, out)
 		}

@@ -385,12 +385,11 @@ func nextBoundary(active *sched.Schedule, segStart, detectedAt, stop rat.R) (rat
 // keeps its pattern (in-flight and buffered tasks still route and
 // compute), but the root releases nothing while the platform drains.
 func pauseSchedule(old *sched.Schedule) *sched.Schedule {
-	pause := *old
-	pause.Nodes = append([]sched.NodeSchedule(nil), old.Nodes...)
+	pause := old.Clone()
 	rs := &pause.Nodes[old.Tree.Root()]
 	rs.Active = false
 	rs.Pattern = nil
-	return &pause
+	return pause
 }
 
 // drainBound bounds how long the root's send port needs to work off the

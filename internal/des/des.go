@@ -7,89 +7,90 @@
 // catches its reception rate at a precise period boundary). Events at equal
 // times fire in scheduling order, which makes every simulation fully
 // deterministic.
+//
+// An event is a pointer-free record: its time as the int64 numerator and
+// denominator of its rat.R, its sequence number, and a typed payload
+// (Event). The engine's owner installs one Handler that receives every
+// typed event, so a model's per-task transitions allocate nothing and the
+// heap holds nothing for the collector to scan. A time off the int64 path
+// lives in a side slice the record indexes and compares through rat.Cmp:
+// exact promotion, the same way rat itself promotes. A closure (At) is
+// one more record kind, an index into a side table, for once-per-run
+// callbacks and for models written as closures.
 package des
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bwc/internal/rat"
 )
 
-type event struct {
-	at  rat.R
-	seq uint64
-	fn  func()
+// Kind tells a typed event's handler which transition it is. Models
+// number their kinds from 0; the largest value is reserved for closures.
+type Kind uint8
+
+// kindFunc marks a closure record: Event.Task indexes Engine.fns.
+const kindFunc Kind = 255
+
+// Event is the typed payload of a scheduled event. Its meaning belongs
+// to the model that posted it: Kind names the transition, Node the node
+// it happens at, and Arg and Task carry its operands (a peer, a slot
+// index, a task ID).
+type Event struct {
+	Kind Kind
+	Node int32
+	Arg  int64
+	Task int64
 }
+
+// Handler receives every typed event the engine fires.
+type Handler func(Event)
 
 // Handle identifies a scheduled event for cancellation. The zero Handle is
 // never issued.
 type Handle uint64
 
-// eventHeap is a binary min-heap of events ordered by (at, seq). seq is
-// unique, so the order is strict and total: any correct heap fires the
-// same events in the same sequence. Typed sift-up/sift-down keeps events
-// unboxed; pushing and popping allocate nothing beyond slice growth.
-type eventHeap []event
+// stamp is a time as a record stores it: num/den in lowest terms when
+// den > 0, otherwise (den = -1) the value Engine.big holds at index num.
+type stamp struct{ num, den int64 }
 
-func (h eventHeap) less(i, j int) bool {
-	if c := h[i].at.Cmp(h[j].at); c != 0 {
-		return c < 0
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) peek() event { return h[0] }
-
-func (h *eventHeap) pushEvent(e event) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) popEvent() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = event{} // drop the callback reference for the collector
-	q = q[:n]
-	for i := 0; ; {
-		least, l := i, 2*i+1
-		if l < n && q.less(l, least) {
-			least = l
-		}
-		if r := l + 1; r < n && q.less(r, least) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	*h = q
-	return top
+// record is one scheduled event. It holds no pointer.
+type record struct {
+	at  stamp
+	seq uint64
+	ev  Event
 }
 
 // Engine runs events in virtual time. The zero value is ready to use at
-// time 0.
+// time 0; SetHandler must be called before a typed event fires.
 type Engine struct {
-	now       rat.R
-	events    eventHeap
+	events    []record // binary min-heap ordered by (time, seq)
+	big       []rat.R  // times off the int64 path, indexed by stamp.num
+	bigFree   []int64
+	fns       []func() // closures, indexed by Event.Task
+	fnFree    []int64
+	handler   Handler
+	now       stamp // den == 0 (the zero Engine) is time 0
+	nowBig    rat.R // the current time when now.den < 0
 	seq       uint64
 	count     uint64
 	cancelled map[Handle]bool
 }
 
+// SetHandler installs the handler that receives every typed event.
+func (e *Engine) SetHandler(h Handler) { e.handler = h }
+
 // Now returns the current virtual time.
-func (e *Engine) Now() rat.R { return e.now }
+func (e *Engine) Now() rat.R {
+	switch {
+	case e.now.den > 0:
+		return rat.FromFrac64(e.now.num, e.now.den)
+	case e.now.den < 0:
+		return e.nowBig
+	}
+	return rat.Zero
+}
 
 // Processed returns how many events have fired so far.
 func (e *Engine) Processed() uint64 { return e.count }
@@ -97,8 +98,34 @@ func (e *Engine) Processed() uint64 { return e.count }
 // Pending returns how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it
-// always indicates a logic error in the model.
+// Post schedules the typed event ev at absolute time t. Scheduling in the
+// past panics: it always indicates a logic error in the model.
+func (e *Engine) Post(t rat.R, ev Event) Handle {
+	if t.Less(e.Now()) {
+		panic(fmt.Sprintf("des: scheduling at %s before now %s", t, e.Now()))
+	}
+	at := stamp{den: -1}
+	if n, d, ok := t.Frac64(); ok {
+		at = stamp{n, d}
+	} else if k := len(e.bigFree); k > 0 {
+		at.num, e.bigFree = e.bigFree[k-1], e.bigFree[:k-1]
+		e.big[at.num] = t
+	} else {
+		at.num = int64(len(e.big))
+		e.big = append(e.big, t)
+	}
+	e.seq++
+	e.push(record{at: at, seq: e.seq, ev: ev})
+	return Handle(e.seq)
+}
+
+// After schedules the typed event ev d time units from now (d must be
+// non-negative).
+func (e *Engine) After(d rat.R, ev Event) {
+	e.Post(e.Now().Add(d), ev)
+}
+
+// At schedules fn at absolute time t.
 func (e *Engine) At(t rat.R, fn func()) {
 	e.AtCancellable(t, fn)
 }
@@ -107,12 +134,15 @@ func (e *Engine) At(t rat.R, fn func()) {
 // Cancel accepts. Models with preemption (e.g. the interruptible
 // communication model) cancel in-flight completion events.
 func (e *Engine) AtCancellable(t rat.R, fn func()) Handle {
-	if t.Less(e.now) {
-		panic(fmt.Sprintf("des: scheduling at %s before now %s", t, e.now))
+	ev := Event{Kind: kindFunc}
+	if k := len(e.fnFree); k > 0 {
+		ev.Task, e.fnFree = e.fnFree[k-1], e.fnFree[:k-1]
+		e.fns[ev.Task] = fn
+	} else {
+		ev.Task = int64(len(e.fns))
+		e.fns = append(e.fns, fn)
 	}
-	e.seq++
-	e.events.pushEvent(event{at: t, seq: e.seq, fn: fn})
-	return Handle(e.seq)
+	return e.Post(t, ev)
 }
 
 // Cancel prevents a scheduled event from firing. It reports whether the
@@ -138,9 +168,97 @@ func (e *Engine) Cancel(h Handle) bool {
 	return false
 }
 
-// After schedules fn d time units from now (d must be non-negative).
-func (e *Engine) After(d rat.R, fn func()) {
-	e.At(e.now.Add(d), fn)
+// time returns the value a stamp stands for.
+func (e *Engine) time(s stamp) rat.R {
+	if s.den > 0 {
+		return rat.FromFrac64(s.num, s.den)
+	}
+	return e.big[s.num]
+}
+
+// less is the heap order: time, then scheduling order. seq is unique, so
+// the order is strict and total and any correct heap fires the same
+// events in the same sequence. Two int64 times compare as the cross
+// products x.num·y.den and y.num·x.den, formed in 128 bits so no pair of
+// int64 times can overflow the comparison; times are never negative
+// (nothing is scheduled before 0), so the products are unsigned.
+func (e *Engine) less(a, b *record) bool {
+	x, y := a.at, b.at
+	switch {
+	case x.den < 0 || y.den < 0:
+		if c := e.time(x).Cmp(e.time(y)); c != 0 {
+			return c < 0
+		}
+	case x.den == y.den:
+		if x.num != y.num {
+			return x.num < y.num
+		}
+	default:
+		hiX, loX := bits.Mul64(uint64(x.num), uint64(y.den))
+		hiY, loY := bits.Mul64(uint64(y.num), uint64(x.den))
+		if hiX != hiY {
+			return hiX < hiY
+		}
+		if loX != loY {
+			return loX < loY
+		}
+	}
+	return a.seq < b.seq
+}
+
+func (e *Engine) push(r record) {
+	e.events = append(e.events, r)
+	q := e.events
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(&r, &q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = r
+}
+
+func (e *Engine) pop() record {
+	q := e.events
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q = q[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		least := l
+		if r := l + 1; r < n && e.less(&q[r], &q[l]) {
+			least = r
+		}
+		if !e.less(&q[least], &last) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	e.events = q
+	return top
+}
+
+// release frees the side-table slots a popped record held.
+func (e *Engine) release(r *record) {
+	if r.at.den < 0 {
+		e.big[r.at.num] = rat.R{}
+		e.bigFree = append(e.bigFree, r.at.num)
+	}
+	if r.ev.Kind == kindFunc {
+		e.fns[r.ev.Task] = nil
+		e.fnFree = append(e.fnFree, r.ev.Task)
+	}
 }
 
 // Step fires the earliest pending event. It reports false when no events
@@ -148,30 +266,49 @@ func (e *Engine) After(d rat.R, fn func()) {
 // as processed and do not advance the clock).
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := e.events.popEvent()
-		if e.cancelled[Handle(ev.seq)] {
-			delete(e.cancelled, Handle(ev.seq))
+		r := e.pop()
+		if len(e.cancelled) > 0 && e.cancelled[Handle(r.seq)] {
+			delete(e.cancelled, Handle(r.seq))
+			e.release(&r)
 			continue
 		}
-		e.now = ev.at
+		e.now = r.at
+		if r.at.den < 0 {
+			e.nowBig = e.big[r.at.num]
+		}
+		if r.ev.Kind != kindFunc {
+			e.release(&r)
+			e.count++
+			e.handler(r.ev)
+			return true
+		}
+		fn := e.fns[r.ev.Task]
+		e.release(&r)
 		e.count++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
 }
 
-// RunUntil fires events while the earliest one is at or before limit, then
-// advances the clock to limit (if it is ahead). Events scheduled during the
-// run are processed too, as long as they fall within the limit.
+// RunUntil fires events while the earliest live one is at or before
+// limit, then advances the clock to limit (if it is ahead). Events
+// scheduled during the run are processed too, as long as they fall
+// within the limit.
 func (e *Engine) RunUntil(limit rat.R) {
-	for len(e.events) > 0 && e.events.peek().at.LessEq(limit) {
-		if !e.Step() {
+	for {
+		at, ok := e.peekLive()
+		if !ok || !e.time(at).LessEq(limit) {
 			break
 		}
+		e.Step()
 	}
-	if e.now.Less(limit) {
-		e.now = limit
+	if e.Now().Less(limit) {
+		if n, d, ok := limit.Frac64(); ok {
+			e.now = stamp{n, d}
+		} else {
+			e.now, e.nowBig = stamp{den: -1}, limit
+		}
 	}
 }
 
@@ -181,7 +318,7 @@ func (e *Engine) Drain(maxEvents uint64) error {
 	start := e.count
 	for e.Step() {
 		if e.count-start > maxEvents {
-			return fmt.Errorf("des: drain exceeded %d events at t=%s (model not terminating?)", maxEvents, e.now)
+			return fmt.Errorf("des: drain exceeded %d events at t=%s (model not terminating?)", maxEvents, e.Now())
 		}
 	}
 	return nil
@@ -189,17 +326,19 @@ func (e *Engine) Drain(maxEvents uint64) error {
 
 // peekLive returns the time of the earliest pending event that has not
 // been cancelled, discarding cancelled events from the top of the heap as
-// it goes. The common no-cancellation case costs one bounds check.
-func (e *Engine) peekLive() (rat.R, bool) {
+// it goes. The common no-cancellation case costs one bounds check. The
+// stamp it returns stays valid until the next Step.
+func (e *Engine) peekLive() (stamp, bool) {
 	for len(e.events) > 0 {
-		ev := e.events.peek()
-		if len(e.cancelled) == 0 || !e.cancelled[Handle(ev.seq)] {
-			return ev.at, true
+		r := &e.events[0]
+		if len(e.cancelled) == 0 || !e.cancelled[Handle(r.seq)] {
+			return r.at, true
 		}
-		e.events.popEvent()
-		delete(e.cancelled, Handle(ev.seq))
+		top := e.pop()
+		delete(e.cancelled, Handle(top.seq))
+		e.release(&top)
 	}
-	return rat.Zero, false
+	return stamp{}, false
 }
 
 // DrainBatched is Drain with same-instant batching: events that fire at
@@ -208,22 +347,23 @@ func (e *Engine) peekLive() (rat.R, bool) {
 // to at for the final batch, whose more is false) and n the number of
 // events fired. Observed drain loops use it to build one trace span per
 // batch without re-implementing the termination guard; the per-event cost
-// over Drain is one peek and one canonical-form equality check.
+// over Drain is one peek and one time comparison.
 func (e *Engine) DrainBatched(maxEvents uint64, onBatch func(at, end rat.R, n uint64, more bool)) error {
 	start := e.count
 	for {
-		at, ok := e.peekLive()
+		first, ok := e.peekLive()
 		if !ok {
 			return nil
 		}
+		at := e.time(first)
 		var n uint64
 		for e.Step() {
 			n++
 			if e.count-start > maxEvents {
-				return fmt.Errorf("des: drain exceeded %d events at t=%s (model not terminating?)", maxEvents, e.now)
+				return fmt.Errorf("des: drain exceeded %d events at t=%s (model not terminating?)", maxEvents, e.Now())
 			}
 			next, pending := e.peekLive()
-			if !pending || !next.Equal(at) {
+			if !pending || !e.time(next).Equal(at) {
 				break
 			}
 		}
@@ -232,9 +372,9 @@ func (e *Engine) DrainBatched(maxEvents uint64, onBatch func(at, end rat.R, n ui
 			// peek above already discarded them.
 			continue
 		}
-		end, more := e.peekLive()
-		if !more {
-			end = at
+		end, more := at, false
+		if next, ok := e.peekLive(); ok {
+			end, more = e.time(next), true
 		}
 		onBatch(at, end, n, more)
 	}

@@ -50,7 +50,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 	var trail []string
 	e.At(rat.One, func() {
 		trail = append(trail, "a")
-		e.After(rat.New(1, 2), func() { trail = append(trail, "b") })
+		e.At(e.Now().Add(rat.New(1, 2)), func() { trail = append(trail, "b") })
 	})
 	e.At(rat.Two, func() { trail = append(trail, "c") })
 	if err := e.Drain(100); err != nil {
@@ -94,7 +94,7 @@ func TestRunUntil(t *testing.T) {
 func TestDrainGuard(t *testing.T) {
 	var e Engine
 	var reschedule func()
-	reschedule = func() { e.After(rat.One, reschedule) }
+	reschedule = func() { e.At(e.Now().Add(rat.One), reschedule) }
 	e.At(rat.Zero, reschedule)
 	if err := e.Drain(50); err == nil {
 		t.Fatal("runaway model not caught")

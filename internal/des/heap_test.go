@@ -9,9 +9,19 @@ import (
 	"bwc/internal/rat"
 )
 
+// refEvent is an event as the engine stored it before its records went
+// pointer-free: the time as a rat.R, and a closure or a typed payload.
+type refEvent struct {
+	at  rat.R
+	seq uint64
+	ev  Event
+	fn  func()
+}
+
 // refHeap is the container/heap adapter the engine used before its typed
-// heap, kept as the reference the typed heap is checked against.
-type refHeap []event
+// heap, kept as the reference the typed heap is checked against: it
+// orders by rat.Cmp on the times, then by seq.
+type refHeap []refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -22,7 +32,7 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // refEngine is Engine's scheduling logic over refHeap.
@@ -32,18 +42,26 @@ type refEngine struct {
 	seq       uint64
 	count     uint64
 	cancelled map[Handle]bool
+	handler   Handler
 }
 
-func (e *refEngine) Now() rat.R        { return e.now }
-func (e *refEngine) Processed() uint64 { return e.count }
-func (e *refEngine) Pending() int      { return len(e.events) }
+func (e *refEngine) Now() rat.R             { return e.now }
+func (e *refEngine) Processed() uint64      { return e.count }
+func (e *refEngine) Pending() int           { return len(e.events) }
+func (e *refEngine) SetHandler(h Handler)   { e.handler = h }
+func (e *refEngine) Post(t rat.R, ev Event) { e.push(t, refEvent{ev: ev}) }
 
 func (e *refEngine) AtCancellable(t rat.R, fn func()) Handle {
+	return e.push(t, refEvent{fn: fn})
+}
+
+func (e *refEngine) push(t rat.R, ev refEvent) Handle {
 	if t.Less(e.now) {
 		panic("scheduling in the past")
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	ev.at, ev.seq = t, e.seq
+	heap.Push(&e.events, ev)
 	return Handle(e.seq)
 }
 
@@ -68,24 +86,30 @@ func (e *refEngine) Cancel(h Handle) bool {
 
 func (e *refEngine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := heap.Pop(&e.events).(refEvent)
 		if e.cancelled[Handle(ev.seq)] {
 			delete(e.cancelled, Handle(ev.seq))
 			continue
 		}
 		e.now = ev.at
 		e.count++
-		ev.fn()
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			e.handler(ev.ev)
+		}
 		return true
 	}
 	return false
 }
 
 func (e *refEngine) RunUntil(limit rat.R) {
-	for len(e.events) > 0 && e.events[0].at.LessEq(limit) {
-		if !e.Step() {
+	for {
+		at, ok := e.peekLive()
+		if !ok || !at.LessEq(limit) {
 			break
 		}
+		e.Step()
 	}
 	if e.now.Less(limit) {
 		e.now = limit
@@ -138,6 +162,8 @@ type engineAPI interface {
 	Now() rat.R
 	Processed() uint64
 	Pending() int
+	SetHandler(h Handler)
+	Post(t rat.R, ev Event)
 	AtCancellable(t rat.R, fn func()) Handle
 	Cancel(h Handle) bool
 	Step() bool
@@ -145,16 +171,40 @@ type engineAPI interface {
 	DrainBatched(maxEvents uint64, onBatch func(at, end rat.R, n uint64, more bool)) error
 }
 
+// typedEngine adapts Engine.Post, which also returns a Handle, to engineAPI.
+type typedEngine struct{ *Engine }
+
+func (e typedEngine) Post(t rat.R, ev Event) { e.Engine.Post(t, ev) }
+
+// offsets are the delays the differential schedules with. Few distinct
+// small offsets make many events share an instant. The large-prime
+// denominators make sums whose numerators and denominators approach
+// 2^62, so the cross products the heap compares pass 2^64; the 2^-70
+// steps take times off the int64 path, and sums with them stay off it
+// until a RunUntil moves the clock to an integer.
+var offsets = []rat.R{
+	rat.Zero, rat.New(1, 2), rat.One, rat.New(3, 2),
+	rat.New(2147483629, 2147483647), rat.New(4294967291, 2147483659),
+	rat.New(1<<40+15, 1<<31-1), rat.New(3, 4294967311),
+	rat.MustParse("1/1180591620717411303424"), rat.MustParse("3/1180591620717411303424"),
+}
+
 // heapScript replays one random operation sequence on eng and returns
-// its transcript: every fired callback with its instant, every batch,
-// every Cancel and Step result, and the clock after each operation.
-// Callbacks schedule follow-up events as a function of their own label
-// only, so the same script drives both engines identically.
+// its transcript: every fired closure and typed event with its instant,
+// every batch, every Cancel and Step result, and the clock after each
+// operation. Follow-up events depend only on the firing event's label,
+// so the same script drives both engines identically.
 func heapScript(seed int64, eng engineAPI) []string {
 	r := rand.New(rand.NewSource(seed))
 	var log []string
 	var handles []Handle
 	label := 0
+	offset := func() rat.R {
+		if r.Intn(3) == 0 {
+			return offsets[r.Intn(len(offsets))]
+		}
+		return offsets[r.Intn(4)]
+	}
 	var schedule func(at rat.R)
 	schedule = func(at rat.R) {
 		id := label
@@ -162,23 +212,36 @@ func heapScript(seed int64, eng engineAPI) []string {
 		handles = append(handles, eng.AtCancellable(at, func() {
 			log = append(log, fmt.Sprintf("fire %d at %s", id, eng.Now()))
 			if id%4 == 0 { // nested: same instant or a little later
-				schedule(eng.Now().Add(rat.New(int64(id%3), 2)))
+				schedule(eng.Now().Add(offsets[id%len(offsets)]))
 			}
 		}))
 	}
+	post := func(at rat.R) {
+		eng.Post(at, Event{Kind: Kind(label % 7), Node: int32(label), Arg: int64(label) << 33, Task: -int64(label)})
+		label++
+	}
+	eng.SetHandler(func(ev Event) {
+		log = append(log, fmt.Sprintf("typed %d/%d/%d/%d at %s", ev.Kind, ev.Node, ev.Arg, ev.Task, eng.Now()))
+		if ev.Node%3 == 0 {
+			post(eng.Now().Add(offsets[int(ev.Node)%len(offsets)]))
+		}
+	})
 	for op := 0; op < 300; op++ {
-		switch k := r.Intn(10); {
-		case k < 5:
-			// Few distinct offsets, so many events share an instant.
-			schedule(eng.Now().Add(rat.New(int64(r.Intn(4)), int64(1+r.Intn(2)))))
-		case k == 5 && len(handles) > 0:
+		switch k := r.Intn(12); {
+		case k < 4:
+			schedule(eng.Now().Add(offset()))
+		case k < 6:
+			post(eng.Now().Add(offset()))
+		case k == 6 && len(handles) > 0:
 			h := handles[r.Intn(len(handles))]
 			log = append(log, fmt.Sprintf("cancel %d %v", h, eng.Cancel(h)))
-		case k == 6:
-			log = append(log, fmt.Sprintf("step %v", eng.Step()))
 		case k == 7:
+			log = append(log, fmt.Sprintf("step %v", eng.Step()))
+		case k == 8:
 			eng.RunUntil(eng.Now().Add(rat.New(int64(r.Intn(3)), 2)))
-		case k == 8 && r.Intn(4) == 0:
+		case k == 9:
+			eng.RunUntil(eng.Now().Floor().Add(rat.FromInt(int64(1 + r.Intn(2)))))
+		case k == 10 && r.Intn(4) == 0:
 			err := eng.DrainBatched(1000, func(at, end rat.R, n uint64, more bool) {
 				log = append(log, fmt.Sprintf("batch %s..%s n=%d more=%v", at, end, n, more))
 			})
@@ -192,14 +255,17 @@ func heapScript(seed int64, eng engineAPI) []string {
 	return append(log, fmt.Sprintf("final drain %v now %s processed %d", err, eng.Now(), eng.Processed()))
 }
 
-// TestTypedHeapMatchesReference drives random At/Step/Cancel/RunUntil/
-// DrainBatched sequences, with many equal instants and nested
-// scheduling, through the engine and through the container/heap
-// reference: both must fire every callback in the same (at, seq) order
-// and report the same batches.
+// TestTypedHeapMatchesReference drives random Post/At/Step/Cancel/
+// RunUntil/DrainBatched sequences, with many equal instants, nested
+// scheduling, times off the int64 path and times whose cross products
+// pass 2^64, through the engine and through the container/heap
+// reference: both must fire every closure and typed event in the same
+// (time, seq) order and report the same batches.
 func TestTypedHeapMatchesReference(t *testing.T) {
+	sawBig := 0
 	for seed := int64(1); seed <= 200; seed++ {
-		got := heapScript(seed, &Engine{})
+		eng := &Engine{}
+		got := heapScript(seed, typedEngine{eng})
 		want := heapScript(seed, &refEngine{})
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: transcript length %d, reference %d", seed, len(got), len(want))
@@ -209,19 +275,74 @@ func TestTypedHeapMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d, line %d: %q, reference %q", seed, i, got[i], want[i])
 			}
 		}
+		if len(eng.big) > 0 {
+			sawBig++
+		}
+	}
+	if sawBig == 0 {
+		t.Fatal("no script scheduled a time off the int64 path")
 	}
 }
 
-// TestScheduleFireAllocs: in steady state, scheduling and firing a
-// callback that captures nothing allocates nothing; boxing an event on
-// push or pop would show here.
+// TestWideCrossProducts pins the 128-bit comparison: records at int64
+// times whose cross products pass 2^64 order exactly as rat.Cmp orders
+// their times, with seq breaking ties.
+func TestWideCrossProducts(t *testing.T) {
+	const p = 1<<61 - 1 // prime
+	vs := []rat.R{
+		rat.New(p-1, p), rat.New(p-2, p-1), rat.New(1<<62, p), rat.New(1<<62+1, p),
+		rat.New(p, 1<<40+1), rat.New(p-1, 1<<40), rat.New(1<<62-1, 3), rat.New(1<<62-3, 3),
+		rat.One, rat.Two, rat.New(1<<62, 1<<61-3),
+	}
+	var e Engine
+	for _, a := range vs {
+		for _, b := range vs {
+			an, ad, _ := a.Frac64()
+			bn, bd, _ := b.Frac64()
+			ra, rb := record{at: stamp{an, ad}, seq: 1}, record{at: stamp{bn, bd}, seq: 2}
+			if got, want := e.less(&ra, &rb), a.Cmp(b) <= 0; got != want {
+				t.Errorf("%s (seq 1) before %s (seq 2) = %v, rat.Cmp says %v", a, b, got, want)
+			}
+			if got, want := e.less(&rb, &ra), b.Cmp(a) < 0; got != want {
+				t.Errorf("%s (seq 2) before %s (seq 1) = %v, rat.Cmp says %v", b, a, got, want)
+			}
+		}
+	}
+}
+
+// TestRunUntilSkipsCancelledHead: a cancelled event at the top of the
+// heap must not let RunUntil fire a live event past its limit.
+func TestRunUntilSkipsCancelledHead(t *testing.T) {
+	var e Engine
+	fired := 0
+	h := e.AtCancellable(rat.One, func() { fired++ })
+	e.At(rat.FromInt(5), func() { fired++ })
+	e.Cancel(h)
+	e.RunUntil(rat.Two)
+	if fired != 0 {
+		t.Fatalf("RunUntil(2) fired %d events; the only live one is at 5", fired)
+	}
+	if !e.Now().Equal(rat.Two) {
+		t.Fatalf("now = %s, want the limit 2", e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the event at 5", e.Pending())
+	}
+}
+
+// TestScheduleFireAllocs: in steady state, scheduling and firing a typed
+// event, or a closure that captures nothing, allocates nothing: boxing a
+// record on push or pop, or a side-table slot that is not reused, would
+// show here.
 func TestScheduleFireAllocs(t *testing.T) {
 	var e Engine
+	e.SetHandler(func(Event) {})
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.At(e.Now(), fn)
+		e.Post(e.Now(), Event{Node: int32(i)})
 	}
-	if err := e.Drain(100); err != nil {
+	if err := e.Drain(200); err != nil {
 		t.Fatal(err)
 	}
 	step := rat.New(1, 3)
@@ -230,6 +351,13 @@ func TestScheduleFireAllocs(t *testing.T) {
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Fatalf("%.1f allocs per scheduled and fired event, want 0", allocs)
+		t.Fatalf("%.1f allocs per scheduled and fired closure, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.After(step, Event{Kind: 1, Task: 7})
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per scheduled and fired typed event, want 0", allocs)
 	}
 }

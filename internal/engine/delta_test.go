@@ -15,12 +15,11 @@ func TestChangedNodes(t *testing.T) {
 		t.Fatalf("identical schedules changed %v", got)
 	}
 	// Deactivating one node changes exactly that node.
-	mod := *s
-	mod.Nodes = append([]sched.NodeSchedule(nil), s.Nodes...)
+	mod := s.Clone()
 	p2 := s.Tree.MustLookup("P2")
 	mod.Nodes[p2].Active = false
 	mod.Nodes[p2].Pattern = nil
-	got := ChangedNodes(s, &mod)
+	got := ChangedNodes(s, mod)
 	if len(got) != 1 || got[0] != p2 {
 		t.Fatalf("changed = %v, want [%d]", got, p2)
 	}
@@ -76,6 +75,7 @@ func TestInstallDeltaPreservesCursors(t *testing.T) {
 		eng := &des.Engine{}
 		rec := NewRecorder()
 		c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
+		eng.SetHandler(c.Fire)
 		feed(t, c, eng, half, 0)
 		if install != nil {
 			install(c)
@@ -103,16 +103,16 @@ func TestInstallDeltaClampsCursor(t *testing.T) {
 	p1 := s.Tree.MustLookup("P1")
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng, BestEffort: true})
+	eng.SetHandler(c.Fire)
 	feed(t, c, eng, len(s.Nodes[p1].Pattern)/2+1, 0)
 
-	short := *s
-	short.Nodes = append([]sched.NodeSchedule(nil), s.Nodes...)
+	short := s.Clone()
 	for i := range short.Nodes {
 		if len(short.Nodes[i].Pattern) > 1 {
 			short.Nodes[i].Pattern = short.Nodes[i].Pattern[:1]
 		}
 	}
-	c.InstallDelta(&short, nil)
+	c.InstallDelta(short, nil)
 	c.mu.Lock()
 	for i := range c.nodes {
 		n := &c.nodes[i]

@@ -20,9 +20,10 @@
 //     re-measured platform weights.
 //
 // Backends parameterize the core with two small interfaces: a Clock that
-// schedules callbacks in the backend's time domain (exact rational
-// virtual time for the simulator, scaled wall-clock timers for the
-// goroutine runtime) and a Transport that carries a task whose transfer
+// hands the core's timed events (pointer-free Event records, not
+// closures) back to Core.Fire in the backend's time domain (exact
+// rational virtual time for the simulator, scaled wall-clock timers for
+// the goroutine runtime) and a Transport that carries a task whose transfer
 // completed to the child's receive port (in-process backends deliver
 // directly). All observability flows through one choke point, the Hooks
 // interface: the engine itself never touches internal/obs, each backend
@@ -39,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bwc/internal/des"
 	"bwc/internal/rat"
 	"bwc/internal/sched"
 	"bwc/internal/tree"
@@ -50,11 +52,35 @@ type Task struct {
 	ID int
 }
 
-// Clock schedules work in the backend's time domain. After must run fn
-// d virtual-time units from now; implementations may run callbacks on
-// any goroutine (the core re-locks its own state inside them).
+// Event is one of the core's timed transitions, as a pointer-free
+// record: Kind names it, Node is the node it completes at, Arg the
+// peer (the child of a transfer, or the parent of a result transfer)
+// and Task the task's ID. Kinds below NumKinds are the core's; a
+// backend that posts events of its own numbers them from NumKinds.
+type Event = des.Event
+
+// The core's event kinds: the four transitions that complete after a
+// Clock wait.
+const (
+	// computeDone: Node finished computing Task.
+	computeDone des.Kind = iota
+	// sendDone: Node finished sending Task to its child Arg
+	// (forward-only platforms).
+	sendDone
+	// sendDoneRet: Node finished sending Task to its child Arg on a
+	// result-return platform, freeing the child's receive port too.
+	sendDoneRet
+	// resultDone: Node finished sending Task's result to its parent Arg.
+	resultDone
+	// NumKinds is the number of core event kinds.
+	NumKinds
+)
+
+// Clock schedules work in the backend's time domain. After must hand ev
+// to Core.Fire d virtual-time units from now; implementations may fire
+// on any goroutine (the core re-locks its own state inside Fire).
 type Clock interface {
-	After(d rat.R, fn func())
+	After(d rat.R, ev Event)
 }
 
 // Transport carries a task that finished its transfer on the parent's
@@ -126,15 +152,40 @@ type outgoing struct {
 	child int
 }
 
+// fifo is a queue that keeps its storage: pops advance a head index, the
+// backing array is reused from the start once the queue empties, and
+// the consumed prefix is compacted away once it reaches half the
+// array's length, so a queue that never drains stays bounded too.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	q.head++
+	switch {
+	case q.head == len(q.buf):
+		q.buf, q.head = q.buf[:0], 0
+	case 2*q.head >= len(q.buf):
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	return v
+}
+
 // node is the per-node automaton state.
 type node struct {
 	id        tree.NodeID
 	pattern   []sched.Slot
 	cursor    int
 	bunches   int64 // completed pattern wraps (Ψ-bunches handled)
-	computeQ  []Task
+	computeQ  fifo[Task]
 	computing bool
-	sendQ     []outgoing
+	sendQ     fifo[outgoing]
 	sending   bool
 	held      int
 	heldMax   int
@@ -145,7 +196,7 @@ type node struct {
 	// incoming transfer (a task from the parent or a result from a
 	// child) — explicit only on result-return platforms, where the port
 	// is genuinely contended by two flows.
-	resultQ  []Task
+	resultQ  fifo[Task]
 	recvBusy bool
 }
 
@@ -391,9 +442,9 @@ func (c *Core) strand(ns *node, tk Task) {
 // service immediately is never counted as buffered.
 func (c *Core) assign(ns *node, dest sched.Dest, tk Task) {
 	if dest == sched.Self {
-		ns.computeQ = append(ns.computeQ, tk)
+		ns.computeQ.push(tk)
 	} else {
-		ns.sendQ = append(ns.sendQ, outgoing{tk: tk, child: int(dest)})
+		ns.sendQ.push(outgoing{tk: tk, child: int(dest)})
 	}
 	c.kickCompute(ns)
 	c.kickSend(ns)
@@ -403,7 +454,7 @@ func (c *Core) assign(ns *node, dest sched.Dest, tk Task) {
 // kickCompute starts the next local computation if the CPU is free and
 // work is queued. Called with the lock held.
 func (c *Core) kickCompute(ns *node) {
-	if ns.computing || len(ns.computeQ) == 0 {
+	if ns.computing || ns.computeQ.len() == 0 {
 		return
 	}
 	w, ok := c.phys.Load().ProcTime(ns.id)
@@ -411,13 +462,21 @@ func (c *Core) kickCompute(ns *node) {
 		panic(fmt.Sprintf("engine: switch %s asked to compute", c.t.Name(ns.id)))
 	}
 	ns.computing = true
-	tk := ns.computeQ[0]
-	ns.computeQ = ns.computeQ[1:]
+	tk := ns.computeQ.pop()
 	c.sampleBuffer(ns)
 	if !c.nopHooks {
 		c.hooks.ComputeStarted(ns.id, tk, w)
 	}
-	c.clock.After(w, func() {
+	c.clock.After(w, Event{Kind: computeDone, Node: int32(ns.id), Task: int64(tk.ID)})
+}
+
+// Fire completes the timed transition ev, which the core handed its
+// Clock: a computation, a task transfer or a result transfer whose
+// duration has elapsed. Backends call it when the Clock's wait is over.
+func (c *Core) Fire(ev Event) {
+	ns, tk, peer := &c.nodes[ev.Node], Task{ID: int(ev.Task)}, tree.NodeID(ev.Arg)
+	switch ev.Kind {
+	case computeDone:
 		// Record before the hook: a backend may end its run from the hook
 		// (the runtime closes its batch on the last task), and the record
 		// must already hold that compute. The hook still runs before the
@@ -438,7 +497,43 @@ func (c *Core) kickCompute(ns *node) {
 		}
 		c.kickCompute(ns)
 		c.mu.Unlock()
-	})
+	case sendDone:
+		// Deliver before the port is freed: the next transfer may only
+		// start once the child accepted this task (the wall-clock analogue
+		// of the sender goroutine handing off before its next sleep).
+		if !c.nopHooks {
+			c.hooks.SendFinished(ns.id, peer, tk)
+		}
+		c.transport.Deliver(peer, tk)
+		c.mu.Lock()
+		ns.sending = false
+		c.kickSend(ns)
+		c.mu.Unlock()
+	case sendDoneRet:
+		if !c.nopHooks {
+			c.hooks.SendFinished(ns.id, peer, tk)
+		}
+		c.transport.Deliver(peer, tk)
+		c.mu.Lock()
+		ns.sending = false
+		c.nodes[peer].recvBusy = false
+		c.kickSend(ns)
+		c.kickRecvWaiters(peer)
+		c.mu.Unlock()
+	case resultDone:
+		if c.resHooks != nil {
+			c.resHooks.ResultSendFinished(ns.id, peer, tk)
+		}
+		c.mu.Lock()
+		ns.sending = false
+		c.nodes[peer].recvBusy = false
+		c.resultReady(peer, tk)
+		c.kickSend(ns)
+		c.kickRecvWaiters(peer)
+		c.mu.Unlock()
+	default:
+		panic(fmt.Sprintf("engine: event kind %d is not the core's", ev.Kind))
+	}
 }
 
 // kickSend starts the next transfer if the send port is free and the
@@ -451,11 +546,10 @@ func (c *Core) kickSend(ns *node) {
 		c.kickSendRet(ns)
 		return
 	}
-	if ns.sending || len(ns.sendQ) == 0 {
+	if ns.sending || ns.sendQ.len() == 0 {
 		return
 	}
-	out := ns.sendQ[0]
-	ns.sendQ = ns.sendQ[1:]
+	out := ns.sendQ.pop()
 	child := c.t.Children(ns.id)[out.child]
 	ct := c.phys.Load().CommTime(child)
 	ns.sending = true
@@ -466,19 +560,7 @@ func (c *Core) kickSend(ns *node) {
 	if !c.nopHooks {
 		c.hooks.SendStarted(ns.id, child, out.tk, ct)
 	}
-	c.clock.After(ct, func() {
-		// Deliver before the port is freed: the next transfer may only
-		// start once the child accepted this task (the wall-clock analogue
-		// of the sender goroutine handing off before its next sleep).
-		if !c.nopHooks {
-			c.hooks.SendFinished(ns.id, child, out.tk)
-		}
-		c.transport.Deliver(child, out.tk)
-		c.mu.Lock()
-		ns.sending = false
-		c.kickSend(ns)
-		c.mu.Unlock()
-	})
+	c.clock.After(ct, Event{Kind: sendDone, Node: int32(ns.id), Arg: int64(child), Task: int64(out.tk.ID)})
 }
 
 // kickSendRet is the send-port arbiter on result-return platforms: both
@@ -497,12 +579,12 @@ func (c *Core) kickSendRet(ns *node) {
 	if ns.sending {
 		return
 	}
-	if len(ns.sendQ) > 0 {
-		out := ns.sendQ[0]
+	if ns.sendQ.len() > 0 {
+		out := ns.sendQ.front()
 		child := c.t.Children(ns.id)[out.child]
 		cn := &c.nodes[child]
 		if !cn.recvBusy {
-			ns.sendQ = ns.sendQ[1:]
+			ns.sendQ.pop()
 			ct := c.phys.Load().CommTime(child)
 			ns.sending = true
 			cn.recvBusy = true
@@ -513,24 +595,13 @@ func (c *Core) kickSendRet(ns *node) {
 			if !c.nopHooks {
 				c.hooks.SendStarted(ns.id, child, out.tk, ct)
 			}
-			c.clock.After(ct, func() {
-				if !c.nopHooks {
-					c.hooks.SendFinished(ns.id, child, out.tk)
-				}
-				c.transport.Deliver(child, out.tk)
-				c.mu.Lock()
-				ns.sending = false
-				cn.recvBusy = false
-				c.kickSend(ns)
-				c.kickRecvWaiters(child)
-				c.mu.Unlock()
-			})
+			c.clock.After(ct, Event{Kind: sendDoneRet, Node: int32(ns.id), Arg: int64(child), Task: int64(out.tk.ID)})
 			return
 		}
 		// Head-of-line task is blocked on its receiver: fall through and
 		// let a result use the port time in the meantime.
 	}
-	if len(ns.resultQ) == 0 {
+	if ns.resultQ.len() == 0 {
 		return
 	}
 	parent := c.t.Parent(ns.id)
@@ -538,8 +609,7 @@ func (c *Core) kickSendRet(ns *node) {
 	if pn.recvBusy {
 		return
 	}
-	tk := ns.resultQ[0]
-	ns.resultQ = ns.resultQ[1:]
+	tk := ns.resultQ.pop()
 	d := c.phys.Load().ReturnTime(ns.id)
 	ns.sending = true
 	pn.recvBusy = true
@@ -549,18 +619,7 @@ func (c *Core) kickSendRet(ns *node) {
 	if c.resHooks != nil {
 		c.resHooks.ResultSendStarted(ns.id, parent, tk, d)
 	}
-	c.clock.After(d, func() {
-		if c.resHooks != nil {
-			c.resHooks.ResultSendFinished(ns.id, parent, tk)
-		}
-		c.mu.Lock()
-		ns.sending = false
-		pn.recvBusy = false
-		c.resultReady(parent, tk)
-		c.kickSend(ns)
-		c.kickRecvWaiters(parent)
-		c.mu.Unlock()
-	})
+	c.clock.After(d, Event{Kind: resultDone, Node: int32(ns.id), Arg: int64(parent), Task: int64(tk.ID)})
 }
 
 // resultReady propagates tk's result upward from node n: hops whose
@@ -574,7 +633,7 @@ func (c *Core) resultReady(n tree.NodeID, tk Task) {
 	for n != c.t.Root() {
 		if !phys.ReturnTime(n).IsZero() {
 			ns := &c.nodes[n]
-			ns.resultQ = append(ns.resultQ, tk)
+			ns.resultQ.push(tk)
 			c.kickSend(ns)
 			return
 		}
@@ -605,7 +664,7 @@ func (c *Core) kickRecvWaiters(x tree.NodeID) {
 // sampleBuffer publishes the node's buffered-task count when it changed.
 // Called with the lock held.
 func (c *Core) sampleBuffer(ns *node) {
-	held := len(ns.computeQ) + len(ns.sendQ)
+	held := ns.computeQ.len() + ns.sendQ.len()
 	if held == ns.held {
 		return
 	}

@@ -56,6 +56,7 @@ func TestBatchConservation(t *testing.T) {
 	eng := &des.Engine{}
 	rec := NewRecorder()
 	c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
+	eng.SetHandler(c.Fire)
 	p := NewPacer(s, false)
 	runBatch(t, c, p, eng, 19)
 
@@ -97,6 +98,7 @@ func TestRecorderCountsComputeBeforeHook(t *testing.T) {
 	rec := NewRecorder()
 	h := &computeOrderHooks{t: t, rec: rec, seen: make([]int64, s.Tree.Len())}
 	c := New(Config{Schedule: s, Clock: eng, Hooks: h, Recorder: rec})
+	eng.SetHandler(c.Fire)
 	runBatch(t, c, NewPacer(s, false), eng, 19)
 	var total int64
 	for _, v := range h.seen {
@@ -113,6 +115,7 @@ func TestRecorderDeterministic(t *testing.T) {
 		eng := &des.Engine{}
 		rec := NewRecorder()
 		c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
+		eng.SetHandler(c.Fire)
 		runBatch(t, c, NewPacer(s, false), eng, 38)
 		return rec.Fingerprint()
 	}
@@ -130,6 +133,7 @@ func TestBunchAccounting(t *testing.T) {
 	eng := &des.Engine{}
 	rec := NewRecorder()
 	c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
+	eng.SetHandler(c.Fire)
 	p := NewPacer(s, false)
 	periods := 4
 	runBatch(t, c, p, eng, p.Len()*periods)
@@ -164,6 +168,7 @@ func TestWatermarkTracksBuffering(t *testing.T) {
 	s := twoWorkers(t)
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
+	eng.SetHandler(c.Fire)
 	// Burst release: the whole first period lands at t=0, so queues form.
 	runBatch(t, c, NewPacer(s, true), eng, 19)
 	if c.MaxWatermark() == 0 {
@@ -180,6 +185,7 @@ func TestInstallResetsCursors(t *testing.T) {
 	s := twoWorkers(t)
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
+	eng.SetHandler(c.Fire)
 	p := NewPacer(s, false)
 	// Half a period in, install the same schedule: cursors reset, and the
 	// remaining tasks still route without panicking.
@@ -195,16 +201,16 @@ func TestBestEffortStranding(t *testing.T) {
 	s := twoWorkers(t)
 	// Empty every pattern: arrivals at a non-switch node should fall back
 	// to local compute under BestEffort instead of panicking.
-	stripped := *s
-	stripped.Nodes = append([]sched.NodeSchedule(nil), s.Nodes...)
+	stripped := s.Clone()
 	for i := range stripped.Nodes {
 		if tree.NodeID(i) != s.Tree.Root() {
 			stripped.Nodes[i].Pattern = nil
 		}
 	}
 	eng := &des.Engine{}
-	c := New(Config{Schedule: &stripped, Clock: eng, BestEffort: true})
-	p := NewPacer(&stripped, false)
+	c := New(Config{Schedule: stripped, Clock: eng, BestEffort: true})
+	eng.SetHandler(c.Fire)
+	p := NewPacer(stripped, false)
 	runBatch(t, c, p, eng, 6)
 	if c.Completed() != 6 {
 		t.Fatalf("completed %d, want 6 (stranded tasks compute locally)", c.Completed())
@@ -250,5 +256,49 @@ func TestPacerLaw(t *testing.T) {
 		if !burst.At(3, i).Equal(burst.PeriodStart(3)) {
 			t.Fatal("burst pacer must release at the period start")
 		}
+	}
+}
+
+// TestSendQueueStorageStaysBounded: in a long run whose send queue never
+// drains, the queue's backing array stays bounded. The root keeps a
+// backlog of eight transfers to its only child and releases one more
+// task per link time, so the send port is never idle and its queue never
+// empties; a queue that only advanced its head would grow with every
+// task.
+func TestSendQueueStorageStaysBounded(t *testing.T) {
+	tr := tree.NewBuilder().
+		Root("P0", rat.Two).
+		Child("P0", "P1", rat.One, rat.One).
+		MustBuild()
+	s := buildSchedule(t, tr)
+	eng := &des.Engine{}
+	c := New(Config{Schedule: s, Clock: eng})
+	eng.SetHandler(c.Fire)
+	q := &c.nodes[tr.Root()].sendQ
+	const backlog, tasks = 8, 100_000
+	for id := 0; id < backlog; id++ {
+		c.Release(0, Task{ID: id})
+	}
+	minLen, maxCap := backlog, 0
+	var release func(id int)
+	release = func(id int) {
+		c.Release(0, Task{ID: id})
+		minLen, maxCap = min(minLen, q.len()), max(maxCap, cap(q.buf))
+		if id+1 < tasks {
+			eng.At(eng.Now().Add(rat.One), func() { release(id + 1) })
+		}
+	}
+	eng.At(rat.One, func() { release(backlog) })
+	if err := eng.Drain(10 * tasks); err != nil {
+		t.Fatal(err)
+	}
+	if c.Completed() != tasks {
+		t.Fatalf("completed %d of %d tasks", c.Completed(), tasks)
+	}
+	if minLen == 0 {
+		t.Fatal("the send queue drained; the run does not exercise a queue that never empties")
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("send queue backing array reached %d slots for a backlog of %d", maxCap, backlog)
 	}
 }

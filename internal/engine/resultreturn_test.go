@@ -176,10 +176,10 @@ func TestZeroCostTeleportDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	forced := *s
+	forced := s.Clone()
 	forced.ResultReturn = true
 	recF := engine.NewRecorder()
-	run, err := sim.Simulate(&forced, sim.Options{Tasks: 16, SkipIntervals: true, Recorder: recF})
+	run, err := sim.Simulate(forced, sim.Options{Tasks: 16, SkipIntervals: true, Recorder: recF})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"strings"
 
@@ -380,7 +379,7 @@ func spanEnd(a *analysis, p int32) rat.R   { return a.end(p) }
 // outside the len(counts) windows. Input order does not matter.
 func (a *analysis) windowCounts(counts []int64, pos []int32, at func(*analysis, int32) rat.R, period rat.R) {
 	for _, p := range pos {
-		k, ok := at(a, p).Div(period).Floor().Int64()
+		k, ok := rat.FloorDiv(at(a, p), period)
 		if ok && k >= 0 && k < int64(len(counts)) {
 			counts[k]++
 		}
@@ -397,17 +396,27 @@ func steadyOnset(counts []int64, quota int64) (int64, bool) {
 	return k, k < int64(len(counts))
 }
 
+// maxWindows bounds the windows a windowed check scans, and so the size
+// of its count array and of the window list its evidence prints.
+const maxWindows = 1 << 16
+
 // fullWindows returns how many complete windows of the given period fit
-// before the analysis end.
+// before the analysis end, at most maxWindows: evidence whose end lies
+// further out (a corrupt or hand-edited file, or a run of more periods
+// than that analyzed without a stop) is measured over its first
+// maxWindows windows instead of sizing the counts by its end alone.
 func (a *analysis) fullWindows(period rat.R) int64 {
 	if !period.IsPos() {
 		return 0
 	}
-	L, ok := a.analysisEnd().Div(period).Floor().Int64()
+	L, ok := rat.FloorDiv(a.analysisEnd(), period)
+	if !ok && a.analysisEnd().IsPos() {
+		return maxWindows
+	}
 	if !ok || L < 0 {
 		return 0
 	}
-	return L
+	return min(L, maxWindows)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,7 +492,7 @@ func (a *analysis) throughputConformance() Check {
 			continue
 		}
 		id := ns.Node
-		t0 := rat.FromBigInt(a.s.T0(id))
+		t0 := a.s.Periods().T0(id)
 		L := a.fullWindows(t0)
 		if L == 0 {
 			continue
@@ -616,13 +625,13 @@ func (a *analysis) bufferWatermark() Check {
 		}
 		checked++
 		peak := maxHeld(a.held(id))
-		chi := a.s.Chi(id)
-		bound := new(big.Int).Add(chi, big.NewInt(int64(a.opt.BufferSlack)))
-		if bound.Cmp(big.NewInt(int64(peak))) < 0 {
+		chi := a.s.Periods().Chi(id)
+		if chi.Add(rat.FromInt(int64(a.opt.BufferSlack))).Less(rat.FromInt(int64(peak))) {
 			failed++
 			c.Evidence = append(c.Evidence, fmt.Sprintf("%s: peak %d buffered vs χ=%s (+%d slack)",
 				a.t.Name(id), peak, chi, a.opt.BufferSlack))
-			if over := peak - int(chi.Int64()); over > peakOver {
+			chi64, _ := chi.Int64()
+			if over := peak - int(chi64); over > peakOver {
 				peakOver = over
 			}
 		}
@@ -652,12 +661,56 @@ type heldDelta struct {
 // left arbitrary — every replay (maxHeld, backloggedIdleTime,
 // WindowStats) nets all steps at an instant before it samples, so that
 // order cannot change a result.
+//
+// The three lists are each in time order already (compute and send
+// starts by the parse, receive ends because a serial receive port's
+// spans end in the order they start), so the steps are their merge. Only
+// overlapping receives, which a port never records but a hand-edited
+// file may hold, end out of order; those replays are sorted instead.
 func (a *analysis) held(id tree.NodeID) []heldDelta {
 	ne := &a.nodes[id]
 	if ne.held != nil {
 		return ne.held
 	}
 	ds := make([]heldDelta, 0, len(ne.recv)+len(ne.compute)+len(ne.send))
+	byEnd := func(p, q int32) int { return a.end(p).Cmp(a.end(q)) }
+	if !slices.IsSortedFunc(ne.recv, byEnd) {
+		ne.held = a.sortedHeld(ds, ne)
+		return ne.held
+	}
+	r, c, s := ne.recv, ne.compute, ne.send
+	for len(r) > 0 || len(c) > 0 || len(s) > 0 {
+		// Take the earliest of the three heads.
+		head, at := 0, rat.Zero
+		if len(r) > 0 {
+			head, at = 1, a.end(r[0])
+		}
+		if len(c) > 0 {
+			if t := a.start(c[0]); head == 0 || t.Less(at) {
+				head, at = 2, t
+			}
+		}
+		if len(s) > 0 {
+			if t := a.start(s[0]); head == 0 || t.Less(at) {
+				head, at = 3, t
+			}
+		}
+		switch head {
+		case 1:
+			r, ds = r[1:], append(ds, heldDelta{at, +1})
+		case 2:
+			c, ds = c[1:], append(ds, heldDelta{at, -1})
+		default:
+			s, ds = s[1:], append(ds, heldDelta{at, -1})
+		}
+	}
+	ne.held = ds
+	return ds
+}
+
+// sortedHeld is held's replay built by sorting, for receive ends out of
+// order.
+func (a *analysis) sortedHeld(ds []heldDelta, ne *nodeEvid) []heldDelta {
 	for _, p := range ne.recv {
 		ds = append(ds, heldDelta{a.end(p), +1})
 	}
@@ -668,7 +721,6 @@ func (a *analysis) held(id tree.NodeID) []heldDelta {
 		ds = append(ds, heldDelta{a.start(p), -1})
 	}
 	slices.SortFunc(ds, func(x, y heldDelta) int { return x.at.Cmp(y.at) })
-	ne.held = ds
 	return ds
 }
 
@@ -701,7 +753,7 @@ func (a *analysis) steadyStateOnset() (Check, rat.R, bool) {
 		c.Verdict, c.Detail = Skip, needSchedSim(a)
 		return c, rat.Zero, false
 	}
-	period := rat.FromBigInt(a.s.RootlessPeriod())
+	period := a.s.Periods().Rootless()
 	if a.opt.OnsetWindow.IsPos() {
 		period = a.opt.OnsetWindow
 	}
@@ -1059,7 +1111,7 @@ func (a *analysis) resultReturn() Check {
 		folded := bwfirst.Solve(a.t.WithFoldedReturns()).Throughput
 		planned := a.s.Res.Throughput
 		if folded.Less(planned) {
-			period := rat.FromBigInt(a.s.TreePeriod())
+			period := a.s.Periods().Tree()
 			L := a.fullWindows(period)
 			if L > 0 {
 				counts := make([]int64, L)

@@ -21,7 +21,7 @@ import (
 
 // paperRun solves and simulates the paper's example tree under
 // observation, returning the schedule and the live scope.
-func paperRun(t *testing.T, stop rat.R) (*sched.Schedule, *obs.Scope) {
+func paperRun(t testing.TB, stop rat.R) (*sched.Schedule, *obs.Scope) {
 	t.Helper()
 	tr := paperexample.Tree()
 	s, err := sched.Build(bwfirst.Solve(tr), sched.Options{})

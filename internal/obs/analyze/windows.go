@@ -109,11 +109,11 @@ func WindowStats(ev *Evidence, opt WindowOptions) []WindowStat {
 		if !ns.Active || ns.Node == root {
 			continue
 		}
-		chiB := a.s.Chi(ns.Node)
-		if !chiB.IsInt64() {
+		chi64, ok := a.s.Periods().Chi(ns.Node).Int64()
+		if !ok {
 			continue
 		}
-		chi := int(chiB.Int64())
+		chi := int(chi64)
 		name := a.t.Name(ns.Node)
 		held := 0
 		peaks := make([]int, n)

@@ -25,31 +25,56 @@ import (
 	"bwc/internal/treegen"
 )
 
-// engineLoopEvents is the number of DES events per EngineLoop iteration;
-// the bench reports it as "events/op" so the derived events-per-second
-// rate can be recomputed from any trajectory file.
-const engineLoopEvents = 4096
+// desHeapEvents is the number of DES events per DESHeap iteration.
+const desHeapEvents = 4096
 
 // Default builds the registered suite. Benches marked Short form the CI
 // gate's fast subset; the rest only run in a full (local) trajectory.
 func Default() *perf.Suite {
 	s := perf.NewSuite()
 
-	// EngineLoop isolates the discrete-event core: schedule-and-drain of
-	// a staggered event set, exercising the heap and exact-rational time
-	// comparisons with no scheduling logic on top.
-	s.Register(perf.Bench{Name: "EngineLoop", Short: true, Fn: func(b *testing.B) {
+	// DESHeap isolates the discrete-event heap: schedule-and-drain of a
+	// staggered set of typed records with a no-op handler, exercising
+	// the heap and its exact time comparisons with no model on top.
+	s.Register(perf.Bench{Name: "DESHeap", Short: true, Fn: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng := &des.Engine{}
-			for j := int64(0); j < engineLoopEvents; j++ {
-				eng.At(rat.New(j, 3), func() {})
+			eng.SetHandler(func(des.Event) {})
+			for j := int64(0); j < desHeapEvents; j++ {
+				eng.Post(rat.New(j, 3), des.Event{Task: j})
 			}
-			if err := eng.Drain(engineLoopEvents); err != nil {
+			if err := eng.Drain(desHeapEvents); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(engineLoopEvents, "events/op")
+		b.ReportMetric(desHeapEvents, "events/op")
+	}})
+
+	// EngineRun is the Section-6 engine through the simulator with
+	// telemetry off: the unobserved 120-task run of the Analyze fixture
+	// (releases, the core's transitions, the trace record). It reports
+	// the run's DES event count as "events/op", read once from an
+	// observed twin (observation does not change the event stream), so
+	// engine_events_per_sec can be recomputed from any trajectory file.
+	s.Register(perf.Bench{Name: "EngineRun", Short: true, Fn: func(b *testing.B) {
+		sched, err := bwc.BuildSchedule(bwc.Solve(benchfix.Analyze16()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ob := bwc.NewObserver()
+		if _, err := bwc.Simulate(sched, bwc.WithTasks(benchfix.AnalyzeTasks), bwc.WithObserver(ob)); err != nil {
+			b.Fatal(err)
+		}
+		events := ob.Registry().Counter("bwc_sim_events_total", "").Value()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bwc.Simulate(sched, bwc.WithTasks(benchfix.AnalyzeTasks)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(events), "events/op")
 	}})
 
 	// SessionSolveCold / SessionSolveCached bracket the Session memo: the
@@ -210,8 +235,6 @@ func Default() *perf.Suite {
 		}
 	}})
 
-	// RatArith hammers the int64 fast path of the exact-rational tower —
-	// the arithmetic under every heap comparison in EngineLoop.
 	// ObsOverhead measures the telemetry tax directly: each iteration
 	// runs one un-observed and one observed simulation back to back and
 	// accumulates their times separately. Alternating at sub-millisecond
@@ -242,6 +265,7 @@ func Default() *perf.Suite {
 		}
 	}})
 
+	// RatArith hammers the int64 fast path of the exact-rational tower.
 	// The accumulator's denominator stays fixed at 7 (Add with matching
 	// denominators) and the product's operands are constants, so every
 	// iteration exercises Add, Mul and a cross-denominator Cmp without
@@ -349,11 +373,11 @@ func Default() *perf.Suite {
 	// Derived metrics: the portable ratios the CI gate bounds regardless
 	// of the machine the baseline was recorded on.
 	s.Derive("engine_events_per_sec", func(r map[string]perf.Result) (float64, bool) {
-		el, ok := r["EngineLoop"]
-		if !ok || el.NsPerOp <= 0 {
+		er, ok := r["EngineRun"]
+		if !ok || er.NsPerOp <= 0 {
 			return 0, false
 		}
-		return el.Metrics["events/op"] / el.NsPerOp * 1e9, true
+		return er.Metrics["events/op"] / er.NsPerOp * 1e9, true
 	})
 	s.Derive("cached_solve_speedup", func(r map[string]perf.Result) (float64, bool) {
 		cold, ok1 := r["SessionSolveCold"]

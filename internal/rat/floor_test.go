@@ -52,3 +52,49 @@ func TestFloorFloat64Edges(t *testing.T) {
 		}
 	}
 }
+
+// TestFloorDivMatchesDivFloor pins FloorDiv's 128-bit path to Div and
+// Floor: every pair of edge values, including quotients past 2^63,
+// negative dividends and values held as big.Rat, gives the same integer
+// and the same ok.
+func TestFloorDivMatchesDivFloor(t *testing.T) {
+	const p62 = int64(1) << 62
+	vs := []R{
+		Zero, One, New(7, 2), New(-7, 2), New(1, 3), New(-1, 3), FromInt(5),
+		FromInt(p62), New(p62, 3), New(1<<63-1, 2), New(1, 1<<63-1), New(p62-1, p62+1),
+		FromInt(minInt64), New(minInt64+1, 7),
+		MustParse("123456789012345678901234567890/7"), MustParse("1/123456789012345678901234567890"),
+	}
+	for _, a := range vs {
+		for _, b := range vs {
+			if b.IsZero() {
+				continue
+			}
+			want, wantOK := a.Div(b).Floor().Int64()
+			got, ok := FloorDiv(a, b)
+			if got != want || ok != wantOK {
+				t.Errorf("FloorDiv(%s, %s) = %d, %v; Div+Floor gives %d, %v", a, b, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestLCMMatchesLCMInt: the R-level LCM equals LCMInt on the same
+// integers, on the int64 path, where it overflows, and for big values.
+func TestLCMMatchesLCMInt(t *testing.T) {
+	vs := []R{Zero, One, FromInt(6), FromInt(-4), FromInt(1 << 40), FromInt(1<<62 + 1), FromInt(minInt64),
+		MustParse("123456789012345678901234567890")}
+	for _, a := range vs {
+		for _, b := range vs {
+			if got, want := LCM(a, b), FromBigInt(LCMInt(a.Num(), b.Num())); !got.Equal(want) {
+				t.Errorf("LCM(%s, %s) = %s, LCMInt gives %s", a, b, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LCM of a non-integer did not panic")
+		}
+	}()
+	LCM(New(1, 2), One)
+}

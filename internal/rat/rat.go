@@ -15,7 +15,9 @@ package rat
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
 // R is an immutable exact rational number.
@@ -104,6 +106,23 @@ func (a R) norm() R {
 // IsBig reports whether the value is currently held in the big.Rat
 // representation (exported for tests and benchmarks of the promotion path).
 func (a R) IsBig() bool { return a.big != nil }
+
+// Frac64 returns the value's int64 view: the numerator and the positive
+// denominator in lowest terms. ok is false when the value is held as big
+// (IsBig). Callers that store many values without R's pointer keep the
+// pair and rebuild the value with FromFrac64.
+func (a R) Frac64() (n, d int64, ok bool) {
+	a = a.norm()
+	if a.big != nil {
+		return 0, 0, false
+	}
+	return a.n, a.d, true
+}
+
+// FromFrac64 rebuilds the value of a pair Frac64 returned. The pair is
+// taken as it is, in lowest terms with d > 0; any other pair must go
+// through New.
+func FromFrac64(n, d int64) R { return R{n: n, d: d} }
 
 // Add returns a + b.
 func (a R) Add(b R) R {
@@ -474,6 +493,23 @@ func LCMInt(a, b *big.Int) *big.Int {
 	return q.Mul(q, new(big.Int).Abs(b))
 }
 
+// LCM returns lcm(|a|, |b|) of two integers (lcm with zero is zero). It
+// panics when either value is not an integer. Integers that fit int64
+// are combined in int64, promoting to math/big only when the result
+// overflows.
+func LCM(a, b R) R {
+	if !a.IsInt() || !b.IsInt() {
+		panic(fmt.Sprintf("rat: LCM of non-integer %s, %s", a, b))
+	}
+	a, b = a.norm(), b.norm()
+	if a.big == nil && b.big == nil {
+		if l, ok := lcm64(a.n, b.n); ok {
+			return R{n: l, d: 1}
+		}
+	}
+	return FromBigInt(LCMInt(a.Num(), b.Num()))
+}
+
 // DenLCM returns the least common multiple of the denominators of vs as a
 // new big.Int. The LCM of an empty list is 1 (the schedule period of a node
 // that sends nothing is one time unit). The running lcm stays in int64
@@ -537,6 +573,26 @@ func (a R) Floor() R {
 		q.Sub(q, big.NewInt(1))
 	}
 	return FromBigInt(q)
+}
+
+// FloorDiv returns ⌊a/b⌋ as an int64; ok is false when the quotient does
+// not fit. A non-negative a over a positive b, both on the int64 path,
+// takes one 128-bit division: ⌊(a.n·b.d) / (a.d·b.n)⌋ with both products
+// formed exactly by bits.Mul64. Every other case goes through Div and
+// Floor (so a zero b panics, as Div does).
+func FloorDiv(a, b R) (int64, bool) {
+	a, b = a.norm(), b.norm()
+	if a.big == nil && b.big == nil && a.n >= 0 && b.n > 0 {
+		numHi, numLo := bits.Mul64(uint64(a.n), uint64(b.d))
+		denHi, den := bits.Mul64(uint64(a.d), uint64(b.n))
+		if denHi == 0 && numHi < den {
+			if q, _ := bits.Div64(numHi, numLo, den); q <= math.MaxInt64 {
+				return int64(q), true
+			}
+			return 0, false
+		}
+	}
+	return a.Div(b).Floor().Int64()
 }
 
 // Ceil returns the smallest integer >= a, as an R.

@@ -129,12 +129,12 @@ func checkSchedule(s *sched.Schedule) error {
 	return nil
 }
 
-// wallClock realizes engine durations as scaled timers. Callbacks run on
-// timer goroutines; the engine serializes its own state.
+// wallClock realizes engine durations as scaled timers that fire the
+// event on a timer goroutine; the engine serializes its own state.
 type wallClock struct{ e *execution }
 
-func (c wallClock) After(d rat.R, fn func()) {
-	time.AfterFunc(c.e.scaleOf(d), fn)
+func (c wallClock) After(d rat.R, ev engine.Event) {
+	time.AfterFunc(c.e.scaleOf(d), func() { c.e.core.Fire(ev) })
 }
 
 // hooks adapts the engine's transition stream to the runtime's report

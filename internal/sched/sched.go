@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"bwc/internal/bwfirst"
 	"bwc/internal/rat"
@@ -132,6 +134,11 @@ type Schedule struct {
 	// accompanied by the upward result flow the engine executes on the
 	// same single ports.
 	ResultReturn bool
+
+	// periods memoizes Periods. It also makes a Schedule a value that
+	// must not be copied (go vet reports copies): a copy would carry the
+	// original's periods whatever its own nodes say.
+	periods atomic.Pointer[Periods]
 }
 
 // Options configures schedule construction.
@@ -420,25 +427,78 @@ func blockPattern(ns *NodeSchedule) []Slot {
 	return slots
 }
 
+// Periods are a schedule's Proposition-3 quantities: every node's
+// synchronized period T_0 = lcm(T^r, T^c, T^s) and buffer bound
+// χ = η_{-1}·T_0, and the lcm of the T_0 of every active node (the tree
+// period) and of every active non-root node (the rootless period). A
+// schedule computes them once, on first use (Schedule.Periods), in int64
+// arithmetic while the values fit. A Periods is immutable, so any number
+// of goroutines may read it.
+type Periods struct {
+	t              *tree.Tree
+	tree, rootless rat.R
+	t0, chi        []rat.R
+}
+
+// Tree is the tree period T (see Schedule.TreePeriod).
+func (p *Periods) Tree() rat.R { return p.tree }
+
+// Rootless is the rootless period (see Schedule.RootlessPeriod).
+func (p *Periods) Rootless() rat.R { return p.rootless }
+
+// T0 is the node's synchronized period (see Schedule.T0).
+func (p *Periods) T0(id tree.NodeID) rat.R { return p.t0[id] }
+
+// Chi is the node's buffer bound χ (see Schedule.Chi).
+func (p *Periods) Chi(id tree.NodeID) rat.R {
+	chi := p.chi[id]
+	if !chi.IsInt() {
+		panic(fmt.Sprintf("sched: χ of node %s = %s is not an integer", p.t.Name(id), chi))
+	}
+	return chi
+}
+
+// Clone returns a copy of the schedule with node rows of its own (the
+// rows' slices are shared), for callers that derive a schedule by
+// editing rows. The copy computes its own Periods.
+func (s *Schedule) Clone() *Schedule {
+	return &Schedule{Tree: s.Tree, Res: s.Res, Nodes: slices.Clone(s.Nodes), ResultReturn: s.ResultReturn}
+}
+
+// Periods returns the schedule's periods, computing them on first use.
+// Schedules are shared across goroutines (a Session caches them), so
+// the first readers may race to compute; every one of them returns the
+// value that was stored first. The node rows must not change once the
+// periods have been read: derive an edited schedule with Clone.
+func (s *Schedule) Periods() *Periods {
+	if p := s.periods.Load(); p != nil {
+		return p
+	}
+	p := &Periods{t: s.Tree, tree: rat.One, rootless: rat.One,
+		t0: make([]rat.R, len(s.Nodes)), chi: make([]rat.R, len(s.Nodes))}
+	for i := range s.Nodes {
+		ns := &s.Nodes[i]
+		t0 := rat.LCM(ns.TS, ns.TC)
+		if ns.TR.IsPos() {
+			t0 = rat.LCM(t0, ns.TR)
+		}
+		p.t0[i], p.chi[i] = t0, ns.RecvRate.Mul(t0)
+		if ns.Active {
+			p.tree = rat.LCM(p.tree, t0)
+			if ns.Node != s.Tree.Root() {
+				p.rootless = rat.LCM(p.rootless, t0)
+			}
+		}
+	}
+	s.periods.CompareAndSwap(nil, p)
+	return s.periods.Load()
+}
+
 // TreePeriod returns the global steady-state period T: the lcm of every
 // active node's lcm(T^r, T^c, T^s) (Proposition 3). This is the period the
 // classical synchronized approach would use; the paper's point is that no
 // node ever needs it.
-func (s *Schedule) TreePeriod() *big.Int {
-	l := big.NewInt(1)
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if !ns.Active {
-			continue
-		}
-		l = rat.LCMInt(l, ns.TS.Num())
-		l = rat.LCMInt(l, ns.TC.Num())
-		if ns.TR.IsPos() {
-			l = rat.LCMInt(l, ns.TR.Num())
-		}
-	}
-	return l
-}
+func (s *Schedule) TreePeriod() *big.Int { return s.Periods().Tree().Num() }
 
 // RootlessRate returns the delegation rate of the root: the throughput of
 // the "rootless tree" (everything except the root's own computation), the
@@ -453,28 +513,14 @@ func (s *Schedule) RootlessRate() rat.R {
 
 // RootlessPeriod returns the lcm of the periods of all non-root active
 // nodes.
-func (s *Schedule) RootlessPeriod() *big.Int {
-	l := big.NewInt(1)
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if !ns.Active || ns.Node == s.Tree.Root() {
-			continue
-		}
-		l = rat.LCMInt(l, ns.TS.Num())
-		l = rat.LCMInt(l, ns.TC.Num())
-		if ns.TR.IsPos() {
-			l = rat.LCMInt(l, ns.TR.Num())
-		}
-	}
-	return l
-}
+func (s *Schedule) RootlessPeriod() *big.Int { return s.Periods().Rootless().Num() }
 
 // StartupBound returns Proposition 4's bound for node id: Σ T^s over its
 // ancestors — the time by which the node is guaranteed to be in steady
 // state when everyone applies the event-driven schedule from t = 0.
 func (s *Schedule) StartupBound(id tree.NodeID) rat.R {
 	sum := rat.Zero
-	for _, a := range s.Tree.Ancestors(id) {
+	for a := s.Tree.Parent(id); a != tree.None; a = s.Tree.Parent(a) {
 		sum = sum.Add(s.Nodes[a].TS)
 	}
 	return sum
@@ -603,28 +649,14 @@ func (s *Schedule) String() string {
 
 // T0 returns the node's synchronized period T_0 = lcm(T^r, T^c, T^s) from
 // Proposition 3.
-func (s *Schedule) T0(id tree.NodeID) *big.Int {
-	ns := &s.Nodes[id]
-	t0 := rat.LCMInt(ns.TS.Num(), ns.TC.Num())
-	if ns.TR.IsPos() {
-		t0 = rat.LCMInt(t0, ns.TR.Num())
-	}
-	return t0
-}
+func (s *Schedule) T0(id tree.NodeID) *big.Int { return s.Periods().T0(id).Num() }
 
 // Chi returns χ_{-1} = η_{-1}·T_0 for the node: the number of buffered
 // tasks that guarantees the steady-state regime with fully desynchronized
 // activities (Proposition 3). During the Proposition 4 start-up, a node's
 // buffer never needs to exceed this value, so it also bounds the memory
 // requirement of the schedule.
-func (s *Schedule) Chi(id tree.NodeID) *big.Int {
-	ns := &s.Nodes[id]
-	chi := ns.RecvRate.Mul(rat.FromBigInt(s.T0(id)))
-	if !chi.IsInt() {
-		panic(fmt.Sprintf("sched: χ of node %s = %s is not an integer", s.Tree.Name(id), chi))
-	}
-	return chi.Num()
-}
+func (s *Schedule) Chi(id tree.NodeID) *big.Int { return s.Periods().Chi(id).Num() }
 
 // MaxChi returns the largest χ over all active non-root nodes: the
 // platform-wide per-node buffer requirement.

@@ -137,6 +137,7 @@ func SimulateDynamic(opt DynOptions) (*DynRun, error) {
 	if opt.Obs.Enabled() {
 		sm.initObs(opt.Obs)
 	}
+	sm.eng.SetHandler(sm.fire)
 	// BestEffort: a phase switch can strand in-flight tasks at nodes the
 	// new schedule no longer uses; the engine re-routes or drops them.
 	sm.core = engine.New(engine.Config{
@@ -156,6 +157,7 @@ func SimulateDynamic(opt DynOptions) (*DynRun, error) {
 	}
 	// Phase activations (the first is already in place) and the root's
 	// release chains, one per phase window.
+	sm.phases = make([]phase, len(opt.Phases))
 	for i, p := range opt.Phases {
 		until := opt.Stop
 		if i+1 < len(opt.Phases) && opt.Phases[i+1].At.Less(until) {
@@ -173,7 +175,8 @@ func SimulateDynamic(opt DynOptions) (*DynRun, error) {
 			}
 		}
 		if rs := &s.Nodes[s.Tree.Root()]; rs.Active && len(rs.Pattern) > 0 {
-			sm.genPhase(engine.NewPacer(s, false), p.At, until, 0)
+			sm.phases[i] = phase{pacer: engine.NewPacer(s, false), start: p.At, until: until}
+			sm.genPhase(i, 0)
 		}
 	}
 	if sm.sc != nil {
@@ -204,27 +207,24 @@ func SimulateDynamic(opt DynOptions) (*DynRun, error) {
 	return run, nil
 }
 
-// genPhase releases the root's tasks for one phase window [start, until)
-// using the phase schedule's pacing, anchored at the phase start.
-func (sm *simulator) genPhase(pacer *engine.Pacer, start, until rat.R, p int64) {
-	base := start.Add(pacer.PeriodStart(p))
-	if !base.Less(until) {
+// genPhase releases the root's period-p tasks of phase i's window
+// [start, until) using the phase schedule's pacing, anchored at the
+// phase start, then chains the next period.
+func (sm *simulator) genPhase(i int, p int64) {
+	ph := &sm.phases[i]
+	base := ph.start.Add(ph.pacer.PeriodStart(p))
+	if !base.Less(ph.until) {
 		return
 	}
-	for i := 0; i < pacer.Len(); i++ {
-		at := start.Add(pacer.At(p, i))
-		if !at.Less(until) {
+	for j := 0; j < ph.pacer.Len(); j++ {
+		at := ph.start.Add(ph.pacer.At(p, j))
+		if !at.Less(ph.until) {
 			continue
 		}
-		dest := pacer.Dest(i)
-		sm.eng.At(at, func() {
-			sm.stats.Generated++
-			sm.genCtr.Inc()
-			sm.core.Release(dest, engine.Task{ID: sm.stats.Generated - 1})
-		})
+		sm.eng.Post(at, des.Event{Kind: release, Node: int32(i), Arg: int64(j)})
 	}
-	next := base.Add(pacer.TW())
-	if next.Less(until) {
-		sm.eng.At(next, func() { sm.genPhase(pacer, start, until, p+1) })
+	next := base.Add(ph.pacer.TW())
+	if next.Less(ph.until) {
+		sm.eng.Post(next, des.Event{Kind: nextPhasePeriod, Node: int32(i), Task: p + 1})
 	}
 }

@@ -9,9 +9,11 @@
 // (internal/engine): the per-node receive/compute/send automaton, the
 // Ψ-bunch routing and the buffer accounting all live in the engine core,
 // driven here by the DES clock (des.Engine satisfies engine.Clock
-// directly). What remains in this package is the backend's own concern —
-// the root's release chains over virtual time, the trace/span/metric
-// translation of the engine's hook stream, and the Section 8 statistics.
+// directly, and the simulator's DES handler hands the core's events to
+// Core.Fire). What remains in this package is the backend's own concern —
+// the root's release chains over virtual time, posted as typed DES
+// events too, the trace/span/metric translation of the engine's hook
+// stream, and the Section 8 statistics.
 //
 //   - Every node except the root acts without any time-related information.
 //     Incoming tasks are assigned round-robin through the node's
@@ -130,14 +132,14 @@ type Run struct {
 // engine core, translates the engine's hook stream into the trace and
 // the observability scope, and paces the root's releases.
 type simulator struct {
-	eng   *des.Engine
-	core  *engine.Core
-	pacer *engine.Pacer
-	t     *tree.Tree
-	s     *sched.Schedule
-	tr    *trace.Trace
-	opt   Options
-	stats *Stats
+	eng    *des.Engine
+	core   *engine.Core
+	phases []phase
+	t      *tree.Tree
+	s      *sched.Schedule
+	tr     *trace.Trace
+	opt    Options
+	stats  *Stats
 
 	// sc is the (possibly nil) observability scope. When set, the fields
 	// below hold its pre-registered instruments. Hot paths guard on
@@ -185,6 +187,44 @@ func (sm *simulator) initObs(sc *obs.Scope) {
 			"peak buffered-task count at the node", "node", name)
 		sm.doneNode[i] = reg.CounterLabeled("bwc_node_tasks_completed_total",
 			"tasks executed by the node", "node", name)
+	}
+}
+
+// phase is one release window of the root: its pacer, anchored at start,
+// releases until until. Simulate runs one phase from 0; SimulateDynamic
+// one per schedule regime.
+type phase struct {
+	pacer        *engine.Pacer
+	start, until rat.R
+}
+
+// The simulator's own DES event kinds, numbered after the engine core's.
+const (
+	// release: the root releases one task through slot Arg of phase
+	// Node's pacer.
+	release = engine.NumKinds + iota
+	// nextPeriod: Simulate's release chain reaches period Task, with Arg
+	// releases scheduled so far (Tasks mode).
+	nextPeriod
+	// nextPhasePeriod: the release chain of SimulateDynamic's phase Node
+	// reaches period Task.
+	nextPhasePeriod
+)
+
+// fire is the DES handler: the simulator's own events, and the engine
+// core's transitions.
+func (sm *simulator) fire(ev des.Event) {
+	switch ev.Kind {
+	case release:
+		sm.stats.Generated++
+		sm.genCtr.Inc()
+		sm.core.Release(sm.phases[ev.Node].pacer.Dest(int(ev.Arg)), engine.Task{ID: sm.stats.Generated - 1})
+	case nextPeriod:
+		sm.schedulePeriod(ev.Task, ev.Arg)
+	case nextPhasePeriod:
+		sm.genPhase(int(ev.Node), ev.Task)
+	default:
+		sm.core.Fire(ev)
 	}
 }
 
@@ -305,7 +345,7 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 		TreePeriod: s.TreePeriod(),
 		StopAt:     opt.Stop,
 	}
-	perPeriod := s.Res.Throughput.MulInt(st.TreePeriod)
+	perPeriod := s.Res.Throughput.Mul(s.Periods().Tree())
 	if !perPeriod.IsInt() {
 		return nil, fmt.Errorf("sim: throughput·period = %s not integer", perPeriod)
 	}
@@ -322,13 +362,14 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	if opt.Obs.Enabled() {
 		sm.initObs(opt.Obs)
 	}
+	sm.eng.SetHandler(sm.fire)
 	sm.core = engine.New(engine.Config{
 		Schedule: s,
 		Clock:    sm.eng,
 		Hooks:    sm,
 		Recorder: opt.Recorder,
 	})
-	sm.pacer = engine.NewPacer(s, opt.BurstRoot)
+	sm.phases = []phase{{pacer: engine.NewPacer(s, opt.BurstRoot)}}
 
 	sm.schedulePeriod(0, 0)
 	if sm.sc != nil {
@@ -449,13 +490,14 @@ func smallInt(v uint64) string {
 // (or until the Tasks budget is exhausted), then chains the next period
 // lazily. released counts slots scheduled so far in Tasks mode.
 func (sm *simulator) schedulePeriod(p, released int64) {
-	base := sm.pacer.PeriodStart(p)
+	pacer := sm.phases[0].pacer
+	base := pacer.PeriodStart(p)
 	timed := sm.opt.Tasks == 0
 	if timed && !base.Less(sm.opt.Stop) {
 		return
 	}
-	for i := 0; i < sm.pacer.Len(); i++ {
-		at := sm.pacer.At(p, i)
+	for i := 0; i < pacer.Len(); i++ {
+		at := pacer.At(p, i)
 		if timed && !at.Less(sm.opt.Stop) {
 			continue
 		}
@@ -467,28 +509,23 @@ func (sm *simulator) schedulePeriod(p, released int64) {
 			// The last release time is the batch's effective stop.
 			sm.stats.StopAt = at
 		}
-		dest := sm.pacer.Dest(i)
-		sm.eng.At(at, func() {
-			sm.stats.Generated++
-			sm.genCtr.Inc()
-			sm.core.Release(dest, engine.Task{ID: sm.stats.Generated - 1})
-		})
+		sm.eng.Post(at, des.Event{Kind: release, Arg: int64(i)})
 	}
 	if !timed && released >= int64(sm.opt.Tasks) {
 		return
 	}
-	next := base.Add(sm.pacer.TW())
+	next := base.Add(pacer.TW())
 	if timed && !next.Less(sm.opt.Stop) {
 		return
 	}
-	sm.eng.At(next, func() { sm.schedulePeriod(p+1, released) })
+	sm.eng.Post(next, des.Event{Kind: nextPeriod, Task: p + 1, Arg: released})
 }
 
 func (sm *simulator) finishStats() {
 	st := sm.stats
 	st.Completed = sm.tr.TotalCompleted()
 	st.ResultsReturned = int(sm.core.ResultsHome())
-	period := rat.FromBigInt(st.TreePeriod)
+	period := sm.s.Periods().Tree()
 	horizon := periodFloor(st.StopAt, period)
 	if st.PerPeriod.IsInt64() {
 		start, ok := sm.tr.SteadyStart(period, int(st.PerPeriod.Int64()), horizon)

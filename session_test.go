@@ -6,6 +6,8 @@ import (
 
 	"bwc"
 	"bwc/internal/benchfix"
+	"bwc/internal/rat"
+	"bwc/internal/sched"
 )
 
 func sessionTree() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 24, 11) }
@@ -369,5 +371,46 @@ func BenchmarkSessionSolveCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Solve(tr)
+	}
+}
+
+// TestSessionSchedulePeriodsConcurrent: a Session hands one schedule to
+// every caller, and the schedule computes its periods on first use.
+// Goroutines that read them at once must all get the one stored value,
+// equal to a fresh build's, and the race detector must find nothing.
+func TestSessionSchedulePeriodsConcurrent(t *testing.T) {
+	sess := bwc.NewSession()
+	tr := sessionTree()
+	s, err := sess.BuildSchedule(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := bwc.BuildSchedule(bwc.Solve(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]*sched.Periods, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = s.Periods()
+			if s.TreePeriod().Cmp(fresh.TreePeriod()) != 0 {
+				t.Errorf("tree period %s, a fresh build's %s", s.TreePeriod(), fresh.TreePeriod())
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, p := range got[1:] {
+		if p != got[0] {
+			t.Fatal("concurrent readers got different Periods values")
+		}
+	}
+	for id := range s.Nodes {
+		n := bwc.NodeID(id)
+		if !got[0].T0(n).Equal(rat.FromBigInt(fresh.T0(n))) {
+			t.Fatalf("node %d: T0 %s, a fresh build's %s", id, got[0].T0(n), fresh.T0(n))
+		}
 	}
 }
