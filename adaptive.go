@@ -4,10 +4,9 @@ package bwc
 // BW-First is cheap enough to re-run whenever the platform drifts, so
 // SimulateAdaptive and SimulateChurn inject faults on a timeline, watch
 // windowed per-node throughput and buffer watermarks against the active
-// schedule, re-negotiate on the measured platform — crashed children
-// pruned by the resilient wave after bounded retries — and hot-swap the
-// new schedule at a period boundary without stopping the run. See
-// internal/adapt.
+// schedule, re-solve on the measured platform — crashed nodes' subtrees
+// excluded — and hot-swap the new schedule at a period boundary without
+// stopping the run. See internal/adapt.
 
 import (
 	"bwc/internal/adapt"
@@ -68,8 +67,8 @@ func RestoreNode(at Rational, node string) Fault {
 }
 
 // CrashNode schedules a fail-stop of the node's process: its compute
-// rate collapses and it stops answering protocol messages, so the next
-// negotiation wave prunes its whole subtree. The link itself stays up,
+// rate collapses, and the next re-solve prunes its whole subtree, the
+// crashed node being a link nobody can use. The link itself stays up,
 // and the crash is permanent for the run.
 func CrashNode(at Rational, node string) Fault {
 	return Fault{At: at, Node: node, Kind: adapt.Crash}
@@ -91,7 +90,9 @@ func RandomFaults(t *Tree, seed int64, n int, horizon Rational) []Fault {
 // no drift remains or the adaptation budget (WithMaxAdapts) is
 // exhausted. The returned report carries the pre-swap conformance report
 // (expected to FAIL when faults bite) and the post-swap report on the
-// final regime (Healed reports whether it passes every check).
+// final regime (Healed reports whether it passes every check). A
+// crashed root leaves nothing to schedule: the run fails at once with
+// an error wrapping ErrInfeasible.
 //
 // The controller is deterministic: identical inputs replay identical
 // timelines.

@@ -190,7 +190,7 @@ func BenchmarkE9Scalability(b *testing.B) {
 		b.Run(byN(n), func(b *testing.B) {
 			var res *bwc.DistributedResult
 			for i := 0; i < b.N; i++ {
-				res, _ = bwc.SolveDistributed(tr)
+				res = bwc.SolveDistributed(tr)
 			}
 			b.ReportMetric(float64(res.Messages), "messages")
 			b.ReportMetric(float64(res.VisitedCount), "visited")

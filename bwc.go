@@ -30,10 +30,9 @@
 //
 // Every entry point shares one functional-options vocabulary (see
 // Option): bwc.WithObserver instruments any call, bwc.WithStop /
-// bwc.WithPeriods / bwc.WithTasks set horizons and batch sizes,
-// bwc.WithTimeout / bwc.WithRetry make the distributed protocol
-// resilient to unresponsive nodes, and bwc.WithFaults drives the
-// adaptive runtime (SimulateAdaptive / SimulateChurn).
+// bwc.WithPeriods / bwc.WithTasks set horizons and batch sizes, and
+// bwc.WithFaults drives the adaptive runtime (SimulateAdaptive /
+// SimulateChurn).
 //
 // Solve runs the paper's BW-First transaction procedure; SolveDistributed
 // runs the same procedure with one goroutine per node exchanging single
@@ -43,7 +42,6 @@
 package bwc
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
@@ -294,28 +292,8 @@ func SolveBatch(trees []*Tree, workers int) []*Result { return bwfirst.SolveBatc
 // per node, single-number messages over channels. WithObserver records
 // one span per transaction plus the protocol message counters
 // (bwc_protocol_messages_total, bwc_visited_nodes).
-//
-// With any of WithTimeout / WithBackoff / WithRetry / WithUnresponsive
-// the wave runs in resilient mode: every proposal carries a timeout, a
-// child that never acknowledges is retried with linear backoff and then
-// pruned — its whole subtree excluded from the steady state and reported
-// in the result's Pruned list — instead of hanging the negotiation. An
-// unresponsive root fails with ErrAdaptTimeout. Without those options the
-// wave is the plain in-memory protocol and the error is always nil.
-func SolveDistributed(t *Tree, opts ...Option) (*DistributedResult, error) {
-	cfg := buildCfg(opts)
-	if !cfg.resilient {
-		return proto.SolveObserved(t, cfg.obs), nil
-	}
-	down := make([]tree.NodeID, 0, len(cfg.unresponsive))
-	for _, name := range cfg.unresponsive {
-		id, ok := t.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bwc: unresponsive node %q is not in the platform", name)
-		}
-		down = append(down, id)
-	}
-	return proto.SolveResilientObserved(t, down, cfg.buildResilientOptions(), cfg.obs)
+func SolveDistributed(t *Tree, opts ...Option) *DistributedResult {
+	return proto.SolveObserved(t, buildCfg(opts).obs)
 }
 
 // ProtocolSession keeps one goroutine per node alive across negotiation

@@ -175,7 +175,7 @@ func ExampleBuildSchedule() {
 
 // ExampleSolveDistributed runs the protocol with one goroutine per node.
 func ExampleSolveDistributed() {
-	res, _ := bwc.SolveDistributed(bwc.PaperExampleTree())
+	res := bwc.SolveDistributed(bwc.PaperExampleTree())
 	fmt.Println("throughput:", res.Throughput, "messages:", res.Messages)
 	// Output: throughput: 10/9 messages: 16
 }

@@ -2,11 +2,11 @@ package main
 
 // The adapt subcommand drives the closed adaptation loop of Section 5:
 // inject faults into a simulated run, detect the drift against the
-// deployed schedule, re-negotiate with the distributed procedure on the
-// measured platform, and hot-swap the re-solved schedule mid-run. The
-// output pins the demo contract CI greps for: the stale regime must
-// report "pre-swap: FAIL", the adapted regime "post-swap: PASS", and the
-// command exits 0 only when the run healed.
+// deployed schedule, re-solve with BW-First on the measured platform
+// (a crashed node's subtree excluded), and hot-swap the re-solved
+// schedule mid-run. The output pins the demo contract CI greps for: the
+// stale regime must report "pre-swap: FAIL", the adapted regime
+// "post-swap: PASS", and the command exits 0 only when the run healed.
 
 import (
 	"flag"

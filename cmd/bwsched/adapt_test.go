@@ -94,7 +94,7 @@ func TestAdaptCleanRunNoDrift(t *testing.T) {
 }
 
 // TestAdaptCrashPrunesSubtree: a crashed node must be pruned by the
-// resilient wave and named in the adapt log.
+// re-solve and named in the adapt log.
 func TestAdaptCrashPrunesSubtree(t *testing.T) {
 	plat := writePaperPlatform(t, t.TempDir())
 	out, code := captureStdoutCode(t, func() int {

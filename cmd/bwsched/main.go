@@ -736,10 +736,7 @@ func cmdObs(args []string) error {
 		ob.AttachJSONL(logW)
 	}
 
-	dres, err := bwc.SolveDistributed(t, bwc.WithObserver(ob))
-	if err != nil {
-		return err
-	}
+	dres := bwc.SolveDistributed(t, bwc.WithObserver(ob))
 	res := sess.Solve(t, bwc.WithObserver(ob))
 	s, err := sess.BuildSchedule(t)
 	if err != nil {

@@ -109,10 +109,7 @@ func TestCmdObs(t *testing.T) {
 
 	// Independent ground truth.
 	res := bwc.Solve(bwc.PaperExampleTree())
-	dres, err := bwc.SolveDistributed(bwc.PaperExampleTree())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dres := bwc.SolveDistributed(bwc.PaperExampleTree())
 
 	// Prometheus export: the E9 counters must match the protocol result.
 	prom, err := os.ReadFile(metrics)

@@ -29,9 +29,9 @@ var (
 	// deployed schedule no longer matches the measured platform.
 	ErrScheduleStale = bwcerr.ErrScheduleStale
 
-	// ErrAdaptTimeout reports a non-converging adaptation loop: a
-	// re-negotiation wave timed out at the root, or drift persisted after
-	// the allowed number of adaptations.
+	// ErrAdaptTimeout reports a non-converging adaptation loop: drift
+	// persisted after the allowed number of adaptations, or no swap
+	// boundary fits before the horizon.
 	ErrAdaptTimeout = bwcerr.ErrAdaptTimeout
 
 	// ErrPerfRegression reports a benchmark trajectory that failed the

@@ -3,45 +3,9 @@ package bwc_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"bwc"
 )
-
-// TestSolveDistributedResilient: the resilience options switch the
-// facade onto the timeout/retry wave, which prunes an unresponsive
-// child instead of hanging, and the re-negotiated throughput matches a
-// first-principles solve of the platform without that subtree.
-func TestSolveDistributedResilient(t *testing.T) {
-	tr := bwc.PaperExampleTree()
-	res, err := bwc.SolveDistributed(tr,
-		bwc.WithUnresponsive("P2"),
-		bwc.WithTimeout(5*time.Millisecond),
-		bwc.WithBackoff(time.Millisecond),
-		bwc.WithRetry(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pruned) != 1 || res.Pruned[0].Name != "P2" {
-		t.Fatalf("pruned %+v, want exactly P2", res.Pruned)
-	}
-	direct := bwc.Solve(bwc.PaperExampleTree())
-	if res.Throughput.Cmp(direct.Throughput) >= 0 {
-		t.Fatalf("pruning P2 kept throughput %s, want below the full platform's %s",
-			res.Throughput, direct.Throughput)
-	}
-}
-
-// TestSolveDistributedUnknownUnresponsive: naming a node that isn't in
-// the platform is a caller bug and must error, not silently resolve.
-func TestSolveDistributedUnknownUnresponsive(t *testing.T) {
-	_, err := bwc.SolveDistributed(bwc.PaperExampleTree(),
-		bwc.WithUnresponsive("P99"), bwc.WithTimeout(5*time.Millisecond))
-	if err == nil {
-		t.Fatal("unknown unresponsive node accepted")
-	}
-}
 
 // TestSimulateAdaptiveFacade: the one-call adaptive loop on the paper's
 // degraded-link scenario heals via exactly one re-negotiation.

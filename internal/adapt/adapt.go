@@ -2,13 +2,12 @@ package adapt
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
 	"bwc/internal/obs"
 	"bwc/internal/obs/analyze"
-	"bwc/internal/proto"
 	"bwc/internal/rat"
 	"bwc/internal/sched"
 	"bwc/internal/sim"
@@ -36,15 +35,9 @@ type Options struct {
 	// default (4). Negative means detect only: the first drift surfaces
 	// as ErrScheduleStale (DetectOnly wraps this).
 	MaxAdapts int
-	// Timeout, Backoff, Retries tune the resilient negotiation wave (see
-	// proto.ResilientOptions); zero values take that type's defaults.
-	Timeout time.Duration
-	Backoff time.Duration
-	Retries int
 	// Sched configures re-solved schedule construction.
 	Sched sched.Options
-	// Obs, when enabled, receives the controller's adaptation events and
-	// the negotiation spans of every re-solve wave.
+	// Obs, when enabled, receives the controller's adaptation events.
 	Obs *obs.Scope
 }
 
@@ -83,10 +76,6 @@ func (o Options) detector() *Detector {
 	return &Detector{Threshold: o.Threshold, BufferSlack: bufferSlack, Consecutive: o.Consecutive}
 }
 
-func (o Options) resilient() proto.ResilientOptions {
-	return proto.ResilientOptions{Timeout: o.Timeout, Backoff: o.Backoff, Retries: o.Retries}
-}
-
 // windowFor resolves the detection window for a schedule.
 func (o Options) windowFor(s *sched.Schedule) (rat.R, error) {
 	if o.Window.IsPos() {
@@ -116,11 +105,14 @@ type Adaptation struct {
 	// Throughput is the re-negotiated steady-state rate on the measured
 	// platform.
 	Throughput rat.R
-	// Messages and Visited report the cost of the re-solve wave (the
-	// paper's Prop. 2 economy: only the useful subtree is walked).
+	// Messages and Visited report the cost of the re-solve (the paper's
+	// Prop. 2 economy: only the useful subtree is walked): two protocol
+	// messages per transaction, and the nodes the re-solve visited.
 	Messages int
 	Visited  int
-	// Pruned names the children the resilient wave gave up on.
+	// Pruned names the nodes whose subtrees the re-solve excluded (the
+	// crashed ones, and under SimulateChurn the quarantined ones too), in
+	// node-ID order.
 	Pruned []string
 	// Schedule is the newly deployed schedule.
 	Schedule *sched.Schedule
@@ -158,16 +150,16 @@ func (r *SimReport) FinalSchedule() *sched.Schedule {
 
 // SimulateAdaptive runs the closed loop against the exact simulator:
 // simulate under the fault timeline, scan the evidence for drift against
-// the active schedule, re-negotiate on the measured (faulted) platform —
-// crashed nodes pruned by the resilient wave — and hot-swap the new
-// schedule at the next root period boundary; repeat until no drift
-// remains or MaxAdapts is exhausted. The controller is deterministic:
-// re-simulating the grown phase list replays the identical prefix, so
-// each iteration extends the previous timeline exactly.
+// the active schedule, re-solve on the measured (faulted) platform with
+// the crashed nodes' subtrees excluded, and hot-swap the new schedule at
+// the next root period boundary; repeat until no drift remains or
+// MaxAdapts is exhausted. The controller is deterministic: re-simulating
+// the grown phase list replays the identical prefix, so each iteration
+// extends the previous timeline exactly.
 //
 // Detection-only mode (DetectOnly) returns ErrScheduleStale on the first
 // drift. A run whose drift persists after MaxAdapts re-solves returns
-// ErrAdaptTimeout.
+// ErrAdaptTimeout, and a crashed root ErrInfeasible.
 func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 	if s == nil || s.Tree == nil || s.Tree.Len() == 0 {
 		return nil, fmt.Errorf("adapt: no schedule")
@@ -216,7 +208,7 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 		}
 
 		measured := physicsAt(base, physics, drift.At)
-		next, pr, err := resolve(measured, CrashedBefore(opt.Faults, drift.At), opt)
+		ad, err := resolve(measured, prunedSet(measured, CrashedBefore(opt.Faults, drift.At), nil), opt)
 		if err != nil {
 			return rep, err
 		}
@@ -234,25 +226,17 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 			phases = append(phases, sim.Phase{At: swapAt, Schedule: pauseSchedule(active)})
 			resumeAt = swapAt.Add(drain)
 		}
-		phases = append(phases, sim.Phase{At: resumeAt, Schedule: next})
-		rep.Adaptations = append(rep.Adaptations, Adaptation{
-			Drift:      drift,
-			SwapAt:     swapAt,
-			ResumeAt:   resumeAt,
-			Throughput: pr.Throughput,
-			Messages:   pr.Messages,
-			Visited:    pr.VisitedCount,
-			Pruned:     prunedNames(pr),
-			Schedule:   next,
-		})
+		phases = append(phases, sim.Phase{At: resumeAt, Schedule: ad.Schedule})
+		ad.Drift, ad.SwapAt, ad.ResumeAt = drift, swapAt, resumeAt
+		rep.Adaptations = append(rep.Adaptations, ad)
 		opt.Obs.Emit("swap",
 			obs.A("at", swapAt.String()),
 			obs.A("resume", resumeAt.String()),
-			obs.A("throughput", pr.Throughput.String()),
-			obs.A("messages", fmt.Sprint(pr.Messages)))
-		settle = resumeAt.Add(next.MaxStartupBound())
+			obs.A("throughput", ad.Throughput.String()),
+			obs.A("messages", fmt.Sprint(ad.Messages)))
+		settle = resumeAt.Add(ad.Schedule.MaxStartupBound())
 		segStart = resumeAt
-		active = next
+		active = ad.Schedule
 	}
 
 	if err := verifyAndReport(rep, phases, physics, opt, segStart, s); err != nil {
@@ -336,32 +320,47 @@ func physicsAt(base *tree.Tree, physics []sim.PhysicsChange, t rat.R) *tree.Tree
 	return cur
 }
 
-// resolve re-runs the distributed procedure on the measured platform with
-// the crashed nodes fail-stopped, and builds the new schedule.
-func resolve(measured *tree.Tree, crashed []string, opt Options) (*sched.Schedule, *proto.Result, error) {
-	sess := proto.NewSessionObserved(measured, opt.Obs)
-	defer sess.Close()
-	for _, name := range crashed {
-		if id, ok := measured.Lookup(name); ok {
-			sess.SetResponsive(id, false)
-		}
-	}
-	pr, err := sess.RunResilient(opt.resilient())
+// resolve re-runs BW-First on the measured platform with the crashed
+// nodes' subtrees excluded — Section 5's re-negotiation, in which a
+// failed node is a link nobody can use — and builds the new schedule.
+// The returned Adaptation holds the re-solve's outcome; the caller adds
+// the drift and swap instants.
+func resolve(measured *tree.Tree, crashed []tree.NodeID, opt Options) (Adaptation, error) {
+	ad := Adaptation{Pruned: nodeNames(measured, crashed)}
+	res, err := bwfirst.SolvePruned(measured, crashed)
 	if err != nil {
-		return nil, nil, err
+		// SolvePruned refuses only a pruned root: a crashed root leaves
+		// nothing to schedule.
+		return Adaptation{}, fmt.Errorf("adapt: re-solve without %s: %v: %w", strings.Join(ad.Pruned, ","), err, bwcerr.ErrInfeasible)
 	}
-	if !pr.Throughput.IsPos() {
-		return nil, nil, fmt.Errorf("adapt: re-negotiated throughput is zero on the measured platform: %w", bwcerr.ErrInfeasible)
+	ad.Throughput, ad.Visited = res.Throughput, res.VisitedCount
+	// Two messages per transaction, the virtual parent's pair included.
+	ad.Messages = 2 * (len(res.Transactions) + 1)
+	opt.Obs.Emit("negotiate",
+		obs.A("throughput", ad.Throughput.String()),
+		obs.A("messages", fmt.Sprint(ad.Messages)),
+		obs.A("visited", fmt.Sprint(ad.Visited)),
+		obs.A("pruned", fmt.Sprint(len(crashed))))
+	if ad.Schedule, err = buildResolved(res, opt.Sched); err != nil {
+		return Adaptation{}, err
 	}
-	next, err := sched.Build(ResultFromProtocol(pr), opt.Sched)
+	return ad, nil
+}
+
+// buildResolved builds the schedule of a re-solve for either controller
+// and refuses one the root could not release tasks by.
+func buildResolved(res *bwfirst.Result, opt sched.Options) (*sched.Schedule, error) {
+	if !res.Throughput.IsPos() {
+		return nil, fmt.Errorf("adapt: re-negotiated throughput is zero on the measured platform: %w", bwcerr.ErrInfeasible)
+	}
+	next, err := sched.Build(res, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	root := next.Tree.Root()
-	if rs := &next.Nodes[root]; !rs.Active || rs.Pattern == nil {
-		return nil, nil, fmt.Errorf("adapt: re-solved schedule has no usable root pattern: %w", bwcerr.ErrInfeasible)
+	if rs := &next.Nodes[next.Tree.Root()]; !rs.Active || rs.Pattern == nil {
+		return nil, fmt.Errorf("adapt: re-solved schedule has no usable root pattern: %w", bwcerr.ErrInfeasible)
 	}
-	return next, pr, nil
+	return next, nil
 }
 
 // nextBoundary returns the first root period boundary of the active
@@ -415,33 +414,4 @@ func drainBound(old *sched.Schedule, phys *tree.Tree, stale rat.R) rat.R {
 		return rat.Zero
 	}
 	return stale.Mul(inflate.Sub(rat.One))
-}
-
-func prunedNames(pr *proto.Result) []string {
-	var out []string
-	for _, p := range pr.Pruned {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
-// ResultFromProtocol lifts a distributed-protocol result into the
-// bwfirst.Result shape schedule construction expects: the per-node rates
-// are copied and the derived receive rates recomputed locally.
-func ResultFromProtocol(pr *proto.Result) *bwfirst.Result {
-	res := &bwfirst.Result{
-		Tree:         pr.Tree,
-		TMax:         pr.TMax,
-		Throughput:   pr.Throughput,
-		VisitedCount: pr.VisitedCount,
-		Nodes:        make([]bwfirst.NodeState, pr.Tree.Len()),
-	}
-	for id := range res.Nodes {
-		st := &res.Nodes[id]
-		st.Visited = pr.Visited[id]
-		st.Alpha = pr.Alpha[id]
-		st.SendRates = pr.SendRates[id]
-		st.RecvRate = st.ConsumeRate()
-	}
-	return res
 }

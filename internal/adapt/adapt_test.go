@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,8 +110,8 @@ func TestDetectOnly(t *testing.T) {
 	}
 }
 
-// TestCrashPrunesSubtree: a crashed child is pruned by the resilient
-// re-solve and the new schedule routes nothing to its subtree.
+// TestCrashPrunesSubtree: a crashed child is pruned by the re-solve and
+// the new schedule routes nothing to its subtree.
 func TestCrashPrunesSubtree(t *testing.T) {
 	tr := paperexample.Tree()
 	s := mustSchedule(t, tr)
@@ -126,7 +127,7 @@ func TestCrashPrunesSubtree(t *testing.T) {
 	}
 	ad := rep.Adaptations[len(rep.Adaptations)-1]
 	if len(ad.Pruned) == 0 {
-		t.Fatalf("resilient wave pruned nothing: %+v", ad)
+		t.Fatalf("re-solve pruned nothing: %+v", ad)
 	}
 	final := rep.FinalSchedule()
 	for _, name := range []string{"P2", "P6", "P7"} {
@@ -143,6 +144,70 @@ func TestCrashPrunesSubtree(t *testing.T) {
 			}
 		}
 		t.Fatalf("post-crash regime not healthy: %v", failing)
+	}
+}
+
+// TestCrashResolveIsExact: a crash is re-solved exactly and at once.
+// Each case takes one adaptation whose throughput equals BW-First on the
+// measured platform without the crashed node's subtree, with that node
+// alone pruned, and a second run reports the same. A crashed root leaves
+// nothing to schedule.
+func TestCrashResolveIsExact(t *testing.T) {
+	tr := paperexample.Tree()
+	s := mustSchedule(t, tr)
+	crash := func(node string) Options {
+		return Options{
+			Faults: []Fault{{At: rat.FromInt(100), Node: node, Kind: Crash}},
+			Stop:   rat.FromInt(600),
+		}
+	}
+	summary := func(rep *SimReport) string {
+		var b strings.Builder
+		for _, ad := range rep.Adaptations {
+			fmt.Fprintf(&b, "%s %s %s %s %d %d %v|", ad.Drift.At, ad.SwapAt, ad.ResumeAt, ad.Throughput, ad.Messages, ad.Visited, ad.Pruned)
+		}
+		fmt.Fprintf(&b, "%v %s %+v %+v", rep.Healed, rep.Stop, *rep.Pre, *rep.Post)
+		return b.String()
+	}
+	for _, tc := range []struct{ node, want string }{
+		{"P6", "10/9"},
+		{"P3", "13/12"},
+		{"P8", "97/90"},
+	} {
+		opt := crash(tc.node)
+		rep, err := SimulateAdaptive(s, opt)
+		if err != nil {
+			t.Fatalf("crash %s: %v", tc.node, err)
+		}
+		if len(rep.Adaptations) != 1 {
+			t.Fatalf("crash %s: %d adaptations, want 1", tc.node, len(rep.Adaptations))
+		}
+		ad := rep.Adaptations[0]
+		physics, err := Timeline(tr, opt.Faults, rat.FromInt(crashFactor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := physicsAt(tr, physics, ad.Drift.At)
+		exact, err := bwfirst.SolvePruned(measured, []tree.NodeID{measured.MustLookup(tc.node)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ad.Throughput.Equal(exact.Throughput) || ad.Throughput.String() != tc.want {
+			t.Fatalf("crash %s: throughput %s, want %s (pruned solve %s)", tc.node, ad.Throughput, tc.want, exact.Throughput)
+		}
+		if len(ad.Pruned) != 1 || ad.Pruned[0] != tc.node {
+			t.Fatalf("crash %s: pruned %v, want [%s]", tc.node, ad.Pruned, tc.node)
+		}
+		again, err := SimulateAdaptive(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := summary(rep), summary(again); a != b {
+			t.Fatalf("crash %s: reports differ between runs:\n%s\n%s", tc.node, a, b)
+		}
+	}
+	if _, err := SimulateAdaptive(s, crash("P0")); !errors.Is(err, bwcerr.ErrInfeasible) {
+		t.Fatalf("root crash: err = %v, want ErrInfeasible", err)
 	}
 }
 

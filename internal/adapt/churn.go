@@ -340,13 +340,8 @@ func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
 
 		res, serr := bwfirst.SolveIncremental(prevRes, measured, dirty, pruned)
 		var next *sched.Schedule
-		if serr == nil && res.Throughput.IsPos() && retainsFloor(res.Throughput, rep.Baseline, opt.RetentionFloor) {
-			next, serr = sched.Build(res, opt.Sched)
-			if serr == nil {
-				if rs := &next.Nodes[next.Tree.Root()]; !rs.Active || rs.Pattern == nil {
-					serr = fmt.Errorf("adapt: churn re-solve has no usable root pattern: %w", bwcerr.ErrInfeasible)
-				}
-			}
+		if serr == nil && retainsFloor(res.Throughput, rep.Baseline, opt.RetentionFloor) {
+			next, serr = buildResolved(res, opt.Sched)
 		}
 		if next == nil {
 			// Failed re-negotiation: back off (exponentially, with seeded

@@ -6,9 +6,9 @@
 // a timeline, a drift detector that watches windowed per-node throughput
 // and buffer watermarks against the active schedule (reusing the
 // conformance analyzer's reconstruction logic), and a re-solve/hot-swap
-// controller that re-runs the distributed procedure on the measured
-// platform (resilient mode: a crashed child is pruned after bounded
-// retries) and installs the new schedule at a period boundary.
+// controller that re-runs BW-First on the measured platform (a crashed
+// node's subtree is pruned) and installs the new schedule at a period
+// boundary.
 //
 // Two controllers share the machinery, both on the exact discrete-event
 // simulator and both deterministic: SimulateAdaptive (the `bwsched adapt`
@@ -44,10 +44,9 @@ const (
 	// NodeRestore resets the node's processing time to its baseline w.
 	NodeRestore
 	// Crash fail-stops the node's process: its compute rate collapses (w
-	// scaled by the controller's crash factor) and it stops answering
-	// protocol messages, so the next negotiation wave prunes its subtree.
-	// The link itself stays up (the network outlives the process), and a
-	// crash is permanent for the run.
+	// scaled by the controller's crash factor), and the next re-solve
+	// prunes its subtree. The link itself stays up (the network outlives
+	// the process), and a crash is permanent for the run.
 	Crash
 )
 

@@ -13,9 +13,9 @@
 //	ErrScheduleStale  drift was detected against the active schedule but
 //	                  adaptation was disabled, so the schedule no longer
 //	                  matches the platform;
-//	ErrAdaptTimeout   the adaptation loop could not converge: a
-//	                  re-negotiation wave timed out at the root, or drift
-//	                  persisted after the allowed number of adaptations;
+//	ErrAdaptTimeout   the adaptation loop could not converge: drift
+//	                  persisted after the allowed number of adaptations,
+//	                  or no swap boundary fits before the horizon;
 //	ErrPerfRegression the benchmark trajectory regressed against its
 //	                  committed baseline (the perf gate);
 //	ErrChurnCollapse  sustained churn drove retained throughput below the

@@ -21,10 +21,9 @@ import (
 
 // SolvePruned runs the full BW-First procedure on t with the given
 // nodes (and therefore their entire subtrees) excluded from the
-// negotiation: no transaction is opened toward a pruned child, exactly
-// as the resilient protocol wave behaves when a child stops answering.
-// Pruning the root is an error. A nil or empty pruned set reproduces
-// Solve exactly.
+// negotiation: no transaction is opened toward a pruned child, as for a
+// crashed node no proposal can reach. Pruning the root is an error. A
+// nil or empty pruned set reproduces Solve exactly.
 func SolvePruned(t *tree.Tree, pruned []tree.NodeID) (*Result, error) {
 	return SolveIncremental(nil, t, nil, pruned)
 }

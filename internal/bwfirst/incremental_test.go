@@ -204,6 +204,71 @@ func TestPrunedSubtreeExcluded(t *testing.T) {
 	}
 }
 
+// withoutSubtree rebuilds tr with x's whole subtree removed. Node IDs
+// list every parent before its children, so adding the survivors in ID
+// order keeps each child list in its original order.
+func withoutSubtree(t *testing.T, tr *tree.Tree, x tree.NodeID) *tree.Tree {
+	t.Helper()
+	gone := make([]bool, tr.Len())
+	tr.Walk(x, func(n tree.NodeID) bool { gone[n] = true; return true })
+	b := tree.NewBuilder()
+	for id := tree.NodeID(0); int(id) < tr.Len(); id++ {
+		if gone[id] {
+			continue
+		}
+		name := tr.Name(id)
+		w, hasProc := tr.ProcTime(id)
+		switch p := tr.Parent(id); {
+		case p == tree.None && hasProc:
+			b.Root(name, w)
+		case p == tree.None:
+			b.RootSwitch(name)
+		case hasProc:
+			b.Child(tr.Name(p), name, tr.CommTime(id), w)
+		default:
+			b.SwitchChild(tr.Name(p), name, tr.CommTime(id))
+		}
+		if d := tr.ReturnTime(id); d.IsPos() {
+			b.Return(name, d)
+		}
+	}
+	cut, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cut
+}
+
+// TestSolvePrunedMatchesSubtreeRemoved is the oracle for the pruned
+// re-solve the adaptive controllers run after a crash: pruning any
+// non-root node x gives exactly the optimum of the platform with x's
+// subtree removed, in throughput and in every surviving node's α.
+func TestSolvePrunedMatchesSubtreeRemoved(t *testing.T) {
+	for _, kind := range treegen.Kinds {
+		for seed := int64(1); seed <= 6; seed++ {
+			tr := treegen.Generate(kind, 24, seed)
+			for x := tree.NodeID(1); int(x) < tr.Len(); x++ {
+				pruned, err := SolvePruned(tr, []tree.NodeID{x})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cut := withoutSubtree(t, tr, x)
+				want := Solve(cut)
+				if !pruned.Throughput.Equal(want.Throughput) {
+					t.Fatalf("%s seed %d without %s: throughput %s, want %s",
+						kind, seed, tr.Name(x), pruned.Throughput, want.Throughput)
+				}
+				for id := tree.NodeID(0); int(id) < cut.Len(); id++ {
+					if got, w := pruned.Nodes[tr.MustLookup(cut.Name(id))].Alpha, want.Nodes[id].Alpha; !got.Equal(w) {
+						t.Fatalf("%s seed %d without %s: node %s α %s, want %s",
+							kind, seed, tr.Name(x), cut.Name(id), got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPruneRootRejected: the root cannot be pruned.
 func TestPruneRootRejected(t *testing.T) {
 	tr := treegen.Generate(treegen.Uniform, 10, 1)

@@ -22,7 +22,6 @@ package proto
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"bwc/internal/obs"
 	"bwc/internal/rat"
@@ -47,9 +46,6 @@ type Result struct {
 	Messages int
 	// VisitedCount is the number of nodes that took part.
 	VisitedCount int
-	// Pruned lists the children a resilient round gave up on (empty for
-	// plain Run rounds). Their subtrees take no part in the steady state.
-	Pruned []PrunedNode
 }
 
 // countMsg is the one place a protocol message is counted: it bumps the
@@ -95,14 +91,6 @@ type Session struct {
 	txCtr    *obs.Counter
 	visitedG *obs.Gauge
 	txSpan   []obs.SpanID
-
-	// down[id] marks node id fail-stop: its actor swallows proposals
-	// without acknowledging (see resilient.go). Atomic because the flag
-	// is set by the controller between rounds and read by the actor.
-	down []atomic.Bool
-	// resil is non-nil while a RunResilient round is in flight; actors
-	// read it only while holding a proposal, which orders the accesses.
-	resil *ResilientOptions
 }
 
 // NewSession spawns one goroutine per node of t. Close must be called to
@@ -126,7 +114,6 @@ func NewSessionObserved(t *tree.Tree, sc *obs.Scope) *Session {
 			"nodes visited by the last BW-First negotiation round")
 		s.txSpan = make([]obs.SpanID, t.Len())
 	}
-	s.down = make([]atomic.Bool, t.Len())
 	s.actors = make([]*nodeActor, t.Len())
 	for id := 0; id < t.Len(); id++ {
 		s.actors[id] = &nodeActor{
@@ -240,21 +227,13 @@ func SolveObserved(t *tree.Tree, sc *obs.Scope) *Result {
 }
 
 // run is the node's lifetime: serve one proposal per round until shutdown.
-// A node marked down swallows the proposal without answering — fail-stop,
-// as seen from the parent. The acknowledgment send also selects on quit so
-// a parent that gave up on this node cannot strand the goroutine.
+// Every proposal is acknowledged: its parent waits for the answer before
+// the round can end, so no acknowledgment is left unread at Close.
 func (a *nodeActor) run(quit <-chan struct{}) {
 	for {
 		select {
 		case beta := <-a.proposal:
-			if a.s.down[a.id].Load() {
-				continue
-			}
-			select {
-			case a.ack <- a.handle(beta):
-			case <-quit:
-				return
-			}
+			a.ack <- a.handle(beta)
 		case <-quit:
 			return
 		}
@@ -298,27 +277,10 @@ func (a *nodeActor) handle(lambda rat.R) rat.R {
 			txSpan = a.s.sc.StartSpan("tx "+t.Name(a.id)+"→"+t.Name(cid), "proto", a.s.txSpan[a.id])
 			a.s.txSpan[cid] = txSpan
 		}
-		var theta rat.R
-		if a.s.resil != nil {
-			var ok bool
-			theta, ok = a.s.propose(child, beta)
-			if !ok {
-				// The child never acknowledged: prune it as if w = +inf
-				// and spend the remaining work on the other children.
-				res.Pruned = append(res.Pruned, PrunedNode{
-					Node:     cid,
-					Name:     t.Name(cid),
-					Attempts: a.s.resil.Retries + 1,
-				})
-				a.s.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("pruned", "true"))
-				continue
-			}
-		} else {
-			a.s.countMsg()
-			child.proposal <- beta // phase one: proposal
-			theta = <-child.ack    // phase two: acknowledgment
-			a.s.countMsg()
-		}
+		a.s.countMsg()
+		child.proposal <- beta // phase one: proposal
+		theta := <-child.ack   // phase two: acknowledgment
+		a.s.countMsg()
 		a.s.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("theta", theta.String()))
 		a.s.txCtr.Inc()
 		accepted := beta.Sub(theta)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"net"
@@ -140,8 +141,18 @@ func writeError(w http.ResponseWriter, e *apiv1.Error) {
 	writeJSON(w, e.Code.HTTPStatus(), apiv1.Envelope{Error: e})
 }
 
-func decode(r *http.Request, v any) *apiv1.Error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// maxBodyBytes caps a request body. A 100,000-node platform is about
+// 2 MB of text, so no platform the daemon can serve comes near it.
+const maxBodyBytes = 8 << 20
+
+// decode reads the request's JSON body into v, refusing a body over
+// maxBodyBytes.
+func decode(w http.ResponseWriter, r *http.Request, v any) *apiv1.Error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return apiv1.Errorf(apiv1.CodeBadRequest, "request body exceeds the %d MiB limit", tooLarge.Limit>>20)
+		}
 		return apiv1.Errorf(apiv1.CodeBadRequest, "malformed request body: %v", err)
 	}
 	return nil
@@ -323,7 +334,7 @@ func (e *shardEntry) wireFor(sch *bwc.Schedule) (*wireFields, error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.SubmitRequest
-	if e := decode(r, &req); e != nil {
+	if e := decode(w, r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -457,7 +468,7 @@ func horizonOptions(field, stop string, periods, tasks int) ([]bwc.Option, *apiv
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.SimulateRequest
-	if e := decode(r, &req); e != nil {
+	if e := decode(w, r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -512,7 +523,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.AnalyzeRequest
-	if e := decode(r, &req); e != nil {
+	if e := decode(w, r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -592,7 +603,7 @@ func wireFaults(specs []apiv1.FaultSpec) ([]bwc.Fault, *apiv1.Error) {
 
 func (s *Server) handleAdaptive(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.AdaptiveRequest
-	if e := decode(r, &req); e != nil {
+	if e := decode(w, r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
@@ -660,7 +671,7 @@ func (s *Server) handleAdaptive(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.ChurnRequest
-	if e := decode(r, &req); e != nil {
+	if e := decode(w, r, &req); e != nil {
 		writeError(w, e)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"bwc/internal/adapt"
-	"bwc/internal/proto"
 )
 
 // Option configures one facade call. Every entry point that used to take
@@ -29,14 +28,6 @@ type Option func(*callCfg)
 // materializes only the slice of it that applies.
 type callCfg struct {
 	obs *Observer
-
-	// Resilient negotiation (SolveDistributed and the re-solves of
-	// SimulateAdaptive / SimulateChurn).
-	timeout      time.Duration
-	backoff      time.Duration
-	retries      int
-	unresponsive []string
-	resilient    bool
 
 	// Horizon and batch size (Simulate, Execute, SimulateAdaptive,
 	// SimulateChurn).
@@ -89,40 +80,6 @@ func buildCfg(opts []Option) callCfg {
 // fault/drift/swap events on it.
 func WithObserver(o *Observer) Option {
 	return func(c *callCfg) { c.obs = o }
-}
-
-// WithTimeout sets the per-transaction timeout of a resilient
-// negotiation wave: a proposal unacknowledged for this long is retried
-// (WithRetry) with linear backoff (WithBackoff). It applies to
-// SolveDistributed and to the re-solve waves inside SimulateAdaptive /
-// SimulateChurn. Zero keeps the default (50ms).
-func WithTimeout(d time.Duration) Option {
-	return func(c *callCfg) { c.timeout = d; c.resilient = true }
-}
-
-// WithBackoff sets the linear backoff step added per retry of a
-// resilient negotiation transaction. Zero keeps the default (the
-// timeout).
-func WithBackoff(d time.Duration) Option {
-	return func(c *callCfg) { c.backoff = d; c.resilient = true }
-}
-
-// WithRetry sets how many times a timed-out negotiation transaction is
-// retried before the unresponsive child is pruned from the wave (its
-// whole subtree is given up, Section 5's fail-stop answer). Zero keeps
-// the default (2).
-func WithRetry(n int) Option {
-	return func(c *callCfg) { c.retries = n; c.resilient = true }
-}
-
-// WithUnresponsive marks nodes as fail-stopped for SolveDistributed:
-// they swallow proposals without acknowledging, so the wave prunes them
-// after the retry budget instead of hanging.
-func WithUnresponsive(names ...string) Option {
-	return func(c *callCfg) {
-		c.unresponsive = append(c.unresponsive, names...)
-		c.resilient = true
-	}
 }
 
 // WithStop sets the instant the root stops releasing tasks (Simulate,
@@ -288,10 +245,6 @@ func (c callCfg) buildSimOptions() SimOptions {
 	return o
 }
 
-func (c callCfg) buildResilientOptions() proto.ResilientOptions {
-	return proto.ResilientOptions{Timeout: c.timeout, Backoff: c.backoff, Retries: c.retries}
-}
-
 func (c callCfg) buildExecConfig(s *Schedule) ExecuteConfig {
 	return ExecuteConfig{Schedule: s, Tasks: c.tasks, Scale: c.scale, Work: c.work, Obs: c.obs}
 }
@@ -321,15 +274,6 @@ func (c callCfg) buildAdaptOptions() adapt.Options {
 	o.Faults = append([]Fault(nil), c.faults...)
 	if c.stop.IsPos() {
 		o.Stop = c.stop
-	}
-	if c.timeout > 0 {
-		o.Timeout = c.timeout
-	}
-	if c.backoff > 0 {
-		o.Backoff = c.backoff
-	}
-	if c.retries > 0 {
-		o.Retries = c.retries
 	}
 	if c.detectOnly {
 		o.MaxAdapts = -1

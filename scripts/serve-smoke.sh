@@ -5,8 +5,9 @@
 # wire: a cold submit of the Section-8 platform is flagged "miss" and a
 # second submit "hit"; a malformed platform yields the typed 422
 # not_a_tree envelope (HTTP and exit code 4 through the client); one
-# analyzer verdict arrives over the SSE stream; and a client pointed at
-# the dead daemon exits 10.
+# analyzer verdict arrives over the SSE stream; crash-fault adaptive runs
+# answer 200 with one adaptation each and leave the daemon healthy; and a
+# client pointed at the dead daemon exits 10.
 set -eu
 
 BIN=${BIN:-/tmp/bwsched-serve-smoke}
@@ -62,6 +63,18 @@ while kill -0 "$WATCH_PID" 2>/dev/null; do
 done
 wait "$WATCH_PID"
 grep -q '"name":"analyze.verdict"' "$DIR/watch.out"
+
+echo "serve-smoke: crash-fault adaptive runs must answer 200 with one adaptation"
+PLATFORM=$(awk 'BEGIN { ORS = "" } { gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); gsub(/\t/, "\\t"); print $0 "\\n" }' "$DIR/paper.txt")
+for node in P3 P8 P6; do
+	status=$(curl -s -o "$DIR/adaptive.json" -w '%{http_code}' \
+		-X POST "http://$ADDR/api/v1/adaptive" \
+		-d "{\"platform\": \"$PLATFORM\", \"stop\": \"600\", \"faults\": [{\"at\": \"100\", \"kind\": \"crash\", \"node\": \"$node\"}]}" || true)
+	test "$status" = 200 || { echo "crash $node: HTTP $status, want 200" >&2; cat "$DIR/adaptive.json" >&2; exit 1; }
+	grep -q '"adaptations": 1,' "$DIR/adaptive.json" || { echo "crash $node: want one adaptation" >&2; cat "$DIR/adaptive.json" >&2; exit 1; }
+done
+status=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz" || true)
+test "$status" = 200 || { echo "healthz HTTP $status after the crash faults, want 200" >&2; exit 1; }
 
 echo "serve-smoke: a dead daemon must map to exit code 10"
 kill "$SERVE_PID"

@@ -40,12 +40,10 @@ func PlatformFingerprint(t *Tree) string { return t.Fingerprint() }
 //	res2 := sess.Solve(platform)          // cache hit: same *Result
 //	run, err := sess.Simulate(platform, bwc.WithPeriods(4))
 //
-// Cached entries are invalidated when the platform is re-measured: an
-// adaptive run that re-negotiated (Session.SimulateAdaptive /
-// Session.SimulateChurn with at least one adaptation) drops the stale
-// platform's entries and primes the memo with each re-solved schedule
-// under the measured platform's fingerprint. Invalidate and Reset give
-// manual control.
+// Cached entries stay until they are invalidated: simulated faults
+// (Session.SimulateAdaptive / Session.SimulateChurn) perturb a run, not
+// the submitted platform, so they leave the memo as it is. Invalidate,
+// InvalidateDelta and Reset give manual control.
 //
 // Observability caveat: solver spans and counters are recorded by the
 // call that misses; cache hits return the memoized result without
@@ -88,7 +86,7 @@ func (e *solveEntry) result() *Result {
 }
 
 // solvedEntry wraps an already-computed result as a completed entry, the
-// installation path shared by Prime, reprime and InvalidateDelta.
+// installation path shared by Prime and InvalidateDelta.
 func solvedEntry(res *Result) *solveEntry {
 	e := &solveEntry{res: res}
 	e.once.Do(func() {})
@@ -112,7 +110,7 @@ type schedEntry struct {
 // FingerprintStats is one platform fingerprint's slice of a Session's
 // memo accounting: how often its entries were served from cache, how
 // often they had to be computed, and how many of its entries were
-// dropped by invalidation or re-priming.
+// dropped by invalidation.
 type FingerprintStats struct {
 	// Hits counts calls for this fingerprint served from the memo.
 	Hits int
@@ -120,7 +118,7 @@ type FingerprintStats struct {
 	// schedule construction.
 	Misses int
 	// Evictions counts memo entries of this fingerprint dropped by
-	// Invalidate / InvalidateDelta / adaptive re-priming.
+	// Invalidate / InvalidateDelta.
 	Evictions int
 }
 
@@ -277,76 +275,31 @@ func (se *Session) Analyze(t *Tree, opts ...Option) (*HealthReport, error) {
 }
 
 // SimulateAdaptive runs the closed adaptation loop on t's memoized
-// schedule. When the controller re-negotiated at least once, the stale
-// platform's memo entries are dropped and each re-solved schedule primes
-// the memo under the measured platform's fingerprint, so a follow-up
-// Solve of the post-fault platform is already a cache hit.
+// schedule. The memo is left as it is: the faults are simulated, and the
+// platform t stands for has not changed.
 func (se *Session) SimulateAdaptive(t *Tree, opts ...Option) (*AdaptReport, error) {
 	s, err := se.BuildSchedule(t, opts...)
 	if err != nil {
 		return nil, err
 	}
-	rep, rerr := adapt.SimulateAdaptive(s, buildCfg(se.options(opts)).buildAdaptOptions())
-	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
-	}
-	return rep, rerr
+	return adapt.SimulateAdaptive(s, buildCfg(se.options(opts)).buildAdaptOptions())
 }
 
 // SimulateChurn runs the churn-hardened closed loop (SimulateChurn) on
-// t's memoized schedule. Like SimulateAdaptive, every re-solved
-// schedule primes the memo under its measured platform's fingerprint,
-// so post-churn platforms are already cache hits.
+// t's memoized schedule, leaving the memo as it is, like
+// SimulateAdaptive.
 func (se *Session) SimulateChurn(t *Tree, opts ...Option) (*ChurnReport, error) {
 	s, err := se.BuildSchedule(t, opts...)
 	if err != nil {
 		return nil, err
 	}
-	rep, rerr := adapt.SimulateChurn(s, buildCfg(se.options(opts)).buildChurnOptions())
-	if rep != nil {
-		se.reprime(t, adaptedSchedules(rep.Adaptations), opts)
-	}
-	return rep, rerr
-}
-
-func adaptedSchedules(ads []Adaptation) []*Schedule {
-	var out []*Schedule
-	for _, ad := range ads {
-		if ad.Schedule != nil && ad.Schedule.Res != nil {
-			out = append(out, ad.Schedule)
-		}
-	}
-	return out
-}
-
-// reprime drops the pre-fault platform's entries and installs the
-// re-solved schedules under their measured platforms' fingerprints.
-// The drop and the re-prime happen in one critical section: a
-// concurrent Invalidate either sees the stale entries or the fully
-// re-primed memo, never a half-installed mixture.
-func (se *Session) reprime(t *Tree, resolved []*Schedule, opts []Option) {
-	if len(resolved) == 0 {
-		return
-	}
-	fp := PlatformFingerprint(t)
-	opt := buildCfg(se.options(opts)).buildAdaptOptions().Sched
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	se.invalidateLocked(fp)
-	for _, s := range resolved {
-		fp := PlatformFingerprint(s.Tree)
-		se.solves[fp] = solvedEntry(s.Res)
-		ce := &schedEntry{s: s}
-		ce.once.Do(func() {})
-		se.scheds[schedKey{fp: fp, opt: opt}] = ce
-	}
+	return adapt.SimulateChurn(s, buildCfg(se.options(opts)).buildChurnOptions())
 }
 
 // Invalidate drops every memo entry for t's fingerprint (all schedule
-// options). Use it when the platform was re-measured outside the
-// Session's own adaptive entry points. Concurrent calls — including a
-// double-invalidation of the same platform racing a reprime — are safe:
-// each runs as one atomic critical section.
+// options). Use it when the platform was re-measured. Concurrent calls —
+// including a double-invalidation of the same platform — are safe: each
+// runs as one atomic critical section.
 func (se *Session) Invalidate(t *Tree) {
 	fp := PlatformFingerprint(t)
 	se.mu.Lock()

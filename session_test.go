@@ -201,13 +201,15 @@ func TestSessionInvalidateDelta(t *testing.T) {
 	}
 }
 
-// TestSessionAdaptiveReprimes: an adaptive run that re-negotiated drops
-// the pre-fault platform from the memo and primes the re-solved
-// schedule under the measured platform's fingerprint, so the follow-up
-// solve of the post-fault platform is already a hit.
+// TestSessionAdaptiveReprimes: an adaptive or churn run that
+// re-negotiated does not re-prime the memo. Its faults are simulated and
+// the submitted platform is unchanged, so nothing is evicted and a
+// follow-up solve of that platform is a hit on the original entry.
 func TestSessionAdaptiveReprimes(t *testing.T) {
 	sess := bwc.NewSession()
 	tr := bwc.PaperExampleTree()
+	fp := bwc.PlatformFingerprint(tr)
+	res := sess.Solve(tr)
 	rep, err := sess.SimulateAdaptive(tr,
 		bwc.WithFaults(bwc.DegradeLink(bwc.RatInt(120), "P1", bwc.RatInt(4))),
 		bwc.WithStop(bwc.RatInt(400)),
@@ -218,21 +220,30 @@ func TestSessionAdaptiveReprimes(t *testing.T) {
 	if len(rep.Adaptations) != 1 {
 		t.Fatalf("%d adaptations, want 1", len(rep.Adaptations))
 	}
+	churn, err := sess.SimulateChurn(tr,
+		bwc.WithChurn(bwc.ChurnConfig{Seed: 6, Rate: 3}),
+		bwc.WithStop(bwc.RatInt(600)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(churn.Adaptations) == 0 {
+		t.Fatal("churn run never re-negotiated")
+	}
 
-	measured := rep.Adaptations[0].Schedule.Tree
 	pre := sess.Stats()
-	if sess.Solve(measured) != rep.Adaptations[0].Schedule.Res {
-		t.Fatal("measured platform not primed with the re-solved result")
+	if sess.Solve(tr) != res {
+		t.Fatal("the submitted platform's memo entry was replaced")
 	}
-	if st := sess.Stats(); st.Hits != pre.Hits+1 {
-		t.Fatalf("solve of the measured platform missed (stats %+v -> %+v)", pre, st)
+	st := sess.Stats()
+	if st.Hits != pre.Hits+1 || st.Misses != pre.Misses {
+		t.Fatalf("follow-up solve missed (stats %+v -> %+v)", pre, st)
 	}
-
-	// The pre-fault platform was invalidated: solving it again misses.
-	preMisses := sess.Stats().Misses
-	sess.Solve(tr)
-	if st := sess.Stats(); st.Misses != preMisses+1 {
-		t.Fatalf("stale platform still cached (stats %+v)", st)
+	if ev := st.ByFingerprint[fp].Evictions; ev != 0 {
+		t.Fatalf("simulated faults evicted %d entries", ev)
+	}
+	if st.Solves != 1 || st.Schedules != 1 {
+		t.Fatalf("memo holds %d solves and %d schedules, want the submitted platform's 1 and 1", st.Solves, st.Schedules)
 	}
 }
 
