@@ -88,7 +88,10 @@ churn-smoke:
 # CLI must report the 2-vs-1 separate-vs-folded advantage, drain every
 # result through the engine, and take a PASS from the analyzer's
 # result-return check (exit 0). Forward-only platforms must be refused
-# (exit 1). Built binary, not `go run`, to preserve exit codes.
+# (exit 1). On the two-worker return star (d = 1) the distributed
+# protocol must agree with BW-First and the LP (verify exits 0) and stop
+# after P1, whose results fill the root's receive port: 4 messages, 2
+# nodes. Built binary, not `go run`, to preserve exit codes.
 resultreturn-smoke:
 	$(GO) build -o /tmp/bwsched-rr ./cmd/bwsched
 	printf 'M - - inf\nP1 M 1/2 1 1/2\nP2 M 1/2 1 1/2\n' \
@@ -99,6 +102,11 @@ resultreturn-smoke:
 	code=0; /tmp/bwsched-rr resultreturn -f /tmp/bwsched-rr-forward.txt \
 		|| code=$$?; test "$$code" -eq 1
 	/tmp/bwsched-rr resultreturn -f /tmp/bwsched-rr-forward.txt -d 1/2 -n 40
+	printf 'P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n' \
+		> /tmp/bwsched-rr-star.txt
+	/tmp/bwsched-rr verify -f /tmp/bwsched-rr-star.txt
+	/tmp/bwsched-rr obs -f /tmp/bwsched-rr-star.txt > /tmp/bwsched-rr-obs.txt
+	grep -Fx 'protocol:    4 messages, 2 nodes visited' /tmp/bwsched-rr-obs.txt
 
 # Control-plane smoke: start bwschedd on a random port and drive the
 # api/v1 wire end to end — cache miss/hit markers, the typed 422

@@ -47,6 +47,22 @@ func TestFoldedThroughputAllocs(t *testing.T) {
 	}
 }
 
+// TestSolveAllocs bounds the heap allocations of one unobserved solve
+// of a 64-node SETI platform (13 transactions, 14 visited nodes). The
+// count tracks the visited nodes: a node state per node in one slice,
+// a send-rate slice and a child order per visited parent, and the
+// transaction log. Spans and their names are built only for an enabled
+// observer. The ceiling is the measured 14 (87 when every transaction
+// formatted its span) plus slack.
+func TestSolveAllocs(t *testing.T) {
+	tr := bwc.GeneratePlatform(bwc.SETI, 64, 12)
+	allocs := testing.AllocsPerRun(20, func() { bwc.Solve(tr) })
+	t.Logf("%.0f allocs per solve", allocs)
+	if allocs > 30 {
+		t.Fatalf("%.0f allocs per solve", allocs)
+	}
+}
+
 // TestAnalyzeRunAllocs bounds the heap allocations of one AnalyzeRun
 // over an observed 120-task run of the Analyze stage fixture (16 nodes).
 // Each run is simulated outside the count. The analyzer indexes the run's

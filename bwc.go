@@ -477,49 +477,44 @@ func GenerateBandwidthSeverity(n int, severity, seed int64) *Tree {
 // P10, P11 unused by the optimal schedule.
 func PaperExampleTree() *Tree { return paperexample.Tree() }
 
-// Verify cross-checks the three throughput oracles (BW-First, bottom-up
-// reduction, exact LP) on t and the internal invariants of the BW-First
-// result; it returns the agreed throughput. WithObserver records the
-// BW-First and protocol runs it performs.
+// Verify cross-checks the throughput oracles (BW-First, bottom-up
+// reduction, exact LP, distributed protocol) on t and the internal
+// invariants of the BW-First result; it returns the agreed throughput.
+// WithObserver records the BW-First and protocol runs it performs.
 //
-// On a result-return platform (Section 9) the bottom-up reduction and
-// the distributed protocol are forward-only oracles, so Verify instead
-// checks the generalized BW-First result's port invariants and its
-// feasibility against the exact separate-flows LP (greedy ≤ LP must
-// hold — the heuristic is feasible but not proven optimal with
-// returns), and returns the LP optimum.
+// On a result-return platform (Section 9) the bottom-up reduction is a
+// forward-only oracle, so Verify instead checks the generalized BW-First
+// result's port invariants, its feasibility against the exact
+// separate-flows LP (greedy ≤ LP must hold — the heuristic is feasible
+// but not proven optimal with returns) and the protocol's agreement
+// with BW-First, and returns the LP optimum.
 func Verify(t *Tree, opts ...Option) (Rational, error) {
 	sc := buildCfg(opts).obs
 	res := bwfirst.SolveObserved(t, sc)
 	if err := res.CheckInvariants(); err != nil {
 		return rat.Zero, err
 	}
-	if t.HasResultReturn() {
-		opt, _, err := lp.OptimalThroughput(t)
-		if err != nil {
-			return rat.Zero, err
+	hasRet := t.HasResultReturn()
+	if !hasRet {
+		if bu := bottomup.Solve(t); !bu.Throughput.Equal(res.Throughput) {
+			return rat.Zero, errMismatch("bottom-up", bu.Throughput, res.Throughput)
 		}
-		if opt.Less(res.Throughput) {
-			return rat.Zero, errMismatch("LP (greedy above the exact optimum)", res.Throughput, opt)
-		}
-		return opt, nil
-	}
-	bu := bottomup.Solve(t)
-	if !bu.Throughput.Equal(res.Throughput) {
-		return rat.Zero, errMismatch("bottom-up", bu.Throughput, res.Throughput)
 	}
 	opt, _, err := lp.OptimalThroughput(t)
 	if err != nil {
 		return rat.Zero, err
 	}
-	if !opt.Equal(res.Throughput) {
+	if hasRet && opt.Less(res.Throughput) {
+		return rat.Zero, errMismatch("LP (greedy above the exact optimum)", res.Throughput, opt)
+	}
+	if !hasRet && !opt.Equal(res.Throughput) {
 		return rat.Zero, errMismatch("LP", opt, res.Throughput)
 	}
 	dist := proto.SolveObserved(t, sc)
 	if !dist.Throughput.Equal(res.Throughput) {
 		return rat.Zero, errMismatch("distributed protocol", dist.Throughput, res.Throughput)
 	}
-	return res.Throughput, nil
+	return opt, nil
 }
 
 type mismatchError struct {

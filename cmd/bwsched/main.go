@@ -381,8 +381,20 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("OK: BW-First, bottom-up reduction, exact LP and the distributed\n")
-	fmt.Printf("protocol all agree: throughput %s tasks/unit\n", thr)
+	if !t.HasResultReturn() {
+		fmt.Printf("OK: BW-First, bottom-up reduction, exact LP and the distributed\n")
+		fmt.Printf("protocol all agree: throughput %s tasks/unit\n", thr)
+		return nil
+	}
+	// The bottom-up reduction has no result-return model, and BW-First
+	// is a feasible greedy there: Verify returned the LP optimum.
+	if greedy := sess.Solve(t).Throughput; !greedy.Equal(thr) {
+		fmt.Printf("OK: BW-First and the distributed protocol agree on this result-return\n")
+		fmt.Printf("platform: greedy throughput %s tasks/unit, exact LP optimum %s\n", greedy, thr)
+		return nil
+	}
+	fmt.Printf("OK: BW-First, the distributed protocol and the exact LP all agree\n")
+	fmt.Printf("on this result-return platform: throughput %s tasks/unit\n", thr)
 	return nil
 }
 

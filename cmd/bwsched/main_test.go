@@ -97,6 +97,30 @@ func TestCmdVerify(t *testing.T) {
 	}
 }
 
+// TestCmdVerifyResultReturn: on a result-return platform verify names
+// only the oracles that ran (bottom-up has no return model) and prints
+// both values when the greedy falls short of the LP optimum.
+func TestCmdVerifyResultReturn(t *testing.T) {
+	for _, tc := range []struct{ platform, want string }{
+		{"P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n",
+			"OK: BW-First, the distributed protocol and the exact LP all agree\n" +
+				"on this result-return platform: throughput 1 tasks/unit\n"},
+		// The greedy fills A's cheaper round trip and exhausts the root's
+		// send port; the LP splits both ports between A and B.
+		{"R - - inf\nA R 1 1/100 1/10\nB R 1/5 1/100 1\n",
+			"OK: BW-First and the distributed protocol agree on this result-return\n" +
+				"platform: greedy throughput 1 tasks/unit, exact LP optimum 85/49\n"},
+	} {
+		f := filepath.Join(t.TempDir(), "platform.txt")
+		if err := os.WriteFile(f, []byte(tc.platform), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if out := capture(t, func() error { return cmdVerify([]string{"-f", f}) }); out != tc.want {
+			t.Fatalf("output:\n%s\nwant:\n%s", out, tc.want)
+		}
+	}
+}
+
 func TestCmdCompare(t *testing.T) {
 	f := platformFile(t)
 	out := capture(t, func() error {

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("\nrole changes:\n")
 	for id := 0; id < platform.Len(); id++ {
 		name := platform.Name(bwc.NodeID(id))
-		b, a := before.Visited[id], after.Visited[id]
+		b, a := before.Nodes[id].Visited, after.Nodes[id].Visited
 		switch {
 		case b && !a:
 			fmt.Printf("  %-4s dropped from the schedule\n", name)
@@ -64,8 +64,11 @@ func main() {
 	}
 
 	// Rebuild schedules and verify both are executable.
-	for label, res := range map[string]*bwc.Result{"before": resBefore, "after": resAfter} {
-		s, err := bwc.BuildSchedule(res)
+	for _, regime := range []struct {
+		label string
+		res   *bwc.Result
+	}{{"before", resBefore}, {"after", resAfter}} {
+		s, err := bwc.BuildSchedule(regime.res)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +80,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s: simulated %d tasks over %s units (period %s)",
-			label, run.Stats.Completed, run.Trace.End, s.TreePeriod())
+			regime.label, run.Stats.Completed, run.Trace.End, s.TreePeriod())
 	}
 	fmt.Println()
 }

@@ -407,7 +407,7 @@ func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
 			SwapAt:     swapAt,
 			ResumeAt:   resumeAt,
 			Throughput: res.Throughput,
-			Messages:   2 * len(res.Transactions),
+			Messages:   2 * (len(res.Transactions) + 1), // the virtual parent's pair included
 			Visited:    res.Recomputed(),
 			Pruned:     nodeNames(base, pruned),
 			Schedule:   next,

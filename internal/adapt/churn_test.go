@@ -125,6 +125,32 @@ func TestChurnSelfStabilizes(t *testing.T) {
 	}
 }
 
+// TestAdaptationMessagesTwicePerVisit: both loops report a re-solve's
+// cost the protocol's way, two messages per visited node with the
+// virtual parent's pair included (the E9 identity).
+func TestAdaptationMessagesTwicePerVisit(t *testing.T) {
+	s := mustSchedule(t, paperexample.Tree())
+	churn, err := SimulateChurn(s, churnPin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := SimulateAdaptive(s, Options{
+		Faults: []Fault{{At: rat.FromInt(120), Node: "P1", Kind: LinkSet, Value: rat.FromInt(4)}},
+		Stop:   rat.FromInt(400),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(churn.Adaptations) == 0 || len(adaptive.Adaptations) == 0 {
+		t.Fatalf("adaptations: churn %d, adaptive %d; want both > 0", len(churn.Adaptations), len(adaptive.Adaptations))
+	}
+	for _, ad := range append(churn.Adaptations, adaptive.Adaptations...) {
+		if ad.Messages != 2*ad.Visited {
+			t.Fatalf("re-solve at t=%s: %d messages for %d visited nodes", ad.Drift.At, ad.Messages, ad.Visited)
+		}
+	}
+}
+
 // TestChurnQuarantine: a node perturbed in enough consecutive cycles is
 // quarantined — pruned from subsequent schedules instead of chased.
 func TestChurnQuarantine(t *testing.T) {

@@ -40,6 +40,7 @@ package bwfirst
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"bwc/internal/obs"
@@ -106,22 +107,12 @@ type Result struct {
 	VisitedCount int
 
 	// pruned marks the nodes excluded from the negotiation (SolvePruned /
-	// SolveIncremental); nil for plain Solve results. recomputed and
-	// reused split an incremental solve's nodes into live-visited and
+	// SolveIncremental); nil when nothing was pruned. recomputed and
+	// reused split the visited nodes into live-visited and
 	// copied-from-previous (see Recomputed / Reused).
 	pruned     []bool
 	recomputed int
 	reused     int
-
-	// hasRet caches tree.HasResultReturn: forward-only trees take the
-	// original Algorithm-1 path untouched, return trees the generalized
-	// two-budget path.
-	hasRet bool
-
-	// sc and txCtr carry the (possibly disabled) instrumentation of
-	// SolveObserved through the recursion.
-	sc    *obs.Scope
-	txCtr *obs.Counter
 }
 
 // Visited reports whether node id was visited by the procedure.
@@ -160,41 +151,9 @@ func Solve(t *tree.Tree) *Result { return SolveObserved(t, nil) }
 // two-phase transaction (the virtual parent's included) becomes one span
 // on the "bwfirst" track, parented under the proposing transaction, and
 // the transaction and visited-node counts are published as metrics. A nil
-// scope costs one nil check.
+// scope costs one nil check per transaction.
 func SolveObserved(t *tree.Tree, sc *obs.Scope) *Result {
-	if t.Len() == 0 {
-		return &Result{Tree: t, TMax: rat.Zero, Throughput: rat.Zero}
-	}
-	res := &Result{
-		Tree:   t,
-		Nodes:  make([]NodeState, t.Len()),
-		hasRet: t.HasResultReturn(),
-	}
-	root := t.Root()
-	// Virtual parent: t_max = r_root + max child bandwidth (Section 5,
-	// proof of Proposition 2).
-	res.TMax = t.Rate(root).Add(t.MaxChildBandwidth(root))
-	res.sc = sc
-	if sc.Enabled() {
-		res.txCtr = sc.Registry().Counter("bwc_bwfirst_transactions_total",
-			"closed BW-First transactions (sequential reference)")
-	}
-	span := sc.StartSpan("negotiate "+t.Name(root), "bwfirst", 0)
-	theta := res.visit(root, res.TMax, span)
-	res.Throughput = res.TMax.Sub(theta)
-	sc.EndSpan(span,
-		obs.A("t_max", res.TMax.String()),
-		obs.A("throughput", res.Throughput.String()))
-	res.txCtr.Inc() // the virtual parent's transaction
-	for i := range res.Nodes {
-		if res.Nodes[i].Visited {
-			res.VisitedCount++
-		}
-	}
-	if sc.Enabled() {
-		sc.Registry().Gauge("bwc_bwfirst_visited_nodes",
-			"nodes visited by the sequential BW-First run").Set(int64(res.VisitedCount))
-	}
+	res, _ := solve(nil, t, nil, nil, sc) // nothing pruned: cannot fail
 	return res
 }
 
@@ -285,57 +244,39 @@ func (p *ports) finish(st *NodeState) {
 	}
 }
 
-// order returns the bandwidth-centric visiting order: increasing c_j on
-// forward-only trees (Section 4), increasing round-trip c_j + d_j on
-// result-return trees.
-func childOrder(t *tree.Tree, id tree.NodeID, hasRet bool) []tree.NodeID {
-	if hasRet {
-		return t.ChildrenByRoundTrip(id)
-	}
-	return t.ChildrenByComm(id)
-}
-
-// visit executes Algorithm 1 at node id with proposal lambda and returns
-// the acknowledgment θ. span is the transaction that proposed to this
-// node; child transactions are parented under it.
-func (r *Result) visit(id tree.NodeID, lambda rat.R, span obs.SpanID) rat.R {
-	t := r.Tree
-	st := &r.Nodes[id]
+// Step is Algorithm 1 at one node: the local rule every node runs in
+// Section 5. Given its parent's proposal λ, the node keeps α = min(r, λ)
+// (bounded by its ports on result-return platforms, hasRet), then
+// proposes β to its children in bandwidth-centric order while tasks and
+// port time remain, and books β − θ for each acknowledgment θ that ask
+// returns. Step fills st with the node's activity variables and returns
+// its own acknowledgment. The in-process solver and the distributed
+// protocol's node actors both run it and differ only in ask: a
+// recursion, a reused subtree, or a proposal sent over a channel.
+func Step(t *tree.Tree, id tree.NodeID, lambda rat.R, hasRet bool, st *NodeState,
+	ask func(c tree.NodeID, beta rat.R) rat.R) rat.R {
+	children := t.Children(id)
 	st.Visited = true
 	st.Lambda = lambda
-	st.SendRates = make([]rat.R, len(t.Children(id)))
+	st.SendRates = make([]rat.R, len(children))
 
 	// Keep as many tasks as possible for local computation.
-	p := newPorts(t, id, r.hasRet)
+	p := newPorts(t, id, hasRet)
 	st.Alpha = p.capLocal(rat.Min(t.Rate(id), lambda))
 	delta := lambda.Sub(st.Alpha) // tasks still to delegate
 
-	// childPos maps a child to its position in the insertion-order slice
-	// so SendRates lines up with tree.Children.
-	children := t.Children(id)
-	pos := make(map[tree.NodeID]int, len(children))
-	for j, c := range children {
-		pos[c] = j
-	}
-
-	for _, c := range childOrder(t, id, r.hasRet) {
+	for _, j := range childOrder(t, id, hasRet) {
 		if delta.IsZero() || p.exhausted() {
 			break
 		}
+		c := children[j]
 		sendCost, recvCost := p.childCosts(t, c)
 		beta := p.propose(delta, sendCost, recvCost)
 		if beta.IsZero() {
 			continue
 		}
-		txIdx := len(r.Transactions)
-		r.Transactions = append(r.Transactions, Transaction{Parent: id, Child: c, Beta: beta})
-		txSpan := r.sc.StartSpan("tx "+t.Name(id)+"→"+t.Name(c), "bwfirst", span)
-		thetaC := r.visit(c, beta, txSpan)
-		r.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("theta", thetaC.String()))
-		r.txCtr.Inc()
-		r.Transactions[txIdx].Theta = thetaC
-		accepted := beta.Sub(thetaC)
-		st.SendRates[pos[c]] = accepted
+		accepted := beta.Sub(ask(c, beta))
+		st.SendRates[j] = accepted
 		delta = delta.Sub(accepted)
 		p.charge(accepted, sendCost, recvCost)
 	}
@@ -343,6 +284,30 @@ func (r *Result) visit(id tree.NodeID, lambda rat.R, span obs.SpanID) rat.R {
 	st.RecvRate = lambda.Sub(delta)
 	p.finish(st)
 	return delta
+}
+
+// childOrder returns the positions in tree.Children(id) in
+// bandwidth-centric visiting order: increasing c_j on forward-only trees
+// (Section 4), increasing round-trip c_j + d_j on result-return trees,
+// ties in insertion order.
+func childOrder(t *tree.Tree, id tree.NodeID, hasRet bool) []int {
+	children := t.Children(id)
+	if len(children) == 0 {
+		return nil
+	}
+	order := make([]int, len(children))
+	for j := range order {
+		order[j] = j
+	}
+	cost := func(j int) rat.R {
+		c := t.CommTime(children[j])
+		if hasRet {
+			c = c.Add(t.ReturnTime(children[j]))
+		}
+		return c
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cost(a).Cmp(cost(b)) })
+	return order
 }
 
 // ConsumeRate returns the total rate the node's subtree consumes:

@@ -233,6 +233,46 @@ func TestVisitedSavings(t *testing.T) {
 	}
 }
 
+// TestChildOrder pins the bandwidth-centric visiting order: increasing
+// c on forward-only trees, increasing round-trip c + d on result-return
+// trees, ties in insertion order, as positions in tree.Children.
+func TestChildOrder(t *testing.T) {
+	tr := tree.NewBuilder().
+		Root("r", rat.One).
+		Child("r", "slow", rat.FromInt(5), rat.One).
+		Child("r", "fast", rat.One, rat.One).
+		Child("r", "mid", rat.Two, rat.One).
+		Child("r", "fast2", rat.One, rat.One). // ties with "fast": insertion order wins
+		MustBuild()
+	names := func(tr *tree.Tree, hasRet bool) string {
+		var out []string
+		for _, j := range childOrder(tr, tr.Root(), hasRet) {
+			out = append(out, tr.Name(tr.Children(tr.Root())[j]))
+		}
+		return strings.Join(out, " ")
+	}
+	if n := tr.Name(tr.Children(tr.Root())[0]); n != "slow" {
+		t.Fatalf("insertion order broken: first = %s", n)
+	}
+	if got, want := names(tr, false), "fast fast2 mid slow"; got != want {
+		t.Fatalf("forward order = %s, want %s", got, want)
+	}
+	// Round trips: slow 5+0, fast 1+3, mid 2+1, fast2 1+2. mid and fast2
+	// tie at 3 and keep insertion order; fast (4) now follows them.
+	for name, d := range map[string]int64{"fast": 3, "mid": 1, "fast2": 2} {
+		var err error
+		if tr, err = tr.WithReturnTime(tr.MustLookup(name), rat.FromInt(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := names(tr, true), "mid fast2 fast slow"; got != want {
+		t.Fatalf("round-trip order = %s, want %s", got, want)
+	}
+	if got := childOrder(tr, tr.MustLookup("slow"), true); got != nil {
+		t.Fatalf("leaf order = %v, want none", got)
+	}
+}
+
 // TestMonotoneInLambda: offering a subtree more tasks never reduces what it
 // consumes (needed by the Prop. 2 induction).
 func TestMonotoneInLambda(t *testing.T) {
@@ -241,8 +281,8 @@ func TestMonotoneInLambda(t *testing.T) {
 	prev := rat.Zero
 	for i := int64(1); i <= 40; i++ {
 		lam := rat.New(i, 8)
-		res := &Result{Tree: tr, Nodes: make([]NodeState, tr.Len())}
-		theta := res.visit(root, lam, 0)
+		s := &solver{t: tr, res: &Result{Tree: tr, Nodes: make([]NodeState, tr.Len())}}
+		theta := s.visit(root, lam, 0)
 		consumed := lam.Sub(theta)
 		if consumed.Less(prev) {
 			t.Fatalf("consumption dropped from %s to %s at λ=%s", prev, consumed, lam)

@@ -15,6 +15,7 @@ package bwfirst
 import (
 	"fmt"
 
+	"bwc/internal/obs"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 )
@@ -43,57 +44,13 @@ func SolvePruned(t *tree.Tree, pruned []tree.NodeID) (*Result, error) {
 // Transactions list only the transactions of the live spine, and
 // Reused/Recomputed report the split.
 func SolveIncremental(prev *Result, t *tree.Tree, dirty, pruned []tree.NodeID) (*Result, error) {
-	if t.Len() == 0 {
-		return &Result{Tree: t, TMax: rat.Zero, Throughput: rat.Zero}, nil
-	}
-	root := t.Root()
-	inc := &incremental{
-		t:      t,
-		prev:   prev,
-		pruned: make([]bool, t.Len()),
-	}
-	for _, id := range pruned {
-		if id == root {
-			return nil, fmt.Errorf("bwfirst: cannot prune the root")
-		}
-		inc.pruned[id] = true
-	}
-	// subDirty marks every node whose subtree holds a change that could
-	// alter its answer: a dirty weight, or a node whose pruned status
-	// differs from prev's run.
-	inc.subDirty = make([]bool, t.Len())
-	for _, id := range dirty {
-		inc.markDirty(id)
-	}
-	for id := 0; id < t.Len(); id++ {
-		was := prev != nil && id < len(prev.pruned) && prev.pruned[id]
-		if inc.pruned[id] != was {
-			inc.markDirty(tree.NodeID(id))
-		}
-	}
-
-	res := &Result{
-		Tree:   t,
-		Nodes:  make([]NodeState, t.Len()),
-		pruned: inc.pruned,
-		hasRet: t.HasResultReturn(),
-	}
-	res.TMax = t.Rate(root).Add(inc.maxLiveChildBandwidth(root))
-	inc.res = res
-	theta := inc.visit(root, res.TMax)
-	res.Throughput = res.TMax.Sub(theta)
-	for i := range res.Nodes {
-		if res.Nodes[i].Visited {
-			res.VisitedCount++
-		}
-	}
-	return res, nil
+	return solve(prev, t, dirty, pruned, nil)
 }
 
-// Recomputed returns how many nodes the last incremental solve visited
-// live (the affected spine plus its recomputed subtrees); Reused
-// returns how many node states were copied from the previous result.
-// Both are zero for results not produced by SolveIncremental.
+// Recomputed returns how many nodes the solve visited live (the whole
+// visited set for a full solve, the affected spine plus its recomputed
+// subtrees for an incremental one); Reused returns how many node states
+// were copied from the previous result.
 func (r *Result) Recomputed() int { return r.recomputed }
 func (r *Result) Reused() int     { return r.reused }
 
@@ -103,33 +60,132 @@ func (r *Result) PrunedNode(id tree.NodeID) bool {
 	return int(id) < len(r.pruned) && r.pruned[id]
 }
 
-type incremental struct {
+// solver is the in-process driver of Step behind Solve, SolveObserved,
+// SolvePruned and SolveIncremental: its ask answers a child by pruning,
+// by reuse from prev, or by one live transaction that recurses.
+type solver struct {
 	t        *tree.Tree
-	prev     *Result
-	pruned   []bool
-	subDirty []bool
 	res      *Result
+	hasRet   bool
+	prev     *Result
+	subDirty []bool // nil when prev is nil: nothing can be reused
+
+	// sc and txCtr are the (possibly disabled) instrumentation of
+	// SolveObserved; spans and counters are touched only when enabled.
+	sc    *obs.Scope
+	txCtr *obs.Counter
+}
+
+// solve runs BW-First on t, honoring pruned and reusing prev's clean
+// subtrees, and records spans and metrics on sc when it is enabled.
+func solve(prev *Result, t *tree.Tree, dirty, pruned []tree.NodeID, sc *obs.Scope) (*Result, error) {
+	if t.Len() == 0 {
+		return &Result{Tree: t, TMax: rat.Zero, Throughput: rat.Zero}, nil
+	}
+	root := t.Root()
+	res := &Result{Tree: t, Nodes: make([]NodeState, t.Len())}
+	if len(pruned) > 0 {
+		res.pruned = make([]bool, t.Len())
+		for _, id := range pruned {
+			if id == root {
+				return nil, fmt.Errorf("bwfirst: cannot prune the root")
+			}
+			res.pruned[id] = true
+		}
+	}
+	s := &solver{t: t, res: res, hasRet: t.HasResultReturn(), prev: prev, sc: sc}
+	if prev != nil {
+		// subDirty marks every node whose subtree holds a change that
+		// could alter its answer: a dirty weight, or a node whose pruned
+		// status differs from prev's run.
+		s.subDirty = make([]bool, t.Len())
+		for _, id := range dirty {
+			s.markDirty(id)
+		}
+		for id := tree.NodeID(0); int(id) < t.Len(); id++ {
+			if res.PrunedNode(id) != prev.PrunedNode(id) {
+				s.markDirty(id)
+			}
+		}
+	}
+
+	// Virtual parent: t_max = r_root + max child bandwidth (Section 5,
+	// proof of Proposition 2), over the children the negotiation can use.
+	res.TMax = t.Rate(root).Add(s.maxLiveChildBandwidth(root))
+	var span obs.SpanID
+	if sc.Enabled() {
+		s.txCtr = sc.Registry().Counter("bwc_bwfirst_transactions_total",
+			"closed BW-First transactions (sequential reference)")
+		span = sc.StartSpan("negotiate "+t.Name(root), "bwfirst", 0)
+	}
+	res.Throughput = res.TMax.Sub(s.visit(root, res.TMax, span))
+	res.VisitedCount = res.recomputed + res.reused
+	if sc.Enabled() {
+		sc.EndSpan(span,
+			obs.A("t_max", res.TMax.String()),
+			obs.A("throughput", res.Throughput.String()))
+		s.txCtr.Inc() // the virtual parent's transaction
+		sc.Registry().Gauge("bwc_bwfirst_visited_nodes",
+			"nodes visited by the sequential BW-First run").Set(int64(res.VisitedCount))
+	}
+	return res, nil
+}
+
+// visit runs Step live at id under proposal lambda; span is the
+// transaction that proposed to id, under which its own are parented.
+func (s *solver) visit(id tree.NodeID, lambda rat.R, span obs.SpanID) rat.R {
+	s.res.recomputed++
+	return Step(s.t, id, lambda, s.hasRet, &s.res.Nodes[id], func(c tree.NodeID, beta rat.R) rat.R {
+		return s.ask(id, c, beta, span)
+	})
+}
+
+// ask answers parent's proposal β to child c. A pruned child takes
+// nothing and opens no transaction; a clean subtree offered the β it
+// saw last time answers from prev; any other child is one live
+// transaction.
+func (s *solver) ask(parent, c tree.NodeID, beta rat.R, span obs.SpanID) rat.R {
+	if s.res.PrunedNode(c) {
+		return beta
+	}
+	if s.reusable(c, beta) {
+		s.copySubtree(c)
+		return s.prev.Nodes[c].Theta
+	}
+	txIdx := len(s.res.Transactions)
+	s.res.Transactions = append(s.res.Transactions, Transaction{Parent: parent, Child: c, Beta: beta})
+	var txSpan obs.SpanID
+	if s.sc.Enabled() {
+		txSpan = s.sc.StartSpan("tx "+s.t.Name(parent)+"→"+s.t.Name(c), "bwfirst", span)
+	}
+	theta := s.visit(c, beta, txSpan)
+	s.res.Transactions[txIdx].Theta = theta
+	if s.sc.Enabled() {
+		s.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("theta", theta.String()))
+		s.txCtr.Inc()
+	}
+	return theta
 }
 
 // markDirty marks id and every ancestor: a change anywhere in a subtree
 // dirties the whole chain up to the root.
-func (inc *incremental) markDirty(id tree.NodeID) {
-	for n := id; n != tree.None; n = inc.t.Parent(n) {
-		if inc.subDirty[n] {
+func (s *solver) markDirty(id tree.NodeID) {
+	for n := id; n != tree.None; n = s.t.Parent(n) {
+		if s.subDirty[n] {
 			return
 		}
-		inc.subDirty[n] = true
+		s.subDirty[n] = true
 	}
 }
 
 // maxLiveChildBandwidth is tree.MaxChildBandwidth restricted to
 // non-pruned children: the virtual parent's proposal must not count a
 // link the negotiation will never use.
-func (inc *incremental) maxLiveChildBandwidth(id tree.NodeID) rat.R {
+func (s *solver) maxLiveChildBandwidth(id tree.NodeID) rat.R {
 	best := rat.Zero
-	for _, c := range inc.t.Children(id) {
-		if !inc.pruned[c] {
-			best = rat.Max(best, inc.t.Bandwidth(c))
+	for _, c := range s.t.Children(id) {
+		if !s.res.PrunedNode(c) {
+			best = rat.Max(best, s.t.Bandwidth(c))
 		}
 	}
 	return best
@@ -141,78 +197,23 @@ func (inc *incremental) maxLiveChildBandwidth(id tree.NodeID) rat.R {
 // unvisited node for β the recursion would never have reached — that
 // case cannot arise here because β is always proposed to a visited
 // child or the parent was itself recomputed).
-func (inc *incremental) reusable(c tree.NodeID, beta rat.R) bool {
-	if inc.prev == nil || inc.subDirty[c] {
+func (s *solver) reusable(c tree.NodeID, beta rat.R) bool {
+	if s.subDirty == nil || s.subDirty[c] {
 		return false
 	}
-	ps := &inc.prev.Nodes[c]
+	ps := &s.prev.Nodes[c]
 	return ps.Visited && ps.Lambda.Equal(beta)
 }
 
 // copySubtree installs prev's states for the whole subtree under c.
 // The SendRates slices are shared with prev — results are immutable
 // once returned, so sharing is safe and keeps the copy O(nodes).
-func (inc *incremental) copySubtree(c tree.NodeID) {
-	inc.t.Walk(c, func(n tree.NodeID) bool {
-		inc.res.Nodes[n] = inc.prev.Nodes[n]
-		if inc.prev.Nodes[n].Visited {
-			inc.res.reused++
+func (s *solver) copySubtree(c tree.NodeID) {
+	s.t.Walk(c, func(n tree.NodeID) bool {
+		s.res.Nodes[n] = s.prev.Nodes[n]
+		if s.prev.Nodes[n].Visited {
+			s.res.reused++
 		}
 		return true
 	})
-}
-
-// visit is Algorithm 1 with pruning and subtree reuse: the live twin of
-// Result.visit. Pruned children are skipped (no transaction, zero send
-// rate); reusable children answer from the previous result.
-func (inc *incremental) visit(id tree.NodeID, lambda rat.R) rat.R {
-	t := inc.t
-	st := &inc.res.Nodes[id]
-	st.Visited = true
-	st.Lambda = lambda
-	st.SendRates = make([]rat.R, len(t.Children(id)))
-	inc.res.recomputed++
-
-	p := newPorts(t, id, inc.res.hasRet)
-	st.Alpha = p.capLocal(rat.Min(t.Rate(id), lambda))
-	delta := lambda.Sub(st.Alpha)
-
-	children := t.Children(id)
-	pos := make(map[tree.NodeID]int, len(children))
-	for j, c := range children {
-		pos[c] = j
-	}
-
-	for _, c := range childOrder(t, id, inc.res.hasRet) {
-		if delta.IsZero() || p.exhausted() {
-			break
-		}
-		if inc.pruned[c] {
-			continue
-		}
-		sendCost, recvCost := p.childCosts(t, c)
-		beta := p.propose(delta, sendCost, recvCost)
-		if beta.IsZero() {
-			continue
-		}
-		var thetaC rat.R
-		if inc.reusable(c, beta) {
-			inc.copySubtree(c)
-			thetaC = inc.prev.Nodes[c].Theta
-		} else {
-			inc.res.Transactions = append(inc.res.Transactions,
-				Transaction{Parent: id, Child: c, Beta: beta})
-			txIdx := len(inc.res.Transactions) - 1
-			thetaC = inc.visit(c, beta)
-			inc.res.Transactions[txIdx].Theta = thetaC
-		}
-		accepted := beta.Sub(thetaC)
-		st.SendRates[pos[c]] = accepted
-		delta = delta.Sub(accepted)
-		p.charge(accepted, sendCost, recvCost)
-	}
-	st.Theta = delta
-	st.RecvRate = lambda.Sub(delta)
-	p.finish(st)
-	return delta
 }

@@ -1,44 +1,51 @@
 package proto
 
 import (
+	"fmt"
 	"testing"
 
 	"bwc/internal/obs"
+	"bwc/internal/tree"
 	"bwc/internal/treegen"
 )
 
 // TestE9InvariantAllFamilies: the protocol-cost claim of the paper's
 // Section 5 experiment — exactly two messages per visited node (one
 // proposal, one acknowledgment, the virtual parent's pair included) —
-// must hold on every synthetic platform family, and the deduplicated
-// counting path must keep the Result field and the exported metric in
-// lockstep.
+// must hold on every synthetic platform family, forward-only and with
+// result returns, and the deduplicated counting path must keep the
+// Result field and the exported metric in lockstep.
 func TestE9InvariantAllFamilies(t *testing.T) {
 	for _, kind := range treegen.Kinds {
 		for _, n := range []int{1, 2, 7, 23} {
-			tr := treegen.Generate(kind, n, 42)
-			sc := obs.New()
-			res := SolveObserved(tr, sc)
-
-			if res.Messages != 2*res.VisitedCount {
-				t.Errorf("%s/%d: %d messages for %d visited nodes (want 2x)",
-					kind, n, res.Messages, res.VisitedCount)
-			}
-			reg := sc.Registry()
-			if m := reg.Counter("bwc_protocol_messages_total", "").Value(); m != int64(res.Messages) {
-				t.Errorf("%s/%d: metric %d != Result.Messages %d", kind, n, m, res.Messages)
-			}
-			if v := reg.Gauge("bwc_visited_nodes", "").Value(); v != int64(res.VisitedCount) {
-				t.Errorf("%s/%d: gauge %d != VisitedCount %d", kind, n, v, res.VisitedCount)
-			}
-			if tx := reg.Counter("bwc_protocol_transactions_total", "").Value(); tx != int64(res.VisitedCount) {
-				t.Errorf("%s/%d: %d transactions for %d visited nodes", kind, n, tx, res.VisitedCount)
-			}
-			// One span per transaction, i.e. per visited node.
-			if spans := sc.SpansOnTrack("proto"); len(spans) != res.VisitedCount {
-				t.Errorf("%s/%d: %d proto spans, want %d", kind, n, len(spans), res.VisitedCount)
+			for d, tr := range returnVariants(t, treegen.Generate(kind, n, 42)) {
+				e9Invariant(t, fmt.Sprintf("%s/%d/variant %d", kind, n, d), tr)
 			}
 		}
+	}
+}
+
+func e9Invariant(t *testing.T, label string, tr *tree.Tree) {
+	t.Helper()
+	sc := obs.New()
+	res := SolveObserved(tr, sc)
+
+	if res.Messages != 2*res.VisitedCount {
+		t.Errorf("%s: %d messages for %d visited nodes (want 2x)", label, res.Messages, res.VisitedCount)
+	}
+	reg := sc.Registry()
+	if m := reg.Counter("bwc_protocol_messages_total", "").Value(); m != int64(res.Messages) {
+		t.Errorf("%s: metric %d != Result.Messages %d", label, m, res.Messages)
+	}
+	if v := reg.Gauge("bwc_visited_nodes", "").Value(); v != int64(res.VisitedCount) {
+		t.Errorf("%s: gauge %d != VisitedCount %d", label, v, res.VisitedCount)
+	}
+	if tx := reg.Counter("bwc_protocol_transactions_total", "").Value(); tx != int64(res.VisitedCount) {
+		t.Errorf("%s: %d transactions for %d visited nodes", label, tx, res.VisitedCount)
+	}
+	// One span per transaction, i.e. per visited node.
+	if spans := sc.SpansOnTrack("proto"); len(spans) != res.VisitedCount {
+		t.Errorf("%s: %d proto spans, want %d", label, len(spans), res.VisitedCount)
 	}
 }
 

@@ -4,13 +4,16 @@
 // acknowledgment θ up — over channels standing in for network links.
 //
 // This realizes the paper's "lightweight communication procedure": no node
-// accesses global information; each decides from its own w, the c of its
-// child links, and the numbers it receives (the semi-autonomous protocol of
-// Section 5). The run is depth-first and therefore sequential in time, but
-// the package demonstrates — and its tests verify — that the procedure
-// needs nothing beyond local state plus point-to-point messages, and it
-// counts the messages for the protocol-cost experiment (E9): exactly two
-// per transaction.
+// accesses global information; each decides from its own w, the c (and,
+// with result returns, the d) of its links, and the numbers it receives
+// (the semi-autonomous protocol of Section 5). Each node runs the same
+// per-node step as the sequential solver (bwfirst.Step), so a round
+// computes exactly what bwfirst.Solve does, on forward-only and
+// result-return platforms alike. The run is depth-first and therefore
+// sequential in time, but the package demonstrates — and its tests
+// verify — that the procedure needs nothing beyond local state plus
+// point-to-point messages, and it counts the messages for the
+// protocol-cost experiment (E9): exactly two per transaction.
 //
 // A Session keeps the node goroutines alive between negotiations, modeling
 // the paper's dynamic-adaptation proposal: when the root observes a
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bwc/internal/bwfirst"
 	"bwc/internal/obs"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
@@ -33,11 +37,9 @@ type Result struct {
 	Tree       *tree.Tree
 	TMax       rat.R
 	Throughput rat.R
-	// Alpha[id] is node id's computing rate; SendRates[id][j] the rate to
-	// its j-th child (insertion order), mirroring bwfirst.NodeState.
-	Alpha     []rat.R
-	SendRates [][]rat.R
-	Visited   []bool
+	// Nodes[id] holds what node id knows at the end of the round: the
+	// same per-node record as bwfirst.Result.Nodes.
+	Nodes []bwfirst.NodeState
 	// Messages is the total number of protocol messages exchanged
 	// (proposals + acknowledgments, including the virtual parent's pair).
 	// It is derived from the single counting path countMsg, which also
@@ -72,7 +74,10 @@ type nodeActor struct {
 // topology. Negotiation rounds run sequentially; the Session is not safe
 // for concurrent use.
 type Session struct {
-	t      *tree.Tree
+	t *tree.Tree
+	// hasRet is t.HasResultReturn, read once per round: Renegotiate may
+	// swap in a re-measured tree.
+	hasRet bool
 	actors []*nodeActor
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -150,16 +155,12 @@ func (s *Session) Run() *Result {
 		panic("proto: Run on a closed session")
 	}
 	t := s.t
-	res := &Result{
-		Tree:      t,
-		Alpha:     make([]rat.R, t.Len()),
-		SendRates: make([][]rat.R, t.Len()),
-		Visited:   make([]bool, t.Len()),
-	}
+	res := &Result{Tree: t, Nodes: make([]bwfirst.NodeState, t.Len())}
 	if t.Len() == 0 {
 		return res
 	}
 	s.res = res
+	s.hasRet = t.HasResultReturn()
 	root := s.actors[t.Root()]
 	res.TMax = t.Rate(t.Root()).Add(t.MaxChildBandwidth(t.Root()))
 	span := s.sc.StartSpan("negotiate "+t.Name(t.Root()), "proto", 0)
@@ -175,8 +176,8 @@ func (s *Session) Run() *Result {
 		obs.A("t_max", res.TMax.String()),
 		obs.A("throughput", res.Throughput.String()))
 	s.txCtr.Inc()
-	for id := range res.Visited {
-		if res.Visited[id] {
+	for id := range res.Nodes {
+		if res.Nodes[id].Visited {
 			res.VisitedCount++
 		}
 	}
@@ -240,54 +241,31 @@ func (a *nodeActor) run(quit <-chan struct{}) {
 	}
 }
 
-// handle is Algorithm 1 with channel sends in place of the paper's
+// handle is bwfirst.Step with channel sends in place of the paper's
 // message-passing notation. Every arithmetic input is local: the node's
-// own rate, its child link times, and the received numbers.
+// own weights, its child links, and the received numbers.
 func (a *nodeActor) handle(lambda rat.R) rat.R {
-	t := a.s.t
-	res := a.s.res
-	res.Visited[a.id] = true
-	alpha := rat.Min(t.Rate(a.id), lambda)
-	res.Alpha[a.id] = alpha
-	delta := lambda.Sub(alpha)
-	tau := rat.One
-
-	children := t.Children(a.id)
-	sends := make([]rat.R, len(children))
-	pos := make(map[tree.NodeID]int, len(children))
-	for j, c := range children {
-		pos[c] = j
-	}
-	// The bandwidth-centric order is re-derived from the current link
-	// measurements each round (they may have changed).
-	for _, cid := range t.ChildrenByComm(a.id) {
-		if delta.IsZero() || tau.IsZero() {
-			break
-		}
-		child := a.s.actors[cid]
-		c := t.CommTime(cid)
-		beta := rat.Min(delta, tau.Mul(c.Inv()))
+	s := a.s
+	return bwfirst.Step(s.t, a.id, lambda, s.hasRet, &s.res.Nodes[a.id], func(cid tree.NodeID, beta rat.R) rat.R {
 		// Count the proposal before sending and the acknowledgment after
 		// receiving: the channel operations then order every access to
 		// the shared counter (between the send and the ack-receive the
 		// child's subtree owns it). The span open/close brackets the
 		// child's whole subtree negotiation the same way.
 		var txSpan obs.SpanID
-		if a.s.txSpan != nil {
-			txSpan = a.s.sc.StartSpan("tx "+t.Name(a.id)+"→"+t.Name(cid), "proto", a.s.txSpan[a.id])
-			a.s.txSpan[cid] = txSpan
+		if s.txSpan != nil {
+			txSpan = s.sc.StartSpan("tx "+s.t.Name(a.id)+"→"+s.t.Name(cid), "proto", s.txSpan[a.id])
+			s.txSpan[cid] = txSpan
 		}
-		a.s.countMsg()
+		child := s.actors[cid]
+		s.countMsg()
 		child.proposal <- beta // phase one: proposal
 		theta := <-child.ack   // phase two: acknowledgment
-		a.s.countMsg()
-		a.s.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("theta", theta.String()))
-		a.s.txCtr.Inc()
-		accepted := beta.Sub(theta)
-		sends[pos[cid]] = accepted
-		delta = delta.Sub(accepted)
-		tau = tau.Sub(accepted.Mul(c))
-	}
-	res.SendRates[a.id] = sends
-	return delta
+		s.countMsg()
+		if s.txSpan != nil {
+			s.sc.EndSpan(txSpan, obs.A("beta", beta.String()), obs.A("theta", theta.String()))
+		}
+		s.txCtr.Inc()
+		return theta
+	})
 }

@@ -1,12 +1,16 @@
 package proto
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bwc/internal/bwfirst"
+	"bwc/internal/lp"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 	"bwc/internal/treegen"
+	"bwc/internal/treeio"
 )
 
 func TestSingleNode(t *testing.T) {
@@ -30,45 +34,102 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// returnVariants lists each platform as given and with a uniform
+// result-return time of 1/2 and of 1 on every link (Section 9), so the
+// protocol is checked against both port models.
+func returnVariants(t *testing.T, tr *tree.Tree) []*tree.Tree {
+	t.Helper()
+	out := []*tree.Tree{tr}
+	for _, d := range []rat.R{rat.New(1, 2), rat.One} {
+		ret, err := tr.WithUniformReturnTime(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ret)
+	}
+	return out
+}
+
+// sameStates fails the test unless the protocol round got holds exactly
+// the sequential result want: throughput, t_max, the visited set and
+// every field of every node's state.
+func sameStates(t *testing.T, label string, got *Result, want *bwfirst.Result) {
+	t.Helper()
+	if !got.Throughput.Equal(want.Throughput) {
+		t.Fatalf("%s: throughput %s != %s", label, got.Throughput, want.Throughput)
+	}
+	if !got.TMax.Equal(want.TMax) {
+		t.Fatalf("%s: t_max %s != %s", label, got.TMax, want.TMax)
+	}
+	if got.VisitedCount != want.VisitedCount {
+		t.Fatalf("%s: visited %d != %d", label, got.VisitedCount, want.VisitedCount)
+	}
+	for id := range want.Nodes {
+		x, y := got.Nodes[id], want.Nodes[id]
+		if x.Visited != y.Visited {
+			t.Fatalf("%s: node %d visited %v != %v", label, id, x.Visited, y.Visited)
+		}
+		if !x.Lambda.Equal(y.Lambda) || !x.Alpha.Equal(y.Alpha) ||
+			!x.Theta.Equal(y.Theta) || !x.RecvRate.Equal(y.RecvRate) ||
+			!x.TauLeft.Equal(y.TauLeft) || !x.TauRecvLeft.Equal(y.TauRecvLeft) {
+			t.Fatalf("%s: node %d states differ:\n%+v\n%+v", label, id, x, y)
+		}
+		if len(x.SendRates) != len(y.SendRates) {
+			t.Fatalf("%s: node %d send-rate arity %d != %d", label, id, len(x.SendRates), len(y.SendRates))
+		}
+		for j := range y.SendRates {
+			if !x.SendRates[j].Equal(y.SendRates[j]) {
+				t.Fatalf("%s: node %d child %d send rate %s != %s", label, id, j, x.SendRates[j], y.SendRates[j])
+			}
+		}
+	}
+}
+
 // TestAgreesWithSequential is the central property: the distributed run
-// computes exactly the same throughput, per-node rates, visit set and
-// (therefore) schedules as the sequential reference, across all generator
-// families.
+// computes exactly the same throughput, per-node states, visit set and
+// (therefore) schedules as the sequential reference, at two messages per
+// visited node, across all generator families, forward-only and with
+// result returns.
 func TestAgreesWithSequential(t *testing.T) {
 	for _, k := range treegen.Kinds {
 		for seed := int64(0); seed < 15; seed++ {
 			for _, n := range []int{1, 2, 7, 23, 60} {
-				tr := treegen.Generate(k, n, seed)
-				want := bwfirst.Solve(tr)
-				got := Solve(tr)
-				if !got.Throughput.Equal(want.Throughput) {
-					t.Fatalf("%v/%d/%d: throughput %s != %s", k, seed, n, got.Throughput, want.Throughput)
-				}
-				if !got.TMax.Equal(want.TMax) {
-					t.Fatalf("%v/%d/%d: tmax", k, seed, n)
-				}
-				if got.VisitedCount != want.VisitedCount {
-					t.Fatalf("%v/%d/%d: visited %d != %d", k, seed, n, got.VisitedCount, want.VisitedCount)
-				}
-				for id := 0; id < tr.Len(); id++ {
-					nid := tree.NodeID(id)
-					if got.Visited[id] != want.Nodes[id].Visited {
-						t.Fatalf("%v/%d/%d: node %s visit mismatch", k, seed, n, tr.Name(nid))
-					}
-					if !got.Alpha[id].Equal(want.Nodes[id].Alpha) {
-						t.Fatalf("%v/%d/%d: node %s α %s != %s", k, seed, n, tr.Name(nid), got.Alpha[id], want.Nodes[id].Alpha)
-					}
-					if got.Visited[id] {
-						for j := range want.Nodes[id].SendRates {
-							if !got.SendRates[id][j].Equal(want.Nodes[id].SendRates[j]) {
-								t.Fatalf("%v/%d/%d: node %s send rate %d mismatch", k, seed, n, tr.Name(nid), j)
-							}
-						}
+				for d, tr := range returnVariants(t, treegen.Generate(k, n, seed)) {
+					label := fmt.Sprintf("%v/%d/%d/variant %d", k, seed, n, d)
+					got := Solve(tr)
+					sameStates(t, label, got, bwfirst.Solve(tr))
+					if got.Messages != 2*got.VisitedCount {
+						t.Fatalf("%s: %d messages for %d visited nodes", label, got.Messages, got.VisitedCount)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestReturnStarMatchesLP is the regression case for the two-port model:
+// a switch root with two workers (c = 1/2, w = 1, d = 1). The root's
+// receive port takes one result per time unit, so the optimum is 1 and
+// the second worker is never visited; a protocol without the return
+// model reported 2 after visiting all three nodes.
+func TestReturnStarMatchesLP(t *testing.T) {
+	tr, err := treeio.ParseText(strings.NewReader("P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Solve(tr)
+	if !res.Throughput.Equal(rat.One) || res.VisitedCount != 2 || res.Messages != 4 {
+		t.Fatalf("throughput %s, %d visited, %d messages; want 1, 2, 4",
+			res.Throughput, res.VisitedCount, res.Messages)
+	}
+	opt, _, err := lp.OptimalThroughput(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !opt.Equal(res.Throughput) {
+		t.Fatalf("protocol %s != exact LP %s", res.Throughput, opt)
+	}
+	sameStates(t, "star", res, bwfirst.Solve(tr))
 }
 
 // TestMessageCount: exactly two messages per closed transaction — the

@@ -46,14 +46,6 @@ func BenchmarkWalk1000(b *testing.B) {
 	}
 }
 
-func BenchmarkChildrenByComm(b *testing.B) {
-	t := benchTree(b, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = t.ChildrenByComm(t.Root())
-	}
-}
-
 func BenchmarkClone1000(b *testing.B) {
 	t := benchTree(b, 1000)
 	b.ResetTimer()

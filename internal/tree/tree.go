@@ -18,7 +18,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"bwc/internal/bwcerr"
@@ -157,35 +156,6 @@ func (t *Tree) Children(id NodeID) []NodeID { t.check(id); return t.nodes[id].ch
 
 // IsLeaf reports whether the node has no children.
 func (t *Tree) IsLeaf(id NodeID) bool { return len(t.Children(id)) == 0 }
-
-// ChildrenByComm returns the node's children sorted by increasing
-// communication time, ties broken by insertion order. This is the visiting
-// order prescribed by the bandwidth-centric principle (Section 4).
-func (t *Tree) ChildrenByComm(id NodeID) []NodeID {
-	cs := t.Children(id)
-	out := make([]NodeID, len(cs))
-	copy(out, cs)
-	sort.SliceStable(out, func(i, j int) bool {
-		return t.CommTime(out[i]).Less(t.CommTime(out[j]))
-	})
-	return out
-}
-
-// ChildrenByRoundTrip returns the node's children sorted by increasing
-// round-trip communication time c_j + d_j, ties broken by insertion
-// order: the bandwidth-centric visiting order generalized to platforms
-// with result-return flows. With d ≡ 0 it is exactly ChildrenByComm.
-func (t *Tree) ChildrenByRoundTrip(id NodeID) []NodeID {
-	cs := t.Children(id)
-	out := make([]NodeID, len(cs))
-	copy(out, cs)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri := t.CommTime(out[i]).Add(t.ReturnTime(out[i]))
-		rj := t.CommTime(out[j]).Add(t.ReturnTime(out[j]))
-		return ri.Less(rj)
-	})
-	return out
-}
 
 // Depth returns the number of edges from the root to the node (0 for the
 // root).

@@ -112,33 +112,6 @@ func TestBuilderFirstErrorWins(t *testing.T) {
 	}
 }
 
-func TestChildrenOrderAndByComm(t *testing.T) {
-	tr := NewBuilder().
-		Root("r", rat.One).
-		Child("r", "slow", rat.FromInt(5), rat.One).
-		Child("r", "fast", rat.One, rat.One).
-		Child("r", "mid", rat.Two, rat.One).
-		Child("r", "fast2", rat.One, rat.One). // ties with "fast": insertion order wins
-		Build
-	tree, err := tr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertion := tree.Children(tree.Root())
-	if n := tree.Name(insertion[0]); n != "slow" {
-		t.Fatalf("insertion order broken: first = %s", n)
-	}
-	got := tree.ChildrenByComm(tree.Root())
-	names := make([]string, len(got))
-	for i, id := range got {
-		names[i] = tree.Name(id)
-	}
-	want := "fast fast2 mid slow"
-	if strings.Join(names, " ") != want {
-		t.Fatalf("ChildrenByComm = %v, want %s", names, want)
-	}
-}
-
 func TestDepthHeightAncestors(t *testing.T) {
 	tr := sample(t)
 	p4 := tr.MustLookup("P4")

@@ -103,6 +103,29 @@ func TestE10ResultReturnEndToEnd(t *testing.T) {
 	}
 }
 
+// TestVerifyRunsProtocolOnReturnPlatform: Verify cross-checks the
+// distributed protocol on result-return platforms too. On the two-worker
+// return star (d = 1) the optimum is 1 and the protocol exchanges 4
+// messages: the virtual parent's pair and one transaction with P1,
+// whose results fill the root's receive port so P2 is offered nothing.
+func TestVerifyRunsProtocolOnReturnPlatform(t *testing.T) {
+	tr, err := bwc.ParsePlatformString("P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := bwc.NewObserver()
+	thr, err := bwc.Verify(tr, bwc.WithObserver(ob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !thr.Equal(bwc.RatInt(1)) {
+		t.Fatalf("Verify = %s, want 1", thr)
+	}
+	if m := ob.Registry().Counter("bwc_protocol_messages_total", "").Value(); m != 4 {
+		t.Fatalf("protocol messages = %d, want 4", m)
+	}
+}
+
 // TestE10FoldedRegressionFails pins the negative side of E10: a folded
 // platform (d merged into c, no separate flows) runs at the folded rate,
 // so its batch takes about twice as long. This is the behavior the
