@@ -72,8 +72,9 @@ adapt-demo:
 		$(GO) run ./cmd/bwsched adapt -degrade P1=4 -at 120 -stop 400
 
 # Churn smoke: the churn-hardened loop must self-stabilize under the
-# pinned seed (exit 0) and collapse with exit code 9 when crash-heavy
-# churn drives retained throughput below the retention floor. Runs the
+# pinned seed (exit 0), collapse with exit code 9 when crash-heavy churn
+# drives retained throughput below the retention floor, and exit 5
+# (ErrInfeasible) at the first drift after the root crashes. Runs the
 # built binary, not `go run`, which flattens exit codes to 1.
 churn-smoke:
 	$(GO) build -o /tmp/bwsched-churn ./cmd/bwsched
@@ -83,6 +84,9 @@ churn-smoke:
 	code=0; /tmp/bwsched-churn churn -f /tmp/bwsched-churn-platform.txt \
 		-seed 3 -rate 40 -crash-frac 0.9 -duration 600 || code=$$?; \
 		test "$$code" -eq 9
+	code=0; /tmp/bwsched-churn churn -f /tmp/bwsched-churn-platform.txt \
+		-seed 6 -rate 3 -duration 600 -fault 100:crash:P0 || code=$$?; \
+		test "$$code" -eq 5
 
 # Result-return smoke: the Section-9 counter-example end to end. The
 # CLI must report the 2-vs-1 separate-vs-folded advantage, drain every

@@ -88,11 +88,13 @@ func RandomFaults(t *Tree, seed int64, n int, horizon Rational) []Fault {
 // the measured platform, and hot-swap the re-solved schedule at the next
 // root period boundary (draining the stale backlog first); repeat until
 // no drift remains or the adaptation budget (WithMaxAdapts) is
-// exhausted. The returned report carries the pre-swap conformance report
-// (expected to FAIL when faults bite) and the post-swap report on the
-// final regime (Healed reports whether it passes every check). A
+// exhausted. The returned report carries every detected drift, the
+// pre-swap conformance report (expected to FAIL when faults bite) and
+// the post-swap report on the final regime (Healed reports whether it
+// passes every check). A drift too late for a swap boundary before
+// WithStop ends the loop, and the run is verified as it stands. A
 // crashed root leaves nothing to schedule: the run fails at once with
-// an error wrapping ErrInfeasible.
+// an error wrapping ErrInfeasible. SimulateChurn runs the same loop.
 //
 // The controller is deterministic: identical inputs replay identical
 // timelines.
@@ -100,11 +102,15 @@ func SimulateAdaptive(s *Schedule, opts ...Option) (*AdaptReport, error) {
 	return adapt.SimulateAdaptive(s, buildCfg(opts).buildAdaptOptions())
 }
 
-// DetectDrift runs the detection half of the loop without ever adapting:
-// nil if the simulated run conforms to s throughout, otherwise an error
-// wrapping ErrScheduleStale describing the first drift.
+// DetectDrift runs the detection half of the loop without ever adapting
+// (SimulateAdaptive with WithDetectOnly): nil if the simulated run
+// conforms to s throughout, otherwise an error wrapping ErrScheduleStale
+// describing the first drift.
 func DetectDrift(s *Schedule, opts ...Option) error {
-	return adapt.DetectOnly(s, buildCfg(opts).buildAdaptOptions())
+	cfg := buildCfg(opts)
+	cfg.detectOnly = true
+	_, err := adapt.SimulateAdaptive(s, cfg.buildAdaptOptions())
+	return err
 }
 
 // Churn-hardened runtime types.
@@ -114,9 +120,9 @@ type (
 	// script and event log.
 	ChurnConfig = adapt.ChurnConfig
 	// ChurnReport is the outcome of a SimulateChurn run: the adaptive
-	// report plus the fault script, oracle retention comparison,
-	// quarantine list, per-cycle re-solve stats, and the deterministic
-	// event log.
+	// report (with its deterministic event log) plus the fault script,
+	// oracle retention comparison, quarantine list, and per-cycle
+	// re-solve stats.
 	ChurnReport = adapt.ChurnReport
 	// ChurnReSolve records the cost of one incremental re-solve cycle.
 	ChurnReSolve = adapt.ReSolveStat

@@ -173,7 +173,14 @@ func cmdAdapt(args []string) error {
 		fmt.Printf("adapt #%d:  swap at t=%s, resume t=%s, throughput %s (visited %d, messages %d, pruned %s)\n",
 			i+1, ad.SwapAt, ad.ResumeAt, ad.Throughput, ad.Visited, ad.Messages, pruned)
 	}
-	if len(rep.Adaptations) == 0 {
+	// The loop adapts to every drift but a last one with no swap boundary
+	// left before the horizon.
+	if n := len(rep.Drifts); n > len(rep.Adaptations) {
+		d := rep.Drifts[n-1]
+		fmt.Printf("drift:     t=%s, worst node %s at %.0f%% of its α share\n", d.At, d.Window.WorstNode, 100*d.Window.MinRatio)
+		fmt.Printf("late:      no swap boundary before the horizon %s; verifying the run as it stands\n", stopAt)
+	}
+	if len(rep.Drifts) == 0 {
 		fmt.Printf("no drift detected over [0, %s]; schedule still conforms\n", rep.Stop)
 	}
 	if rep.Pre != nil {

@@ -93,6 +93,34 @@ func TestAdaptCleanRunNoDrift(t *testing.T) {
 	}
 }
 
+// TestAdaptLateDriftVerifiedAsIs: a drift with no swap boundary left
+// before the horizon is named, and the run is verified as it stands —
+// exit 1 for its failed checks, as when the same fault comes too late to
+// be detected at all.
+func TestAdaptLateDriftVerifiedAsIs(t *testing.T) {
+	plat := writePaperPlatform(t, t.TempDir())
+	for _, at := range []string{"320", "360"} {
+		var out string
+		_, code := captureStderr(t, func() int {
+			var code int
+			out, code = captureStdoutCode(t, func() int {
+				return run([]string{"adapt", "-f", plat, "-degrade", "P1=4", "-at", at, "-stop", "400"})
+			})
+			return code
+		})
+		if code != 1 {
+			t.Fatalf("-at %s: exit %d, want 1:\n%s", at, code, out)
+		}
+		if !strings.Contains(out, "post-swap: FAIL") {
+			t.Errorf("-at %s: output missing the failed verification:\n%s", at, out)
+		}
+		late := strings.Contains(out, "late:      no swap boundary before the horizon 400")
+		if drift := strings.Contains(out, "drift:     t=400"); late != drift || late != (at == "320") {
+			t.Errorf("-at %s: late drift named %v, drift line %v:\n%s", at, late, drift, out)
+		}
+	}
+}
+
 // TestAdaptCrashPrunesSubtree: a crashed node must be pruned by the
 // re-solve and named in the adapt log.
 func TestAdaptCrashPrunesSubtree(t *testing.T) {

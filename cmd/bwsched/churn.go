@@ -96,7 +96,7 @@ func cmdChurn(args []string) error {
 		fmt.Printf("cycle #%d:  drift t=%s, swap t=%s, throughput %s%s\n",
 			i+1, ad.Drift.At, ad.SwapAt, ad.Throughput, spine)
 	}
-	if len(rep.Adaptations) == 0 {
+	if len(rep.Drifts) == 0 {
 		fmt.Printf("no drift detected over [0, %s]\n", rep.Stop)
 	}
 	if len(rep.Quarantined) > 0 {
@@ -106,6 +106,11 @@ func cmdChurn(args []string) error {
 		for _, line := range rep.Log {
 			fmt.Printf("  log: %s\n", line)
 		}
+	}
+	if runErr != nil && !rep.Collapsed {
+		// The loop stopped before its verdict: there is no retention to
+		// report.
+		return runErr
 	}
 	fmt.Printf("retention: %s retained of oracle %s (%.1f%%; baseline %s)\n",
 		rep.Final, rep.Oracle, 100*rep.Retention, rep.Baseline)

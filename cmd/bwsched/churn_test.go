@@ -51,3 +51,30 @@ func TestCmdChurnReproducible(t *testing.T) {
 		t.Fatalf("same seed produced different output:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 }
+
+// TestCmdChurnCrashedRootExits5: a crashed root leaves nothing to
+// schedule, under churn as in `adapt`: the run ends at its first drift
+// with ErrInfeasible (exit 5) instead of retrying, and the no-drift line
+// is not printed.
+func TestCmdChurnCrashedRootExits5(t *testing.T) {
+	f := platformFile(t)
+	var out string
+	stderr, code := captureStderr(t, func() int {
+		var code int
+		out, code = captureStdoutCode(t, func() int {
+			return run([]string{"churn", "-f", f, "-seed", "6", "-rate", "3", "-duration", "600", "-log", "-fault", "100:crash:P0"})
+		})
+		return code
+	})
+	if code != 5 {
+		t.Fatalf("exit code %d, want 5 (ErrInfeasible); stderr %q\n%s", code, stderr, out)
+	}
+	if n := strings.Count(out, "log: drift "); n != 1 {
+		t.Errorf("%d drifts logged, want the run to end at the first:\n%s", n, out)
+	}
+	for _, frag := range []string{"no drift detected", "log: retry", "retention:"} {
+		if strings.Contains(out, frag) {
+			t.Errorf("output contains %q:\n%s", frag, out)
+		}
+	}
+}

@@ -37,7 +37,8 @@ func TestSimulateAdaptiveFacade(t *testing.T) {
 }
 
 // TestDetectDriftSentinel: detect-only drift reports classify as
-// ErrScheduleStale via errors.Is.
+// ErrScheduleStale via errors.Is, from DetectDrift and from a churn run
+// with WithDetectOnly alike.
 func TestDetectDriftSentinel(t *testing.T) {
 	res := bwc.Solve(bwc.PaperExampleTree())
 	s, err := bwc.BuildSchedule(res)
@@ -54,6 +55,15 @@ func TestDetectDriftSentinel(t *testing.T) {
 	// A healthy run reports no drift.
 	if err := bwc.DetectDrift(s, bwc.WithStop(bwc.RatInt(200))); err != nil {
 		t.Fatalf("clean run reported drift: %v", err)
+	}
+	_, err = bwc.SimulateChurn(s,
+		bwc.WithChurn(bwc.ChurnConfig{Seed: 11, Rate: 3}),
+		bwc.WithFaults(bwc.DegradeLink(bwc.RatInt(120), "P1", bwc.RatInt(4))),
+		bwc.WithStop(bwc.RatInt(600)),
+		bwc.WithDetectOnly(),
+	)
+	if !errors.Is(err, bwc.ErrScheduleStale) {
+		t.Fatalf("SimulateChurn with WithDetectOnly = %v, want ErrScheduleStale", err)
 	}
 }
 

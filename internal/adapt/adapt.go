@@ -2,10 +2,13 @@ package adapt
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
+	"bwc/internal/engine"
 	"bwc/internal/obs"
 	"bwc/internal/obs/analyze"
 	"bwc/internal/rat"
@@ -32,12 +35,13 @@ type Options struct {
 	// (default 2).
 	Consecutive int
 	// MaxAdapts bounds the number of re-negotiations. 0 means the
-	// default (4). Negative means detect only: the first drift surfaces
-	// as ErrScheduleStale (DetectOnly wraps this).
+	// default (4; 16 under SimulateChurn). Negative means detect only: the
+	// first drift surfaces as ErrScheduleStale.
 	MaxAdapts int
 	// Sched configures re-solved schedule construction.
 	Sched sched.Options
-	// Obs, when enabled, receives the controller's adaptation events.
+	// Obs, when enabled, receives the controller's events, one per line
+	// of the report's Log.
 	Obs *obs.Scope
 }
 
@@ -71,11 +75,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// detector builds the detector configured by o.
-func (o Options) detector() *Detector {
-	return &Detector{Threshold: o.Threshold, BufferSlack: bufferSlack, Consecutive: o.Consecutive}
-}
-
 // windowFor resolves the detection window for a schedule.
 func (o Options) windowFor(s *sched.Schedule) (rat.R, error) {
 	if o.Window.IsPos() {
@@ -105,9 +104,12 @@ type Adaptation struct {
 	// Throughput is the re-negotiated steady-state rate on the measured
 	// platform.
 	Throughput rat.R
-	// Messages and Visited report the cost of the re-solve (the paper's
-	// Prop. 2 economy: only the useful subtree is walked): two protocol
-	// messages per transaction, and the nodes the re-solve visited.
+	// Messages and Visited report the cost of the re-solve as the
+	// protocol's full wave would pay it (the paper's Prop. 2 economy:
+	// only the useful subtree is walked): the nodes BW-First visits on the
+	// measured platform, and two messages per visited node, the virtual
+	// parent's pair included (E9). What the incremental re-solve actually
+	// recomputed is in ChurnReport.ReSolves.
 	Messages int
 	Visited  int
 	// Pruned names the nodes whose subtrees the re-solve excluded (the
@@ -123,6 +125,11 @@ type SimReport struct {
 	// Run is the final verification run: the full timeline with every
 	// adaptation applied.
 	Run *sim.DynRun
+	// Drifts lists every drift the loop detected, in order: each one it
+	// acted on (the Drift of an Adaptation), each one whose re-solve it
+	// retried, and a last one it could not act on — too late for a swap
+	// boundary, over budget, detect-only, or a crashed root.
+	Drifts []Drift
 	// Adaptations lists the detect/re-solve/swap cycles, in order.
 	Adaptations []Adaptation
 	// Pre analyzes the regime before the first swap under the original
@@ -138,6 +145,12 @@ type SimReport struct {
 	// Stop is the verification horizon actually simulated (≥ the
 	// requested Stop when the last swap needed more room to verify).
 	Stop rat.R
+	// Log is the deterministic controller log, one line per step: the
+	// fault script, then each drift, quarantine, retry, re-solve, swap,
+	// late drift or collapse, and a churn run's final retention. Each line
+	// has a matching event on Options.Obs; identical inputs reproduce the
+	// log byte for byte.
+	Log []string
 }
 
 // FinalSchedule returns the schedule active at the end of the run.
@@ -148,40 +161,89 @@ func (r *SimReport) FinalSchedule() *sched.Schedule {
 	return nil
 }
 
-// SimulateAdaptive runs the closed loop against the exact simulator:
-// simulate under the fault timeline, scan the evidence for drift against
-// the active schedule, re-solve on the measured (faulted) platform with
-// the crashed nodes' subtrees excluded, and hot-swap the new schedule at
-// the next root period boundary; repeat until no drift remains or
-// MaxAdapts is exhausted. The controller is deterministic: re-simulating
-// the grown phase list replays the identical prefix, so each iteration
-// extends the previous timeline exactly.
+// SimulateAdaptive runs the closed loop against the exact simulator
+// under the scripted faults alone: simulate, scan the evidence for drift
+// against the active schedule, re-solve on the measured (faulted)
+// platform with the crashed nodes' subtrees excluded, and hot-swap the
+// new schedule at the next root period boundary; repeat until no drift
+// remains or MaxAdapts is exhausted.
 //
-// Detection-only mode (DetectOnly) returns ErrScheduleStale on the first
-// drift. A run whose drift persists after MaxAdapts re-solves returns
-// ErrAdaptTimeout, and a crashed root ErrInfeasible.
+// Detection-only mode (negative MaxAdapts) returns ErrScheduleStale on
+// the first drift. A run whose drift persists after MaxAdapts re-solves
+// returns ErrAdaptTimeout, and a crashed root ErrInfeasible. A drift with
+// no swap boundary left before Stop ends the loop, and the run is
+// verified as it stands.
 func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
+	rep, err := control(s, ChurnOptions{Options: opt.withDefaults()}, false)
+	if rep == nil {
+		return nil, err
+	}
+	return &rep.SimReport, err
+}
+
+// churnJitterSalt decorrelates the retry jitter from the churn script
+// drawn from the same seed.
+const churnJitterSalt = 0x5bd1e995
+
+// control is the one adaptation loop behind both entry points, Section
+// 5's procedure: simulate the grown phase list, scan the active regime
+// for drift, re-solve incrementally on the measured platform, and
+// install the result at the next root period boundary; then verify and
+// report. It is deterministic: re-simulating the grown phase list
+// replays the identical prefix, so each iteration extends the previous
+// timeline exactly, and a fixed seed reproduces the log byte for byte.
+//
+// opt, defaulted by the entry point, is the policy: MaxAdapts is the
+// adaptation budget (zero detects only), FlapThreshold > 0 quarantines
+// flapping nodes, and a re-solve below RetentionFloor or without a
+// usable schedule is retried ResolveRetries times with seeded backoff
+// (with none, its error ends the run). churn adds the seeded churn
+// process to the scripted faults and judges the final throughput
+// against the oracle.
+func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, error) {
 	if s == nil || s.Tree == nil || s.Tree.Len() == 0 {
 		return nil, fmt.Errorf("adapt: no schedule")
 	}
 	if !opt.Stop.IsPos() {
 		return nil, fmt.Errorf("adapt: Stop must be positive")
 	}
-	opt = opt.withDefaults()
 	base := s.Tree
-	physics, err := Timeline(base, opt.Faults, rat.FromInt(crashFactor))
+	faults := opt.Faults
+	if churn {
+		faults = append(GenerateChurn(base, opt.Stop, opt.Churn), opt.Faults...)
+		sort.SliceStable(faults, func(i, j int) bool { return faults[i].At.Less(faults[j].At) })
+	}
+	physics, err := Timeline(base, faults, rat.FromInt(crashFactor))
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &SimReport{Stop: opt.Stop}
+	rep := &ChurnReport{Faults: faults}
+	rep.Stop = opt.Stop
+	for _, f := range faults {
+		attrs := []obs.Attr{obs.A("at", f.At.String()), obs.A("node", f.Node), obs.A("kind", f.Kind.String())}
+		if f.Value.IsPos() {
+			attrs = append(attrs, obs.A("value", f.Value.String()))
+		}
+		rep.note(opt.Obs, "fault", "fault "+f.String(), attrs...)
+	}
+	prevRes, prevTree := s.Res, base
+	if prevRes == nil {
+		prevRes = bwfirst.Solve(base)
+	}
+	rep.Baseline, rep.Final = prevRes.Throughput, prevRes.Throughput
+
 	phases := []sim.Phase{{At: rat.Zero, Schedule: s}}
-	segStart := rat.Zero
-	active := s
+	segStart, active := rat.Zero, s
 	// settle is the absolute time before which the active regime is not
-	// yet owed its steady state (its Proposition 4 start-up bound past
-	// the instant it began releasing).
+	// yet owed its steady state: its Proposition 4 start-up bound past the
+	// instant it began releasing, or the end of a retry's backoff.
 	settle := s.MaxStartupBound()
+	quarantined := make([]bool, base.Len())
+	flaps := map[tree.NodeID][]rat.R{}
+	retries := 0
+	jitter := rand.New(rand.NewSource(opt.Churn.Seed ^ churnJitterSalt))
+	var collapse error
 
 	for {
 		run, err := simulateOnce(phases, physics, opt.Stop)
@@ -192,14 +254,14 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		drift, found := scan(analyze.FromRun(run.Trace, run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
+		drift, found := scan(analyze.FromRun(run.Trace, run.Obs), active, segStart, settle, window, opt.Options)
 		if !found {
 			break
 		}
-		opt.Obs.Emit("drift",
-			obs.A("at", drift.At.String()),
-			obs.A("node", drift.Window.WorstNode),
-			obs.A("ratio", fmt.Sprintf("%.3f", drift.Window.MinRatio)))
+		rep.Drifts = append(rep.Drifts, drift)
+		ratio := fmt.Sprintf("%.3f", drift.Window.MinRatio)
+		rep.note(opt.Obs, "drift", fmt.Sprintf("drift t=%s node=%s ratio=%s", drift.At, drift.Window.WorstNode, ratio),
+			obs.A("at", drift.At.String()), obs.A("node", drift.Window.WorstNode), obs.A("ratio", ratio))
 		if opt.MaxAdapts == 0 {
 			return rep, staleDrift(drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
 		}
@@ -208,50 +270,125 @@ func SimulateAdaptive(s *sched.Schedule, opt Options) (*SimReport, error) {
 		}
 
 		measured := physicsAt(base, physics, drift.At)
-		ad, err := resolve(measured, prunedSet(measured, CrashedBefore(opt.Faults, drift.At), nil), opt)
+		dirty, err := tree.DiffWeights(prevTree, measured)
+		if err != nil {
+			return rep, fmt.Errorf("adapt: diff: %w", err)
+		}
+		if opt.FlapThreshold > 0 {
+			quarantineFlappers(rep, base, dirty, drift.At, opt, flaps, quarantined)
+		}
+		pruned := prunedSet(base, faults, drift.At, quarantined)
+		res, err := bwfirst.SolveIncremental(prevRes, measured, dirty, pruned)
+		if err != nil {
+			// SolveIncremental refuses only a pruned root: a crashed root
+			// leaves nothing to schedule, and no retry brings it back.
+			return rep, fmt.Errorf("adapt: re-solve without %s: %v: %w", strings.Join(nodeNames(base, pruned), ","), err, bwcerr.ErrInfeasible)
+		}
+		var next *sched.Schedule
+		if retainsFloor(res.Throughput, rep.Baseline, opt.RetentionFloor) {
+			if next, err = buildResolved(res, opt.Sched); err != nil && opt.ResolveRetries == 0 {
+				return rep, err
+			}
+		}
+		if next == nil {
+			// Refused re-negotiation: back off (exponentially, with seeded
+			// jitter so repeated runs of one seed stay reproducible while
+			// distinct seeds desynchronize) and give restores a chance to
+			// land before trying again.
+			thr := rat.Zero
+			if err == nil {
+				thr = res.Throughput
+			}
+			if retries++; retries > opt.ResolveRetries {
+				rep.Collapsed = true
+				rep.note(opt.Obs, "collapse", fmt.Sprintf("collapse t=%s throughput=%s floor=%.0f%% of baseline %s", drift.At, thr, 100*opt.RetentionFloor, rep.Baseline),
+					obs.A("at", drift.At.String()), obs.A("throughput", thr.String()), obs.A("baseline", rep.Baseline.String()))
+				collapse = fmt.Errorf("adapt: churn collapse at t=%s: retained throughput %s is below %.0f%% of baseline %s after %d attempts: %w",
+					drift.At, thr, 100*opt.RetentionFloor, rep.Baseline, retries, bwcerr.ErrChurnCollapse)
+				break
+			}
+			backoff := opt.RetryBackoff
+			if !backoff.IsPos() {
+				backoff = window
+			}
+			backoff = backoff.Mul(rat.FromInt(int64(1) << (retries - 1)))
+			jit := rat.New(int64(jitter.Intn(8)), 8).Mul(window)
+			settle = drift.At.Add(backoff).Add(jit)
+			rep.note(opt.Obs, "retry", fmt.Sprintf("retry %d/%d t=%s backoff=%s jitter=%s", retries, opt.ResolveRetries, drift.At, backoff, jit),
+				obs.A("at", drift.At.String()), obs.A("attempt", fmt.Sprint(retries)), obs.A("backoff", backoff.String()), obs.A("jitter", jit.String()))
+			continue
+		}
+		retries = 0
+
+		swapAt, err := nextBoundary(active, segStart, drift.At)
 		if err != nil {
 			return rep, err
 		}
-		swapAt, err := nextBoundary(active, segStart, drift.At, opt.Stop)
-		if err != nil {
-			return rep, err
+		if !swapAt.Less(opt.Stop) {
+			// No swap boundary fits before the horizon: nothing is left to
+			// adapt, so the run is verified as it stands.
+			rep.note(opt.Obs, "late", fmt.Sprintf("late drift t=%s: no swap boundary before the horizon, verifying as-is", drift.At),
+				obs.A("at", drift.At.String()), obs.A("boundary", swapAt.String()))
+			break
 		}
 		// The stale regime kept releasing at its old rate onto the faulted
 		// platform, piling transfers onto the root's send port. Drain, then
 		// swap: pause the root at the boundary long enough for the backlog
-		// to clear, then start the new schedule from a clean port.
+		// to clear, then start the new schedule from a clean port. Both
+		// phases install deltas: pausing touches exactly the root, and
+		// every other cursor keeps its place so buffered tasks drain along
+		// the old routes.
 		drain := drainBound(active, measured, swapAt.Sub(segStart))
-		resumeAt := swapAt
+		resumeAt, installed := swapAt, active
 		if drain.IsPos() {
-			phases = append(phases, sim.Phase{At: swapAt, Schedule: pauseSchedule(active)})
+			installed = pauseSchedule(active)
+			phases = append(phases, sim.Phase{At: swapAt, Schedule: installed, Changed: []tree.NodeID{base.Root()}})
 			resumeAt = swapAt.Add(drain)
 		}
-		phases = append(phases, sim.Phase{At: resumeAt, Schedule: ad.Schedule})
-		ad.Drift, ad.SwapAt, ad.ResumeAt = drift, swapAt, resumeAt
+		changed := engine.ChangedNodes(installed, next)
+		if changed == nil {
+			changed = []tree.NodeID{} // an empty delta, not a full install
+		}
+		phases = append(phases, sim.Phase{At: resumeAt, Schedule: next, Changed: changed})
+		ad := Adaptation{Drift: drift, SwapAt: swapAt, ResumeAt: resumeAt, Throughput: res.Throughput,
+			Messages: 2 * res.VisitedCount, Visited: res.VisitedCount, Pruned: nodeNames(base, pruned), Schedule: next}
 		rep.Adaptations = append(rep.Adaptations, ad)
-		opt.Obs.Emit("swap",
-			obs.A("at", swapAt.String()),
-			obs.A("resume", resumeAt.String()),
-			obs.A("throughput", ad.Throughput.String()),
-			obs.A("messages", fmt.Sprint(ad.Messages)))
-		settle = resumeAt.Add(ad.Schedule.MaxStartupBound())
-		segStart = resumeAt
-		active = ad.Schedule
+		rep.ReSolves = append(rep.ReSolves, ReSolveStat{At: drift.At, Recomputed: res.Recomputed(), Reused: res.Reused(), Pruned: len(pruned), Delta: len(changed)})
+		rep.note(opt.Obs, "negotiate", fmt.Sprintf("resolve t=%s spine=%d reused=%d pruned=%d delta=%d throughput=%s",
+			drift.At, res.Recomputed(), res.Reused(), len(pruned), len(changed), res.Throughput),
+			obs.A("throughput", ad.Throughput.String()), obs.A("messages", fmt.Sprint(ad.Messages)),
+			obs.A("visited", fmt.Sprint(ad.Visited)), obs.A("pruned", fmt.Sprint(len(pruned))))
+		rep.note(opt.Obs, "swap", fmt.Sprintf("swap t=%s resume=%s", swapAt, resumeAt),
+			obs.A("at", swapAt.String()), obs.A("resume", resumeAt.String()),
+			obs.A("throughput", ad.Throughput.String()), obs.A("messages", fmt.Sprint(ad.Messages)))
+		settle = resumeAt.Add(next.MaxStartupBound())
+		segStart, active = resumeAt, next
+		prevTree, prevRes = measured, res
 	}
 
-	if err := verifyAndReport(rep, phases, physics, opt, segStart, s); err != nil {
-		return rep, err
+	verr := verifyAndReport(&rep.SimReport, phases, physics, opt.Options, segStart, s)
+	if churn {
+		finishChurn(rep, base, physics, faults, quarantined, opt)
 	}
-	return rep, nil
+	if verr != nil {
+		return rep, verr
+	}
+	return rep, collapse
 }
 
-// verifyAndReport runs the verification pass shared by the adaptive and
-// churn controllers: extend the horizon so the final regime has
-// verifyPeriods full tree periods past its settle time, re-simulate the
-// grown timeline, and split the evidence at the swap boundaries. The
-// post window starts on the final schedule's tree-period grid (anchored
-// at the last swap) so that per-node steady-state expectations are
-// exact integers.
+// note records one controller step twice over: an event on the observer
+// and a line in the report's log.
+func (r *SimReport) note(sc *obs.Scope, name, line string, attrs ...obs.Attr) {
+	sc.Emit(name, attrs...)
+	r.Log = append(r.Log, line)
+}
+
+// verifyAndReport is the controller's verification pass: extend the
+// horizon so the final regime has verifyPeriods full tree periods past
+// its settle time, re-simulate the grown timeline, and split the
+// evidence at the swap boundaries. The post window starts on the final
+// schedule's tree-period grid (anchored at the last swap) so that
+// per-node steady-state expectations are exact integers.
 func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsChange, opt Options, segStart rat.R, s *sched.Schedule) error {
 	final := phases[len(phases)-1].Schedule
 	verifyStop := opt.Stop
@@ -273,8 +410,7 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 	if err != nil {
 		return err
 	}
-	rep.Run = run
-	rep.Stop = verifyStop
+	rep.Run, rep.Stop = run, verifyStop
 	ev := analyze.FromRun(run.Trace, run.Obs)
 	if len(rep.Adaptations) == 0 {
 		rep.Post = analyze.Analyze(ev, analyze.Options{Schedule: s, Stop: verifyStop})
@@ -288,15 +424,6 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 		analyze.Options{Schedule: final, Stop: verifyStop.Sub(postFrom), OnsetWindow: onsetW})
 	rep.Healed = rep.Post.Healthy()
 	return nil
-}
-
-// DetectOnly runs the detection half of the loop without ever adapting:
-// it returns nil if the run conforms to s throughout, and an error
-// wrapping bwcerr.ErrScheduleStale describing the first drift otherwise.
-func DetectOnly(s *sched.Schedule, opt Options) error {
-	opt.MaxAdapts = -1
-	_, err := SimulateAdaptive(s, opt)
-	return err
 }
 
 // simulateOnce runs the accumulated timeline under a fresh scope.
@@ -320,35 +447,8 @@ func physicsAt(base *tree.Tree, physics []sim.PhysicsChange, t rat.R) *tree.Tree
 	return cur
 }
 
-// resolve re-runs BW-First on the measured platform with the crashed
-// nodes' subtrees excluded — Section 5's re-negotiation, in which a
-// failed node is a link nobody can use — and builds the new schedule.
-// The returned Adaptation holds the re-solve's outcome; the caller adds
-// the drift and swap instants.
-func resolve(measured *tree.Tree, crashed []tree.NodeID, opt Options) (Adaptation, error) {
-	ad := Adaptation{Pruned: nodeNames(measured, crashed)}
-	res, err := bwfirst.SolvePruned(measured, crashed)
-	if err != nil {
-		// SolvePruned refuses only a pruned root: a crashed root leaves
-		// nothing to schedule.
-		return Adaptation{}, fmt.Errorf("adapt: re-solve without %s: %v: %w", strings.Join(ad.Pruned, ","), err, bwcerr.ErrInfeasible)
-	}
-	ad.Throughput, ad.Visited = res.Throughput, res.VisitedCount
-	// Two messages per transaction, the virtual parent's pair included.
-	ad.Messages = 2 * (len(res.Transactions) + 1)
-	opt.Obs.Emit("negotiate",
-		obs.A("throughput", ad.Throughput.String()),
-		obs.A("messages", fmt.Sprint(ad.Messages)),
-		obs.A("visited", fmt.Sprint(ad.Visited)),
-		obs.A("pruned", fmt.Sprint(len(crashed))))
-	if ad.Schedule, err = buildResolved(res, opt.Sched); err != nil {
-		return Adaptation{}, err
-	}
-	return ad, nil
-}
-
-// buildResolved builds the schedule of a re-solve for either controller
-// and refuses one the root could not release tasks by.
+// buildResolved builds the schedule of a re-solve and refuses one the
+// root could not release tasks by.
 func buildResolved(res *bwfirst.Result, opt sched.Options) (*sched.Schedule, error) {
 	if !res.Throughput.IsPos() {
 		return nil, fmt.Errorf("adapt: re-negotiated throughput is zero on the measured platform: %w", bwcerr.ErrInfeasible)
@@ -366,18 +466,13 @@ func buildResolved(res *bwfirst.Result, opt sched.Options) (*sched.Schedule, err
 // nextBoundary returns the first root period boundary of the active
 // schedule strictly after the detection instant; the boundary grid is
 // anchored where the schedule activated.
-func nextBoundary(active *sched.Schedule, segStart, detectedAt, stop rat.R) (rat.R, error) {
+func nextBoundary(active *sched.Schedule, segStart, detectedAt rat.R) (rat.R, error) {
 	tw := active.Nodes[active.Tree.Root()].TW
 	if !tw.IsPos() {
 		return rat.Zero, fmt.Errorf("adapt: active schedule has no root period: %w", bwcerr.ErrInfeasible)
 	}
 	k := detectedAt.Sub(segStart).Div(tw).Floor().Add(rat.One)
-	at := segStart.Add(k.Mul(tw))
-	if !at.Less(stop) {
-		return rat.Zero, fmt.Errorf("adapt: drift detected at t=%s but the next period boundary %s falls outside the horizon %s: %w",
-			detectedAt, at, stop, bwcerr.ErrAdaptTimeout)
-	}
-	return at, nil
+	return segStart.Add(k.Mul(tw)), nil
 }
 
 // pauseSchedule returns old with its root deactivated: every other node
@@ -385,9 +480,8 @@ func nextBoundary(active *sched.Schedule, segStart, detectedAt, stop rat.R) (rat
 // compute), but the root releases nothing while the platform drains.
 func pauseSchedule(old *sched.Schedule) *sched.Schedule {
 	pause := old.Clone()
-	rs := &pause.Nodes[old.Tree.Root()]
-	rs.Active = false
-	rs.Pattern = nil
+	root := &pause.Nodes[old.Tree.Root()]
+	root.Active, root.Pattern = false, nil
 	return pause
 }
 

@@ -94,19 +94,70 @@ func TestNoFaultNoAdapt(t *testing.T) {
 	}
 }
 
+// entryPoints runs one Options through both entry points of the loop:
+// SimulateAdaptive, and SimulateChurn with an empty churn process, so
+// the scripted faults are the only ones.
+func entryPoints(s *sched.Schedule) []struct {
+	name string
+	run  func(Options) (*SimReport, error)
+} {
+	return []struct {
+		name string
+		run  func(Options) (*SimReport, error)
+	}{
+		{"adaptive", func(opt Options) (*SimReport, error) { return SimulateAdaptive(s, opt) }},
+		{"churn", func(opt Options) (*SimReport, error) {
+			rep, err := SimulateChurn(s, ChurnOptions{Options: opt, Churn: ChurnConfig{Rate: 1e-9, CrashFraction: -1}})
+			if rep == nil {
+				return nil, err
+			}
+			return &rep.SimReport, err
+		}},
+	}
+}
+
 // TestDetectOnly: with adaptation disabled the same drift surfaces as
-// ErrScheduleStale.
+// ErrScheduleStale through either entry point, and the report keeps it.
 func TestDetectOnly(t *testing.T) {
 	s := mustSchedule(t, paperexample.Tree())
-	err := DetectOnly(s, Options{
-		Faults: []Fault{{At: rat.FromInt(120), Node: "P1", Kind: LinkSet, Value: rat.FromInt(4)}},
+	for _, ep := range entryPoints(s) {
+		rep, err := ep.run(Options{
+			Faults:    []Fault{{At: rat.FromInt(120), Node: "P1", Kind: LinkSet, Value: rat.FromInt(4)}},
+			Stop:      rat.FromInt(400),
+			MaxAdapts: -1,
+		})
+		if !errors.Is(err, bwcerr.ErrScheduleStale) {
+			t.Fatalf("%s: err = %v, want ErrScheduleStale", ep.name, err)
+		}
+		if len(rep.Drifts) != 1 || len(rep.Adaptations) != 0 {
+			t.Fatalf("%s: %d drifts and %d adaptations, want the one drift and none", ep.name, len(rep.Drifts), len(rep.Adaptations))
+		}
+		if _, err := ep.run(Options{Stop: rat.FromInt(200), MaxAdapts: -1}); err != nil {
+			t.Fatalf("%s: clean run flagged stale: %v", ep.name, err)
+		}
+	}
+}
+
+// TestLateDriftVerifiedAsIs: a drift with no swap boundary left before
+// the horizon ends the loop without an error; the report keeps the drift
+// and the log names it, and the run is verified as it stands.
+func TestLateDriftVerifiedAsIs(t *testing.T) {
+	s := mustSchedule(t, paperexample.Tree())
+	rep, err := SimulateAdaptive(s, Options{
+		Faults: []Fault{{At: rat.FromInt(320), Node: "P1", Kind: LinkSet, Value: rat.FromInt(4)}},
 		Stop:   rat.FromInt(400),
 	})
-	if !errors.Is(err, bwcerr.ErrScheduleStale) {
-		t.Fatalf("err = %v, want ErrScheduleStale", err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := DetectOnly(s, Options{Stop: rat.FromInt(200)}); err != nil {
-		t.Fatalf("clean run flagged stale: %v", err)
+	if len(rep.Drifts) != 1 || len(rep.Adaptations) != 0 {
+		t.Fatalf("%d drifts and %d adaptations, want one late drift and none", len(rep.Drifts), len(rep.Adaptations))
+	}
+	if last := rep.Log[len(rep.Log)-1]; !strings.HasPrefix(last, "late drift t="+rep.Drifts[0].At.String()) {
+		t.Fatalf("last log line %q does not name the late drift", last)
+	}
+	if rep.Post == nil || rep.Healed {
+		t.Fatalf("late-drift run verified as healed: %+v", rep.Post)
 	}
 }
 
@@ -147,11 +198,12 @@ func TestCrashPrunesSubtree(t *testing.T) {
 	}
 }
 
-// TestCrashResolveIsExact: a crash is re-solved exactly and at once.
-// Each case takes one adaptation whose throughput equals BW-First on the
-// measured platform without the crashed node's subtree, with that node
-// alone pruned, and a second run reports the same. A crashed root leaves
-// nothing to schedule.
+// TestCrashResolveIsExact: a crash is re-solved exactly and at once,
+// through either entry point. Each case takes one adaptation whose
+// throughput equals BW-First on the measured platform without the
+// crashed node's subtree, with that node alone pruned, and a second run
+// reports the same. A crashed root leaves nothing to schedule, and no
+// retry brings it back.
 func TestCrashResolveIsExact(t *testing.T) {
 	tr := paperexample.Tree()
 	s := mustSchedule(t, tr)
@@ -169,45 +221,51 @@ func TestCrashResolveIsExact(t *testing.T) {
 		fmt.Fprintf(&b, "%v %s %+v %+v", rep.Healed, rep.Stop, *rep.Pre, *rep.Post)
 		return b.String()
 	}
-	for _, tc := range []struct{ node, want string }{
-		{"P6", "10/9"},
-		{"P3", "13/12"},
-		{"P8", "97/90"},
-	} {
-		opt := crash(tc.node)
-		rep, err := SimulateAdaptive(s, opt)
-		if err != nil {
-			t.Fatalf("crash %s: %v", tc.node, err)
+	for _, ep := range entryPoints(s) {
+		for _, tc := range []struct{ node, want string }{
+			{"P6", "10/9"},
+			{"P3", "13/12"},
+			{"P8", "97/90"},
+		} {
+			opt := crash(tc.node)
+			rep, err := ep.run(opt)
+			if err != nil {
+				t.Fatalf("%s: crash %s: %v", ep.name, tc.node, err)
+			}
+			if len(rep.Adaptations) != 1 {
+				t.Fatalf("%s: crash %s: %d adaptations, want 1", ep.name, tc.node, len(rep.Adaptations))
+			}
+			ad := rep.Adaptations[0]
+			physics, err := Timeline(tr, opt.Faults, rat.FromInt(crashFactor))
+			if err != nil {
+				t.Fatal(err)
+			}
+			measured := physicsAt(tr, physics, ad.Drift.At)
+			exact, err := bwfirst.SolvePruned(measured, []tree.NodeID{measured.MustLookup(tc.node)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ad.Throughput.Equal(exact.Throughput) || ad.Throughput.String() != tc.want {
+				t.Fatalf("%s: crash %s: throughput %s, want %s (pruned solve %s)", ep.name, tc.node, ad.Throughput, tc.want, exact.Throughput)
+			}
+			if len(ad.Pruned) != 1 || ad.Pruned[0] != tc.node {
+				t.Fatalf("%s: crash %s: pruned %v, want [%s]", ep.name, tc.node, ad.Pruned, tc.node)
+			}
+			again, err := ep.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := summary(rep), summary(again); a != b {
+				t.Fatalf("%s: crash %s: reports differ between runs:\n%s\n%s", ep.name, tc.node, a, b)
+			}
 		}
-		if len(rep.Adaptations) != 1 {
-			t.Fatalf("crash %s: %d adaptations, want 1", tc.node, len(rep.Adaptations))
+		rep, err := ep.run(crash("P0"))
+		if !errors.Is(err, bwcerr.ErrInfeasible) {
+			t.Fatalf("%s: root crash: err = %v, want ErrInfeasible", ep.name, err)
 		}
-		ad := rep.Adaptations[0]
-		physics, err := Timeline(tr, opt.Faults, rat.FromInt(crashFactor))
-		if err != nil {
-			t.Fatal(err)
+		if len(rep.Drifts) != 1 {
+			t.Fatalf("%s: root crash: %d drifts, want the run to end at the first", ep.name, len(rep.Drifts))
 		}
-		measured := physicsAt(tr, physics, ad.Drift.At)
-		exact, err := bwfirst.SolvePruned(measured, []tree.NodeID{measured.MustLookup(tc.node)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ad.Throughput.Equal(exact.Throughput) || ad.Throughput.String() != tc.want {
-			t.Fatalf("crash %s: throughput %s, want %s (pruned solve %s)", tc.node, ad.Throughput, tc.want, exact.Throughput)
-		}
-		if len(ad.Pruned) != 1 || ad.Pruned[0] != tc.node {
-			t.Fatalf("crash %s: pruned %v, want [%s]", tc.node, ad.Pruned, tc.node)
-		}
-		again, err := SimulateAdaptive(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := summary(rep), summary(again); a != b {
-			t.Fatalf("crash %s: reports differ between runs:\n%s\n%s", tc.node, a, b)
-		}
-	}
-	if _, err := SimulateAdaptive(s, crash("P0")); !errors.Is(err, bwcerr.ErrInfeasible) {
-		t.Fatalf("root crash: err = %v, want ErrInfeasible", err)
 	}
 }
 

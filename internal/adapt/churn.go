@@ -1,15 +1,13 @@
 package adapt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
-	"bwc/internal/engine"
+	"bwc/internal/obs"
 	"bwc/internal/obs/analyze"
 	"bwc/internal/rat"
 	"bwc/internal/sched"
@@ -153,9 +151,10 @@ func GenerateChurn(t *tree.Tree, horizon rat.R, cfg ChurnConfig) []Fault {
 	return out
 }
 
-// ChurnOptions configures SimulateChurn. The embedded Options carry the
-// detection horizon, detector thresholds, and any scripted faults to
-// merge with the generated churn.
+// ChurnOptions configures SimulateChurn: the churn policy of the
+// adaptation loop. The embedded Options carry the detection horizon,
+// detector thresholds, and any scripted faults to merge with the
+// generated churn.
 type ChurnOptions struct {
 	Options
 	// Churn seeds the stochastic churn generator.
@@ -247,194 +246,24 @@ type ChurnReport struct {
 	// Collapsed reports the terminal degradation state (the run also
 	// returns bwcerr.ErrChurnCollapse).
 	Collapsed bool
-	// Log is the deterministic event log: identical seeds and options
-	// reproduce it byte for byte.
-	Log []string
 }
 
-func (r *ChurnReport) logf(format string, a ...any) {
-	r.Log = append(r.Log, fmt.Sprintf(format, a...))
-}
-
-const churnJitterSalt = 0x5bd1e995
-
-// SimulateChurn runs the churn-hardened closed loop against the exact
-// simulator: generate a seeded churn timeline, simulate, detect drift,
-// and — unlike SimulateAdaptive's full re-negotiation — re-solve
-// incrementally along the affected root-to-leaf spine only
-// (bwfirst.SolveIncremental over tree.DiffWeights), hot-swapping just
-// the changed schedules through the engine's delta seam. Flapping nodes
-// are quarantined, failed re-solves retried with seeded backoff jitter,
-// and a run whose retained throughput stays below RetentionFloor of the
-// baseline after the retry budget collapses with ErrChurnCollapse.
+// SimulateChurn runs the adaptation loop under a seeded churn timeline
+// (ChurnConfig) merged with the scripted faults, against the exact
+// simulator. It is SimulateAdaptive's loop with the churn policy: each
+// re-solve runs incrementally along the affected root-to-leaf spine only
+// (bwfirst.SolveIncremental over tree.DiffWeights) and hot-swaps just the
+// changed schedules through the engine's delta seam, as every
+// adaptation does; flapping nodes are quarantined, re-solves below
+// RetentionFloor of the baseline are retried with seeded backoff jitter,
+// and a run whose retry budget runs out collapses with
+// ErrChurnCollapse. The report compares the retained throughput with an
+// oracle full re-solve on the final platform.
 //
 // The controller is fully deterministic: a fixed seed reproduces the
 // fault script, the simulated runs, and the report log byte for byte.
 func SimulateChurn(s *sched.Schedule, opt ChurnOptions) (*ChurnReport, error) {
-	if s == nil || s.Tree == nil || s.Tree.Len() == 0 {
-		return nil, fmt.Errorf("adapt: no schedule")
-	}
-	if !opt.Stop.IsPos() {
-		return nil, fmt.Errorf("adapt: Stop must be positive")
-	}
-	opt = opt.withChurnDefaults()
-	base := s.Tree
-
-	faults := GenerateChurn(base, opt.Stop, opt.Churn)
-	faults = append(faults, opt.Faults...)
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At.Less(faults[j].At) })
-	physics, err := Timeline(base, faults, rat.FromInt(crashFactor))
-	if err != nil {
-		return nil, err
-	}
-	opt.Faults = faults // CrashedBefore and the report see the merged script
-
-	rep := &ChurnReport{Faults: faults}
-	rep.Stop = opt.Stop
-	for _, f := range faults {
-		rep.logf("fault %s", f)
-	}
-
-	prevRes := s.Res
-	if prevRes == nil {
-		prevRes = bwfirst.Solve(base)
-	}
-	rep.Baseline = prevRes.Throughput
-	rep.Final = prevRes.Throughput
-	prevTree := base
-
-	phases := []sim.Phase{{At: rat.Zero, Schedule: s}}
-	segStart := rat.Zero
-	active := s
-	settle := s.MaxStartupBound()
-	quarantined := map[tree.NodeID]bool{}
-	flaps := map[tree.NodeID][]rat.R{}
-	retries := 0
-	jitter := rand.New(rand.NewSource(opt.Churn.Seed ^ churnJitterSalt))
-
-	for {
-		run, err := simulateOnce(phases, physics, opt.Stop)
-		if err != nil {
-			return nil, err
-		}
-		window, err := opt.windowFor(active)
-		if err != nil {
-			return nil, err
-		}
-		drift, found := scan(analyze.FromRun(run.Trace, run.Obs), active, segStart, settle, opt.Stop, window, opt.detector())
-		if !found {
-			break
-		}
-		rep.logf("drift t=%s node=%s ratio=%.3f", drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
-		if len(rep.Adaptations) >= opt.MaxAdapts {
-			return rep, adaptExhausted(drift.At, len(rep.Adaptations))
-		}
-
-		measured := physicsAt(base, physics, drift.At)
-		dirty, err := tree.DiffWeights(prevTree, measured)
-		if err != nil {
-			return rep, fmt.Errorf("adapt: churn diff: %w", err)
-		}
-		quarantineFlappers(rep, base, dirty, drift.At, opt, flaps, quarantined)
-		pruned := prunedSet(measured, CrashedBefore(faults, drift.At), quarantined)
-
-		res, serr := bwfirst.SolveIncremental(prevRes, measured, dirty, pruned)
-		var next *sched.Schedule
-		if serr == nil && retainsFloor(res.Throughput, rep.Baseline, opt.RetentionFloor) {
-			next, serr = buildResolved(res, opt.Sched)
-		}
-		if next == nil {
-			// Failed re-negotiation: back off (exponentially, with seeded
-			// jitter so repeated runs of one seed stay reproducible while
-			// distinct seeds desynchronize) and give restores a chance to
-			// land before trying again.
-			retries++
-			thr := rat.Zero
-			if serr == nil {
-				thr = res.Throughput
-			}
-			if retries > opt.ResolveRetries {
-				rep.Collapsed = true
-				rep.logf("collapse t=%s throughput=%s floor=%.0f%% of baseline %s", drift.At, thr, 100*opt.RetentionFloor, rep.Baseline)
-				verr := verifyAndReport(&rep.SimReport, phases, physics, opt.Options, segStart, s)
-				finishChurn(rep, base, physics, faults, quarantined, opt)
-				if verr != nil {
-					return rep, verr
-				}
-				return rep, fmt.Errorf("adapt: churn collapse at t=%s: retained throughput %s is below %.0f%% of baseline %s after %d attempts: %w",
-					drift.At, thr, 100*opt.RetentionFloor, rep.Baseline, retries, bwcerr.ErrChurnCollapse)
-			}
-			backoff := opt.RetryBackoff
-			if !backoff.IsPos() {
-				backoff = window
-			}
-			backoff = backoff.Mul(rat.FromInt(int64(1) << (retries - 1)))
-			jit := rat.New(int64(jitter.Intn(8)), 8).Mul(window)
-			settle = drift.At.Add(backoff).Add(jit)
-			rep.logf("retry %d/%d t=%s backoff=%s jitter=%s", retries, opt.ResolveRetries, drift.At, backoff, jit)
-			continue
-		}
-		retries = 0
-
-		swapAt, err := nextBoundary(active, segStart, drift.At, opt.Stop)
-		if err != nil {
-			if errors.Is(err, bwcerr.ErrAdaptTimeout) {
-				// Drift fired so late that no swap boundary fits before the
-				// horizon: nothing left to adapt, verify what we have.
-				rep.logf("late drift t=%s: no swap boundary before the horizon, verifying as-is", drift.At)
-				break
-			}
-			return rep, err
-		}
-		drain := drainBound(active, measured, swapAt.Sub(segStart))
-		resumeAt := swapAt
-		installed := active
-		if drain.IsPos() {
-			pause := pauseSchedule(active)
-			// Pausing touches exactly the root; every other cursor keeps
-			// its place so buffered tasks drain along the old routes.
-			phases = append(phases, sim.Phase{At: swapAt, Schedule: pause, Changed: []tree.NodeID{active.Tree.Root()}})
-			resumeAt = swapAt.Add(drain)
-			installed = pause
-		}
-		changed := engine.ChangedNodes(installed, next)
-		if changed == nil {
-			changed = []tree.NodeID{}
-		}
-		phases = append(phases, sim.Phase{At: resumeAt, Schedule: next, Changed: changed})
-		rep.Adaptations = append(rep.Adaptations, Adaptation{
-			Drift:      drift,
-			SwapAt:     swapAt,
-			ResumeAt:   resumeAt,
-			Throughput: res.Throughput,
-			Messages:   2 * (len(res.Transactions) + 1), // the virtual parent's pair included
-			Visited:    res.Recomputed(),
-			Pruned:     nodeNames(base, pruned),
-			Schedule:   next,
-		})
-		rep.ReSolves = append(rep.ReSolves, ReSolveStat{
-			At:         drift.At,
-			Recomputed: res.Recomputed(),
-			Reused:     res.Reused(),
-			Pruned:     len(pruned),
-			Delta:      len(changed),
-		})
-		rep.logf("resolve t=%s spine=%d reused=%d pruned=%d delta=%d throughput=%s",
-			drift.At, res.Recomputed(), res.Reused(), len(pruned), len(changed), res.Throughput)
-		rep.logf("swap t=%s resume=%s", swapAt, resumeAt)
-		settle = resumeAt.Add(next.MaxStartupBound())
-		segStart = resumeAt
-		active = next
-		prevTree = measured
-		prevRes = res
-		rep.Final = res.Throughput
-	}
-
-	if err := verifyAndReport(&rep.SimReport, phases, physics, opt.Options, segStart, s); err != nil {
-		return rep, err
-	}
-	finishChurn(rep, base, physics, faults, quarantined, opt)
-	return rep, nil
+	return control(s, opt.withChurnDefaults(), true)
 }
 
 // retainsFloor reports whether thr clears floor·baseline. The floor is a
@@ -448,7 +277,7 @@ func retainsFloor(thr, baseline rat.R, floor float64) bool {
 // quarantineFlappers folds one cycle's dirty set into the sliding flap
 // counters and quarantines any non-root node perturbed in FlapThreshold
 // cycles within FlapWindow.
-func quarantineFlappers(rep *ChurnReport, base *tree.Tree, dirty []tree.NodeID, at rat.R, opt ChurnOptions, flaps map[tree.NodeID][]rat.R, quarantined map[tree.NodeID]bool) {
+func quarantineFlappers(rep *ChurnReport, base *tree.Tree, dirty []tree.NodeID, at rat.R, opt ChurnOptions, flaps map[tree.NodeID][]rat.R, quarantined []bool) {
 	cut := at.Sub(opt.FlapWindow)
 	for _, id := range dirty {
 		if id == base.Root() {
@@ -461,28 +290,29 @@ func quarantineFlappers(rep *ChurnReport, base *tree.Tree, dirty []tree.NodeID, 
 		flaps[id] = ev
 		if !quarantined[id] && len(ev) >= opt.FlapThreshold {
 			quarantined[id] = true
-			rep.logf("quarantine %s after %d perturbations within %s", base.Name(id), len(ev), opt.FlapWindow)
+			rep.note(opt.Obs, "quarantine", fmt.Sprintf("quarantine %s after %d perturbations within %s", base.Name(id), len(ev), opt.FlapWindow),
+				obs.A("node", base.Name(id)), obs.A("perturbations", fmt.Sprint(len(ev))), obs.A("window", opt.FlapWindow.String()))
 		}
 	}
 }
 
-// prunedSet merges crashed names and quarantined ids into a sorted,
-// deduplicated prune list.
-func prunedSet(t *tree.Tree, crashed []string, quarantined map[tree.NodeID]bool) []tree.NodeID {
-	set := map[tree.NodeID]bool{}
-	for _, name := range crashed {
-		if id, ok := t.Lookup(name); ok {
-			set[id] = true
+// prunedSet lists, in node-ID order, the nodes a re-solve at t must
+// exclude: the quarantined ones, and the ones crashed by t (a crash is
+// permanent).
+func prunedSet(tr *tree.Tree, faults []Fault, t rat.R, quarantined []bool) []tree.NodeID {
+	mark := make([]bool, tr.Len())
+	copy(mark, quarantined)
+	for _, f := range faults {
+		if id, ok := tr.Lookup(f.Node); ok && f.Kind == Crash && f.At.LessEq(t) {
+			mark[id] = true
 		}
 	}
-	for id := range quarantined {
-		set[id] = true
+	var out []tree.NodeID
+	for id, m := range mark {
+		if m {
+			out = append(out, tree.NodeID(id))
+		}
 	}
-	out := make([]tree.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -496,15 +326,9 @@ func nodeNames(t *tree.Tree, ids []tree.NodeID) []string {
 
 // finishChurn computes the oracle comparison and folds the retention
 // verdict into the post-swap conformance report.
-func finishChurn(rep *ChurnReport, base *tree.Tree, physics []sim.PhysicsChange, faults []Fault, quarantined map[tree.NodeID]bool, opt ChurnOptions) {
+func finishChurn(rep *ChurnReport, base *tree.Tree, physics []sim.PhysicsChange, faults []Fault, quarantined []bool, opt ChurnOptions) {
 	finalPlat := physicsAt(base, physics, opt.Stop)
-	var crashIDs []tree.NodeID
-	for _, name := range CrashedBefore(faults, opt.Stop) {
-		if id, ok := finalPlat.Lookup(name); ok {
-			crashIDs = append(crashIDs, id)
-		}
-	}
-	if oracle, err := bwfirst.SolvePruned(finalPlat, crashIDs); err == nil {
+	if oracle, err := bwfirst.SolvePruned(finalPlat, prunedSet(finalPlat, faults, opt.Stop, nil)); err == nil {
 		rep.Oracle = oracle.Throughput
 	}
 	if fs := rep.FinalSchedule(); fs != nil && fs.Res != nil {
@@ -513,16 +337,13 @@ func finishChurn(rep *ChurnReport, base *tree.Tree, physics []sim.PhysicsChange,
 	if rep.Oracle.IsPos() {
 		rep.Retention = rep.Final.Div(rep.Oracle).Float64()
 	}
-	var qIDs []tree.NodeID
-	for id := range quarantined {
-		qIDs = append(qIDs, id)
-	}
-	sort.Slice(qIDs, func(i, j int) bool { return qIDs[i] < qIDs[j] })
-	rep.Quarantined = nodeNames(base, qIDs)
+	rep.Quarantined = nodeNames(base, prunedSet(base, nil, rat.Zero, quarantined))
 	if rep.Post != nil {
 		rep.Post.AddCheck(analyze.ChurnRetention(rep.Final, rep.Oracle, opt.OracleFloor))
 		rep.Healed = rep.Post.Healthy() && !rep.Collapsed
 	}
-	rep.logf("final retained=%s oracle=%s retention=%.3f quarantined=%d adaptations=%d",
-		rep.Final, rep.Oracle, rep.Retention, len(rep.Quarantined), len(rep.Adaptations))
+	rep.note(opt.Obs, "final", fmt.Sprintf("final retained=%s oracle=%s retention=%.3f quarantined=%d adaptations=%d",
+		rep.Final, rep.Oracle, rep.Retention, len(rep.Quarantined), len(rep.Adaptations)),
+		obs.A("retained", rep.Final.String()), obs.A("oracle", rep.Oracle.String()),
+		obs.A("retention", fmt.Sprintf("%.3f", rep.Retention)), obs.A("adaptations", fmt.Sprint(len(rep.Adaptations))))
 }

@@ -6,13 +6,14 @@
 // a timeline, a drift detector that watches windowed per-node throughput
 // and buffer watermarks against the active schedule (reusing the
 // conformance analyzer's reconstruction logic), and a re-solve/hot-swap
-// controller that re-runs BW-First on the measured platform (a crashed
-// node's subtree is pruned) and installs the new schedule at a period
-// boundary.
+// controller that re-runs BW-First incrementally on the measured platform
+// (a crashed node's subtree is pruned) and installs the changed node
+// schedules at a period boundary.
 //
-// Two controllers share the machinery, both on the exact discrete-event
-// simulator and both deterministic: SimulateAdaptive (the `bwsched adapt`
-// demo) and SimulateChurn, the churn-hardened loop (`bwsched churn`).
+// The controller is one loop on the exact discrete-event simulator, and
+// deterministic. Two entry points pick its policy: SimulateAdaptive (the
+// `bwsched adapt` demo, scripted faults) and SimulateChurn (`bwsched
+// churn`: seeded churn, flap quarantine, a retention floor with retries).
 package adapt
 
 import (
@@ -172,21 +173,6 @@ func faultErr(f Fault) func(*tree.Tree, error) (*tree.Tree, error) {
 		}
 		return t, nil
 	}
-}
-
-// CrashedBefore returns the names of nodes with a Crash fault at or
-// before t (crashes are permanent).
-func CrashedBefore(faults []Fault, t rat.R) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, f := range faults {
-		if f.Kind == Crash && f.At.LessEq(t) && !seen[f.Node] {
-			seen[f.Node] = true
-			out = append(out, f.Node)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RandomFaults generates a reproducible fault script for t: n degradation

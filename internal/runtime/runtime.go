@@ -20,7 +20,7 @@
 //
 // Execute runs one batch to completion on a fixed platform and schedule.
 // Adapting to a drifting platform (Section 5) is the job of the
-// simulated controllers in internal/adapt; this package is the
+// simulated adaptation loop in internal/adapt; this package is the
 // wall-clock reference the sim ≡ runtime differential test compares the
 // simulator against.
 //

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"bwc"
 	apiv1 "bwc/api/v1"
@@ -101,5 +103,57 @@ func TestBodyCap(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(valid)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("normal submit: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestChurnStreamsControllerEvents: a /churn run's SSE stream carries the
+// controller's drift and swap events, tagged with the run's ID, between
+// run.start and run.done.
+func TestChurnStreamsControllerEvents(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	const runID = "r000001" // a fresh server's first run
+	resp, err := http.Get(ts.URL + apiv1.PathPrefix + "/events?run=" + runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ": subscribed") {
+		t.Fatalf("expected subscription handshake, got %q", sc.Text())
+	}
+
+	var churn apiv1.ChurnResponse
+	post(t, ts.URL+apiv1.PathPrefix+"/churn", apiv1.ChurnRequest{
+		Platform: bwc.FormatPlatform(bwc.PaperExampleTree()), Seed: 6, Rate: 3, Duration: "600",
+	}, &churn)
+	if churn.RunID != runID || churn.Cycles == 0 {
+		t.Fatalf("churn run %q with %d cycles, want %s with at least one", churn.RunID, churn.Cycles, runID)
+	}
+
+	var names []string
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for sc.Scan() {
+			var ev apiv1.Event
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok && json.Unmarshal([]byte(data), &ev) == nil {
+				names = append(names, ev.Name)
+				if ev.Name == "run.done" {
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no run.done event within deadline")
+	}
+	count := map[string]int{}
+	for _, n := range names {
+		count[n]++
+	}
+	if count["drift"] == 0 || count["swap"] != churn.Cycles {
+		t.Fatalf("stream %v: want drift events and one swap per cycle (%d)", names, churn.Cycles)
 	}
 }

@@ -31,8 +31,8 @@ type Phase struct {
 	// Changed, when non-nil, activates the phase through the engine's
 	// delta seam (Core.InstallDelta): only the listed nodes get their
 	// pattern cursor reset, every other node keeps its Ψ-bunch position.
-	// Pass engine.ChangedNodes(prev, next) — the churn controller's
-	// spine-only swap. nil keeps the historical full-reset semantics.
+	// Pass engine.ChangedNodes(prev, next) — the adaptation loop's
+	// delta swap. nil keeps the historical full-reset semantics.
 	Changed []tree.NodeID
 }
 

@@ -180,9 +180,10 @@ func WithMaxAdapts(n int) Option {
 	return func(c *callCfg) { c.adaptOptions.MaxAdapts = n }
 }
 
-// WithDetectOnly disables adaptation: the first detected drift surfaces
-// as an error wrapping ErrScheduleStale instead of triggering a
-// re-solve. DetectDrift is shorthand for SimulateAdaptive with this.
+// WithDetectOnly disables adaptation in SimulateAdaptive and
+// SimulateChurn: the first detected drift surfaces as an error wrapping
+// ErrScheduleStale instead of triggering a re-solve. DetectDrift is
+// shorthand for SimulateAdaptive with this.
 func WithDetectOnly() Option {
 	return func(c *callCfg) { c.detectOnly = true }
 }
