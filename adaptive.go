@@ -102,17 +102,6 @@ func SimulateAdaptive(s *Schedule, opts ...Option) (*AdaptReport, error) {
 	return adapt.SimulateAdaptive(s, buildCfg(opts).buildAdaptOptions())
 }
 
-// DetectDrift runs the detection half of the loop without ever adapting
-// (SimulateAdaptive with WithDetectOnly): nil if the simulated run
-// conforms to s throughout, otherwise an error wrapping ErrScheduleStale
-// describing the first drift.
-func DetectDrift(s *Schedule, opts ...Option) error {
-	cfg := buildCfg(opts)
-	cfg.detectOnly = true
-	_, err := adapt.SimulateAdaptive(s, cfg.buildAdaptOptions())
-	return err
-}
-
 // Churn-hardened runtime types.
 type (
 	// ChurnConfig seeds the stochastic fleet-churn generator
@@ -127,14 +116,6 @@ type (
 	// ChurnReSolve records the cost of one incremental re-solve cycle.
 	ChurnReSolve = adapt.ReSolveStat
 )
-
-// GenerateChurn compiles cfg into a reproducible churn fault script for
-// t over [0, horizon): join/leave events, bandwidth and compute drift,
-// and a bounded budget of fail-stop crashes, with heavy-tailed
-// inter-arrival gaps thinned by a diurnal intensity envelope.
-func GenerateChurn(t *Tree, horizon Rational, cfg ChurnConfig) []Fault {
-	return adapt.GenerateChurn(t, horizon, cfg)
-}
 
 // SimulateChurn runs the churn-hardened closed loop: generate seeded
 // churn (WithChurn), detect drift, and re-solve incrementally along the

@@ -44,6 +44,7 @@ package bwc
 import (
 	"io"
 	"math/rand"
+	"strings"
 
 	"bwc/internal/bottomup"
 	"bwc/internal/bwfirst"
@@ -66,7 +67,6 @@ import (
 	"bwc/internal/trace"
 	"bwc/internal/tree"
 	"bwc/internal/treegen"
-	"bwc/internal/treeio"
 )
 
 // Core model types.
@@ -132,19 +132,12 @@ type (
 	// InfiniteSpec describes a uniform infinite k-ary tree (Section 5's
 	// infinite-network analysis).
 	InfiniteSpec = infinite.Spec
-	// InfiniteCyclic describes an infinite tree whose levels repeat a
-	// heterogeneous cycle.
-	InfiniteCyclic = infinite.Cyclic
-	// InfiniteLevel is one level of an InfiniteCyclic.
-	InfiniteLevel = infinite.Level
 	// MakespanResult reports a finite-batch run against the steady-state
 	// lower bound.
 	MakespanResult = makespan.Result
 	// Graph is a general platform graph (Related Work [2]/[13]) from
 	// which tree overlays are extracted.
 	Graph = graph.Graph
-	// GraphBuilder assembles platform graphs.
-	GraphBuilder = graph.Builder
 	// OverlayKind selects a spanning-tree extraction heuristic.
 	OverlayKind = graph.OverlayKind
 )
@@ -237,21 +230,6 @@ func AnalyzeRun(run *Run, opts ...Option) *HealthReport {
 	}
 	if o.Stop.IsZero() {
 		o.Stop = run.Stats.StopAt
-	}
-	return analyze.Analyze(analyze.FromRun(run.Trace, run.Obs), o)
-}
-
-// AnalyzeDynamicRun checks a dynamic simulation against one schedule's
-// expectations — pass the schedule the run was *supposed* to conform to
-// (typically the last phase's). A run whose physics degraded under a
-// stale schedule fails the throughput and buffer checks; that is the
-// detector the Section 5 adaptation loop needs. Like AnalyzeRun, it
-// reads the run's trace, and the counters of its Observer when it had
-// one.
-func AnalyzeDynamicRun(run *DynRun, s *Schedule, opts ...Option) *HealthReport {
-	o := buildCfg(opts).buildAnalyzeOptions()
-	if o.Schedule == nil {
-		o.Schedule = s
 	}
 	return analyze.Analyze(analyze.FromRun(run.Trace, run.Obs), o)
 }
@@ -371,17 +349,12 @@ func SimulateDemandDriven(t *Tree, opt DemandOptions) (*DemandRun, error) {
 	return kreaseck.Simulate(t, opt)
 }
 
-// PlatformWithResultReturn returns a copy of t carrying per-link
-// result-return times d (indexed by NodeID; the root entry must be
-// zero). The returned tree is a first-class platform: Solve,
-// BuildSchedule, Simulate, Execute, sessions and the wire formats all
-// model the upward result flow natively (Section 9).
-func PlatformWithResultReturn(t *Tree, d []Rational) (*Tree, error) {
-	return t.WithReturnTimes(d)
-}
-
-// PlatformWithUniformResultReturn is PlatformWithResultReturn with the
-// same d on every link.
+// PlatformWithUniformResultReturn returns a copy of t carrying the same
+// result-return time d on every link (Tree.WithReturnTimes sets them per
+// link, and the text format's optional 5th column carries them too). The
+// returned tree is a first-class platform: Solve, BuildSchedule,
+// Simulate, Execute, sessions and the wire formats all model the upward
+// result flow natively (Section 9).
 func PlatformWithUniformResultReturn(t *Tree, d Rational) (*Tree, error) {
 	return t.WithUniformReturnTime(d)
 }
@@ -401,28 +374,22 @@ func FoldedThroughput(t *Tree) (Rational, error) {
 
 // ParsePlatform reads the line-oriented text format ("name parent comm
 // proc", '-' for the root's parent/comm, "inf" for switches).
-func ParsePlatform(r io.Reader) (*Tree, error) { return treeio.ParseText(r) }
+func ParsePlatform(r io.Reader) (*Tree, error) { return tree.ParseText(r) }
 
 // ParsePlatformString is ParsePlatform on a string.
-func ParsePlatformString(s string) (*Tree, error) { return treeio.ParseTextString(s) }
+func ParsePlatformString(s string) (*Tree, error) { return tree.ParseText(strings.NewReader(s)) }
 
 // FormatPlatform renders a platform in the text format.
-func FormatPlatform(t *Tree) string { return treeio.TextString(t) }
-
-// PlatformJSON encodes a platform as nested JSON.
-func PlatformJSON(t *Tree) ([]byte, error) { return treeio.MarshalJSON(t) }
-
-// PlatformFromJSON decodes a nested JSON platform.
-func PlatformFromJSON(data []byte) (*Tree, error) { return treeio.UnmarshalJSON(data) }
+func FormatPlatform(t *Tree) string { return t.Text() }
 
 // DOT renders a platform as a Graphviz digraph; highlight (optional) marks
 // nodes, e.g. the visited set of a Result.
-func DOT(t *Tree, highlight func(NodeID) bool) string { return treeio.DOT(t, highlight) }
+func DOT(t *Tree, highlight func(NodeID) bool) string { return t.DOT(highlight) }
 
 // DOTWithSchedule renders the platform annotated with the optimal steady
 // state: α per node, "c / η" per edge.
 func DOTWithSchedule(res *Result) string {
-	return treeio.DOTWithRates(res.Tree,
+	return res.Tree.DOTWithRates(
 		func(id NodeID) Rational { return res.Nodes[id].Alpha },
 		func(id NodeID) Rational { return res.SendRate(id) })
 }
@@ -541,11 +508,6 @@ func InfiniteRate(s InfiniteSpec) (Rational, error) { return s.Rate() }
 // truncation; it increases monotonically to InfiniteRate with d.
 func TruncatedRate(s InfiniteSpec, depth int) (Rational, error) { return s.TruncatedRate(depth) }
 
-// CyclicInfiniteRate returns the exact rate of an infinite tree with a
-// repeating heterogeneous level cycle (fixed point of the composed
-// Proposition 1 reductions).
-func CyclicInfiniteRate(c InfiniteCyclic) (Rational, error) { return c.Rate(0) }
-
 // Finite-batch makespan (the Section 2 heuristic claim).
 
 // BatchMakespan schedules a finite batch of n tasks with the event-driven
@@ -559,9 +521,6 @@ func BatchMakespanDemandDriven(t *Tree, n int) (MakespanResult, error) {
 	return makespan.DemandDriven(t, n)
 }
 
-// MakespanLowerBound returns n/ρ*: no schedule can beat it.
-func MakespanLowerBound(t *Tree, n int) (Rational, error) { return makespan.Bound(t, n) }
-
 // AnalyzeUpgrades re-solves the platform once per resource sped up by the
 // given factor and returns the exact throughput gains, best first — the
 // operational answer to "what should we upgrade?".
@@ -570,9 +529,6 @@ func AnalyzeUpgrades(t *Tree, speedup Rational) ([]ResourceUpgrade, error) {
 }
 
 // General platform graphs (Related Work [2]/[13]).
-
-// NewGraphBuilder returns an empty platform-graph builder.
-func NewGraphBuilder() *GraphBuilder { return graph.NewBuilder() }
 
 // RandomGraph generates a seeded random connected platform graph with
 // extra cross links beyond the spanning backbone.
@@ -588,15 +544,6 @@ func GraphThroughput(g *Graph) (Rational, error) { return graphlp.OptimalThrough
 // ParseGraph reads the line-oriented graph format ("node", "switch",
 // "link", "master" directives).
 func ParseGraph(r io.Reader) (*Graph, error) { return graph.ParseText(r) }
-
-// ParseGraphString is ParseGraph on a string.
-func ParseGraphString(s string) (*Graph, error) { return graph.ParseTextString(s) }
-
-// FormatGraph renders a graph in the text format.
-func FormatGraph(g *Graph) string { return graph.TextString(g) }
-
-// GraphDOT renders a graph as an undirected Graphviz graph.
-func GraphDOT(g *Graph) string { return graph.DOT(g) }
 
 // RandSource returns a deterministic *rand.Rand for examples and
 // experiments that need auxiliary randomness.

@@ -64,17 +64,6 @@ func TestFacadeIO(t *testing.T) {
 	if !tr.Equal(back) {
 		t.Fatal("text round trip changed the platform")
 	}
-	js, err := bwc.PlatformJSON(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back2, err := bwc.PlatformFromJSON(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Equal(back2) {
-		t.Fatal("JSON round trip changed the platform")
-	}
 	res := bwc.Solve(tr)
 	dot := bwc.DOT(tr, res.Visited)
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "filled") {
@@ -200,13 +189,13 @@ func TestFacadeOracles(t *testing.T) {
 
 func TestFacadeMakespan(t *testing.T) {
 	tr := bwc.PaperExampleTree()
-	lb, err := bwc.MakespanLowerBound(tr, 100)
-	if err != nil || !lb.Equal(bwc.RatInt(90)) {
-		t.Fatalf("lb = %s err %v", lb, err)
-	}
 	ev, err := bwc.BatchMakespan(tr, 100)
 	if err != nil {
 		t.Fatal(err)
+	}
+	lb := ev.LowerBound
+	if !lb.Equal(bwc.RatInt(90)) {
+		t.Fatalf("lb = %s", lb)
 	}
 	if ev.Makespan.Less(lb) {
 		t.Fatalf("makespan %s below bound %s", ev.Makespan, lb)
@@ -264,27 +253,11 @@ func TestVerifyOnBatchOfSizes(t *testing.T) {
 	}
 }
 
-func TestFacadeCyclicInfinite(t *testing.T) {
-	c := bwc.InfiniteCyclic{Levels: []bwc.InfiniteLevel{
-		{Fanout: 2, Proc: bwc.RatInt(100), Comm: bwc.RatInt(1)},
-		{Fanout: 1, Proc: bwc.RatInt(2), Comm: bwc.Rat(1, 2)},
-	}}
-	rate, err := bwc.CyclicInfiniteRate(c)
+func TestFacadeGraph(t *testing.T) {
+	g, err := bwc.ParseGraph(strings.NewReader("node m 2\nnode w 1\nlink m w 1\nmaster m\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rate.IsPos() {
-		t.Fatal("zero cyclic rate")
-	}
-}
-
-func TestFacadeGraph(t *testing.T) {
-	g := bwc.NewGraphBuilder().
-		Node("m", bwc.RatInt(2)).
-		Node("w", bwc.RatInt(1)).
-		Link("m", "w", bwc.RatInt(1)).
-		Master("m").
-		MustBuild()
 	opt, err := bwc.GraphThroughput(g)
 	if err != nil || !opt.Equal(bwc.Rat(3, 2)) {
 		t.Fatalf("opt = %s err %v", opt, err)
@@ -393,18 +366,6 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if err != nil || rep.Total != 10 {
 		t.Fatalf("Execute: %v", err)
 	}
-	// Graph text round trip through the facade.
-	g := bwc.RandomGraph(1, 8, 4, 0.1)
-	back, err := bwc.ParseGraphString(bwc.FormatGraph(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != g.Len() {
-		t.Fatal("graph round trip")
-	}
-	if !strings.Contains(bwc.GraphDOT(g), "graph platform") {
-		t.Fatal("GraphDOT")
-	}
 	// Protocol session through the facade.
 	sess := bwc.NewProtocolSession(tr)
 	defer sess.Close()
@@ -415,8 +376,8 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 
 // TestFacadeAnalyze drives the conformance loop through the public API:
 // an observed simulation passes AnalyzeRun, a trace export round-trips
-// through AnalyzeTrace, a degraded-link dynamic run fails
-// AnalyzeDynamicRun, and an observed wall-clock Execute passes
+// through AnalyzeTrace, a degraded-link dynamic run's exported spans fail
+// AnalyzeTrace, and an observed wall-clock Execute passes
 // AnalyzeObserver.
 func TestFacadeAnalyze(t *testing.T) {
 	tr := bwc.PaperExampleTree()
@@ -469,8 +430,16 @@ func TestFacadeAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := bwc.AnalyzeDynamicRun(dyn, s, bwc.WithStop(bwc.RatInt(360)))
-	if bad.Healthy() {
+	var spans strings.Builder
+	if err := ob2.WriteSpansJSONL(&spans); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := bwc.AnalyzeTrace(strings.NewReader(spans.String()),
+		bwc.WithAnalyzeOptions(bwc.AnalyzeOptions{Schedule: s}), bwc.WithStop(bwc.RatInt(360)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dyn.Generated == 0 || bad.Healthy() {
 		t.Fatal("degraded link went undetected through the facade")
 	}
 	if c := bad.Check("buffer-watermark"); c == nil || c.Verdict != bwc.HealthFail {

@@ -70,7 +70,7 @@ func cmdChurn(args []string) error {
 		opts = append(opts, bwc.WithFlapQuarantine(*flapK, bwc.RatInt(0)))
 	}
 	if *retries > 0 {
-		opts = append(opts, bwc.WithResolveRetries(*retries, bwc.RatInt(0)))
+		opts = append(opts, bwc.WithResolveRetries(*retries))
 	}
 
 	fmt.Printf("platform:  %d nodes, baseline steady state %s tasks/unit\n", t.Len(), res.Throughput)

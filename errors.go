@@ -25,7 +25,7 @@ var (
 	ErrInfeasible = bwcerr.ErrInfeasible
 
 	// ErrScheduleStale reports drift detected against the active schedule
-	// while adaptation was disabled (DetectDrift / WithDetectOnly): the
+	// while adaptation was disabled (WithDetectOnly): the
 	// deployed schedule no longer matches the measured platform.
 	ErrScheduleStale = bwcerr.ErrScheduleStale
 

@@ -48,6 +48,6 @@ func main() {
 		st.Completed, st.SteadyStart, st.WindDown, st.MaxHeld)
 
 	// 4. A Gantt excerpt, Figure-5 style.
-	fmt.Printf("\nGantt (first 24 units):\n%s",
-		bwc.GanttASCII(run.Trace, bwc.RatInt(0), bwc.RatInt(24), bwc.RatInt(1)))
+	fmt.Printf("\nGantt (first 22 units):\n%s",
+		bwc.GanttASCII(run.Trace, bwc.RatInt(0), bwc.RatInt(22), bwc.RatInt(1)))
 }

@@ -72,26 +72,4 @@ func main() {
 	fmt.Printf("\nwith result return (d = %s per task):\n", d)
 	fmt.Printf("  true optimum (separate flows): %s tasks/unit\n", trueOpt)
 	fmt.Printf("  folded-model estimate:         %s tasks/unit\n", folded)
-
-	// Volunteer fleets churn: machines drift, leave, rejoin. Replay the
-	// campaign under a seeded stochastic churn process and check the
-	// graceful-degradation contract — retained throughput is compared
-	// against an oracle full re-solve on the final platform, and a
-	// collapse below the retention floor would surface as
-	// bwc.ErrChurnCollapse (exit code 9 in the CLI).
-	churn := bwc.ChurnConfig{Seed: 2026, Rate: 2}
-	events := bwc.GenerateChurn(platform, bwc.RatInt(600), churn)
-	rep, err := bwc.SimulateChurn(s,
-		bwc.WithChurn(churn),
-		bwc.WithStop(bwc.RatInt(600)),
-		bwc.WithRetentionFloor(0.3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nunder churn (seed %d, %d events over 600 units):\n", churn.Seed, len(events))
-	fmt.Printf("  retained %s of the oracle's %s (%.1f%%), %d re-solve cycle(s), %d quarantined\n",
-		rep.Final, rep.Oracle, 100*rep.Retention, len(rep.ReSolves), len(rep.Quarantined))
-	if rep.Healed {
-		fmt.Printf("  the campaign held its steady state through the churn window\n")
-	}
 }

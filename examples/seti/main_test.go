@@ -1,9 +1,8 @@
 package main
 
 // Example pins the whole transcript: the SETI platform's optimal rate
-// and its bandwidth-centric pruning, the simulated campaign, the Section
-// 9 result-return estimates, and the campaign's run through the
-// adaptation loop under seeded churn.
+// and its bandwidth-centric pruning, the simulated campaign, and the
+// Section 9 result-return estimates.
 func Example() {
 	main()
 	// Output:
@@ -20,8 +19,4 @@ func Example() {
 	// with result return (d = 1/4 per task):
 	//   true optimum (separate flows): 3496919/1776060 tasks/unit
 	//   folded-model estimate:         3167111/1776060 tasks/unit
-	//
-	// under churn (seed 2026, 3 events over 600 units):
-	//   retained 121637/56628 of the oracle's 121637/56628 (100.0%), 0 re-solve cycle(s), 0 quarantined
-	//   the campaign held its steady state through the churn window
 }

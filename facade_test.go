@@ -37,23 +37,24 @@ func TestSimulateAdaptiveFacade(t *testing.T) {
 }
 
 // TestDetectDriftSentinel: detect-only drift reports classify as
-// ErrScheduleStale via errors.Is, from DetectDrift and from a churn run
-// with WithDetectOnly alike.
+// ErrScheduleStale via errors.Is, from SimulateAdaptive and from a churn
+// run with WithDetectOnly alike.
 func TestDetectDriftSentinel(t *testing.T) {
 	res := bwc.Solve(bwc.PaperExampleTree())
 	s, err := bwc.BuildSchedule(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = bwc.DetectDrift(s,
+	_, err = bwc.SimulateAdaptive(s,
 		bwc.WithFaults(bwc.DegradeLink(bwc.RatInt(120), "P1", bwc.RatInt(4))),
 		bwc.WithStop(bwc.RatInt(400)),
+		bwc.WithDetectOnly(),
 	)
 	if !errors.Is(err, bwc.ErrScheduleStale) {
-		t.Fatalf("DetectDrift = %v, want ErrScheduleStale", err)
+		t.Fatalf("SimulateAdaptive with WithDetectOnly = %v, want ErrScheduleStale", err)
 	}
 	// A healthy run reports no drift.
-	if err := bwc.DetectDrift(s, bwc.WithStop(bwc.RatInt(200))); err != nil {
+	if _, err := bwc.SimulateAdaptive(s, bwc.WithStop(bwc.RatInt(200)), bwc.WithDetectOnly()); err != nil {
 		t.Fatalf("clean run reported drift: %v", err)
 	}
 	_, err = bwc.SimulateChurn(s,

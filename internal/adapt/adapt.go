@@ -225,7 +225,7 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 		if f.Value.IsPos() {
 			attrs = append(attrs, obs.A("value", f.Value.String()))
 		}
-		rep.note(opt.Obs, "fault", "fault "+f.String(), attrs...)
+		rep.note(opt.Obs, f.At, "fault", "fault "+f.String(), attrs...)
 	}
 	prevRes, prevTree := s.Res, base
 	if prevRes == nil {
@@ -260,7 +260,7 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 		}
 		rep.Drifts = append(rep.Drifts, drift)
 		ratio := fmt.Sprintf("%.3f", drift.Window.MinRatio)
-		rep.note(opt.Obs, "drift", fmt.Sprintf("drift t=%s node=%s ratio=%s", drift.At, drift.Window.WorstNode, ratio),
+		rep.note(opt.Obs, drift.At, "drift", fmt.Sprintf("drift t=%s node=%s ratio=%s", drift.At, drift.Window.WorstNode, ratio),
 			obs.A("at", drift.At.String()), obs.A("node", drift.Window.WorstNode), obs.A("ratio", ratio))
 		if opt.MaxAdapts == 0 {
 			return rep, staleDrift(drift.At, drift.Window.WorstNode, drift.Window.MinRatio)
@@ -301,20 +301,16 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 			}
 			if retries++; retries > opt.ResolveRetries {
 				rep.Collapsed = true
-				rep.note(opt.Obs, "collapse", fmt.Sprintf("collapse t=%s throughput=%s floor=%.0f%% of baseline %s", drift.At, thr, 100*opt.RetentionFloor, rep.Baseline),
+				rep.note(opt.Obs, drift.At, "collapse", fmt.Sprintf("collapse t=%s throughput=%s floor=%.0f%% of baseline %s", drift.At, thr, 100*opt.RetentionFloor, rep.Baseline),
 					obs.A("at", drift.At.String()), obs.A("throughput", thr.String()), obs.A("baseline", rep.Baseline.String()))
 				collapse = fmt.Errorf("adapt: churn collapse at t=%s: retained throughput %s is below %.0f%% of baseline %s after %d attempts: %w",
 					drift.At, thr, 100*opt.RetentionFloor, rep.Baseline, retries, bwcerr.ErrChurnCollapse)
 				break
 			}
-			backoff := opt.RetryBackoff
-			if !backoff.IsPos() {
-				backoff = window
-			}
-			backoff = backoff.Mul(rat.FromInt(int64(1) << (retries - 1)))
+			backoff := window.Mul(rat.FromInt(int64(1) << (retries - 1)))
 			jit := rat.New(int64(jitter.Intn(8)), 8).Mul(window)
 			settle = drift.At.Add(backoff).Add(jit)
-			rep.note(opt.Obs, "retry", fmt.Sprintf("retry %d/%d t=%s backoff=%s jitter=%s", retries, opt.ResolveRetries, drift.At, backoff, jit),
+			rep.note(opt.Obs, drift.At, "retry", fmt.Sprintf("retry %d/%d t=%s backoff=%s jitter=%s", retries, opt.ResolveRetries, drift.At, backoff, jit),
 				obs.A("at", drift.At.String()), obs.A("attempt", fmt.Sprint(retries)), obs.A("backoff", backoff.String()), obs.A("jitter", jit.String()))
 			continue
 		}
@@ -327,7 +323,7 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 		if !swapAt.Less(opt.Stop) {
 			// No swap boundary fits before the horizon: nothing is left to
 			// adapt, so the run is verified as it stands.
-			rep.note(opt.Obs, "late", fmt.Sprintf("late drift t=%s: no swap boundary before the horizon, verifying as-is", drift.At),
+			rep.note(opt.Obs, drift.At, "late", fmt.Sprintf("late drift t=%s: no swap boundary before the horizon, verifying as-is", drift.At),
 				obs.A("at", drift.At.String()), obs.A("boundary", swapAt.String()))
 			break
 		}
@@ -354,11 +350,11 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 			Messages: 2 * res.VisitedCount, Visited: res.VisitedCount, Pruned: nodeNames(base, pruned), Schedule: next}
 		rep.Adaptations = append(rep.Adaptations, ad)
 		rep.ReSolves = append(rep.ReSolves, ReSolveStat{At: drift.At, Recomputed: res.Recomputed(), Reused: res.Reused(), Pruned: len(pruned), Delta: len(changed)})
-		rep.note(opt.Obs, "negotiate", fmt.Sprintf("resolve t=%s spine=%d reused=%d pruned=%d delta=%d throughput=%s",
+		rep.note(opt.Obs, drift.At, "negotiate", fmt.Sprintf("resolve t=%s spine=%d reused=%d pruned=%d delta=%d throughput=%s",
 			drift.At, res.Recomputed(), res.Reused(), len(pruned), len(changed), res.Throughput),
 			obs.A("throughput", ad.Throughput.String()), obs.A("messages", fmt.Sprint(ad.Messages)),
 			obs.A("visited", fmt.Sprint(ad.Visited)), obs.A("pruned", fmt.Sprint(len(pruned))))
-		rep.note(opt.Obs, "swap", fmt.Sprintf("swap t=%s resume=%s", swapAt, resumeAt),
+		rep.note(opt.Obs, swapAt, "swap", fmt.Sprintf("swap t=%s resume=%s", swapAt, resumeAt),
 			obs.A("at", swapAt.String()), obs.A("resume", resumeAt.String()),
 			obs.A("throughput", ad.Throughput.String()), obs.A("messages", fmt.Sprint(ad.Messages)))
 		settle = resumeAt.Add(next.MaxStartupBound())
@@ -376,10 +372,11 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 	return rep, collapse
 }
 
-// note records one controller step twice over: an event on the observer
-// and a line in the report's log.
-func (r *SimReport) note(sc *obs.Scope, name, line string, attrs ...obs.Attr) {
-	sc.Emit(name, attrs...)
+// note records one controller step twice over: an event on the observer,
+// stamped with the step's virtual instant at, and a line in the report's
+// log.
+func (r *SimReport) note(sc *obs.Scope, at rat.R, name, line string, attrs ...obs.Attr) {
+	sc.EmitAt(at, name, attrs...)
 	r.Log = append(r.Log, line)
 }
 

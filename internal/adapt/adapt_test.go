@@ -3,11 +3,14 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/bwfirst"
+	"bwc/internal/obs"
 	"bwc/internal/obs/analyze"
 	"bwc/internal/paperexample"
 	"bwc/internal/rat"
@@ -66,6 +69,67 @@ func TestSelfHeal(t *testing.T) {
 	}
 	if rep.Post.Passed == 0 {
 		t.Fatal("post-swap report passed no checks at all")
+	}
+}
+
+// TestControllerEventsCarryVirtualInstants: each controller event is
+// stamped with the virtual instant of its step — the fault's time, the
+// detection instant, the swap boundary and, for a churn run's final
+// line, the horizon — so two identical runs emit identical events apart
+// from their wall-clock stamps.
+func TestControllerEventsCarryVirtualInstants(t *testing.T) {
+	s := mustSchedule(t, paperexample.Tree())
+	record := func(run func(sc *obs.Scope) (*SimReport, error)) ([]obs.Event, *SimReport) {
+		t.Helper()
+		var evs []obs.Event
+		sc := obs.New()
+		sc.Attach(obs.SinkFunc(func(e obs.Event) {
+			e.Wall = time.Time{}
+			evs = append(evs, e)
+		}))
+		rep, err := run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) != len(rep.Log) {
+			t.Fatalf("%d events for %d log lines", len(evs), len(rep.Log))
+		}
+		return evs, rep
+	}
+	adaptive := func(sc *obs.Scope) (*SimReport, error) {
+		return SimulateAdaptive(s, Options{
+			Faults: []Fault{{At: rat.FromInt(120), Node: "P1", Kind: LinkSet, Value: rat.FromInt(4)}},
+			Stop:   rat.FromInt(400),
+			Obs:    sc,
+		})
+	}
+	a, rep := record(adaptive)
+	b, _ := record(adaptive)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("identical runs emitted different events:\n%+v\n%+v", a, b)
+	}
+	want := map[string]string{"fault": "120", "drift": "200", "negotiate": "200", "swap": rep.Adaptations[0].SwapAt.String()}
+	for _, e := range a {
+		if w, ok := want[e.Name]; !ok || e.Virtual != w {
+			t.Errorf("%s event at virtual %q, want %q", e.Name, e.Virtual, w)
+		}
+		delete(want, e.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("missing events %v", want)
+	}
+
+	churn, _ := record(func(sc *obs.Scope) (*SimReport, error) {
+		opt := churnPin()
+		opt.Obs = sc
+		rep, err := SimulateChurn(s, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &rep.SimReport, nil
+	})
+	if last := churn[len(churn)-1]; last.Name != "final" || last.Virtual != "600" {
+		t.Errorf("last churn event %s at virtual %q, want final at the horizon 600", last.Name, last.Virtual)
 	}
 }
 

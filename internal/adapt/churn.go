@@ -165,17 +165,11 @@ type ChurnOptions struct {
 	// the retry budget is exhausted the run collapses with
 	// bwcerr.ErrChurnCollapse (default 0.5).
 	RetentionFloor float64
-	// OracleFloor is the verdict threshold for the churn-retention
-	// check: the final retained throughput must reach this fraction of
-	// an oracle full re-solve on the final platform (default 0.9).
-	OracleFloor float64
 	// ResolveRetries bounds how many consecutive failed re-solves are
-	// retried with backoff before collapsing (default 3).
+	// retried before collapsing (default 3). The backoff between retries
+	// is the detection window, doubled per consecutive failure and
+	// jittered deterministically from the churn seed.
 	ResolveRetries int
-	// RetryBackoff is the base backoff between retries, doubled per
-	// consecutive failure and jittered deterministically from the churn
-	// seed; zero uses the detection window.
-	RetryBackoff rat.R
 	// FlapThreshold quarantines a node observed perturbed in this many
 	// re-solve cycles within FlapWindow: its subtree is pruned from
 	// subsequent schedules instead of being chased (default 3).
@@ -193,9 +187,6 @@ func (o ChurnOptions) withChurnDefaults() ChurnOptions {
 	if o.RetentionFloor <= 0 {
 		o.RetentionFloor = 0.5
 	}
-	if o.OracleFloor <= 0 {
-		o.OracleFloor = 0.9
-	}
 	if o.ResolveRetries <= 0 {
 		o.ResolveRetries = 3
 	}
@@ -208,6 +199,11 @@ func (o ChurnOptions) withChurnDefaults() ChurnOptions {
 	o.Options = o.Options.withDefaults()
 	return o
 }
+
+// oracleFloor is the churn-retention verdict's threshold: the final
+// retained throughput must reach this fraction of an oracle full re-solve
+// on the final platform.
+const oracleFloor = 0.9
 
 // ReSolveStat records the cost of one incremental re-solve cycle.
 type ReSolveStat struct {
@@ -290,7 +286,7 @@ func quarantineFlappers(rep *ChurnReport, base *tree.Tree, dirty []tree.NodeID, 
 		flaps[id] = ev
 		if !quarantined[id] && len(ev) >= opt.FlapThreshold {
 			quarantined[id] = true
-			rep.note(opt.Obs, "quarantine", fmt.Sprintf("quarantine %s after %d perturbations within %s", base.Name(id), len(ev), opt.FlapWindow),
+			rep.note(opt.Obs, at, "quarantine", fmt.Sprintf("quarantine %s after %d perturbations within %s", base.Name(id), len(ev), opt.FlapWindow),
 				obs.A("node", base.Name(id)), obs.A("perturbations", fmt.Sprint(len(ev))), obs.A("window", opt.FlapWindow.String()))
 		}
 	}
@@ -339,10 +335,10 @@ func finishChurn(rep *ChurnReport, base *tree.Tree, physics []sim.PhysicsChange,
 	}
 	rep.Quarantined = nodeNames(base, prunedSet(base, nil, rat.Zero, quarantined))
 	if rep.Post != nil {
-		rep.Post.AddCheck(analyze.ChurnRetention(rep.Final, rep.Oracle, opt.OracleFloor))
+		rep.Post.AddCheck(analyze.ChurnRetention(rep.Final, rep.Oracle, oracleFloor))
 		rep.Healed = rep.Post.Healthy() && !rep.Collapsed
 	}
-	rep.note(opt.Obs, "final", fmt.Sprintf("final retained=%s oracle=%s retention=%.3f quarantined=%d adaptations=%d",
+	rep.note(opt.Obs, opt.Stop, "final", fmt.Sprintf("final retained=%s oracle=%s retention=%.3f quarantined=%d adaptations=%d",
 		rep.Final, rep.Oracle, rep.Retention, len(rep.Quarantined), len(rep.Adaptations)),
 		obs.A("retained", rep.Final.String()), obs.A("oracle", rep.Oracle.String()),
 		obs.A("retention", fmt.Sprintf("%.3f", rep.Retention)), obs.A("adaptations", fmt.Sprint(len(rep.Adaptations))))

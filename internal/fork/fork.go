@@ -95,23 +95,3 @@ func Reduce(parentRate rat.R, children []Child) Result {
 	// children after it receive nothing (Alloc zero values).
 	return res
 }
-
-// EquivalentWeight returns w_f = 1/r_f, with ok=false when the fork has no
-// computing power at all (r_f = 0, i.e. w_f = +inf).
-func (r Result) EquivalentWeight() (rat.R, bool) {
-	if r.Rate.IsZero() {
-		return rat.Zero, false
-	}
-	return r.Rate.Inv(), true
-}
-
-// BandwidthSpent returns the fraction of the parent's send port used by the
-// allocation: Σ c_i·alloc_i. It is at most 1, with equality when the fork is
-// bandwidth-limited.
-func (r Result) BandwidthSpent(children []Child) rat.R {
-	spent := rat.Zero
-	for i, c := range children {
-		spent = spent.Add(c.Comm.Mul(r.Alloc[i]))
-	}
-	return spent
-}

@@ -60,7 +60,7 @@ func TestPrefixPlusPartial(t *testing.T) {
 	if got := []string{res.Alloc[0].String(), res.Alloc[1].String(), res.Alloc[2].String()}; !reflect.DeepEqual(got, []string{"1", "1", "1/6"}) {
 		t.Fatalf("alloc = %v", got)
 	}
-	if !res.BandwidthSpent([]Child{
+	if !bandwidthSpent(res, []Child{
 		ch(rat.New(1, 2), rat.One),
 		ch(rat.New(1, 3), rat.One),
 		ch(rat.One, rat.One),
@@ -139,16 +139,27 @@ func TestNoChildren(t *testing.T) {
 	if !res.Rate.Equal(rat.New(2, 7)) || res.P != 0 || !res.Epsilon.IsZero() {
 		t.Fatalf("res = %+v", res)
 	}
-	if w, ok := res.EquivalentWeight(); !ok || !w.Equal(rat.New(7, 2)) {
-		t.Fatalf("weight = %s %v", w, ok)
+}
+
+// TestEquivalentWeightOfDeadFork: a fork with no computing power and no
+// children has equivalent weight w_f = 1/r_f = +inf, so it reduces to
+// rate zero.
+func TestEquivalentWeightOfDeadFork(t *testing.T) {
+	res := Reduce(rat.Zero, nil)
+	if !res.Rate.IsZero() || res.P != 0 {
+		t.Fatalf("dead fork reduces to %+v", res)
 	}
 }
 
-func TestEquivalentWeightOfDeadFork(t *testing.T) {
-	res := Reduce(rat.Zero, nil)
-	if _, ok := res.EquivalentWeight(); ok {
-		t.Fatal("zero-rate fork has a finite weight")
+// bandwidthSpent is the fraction of the parent's send port the
+// allocation uses: Σ c_i·alloc_i. It is at most 1, with equality when
+// the fork is bandwidth-limited.
+func bandwidthSpent(r Result, children []Child) rat.R {
+	spent := rat.Zero
+	for i, c := range children {
+		spent = spent.Add(c.Comm.Mul(r.Alloc[i]))
 	}
+	return spent
 }
 
 func randChildren(r *rand.Rand) []Child {
@@ -208,7 +219,7 @@ func TestPropSaturationDichotomy(t *testing.T) {
 				allFed = false
 			}
 		}
-		spent := res.BandwidthSpent(children)
+		spent := bandwidthSpent(res, children)
 		return allFed || spent.Equal(rat.One)
 	}
 	if err := quick.Check(f, forkCfg()); err != nil {

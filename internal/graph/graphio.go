@@ -69,68 +69,3 @@ func ParseText(r io.Reader) (*Graph, error) {
 	}
 	return b.Build()
 }
-
-// ParseTextString is ParseText on a string.
-func ParseTextString(s string) (*Graph, error) {
-	return ParseText(strings.NewReader(s))
-}
-
-// WriteText renders g in the line-oriented format; the output round-trips
-// through ParseText.
-func WriteText(w io.Writer, g *Graph) error {
-	if g.Len() == 0 {
-		return fmt.Errorf("graph: empty graph")
-	}
-	bw := bufio.NewWriter(w)
-	for id := 0; id < g.Len(); id++ {
-		nid := NodeID(id)
-		if w, ok := g.ProcTime(nid); ok {
-			fmt.Fprintf(bw, "node %s %s\n", g.Name(nid), w)
-		} else {
-			fmt.Fprintf(bw, "switch %s\n", g.Name(nid))
-		}
-	}
-	for id := 0; id < g.Len(); id++ {
-		for _, e := range g.Neighbors(NodeID(id)) {
-			if NodeID(id) < e.To { // each link once
-				fmt.Fprintf(bw, "link %s %s %s\n", g.Name(NodeID(id)), g.Name(e.To), e.Comm)
-			}
-		}
-	}
-	fmt.Fprintf(bw, "master %s\n", g.Name(g.Master()))
-	return bw.Flush()
-}
-
-// TextString renders g as a string.
-func TextString(g *Graph) string {
-	var sb strings.Builder
-	_ = WriteText(&sb, g)
-	return sb.String()
-}
-
-// DOT renders g as an undirected Graphviz graph; the master is marked.
-func DOT(g *Graph) string {
-	var b strings.Builder
-	b.WriteString("graph platform {\n  node [shape=circle];\n")
-	for id := 0; id < g.Len(); id++ {
-		nid := NodeID(id)
-		w := "inf"
-		if pw, ok := g.ProcTime(nid); ok {
-			w = pw.String()
-		}
-		style := ""
-		if nid == g.Master() {
-			style = `, style=filled, fillcolor="#ffd166"`
-		}
-		fmt.Fprintf(&b, "  %q [label=\"%s\\nw=%s\"%s];\n", g.Name(nid), g.Name(nid), w, style)
-	}
-	for id := 0; id < g.Len(); id++ {
-		for _, e := range g.Neighbors(NodeID(id)) {
-			if NodeID(id) < e.To {
-				fmt.Fprintf(&b, "  %q -- %q [label=\"%s\"];\n", g.Name(NodeID(id)), g.Name(e.To), e.Comm)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

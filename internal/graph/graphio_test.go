@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,8 +20,35 @@ link w1 w2 1     # cross link
 master m
 `
 
+// parseString is ParseText on a string.
+func parseString(s string) (*Graph, error) { return ParseText(strings.NewReader(s)) }
+
+// textOf renders g in the format ParseText reads: nodes in id order,
+// each link once, then the master. The round-trip tests and
+// FuzzParseGraph use it as their generator.
+func textOf(g *Graph) string {
+	var b strings.Builder
+	for id := 0; id < g.Len(); id++ {
+		nid := NodeID(id)
+		if w, ok := g.ProcTime(nid); ok {
+			fmt.Fprintf(&b, "node %s %s\n", g.Name(nid), w)
+		} else {
+			fmt.Fprintf(&b, "switch %s\n", g.Name(nid))
+		}
+	}
+	for id := 0; id < g.Len(); id++ {
+		for _, e := range g.Neighbors(NodeID(id)) {
+			if NodeID(id) < e.To { // each link once
+				fmt.Fprintf(&b, "link %s %s %s\n", g.Name(NodeID(id)), g.Name(e.To), e.Comm)
+			}
+		}
+	}
+	fmt.Fprintf(&b, "master %s\n", g.Name(g.Master()))
+	return b.String()
+}
+
 func TestParseTextGraph(t *testing.T) {
-	g, err := ParseTextString(sampleGraph)
+	g, err := parseString(sampleGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,33 +64,36 @@ func TestParseTextGraph(t *testing.T) {
 }
 
 func TestParseTextGraphErrors(t *testing.T) {
-	cases := map[string]string{
-		"wat m 2":                         "unknown directive",
-		"node m":                          "node <name> <proc>",
-		"node m zz":                       "cannot parse",
-		"switch":                          "switch <name>",
-		"node m 2\nlink m":                "link <a> <b> <comm>",
-		"node m 2\nmaster":                "master <name>",
-		"node m 2\nlink m m 1":            "self link",
-		"node m 2":                        "no master",
-		"":                                "no nodes",
-		"node m 2\nnode w 1\nmaster m":    "not connected",
-		"node m 2\nnode w 1\nlink m w xx": "cannot parse",
-	}
-	for in, want := range cases {
-		_, err := ParseTextString(in)
+	for in, want := range parseErrorCases {
+		_, err := parseString(in)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseText(%q) err = %v, want %q", in, err, want)
 		}
 	}
 }
 
+// parseErrorCases maps malformed graph texts to the error each must
+// raise.
+var parseErrorCases = map[string]string{
+	"wat m 2":                         "unknown directive",
+	"node m":                          "node <name> <proc>",
+	"node m zz":                       "cannot parse",
+	"switch":                          "switch <name>",
+	"node m 2\nlink m":                "link <a> <b> <comm>",
+	"node m 2\nmaster":                "master <name>",
+	"node m 2\nlink m m 1":            "self link",
+	"node m 2":                        "no master",
+	"":                                "no nodes",
+	"node m 2\nnode w 1\nmaster m":    "not connected",
+	"node m 2\nnode w 1\nlink m w xx": "cannot parse",
+}
+
 func TestGraphTextRoundTrip(t *testing.T) {
-	g, err := ParseTextString(sampleGraph)
+	g, err := parseString(sampleGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTextString(TextString(g))
+	back, err := parseString(textOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +120,7 @@ func TestGraphTextRoundTrip(t *testing.T) {
 func TestGraphTextRoundTripRandom(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := RandomConnected(rand.New(rand.NewSource(seed)), 18, 9, 0.25)
-		back, err := ParseTextString(TextString(g))
+		back, err := parseString(textOf(g))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -101,22 +132,38 @@ func TestGraphTextRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestGraphDOT(t *testing.T) {
-	g, err := ParseTextString(sampleGraph)
-	if err != nil {
-		t.Fatal(err)
+// FuzzParseGraph checks that arbitrary input never panics the graph
+// parser, that every accepted graph round-trips through textOf, and that
+// every overlay heuristic either builds a tree spanning the accepted
+// graph or returns an error.
+func FuzzParseGraph(f *testing.F) {
+	f.Add(sampleGraph)
+	for in := range parseErrorCases {
+		f.Add(in)
 	}
-	dot := DOT(g)
-	for _, frag := range []string{"graph platform", `"m" [label="m\nw=2", style=filled`, `"core" -- "w1"`, "w=inf"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q:\n%s", frag, dot)
+	f.Fuzz(func(t *testing.T, input string) {
+		g, err := parseString(input)
+		if err != nil {
+			return
 		}
-	}
-}
-
-func TestWriteTextEmptyGraph(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteText(&sb, &Graph{}); err == nil {
-		t.Fatal("empty graph written")
-	}
+		back, err := parseString(textOf(g))
+		if err != nil {
+			t.Fatalf("round trip failed to parse: %v\n%s", err, textOf(g))
+		}
+		if back.Len() != g.Len() || back.EdgeCount() != g.EdgeCount() || textOf(back) != textOf(g) {
+			t.Fatalf("round trip changed the graph:\nin:  %s\nout: %s", textOf(g), textOf(back))
+		}
+		for _, k := range OverlayKinds {
+			tr, err := g.SpanningTree(k)
+			if err != nil {
+				if tr != nil {
+					t.Fatalf("%v: tree and error %v", k, err)
+				}
+				continue
+			}
+			if tr == nil || tr.Len() != g.Len() {
+				t.Fatalf("%v: overlay does not span the %d-node graph", k, g.Len())
+			}
+		}
+	})
 }

@@ -84,44 +84,3 @@ func (s Spec) TruncatedRate(depth int) (rat.R, error) {
 	}
 	return x, nil
 }
-
-// DepthWithin returns the smallest truncation depth whose rate is within
-// frac (0 < frac < 1) of the infinite rate — e.g. frac = 1/100 finds the
-// depth achieving 99% of the infinite tree. maxDepth bounds the search.
-func (s Spec) DepthWithin(frac rat.R, maxDepth int) (depth int, rate rat.R, err error) {
-	if err := s.Validate(); err != nil {
-		return 0, rat.Zero, err
-	}
-	if !frac.IsPos() || !frac.Less(rat.One) {
-		return 0, rat.Zero, fmt.Errorf("infinite: frac must be in (0,1), got %s", frac)
-	}
-	target, err := s.Rate()
-	if err != nil {
-		return 0, rat.Zero, err
-	}
-	gapAllowed := target.Mul(frac)
-	x := s.Proc.Inv()
-	for d := 0; d <= maxDepth; d++ {
-		if target.Sub(x).LessEq(gapAllowed) {
-			return d, x, nil
-		}
-		x = s.reduce(x)
-	}
-	return 0, rat.Zero, fmt.Errorf("infinite: not within %s of the limit by depth %d", frac, maxDepth)
-}
-
-// ConvergenceTable returns the truncated rates for depths 0..maxDepth and
-// the remaining gaps to the infinite rate, for reporting.
-func (s Spec) ConvergenceTable(maxDepth int) (rates, gaps []rat.R, err error) {
-	limit, err := s.Rate()
-	if err != nil {
-		return nil, nil, err
-	}
-	x := s.Proc.Inv()
-	for d := 0; d <= maxDepth; d++ {
-		rates = append(rates, x)
-		gaps = append(gaps, limit.Sub(x))
-		x = s.reduce(x)
-	}
-	return rates, gaps, nil
-}

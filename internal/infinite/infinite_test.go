@@ -1,7 +1,6 @@
 package infinite
 
 import (
-	"fmt"
 	"testing"
 
 	"bwc/internal/bwfirst"
@@ -90,36 +89,6 @@ func build(b *tree.Builder, parent string, s Spec, depth int) {
 	}
 }
 
-func TestDepthWithin(t *testing.T) {
-	s := Spec{Fanout: 2, Proc: rat.One, Comm: rat.One}
-	d, rate, err := s.DepthWithin(rat.New(1, 100), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit, _ := s.Rate()
-	if limit.Sub(rate).Sub(limit.Mul(rat.New(1, 100))).IsPos() {
-		t.Fatalf("depth %d rate %s not within 1%% of %s", d, rate, limit)
-	}
-	if d == 0 {
-		t.Fatal("depth 0 already within 1%?")
-	}
-	// Depth 0 must already satisfy a huge tolerance.
-	d0, _, err := s.DepthWithin(rat.New(99, 100), 4)
-	if err != nil || d0 != 0 {
-		t.Fatalf("d0 = %d err %v", d0, err)
-	}
-}
-
-func TestDepthWithinUnreachable(t *testing.T) {
-	// A chain with an extremely fast link: the port only saturates once
-	// the subtree rate exceeds b = 1000, i.e. after ~1000 levels, so a
-	// tight tolerance cannot be met within depth 3.
-	s := Spec{Fanout: 1, Proc: rat.One, Comm: rat.New(1, 1000)}
-	if _, _, err := s.DepthWithin(rat.New(1, 1000000), 3); err == nil {
-		t.Fatal("impossible tolerance accepted")
-	}
-}
-
 func TestChainConvergesLinearly(t *testing.T) {
 	// In the compute-limited regime of a chain the truncation gains
 	// exactly r per level until the link saturates, then lands exactly on
@@ -140,14 +109,21 @@ func TestChainConvergesLinearly(t *testing.T) {
 	}
 }
 
+// TestConvergenceTableGeometric: the table of depth-0..8 truncations
+// closes its gap to the infinite rate level by level.
 func TestConvergenceTableGeometric(t *testing.T) {
 	s := Spec{Fanout: 2, Proc: rat.Two, Comm: rat.One}
-	rates, gaps, err := s.ConvergenceTable(8)
+	limit, err := s.Rate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rates) != 9 || len(gaps) != 9 {
-		t.Fatalf("table sizes %d %d", len(rates), len(gaps))
+	var gaps []rat.R
+	for d := 0; d <= 8; d++ {
+		x, err := s.TruncatedRate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gaps = append(gaps, limit.Sub(x))
 	}
 	// Gaps shrink (at least weakly) every level and strictly overall.
 	for i := 1; i < len(gaps); i++ {
@@ -174,151 +150,11 @@ func TestValidation(t *testing.T) {
 	if _, err := (Spec{Fanout: 1, Proc: rat.One, Comm: rat.One}).TruncatedRate(-1); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, _, err := (Spec{Fanout: 1, Proc: rat.One, Comm: rat.One}).DepthWithin(rat.Two, 4); err == nil {
-		t.Error("frac >= 1 accepted")
-	}
-}
-
-func TestCyclicMatchesUniform(t *testing.T) {
-	s := Spec{Fanout: 2, Proc: rat.Two, Comm: rat.One}
-	want, err := s.Rate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Cyclic().Rate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("cyclic %s != uniform closed form %s", got, want)
-	}
-	// Truncations agree too.
-	for d := 0; d <= 5; d++ {
-		a, err := s.TruncatedRate(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Cyclic().TruncatedRate(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(b) {
-			t.Fatalf("depth %d: %s != %s", d, a, b)
-		}
-	}
-}
-
-func TestCyclicTwoLevel(t *testing.T) {
-	// Alternate switch-like relay levels (slow compute, fast fanout) with
-	// worker levels. The fixed point must be a valid upper bound on every
-	// truncation and reached exactly.
-	c := Cyclic{Levels: []Level{
-		{Fanout: 2, Proc: rat.FromInt(100), Comm: rat.One}, // relay level
-		{Fanout: 1, Proc: rat.Two, Comm: rat.New(1, 2)},    // worker level
-	}}
-	limit, err := c.Rate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !limit.IsPos() {
-		t.Fatal("zero cyclic rate")
-	}
-	prev := rat.Zero
-	for d := 0; d <= 16; d++ {
-		x, err := c.TruncatedRate(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Truncations rooted at level 0 at even depths are the F-iterates
-		// and must be monotone and bounded by the fixed point.
-		if d%2 == 0 {
-			if x.Less(prev) {
-				t.Fatalf("depth %d: decreased", d)
-			}
-			if limit.Less(x) {
-				t.Fatalf("depth %d: %s exceeds fixed point %s", d, x, limit)
-			}
-			prev = x
-		}
-	}
-	if !prev.Equal(limit) {
-		t.Fatalf("truncations converge to %s, fixed point %s", prev, limit)
-	}
-}
-
-func TestCyclicMatchesExplicitTree(t *testing.T) {
-	// Cross-check the 2-level cyclic truncation against an explicitly
-	// built alternating tree solved by BW-First.
-	c := Cyclic{Levels: []Level{
-		{Fanout: 2, Proc: rat.FromInt(3), Comm: rat.One},
-		{Fanout: 2, Proc: rat.Two, Comm: rat.Two},
-	}}
-	b := tree.NewBuilder().Root("n", c.Levels[0].Proc)
-	var grow func(parent string, depth int)
-	grow = func(parent string, depth int) {
-		if depth == 4 {
-			return
-		}
-		l := c.Levels[depth%2]
-		childL := c.Levels[(depth+1)%2]
-		for i := 0; i < l.Fanout; i++ {
-			name := fmt.Sprintf("%s.%d", parent, i)
-			b.Child(parent, name, l.Comm, childL.Proc)
-			grow(name, depth+1)
-		}
-	}
-	grow("n", 0)
-	tr := b.MustBuild()
-	want := bwfirst.Solve(tr).Throughput
-	got, err := c.TruncatedRate(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("cyclic truncation %s != explicit tree %s", got, want)
-	}
-}
-
-func TestCyclicValidation(t *testing.T) {
-	if _, err := (Cyclic{}).Rate(0); err == nil {
-		t.Fatal("empty cycle accepted")
-	}
-	bad := Cyclic{Levels: []Level{{Fanout: 0, Proc: rat.One, Comm: rat.One}}}
-	if _, err := bad.Rate(0); err == nil {
-		t.Fatal("bad level accepted")
-	}
-	ok := Cyclic{Levels: []Level{{Fanout: 1, Proc: rat.One, Comm: rat.One}}}
-	if _, err := ok.TruncatedRate(-1); err == nil {
-		t.Fatal("negative depth accepted")
-	}
-	// Iteration guard: a spec needing many iterations with maxIter 1.
-	slow := Cyclic{Levels: []Level{{Fanout: 1, Proc: rat.One, Comm: rat.New(1, 100)}}}
-	if _, err := slow.Rate(1); err == nil {
-		t.Fatal("iteration guard did not trip")
-	}
 }
 
 func TestRemainingErrorBranches(t *testing.T) {
-	badLevels := []Cyclic{
-		{Levels: []Level{{Fanout: 1, Proc: rat.Zero, Comm: rat.One}}},
-		{Levels: []Level{{Fanout: 1, Proc: rat.One, Comm: rat.Zero}}},
-	}
-	for _, c := range badLevels {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad cyclic %+v validated", c)
-		}
-		if _, err := c.TruncatedRate(2); err == nil {
-			t.Error("bad cyclic truncated")
-		}
-	}
 	badSpec := Spec{Fanout: 1, Proc: rat.Zero, Comm: rat.One}
 	if _, err := badSpec.TruncatedRate(2); err == nil {
 		t.Error("bad spec truncated")
-	}
-	if _, _, err := badSpec.DepthWithin(rat.New(1, 2), 4); err == nil {
-		t.Error("bad spec DepthWithin")
-	}
-	if _, _, err := badSpec.ConvergenceTable(4); err == nil {
-		t.Error("bad spec ConvergenceTable")
 	}
 }

@@ -26,21 +26,10 @@ type Options struct {
 	// MinRateRatio is the minimum achieved/η ratio counted as conforming
 	// (default 0.99).
 	MinRateRatio float64
-	// MinStartupRatio is the minimum useful-work ratio during start-up:
-	// tasks completed before steady state over the steady rate times the
-	// onset time (Section 7's claim that start-up is productive).
-	// Default 0.5.
-	MinStartupRatio float64
 	// BufferSlack is the number of buffered tasks a node may exceed its
 	// χ bound by before the watermark check fails (default 0: Section
 	// 6.3's interleaving claims the bound exactly).
 	BufferSlack int
-	// UtilTolerance is the relative tolerance on link busy fractions
-	// before a link counts as over-driven (default 0.05).
-	UtilTolerance float64
-	// LatencyTolerance is the relative tolerance on the p99 compute
-	// latency over the platform's w (default 0.05).
-	LatencyTolerance float64
 	// OnsetWindow overrides the window the steady-state-onset estimator
 	// buckets completions into (default: the schedule's rootless
 	// period). A quantized schedule whose root period exceeds the
@@ -54,17 +43,22 @@ func (o Options) withDefaults() Options {
 	if o.MinRateRatio == 0 {
 		o.MinRateRatio = 0.99
 	}
-	if o.MinStartupRatio == 0 {
-		o.MinStartupRatio = 0.5
-	}
-	if o.UtilTolerance == 0 {
-		o.UtilTolerance = 0.05
-	}
-	if o.LatencyTolerance == 0 {
-		o.LatencyTolerance = 0.05
-	}
 	return o
 }
+
+// Fixed conformance tolerances.
+const (
+	// minStartupRatio is the minimum useful-work ratio during start-up:
+	// tasks completed before steady state over the steady rate times the
+	// onset time (Section 7's claim that start-up is productive).
+	minStartupRatio = 0.5
+	// utilTolerance is the relative tolerance on link busy fractions
+	// before a link counts as over-driven.
+	utilTolerance = 0.05
+	// latencyTolerance is the relative tolerance on the p99 compute
+	// latency over the platform's w.
+	latencyTolerance = 0.05
+)
 
 // nodeEvid indexes one node's activity: positions into the evidence,
 // each list in start order. A node's compute, send and receive lists are
@@ -584,7 +578,7 @@ func (a *analysis) linkUtilization() Check {
 			window := ts.Mul(rat.FromInt(L))
 			util := a.busyUntil(sends, window).Div(window).Float64()
 			planned := eta.Mul(a.t.CommTime(child)).Float64()
-			if !ok || util > planned*(1+a.opt.UtilTolerance) {
+			if !ok || util > planned*(1+utilTolerance) {
 				failed++
 				c.Evidence = append(c.Evidence, fmt.Sprintf("%s→%s: η=%s, φ=%d/T^s=%s windows %v, busy %.3f vs planned %.3f",
 					a.t.Name(id), a.t.Name(child), eta, quota, ts, counts, util, planned))
@@ -831,10 +825,10 @@ func (a *analysis) startupUsefulWork(onset rat.R, onsetOK bool) Check {
 	ratio := float64(done) / expected
 	c.Detail = fmt.Sprintf("%d tasks before steady state at t=%s (%.0f%% of the steady rate's %.0f)",
 		done, onset, ratio*100, expected)
-	if ratio < a.opt.MinStartupRatio {
+	if ratio < minStartupRatio {
 		c.Verdict = Fail
 		c.Evidence = append(c.Evidence, fmt.Sprintf("useful-work ratio %.3f below minimum %.3f",
-			ratio, a.opt.MinStartupRatio))
+			ratio, minStartupRatio))
 		return c
 	}
 	c.Verdict = Pass
@@ -995,7 +989,7 @@ func (a *analysis) computeLatency() Check {
 			h.Observe(a.end(p).Sub(a.start(p)).Div(w).Float64())
 		}
 		q99 := h.Quantile(0.99)
-		if q99 > 1+a.opt.LatencyTolerance {
+		if q99 > 1+latencyTolerance {
 			failed++
 			c.Evidence = append(c.Evidence, fmt.Sprintf("%s: p99 compute/w = %.4f (w=%s)", a.t.Name(id), q99, w))
 		}
@@ -1094,7 +1088,7 @@ func (a *analysis) resultReturn() Check {
 			}
 			util := a.busyUntil(sends, end).Div(end).Float64()
 			planned := ns.ReturnRate.Mul(d).Float64()
-			if util > planned*(1+a.opt.UtilTolerance) {
+			if util > planned*(1+utilTolerance) {
 				failed++
 				c.Evidence = append(c.Evidence, fmt.Sprintf(
 					"%s→%s: upward busy %.3f exceeds planned η·d %.3f", a.t.Name(id), a.t.Name(parent), util, planned))

@@ -300,9 +300,18 @@ func (s *Scope) AttachJSONL(w io.Writer) {
 	s.Attach(NewAsyncSink(NewJSONLSink(w), 4096))
 }
 
-// Emit publishes an event to every attached sink. With no sinks attached
-// the cost is one atomic load.
+// Emit publishes an event stamped with Now to every attached sink. With
+// no sinks attached the cost is one atomic load.
 func (s *Scope) Emit(name string, attrs ...Attr) {
+	if s != nil && s.sinks.Load() != nil {
+		s.EmitAt(s.Now(), name, attrs...)
+	}
+}
+
+// EmitAt is Emit stamped with the instant at: for producers whose steps
+// happen at virtual instants of their own, which the scope's clock does
+// not follow.
+func (s *Scope) EmitAt(at rat.R, name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
@@ -313,7 +322,7 @@ func (s *Scope) Emit(name string, attrs ...Attr) {
 	e := Event{
 		Seq:     s.seq.Add(1),
 		Wall:    time.Now(),
-		Virtual: s.Now().String(),
+		Virtual: at.String(),
 		Name:    name,
 		Attrs:   attrs,
 	}

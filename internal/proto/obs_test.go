@@ -54,7 +54,7 @@ func e9Invariant(t *testing.T, label string, tr *tree.Tree) {
 func TestObservedAgreesWithPlain(t *testing.T) {
 	for _, kind := range treegen.Kinds {
 		tr := treegen.Generate(kind, 15, 7)
-		plain := Solve(tr)
+		plain := SolveObserved(tr, nil)
 		watched := SolveObserved(tr, obs.New())
 		if !plain.Throughput.Equal(watched.Throughput) || plain.Messages != watched.Messages {
 			t.Fatalf("%s: observed run diverged: %s/%d vs %s/%d", kind,

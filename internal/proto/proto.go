@@ -216,11 +216,8 @@ func sameTopology(a, b *tree.Tree) error {
 	return nil
 }
 
-// Solve runs a single negotiation on t (convenience wrapper that creates
-// and closes a Session).
-func Solve(t *tree.Tree) *Result { return SolveObserved(t, nil) }
-
-// SolveObserved is Solve against an observability scope.
+// SolveObserved runs a single negotiation on t against an observability
+// scope (nil disables it), in a Session created and closed for the call.
 func SolveObserved(t *tree.Tree, sc *obs.Scope) *Result {
 	s := NewSessionObserved(t, sc)
 	defer s.Close()

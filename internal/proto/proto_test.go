@@ -10,12 +10,11 @@ import (
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 	"bwc/internal/treegen"
-	"bwc/internal/treeio"
 )
 
 func TestSingleNode(t *testing.T) {
 	tr := tree.NewBuilder().Root("P0", rat.Two).MustBuild()
-	res := Solve(tr)
+	res := SolveObserved(tr, nil)
 	if !res.Throughput.Equal(rat.New(1, 2)) {
 		t.Fatalf("throughput = %s", res.Throughput)
 	}
@@ -28,7 +27,7 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	res := Solve(&tree.Tree{})
+	res := SolveObserved(&tree.Tree{}, nil)
 	if !res.Throughput.IsZero() || res.Messages != 0 {
 		t.Fatalf("empty: %+v", res)
 	}
@@ -96,7 +95,7 @@ func TestAgreesWithSequential(t *testing.T) {
 			for _, n := range []int{1, 2, 7, 23, 60} {
 				for d, tr := range returnVariants(t, treegen.Generate(k, n, seed)) {
 					label := fmt.Sprintf("%v/%d/%d/variant %d", k, seed, n, d)
-					got := Solve(tr)
+					got := SolveObserved(tr, nil)
 					sameStates(t, label, got, bwfirst.Solve(tr))
 					if got.Messages != 2*got.VisitedCount {
 						t.Fatalf("%s: %d messages for %d visited nodes", label, got.Messages, got.VisitedCount)
@@ -113,11 +112,11 @@ func TestAgreesWithSequential(t *testing.T) {
 // the second worker is never visited; a protocol without the return
 // model reported 2 after visiting all three nodes.
 func TestReturnStarMatchesLP(t *testing.T) {
-	tr, err := treeio.ParseText(strings.NewReader("P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n"))
+	tr, err := tree.ParseText(strings.NewReader("P0 - - inf -\nP1 P0 1/2 1 1\nP2 P0 1/2 1 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Solve(tr)
+	res := SolveObserved(tr, nil)
 	if !res.Throughput.Equal(rat.One) || res.VisitedCount != 2 || res.Messages != 4 {
 		t.Fatalf("throughput %s, %d visited, %d messages; want 1, 2, 4",
 			res.Throughput, res.VisitedCount, res.Messages)
@@ -138,7 +137,7 @@ func TestMessageCount(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		tr := treegen.Generate(treegen.Uniform, 40, seed)
 		want := bwfirst.Solve(tr)
-		got := Solve(tr)
+		got := SolveObserved(tr, nil)
 		if got.Messages != 2*len(want.Transactions)+2 {
 			t.Fatalf("seed %d: messages = %d, want 2·%d+2", seed, got.Messages, len(want.Transactions))
 		}
@@ -152,7 +151,7 @@ func TestBandwidthLimitedSkipsActors(t *testing.T) {
 	skipped := false
 	for seed := int64(0); seed < 20; seed++ {
 		tr := treegen.Generate(treegen.BandwidthLimited, 50, seed)
-		res := Solve(tr)
+		res := SolveObserved(tr, nil)
 		if res.VisitedCount < tr.Len() {
 			skipped = true
 		}
@@ -166,7 +165,7 @@ func BenchmarkDistributedSolve100(b *testing.B) {
 	tr := treegen.Generate(treegen.Uniform, 100, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Solve(tr)
+		_ = SolveObserved(tr, nil)
 	}
 }
 

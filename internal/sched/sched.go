@@ -647,60 +647,12 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// T0 returns the node's synchronized period T_0 = lcm(T^r, T^c, T^s) from
-// Proposition 3.
-func (s *Schedule) T0(id tree.NodeID) *big.Int { return s.Periods().T0(id).Num() }
-
 // Chi returns χ_{-1} = η_{-1}·T_0 for the node: the number of buffered
 // tasks that guarantees the steady-state regime with fully desynchronized
 // activities (Proposition 3). During the Proposition 4 start-up, a node's
 // buffer never needs to exceed this value, so it also bounds the memory
 // requirement of the schedule.
 func (s *Schedule) Chi(id tree.NodeID) *big.Int { return s.Periods().Chi(id).Num() }
-
-// MaxChi returns the largest χ over all active non-root nodes: the
-// platform-wide per-node buffer requirement.
-func (s *Schedule) MaxChi() *big.Int {
-	best := big.NewInt(0)
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if !ns.Active || ns.Node == s.Tree.Root() {
-			continue
-		}
-		if c := s.Chi(ns.Node); c.Cmp(best) > 0 {
-			best = c
-		}
-	}
-	return best
-}
-
-// IsPalindromic reports whether the node's interleaved pattern reads the
-// same forwards and backwards — the symmetry the paper notes "divides the
-// description of the local schedules by two". The Figure-3 construction is
-// palindromic whenever no position ties occur (positions k/(ψ+1) are
-// symmetric about 1/2).
-func (ns *NodeSchedule) IsPalindromic() bool {
-	p := ns.Pattern
-	if p == nil {
-		return false
-	}
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		if p[i].Dest != p[j].Dest {
-			return false
-		}
-	}
-	return true
-}
-
-// HalfPattern returns the first ceil(len/2) slots when the pattern is
-// palindromic (the compact description of Section 6.3), or the full
-// pattern otherwise.
-func (ns *NodeSchedule) HalfPattern() []Slot {
-	if !ns.IsPalindromic() {
-		return ns.Pattern
-	}
-	return ns.Pattern[:(len(ns.Pattern)+1)/2]
-}
 
 // CompactSize returns the byte size of the complete distributed schedule
 // description: for every active node, its ψ quantities rendered in

@@ -348,7 +348,7 @@ func TestChiAndT0(t *testing.T) {
 	tr, s := twoWorker(t)
 	// P1: T_0 = lcm(TR=9, TC=3, TS=1) = 9; χ = η·T_0 = (1/3)·9 = 3.
 	p1 := tr.MustLookup("P1")
-	if got := s.T0(p1); got.Int64() != 9 {
+	if got := s.Periods().T0(p1); !got.Equal(rat.FromInt(9)) {
 		t.Fatalf("T0(P1) = %s", got)
 	}
 	if got := s.Chi(p1); got.Int64() != 3 {
@@ -357,9 +357,6 @@ func TestChiAndT0(t *testing.T) {
 	// P2: T_0 = lcm(9, 9, 1) = 9; χ = (2/9)·9 = 2.
 	if got := s.Chi(tr.MustLookup("P2")); got.Int64() != 2 {
 		t.Fatalf("χ(P2) = %s", got)
-	}
-	if got := s.MaxChi(); got.Int64() != 3 {
-		t.Fatalf("MaxChi = %s", got)
 	}
 }
 
@@ -376,20 +373,35 @@ func TestChiIntegralAcrossGenerators(t *testing.T) {
 		for i := 0; i < tr.Len(); i++ {
 			_ = s.Chi(tree.NodeID(i))
 		}
-		_ = s.MaxChi()
 	}
+}
+
+// isPalindromic reports whether an interleaved pattern reads the same
+// forwards and backwards — the symmetry the paper notes "divides the
+// description of the local schedules by two". The Figure-3 construction
+// is palindromic whenever no position ties occur (positions k/(ψ+1) are
+// symmetric about 1/2).
+func isPalindromic(p []Slot) bool {
+	if p == nil {
+		return false
+	}
+	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
+		if p[i].Dest != p[j].Dest {
+			return false
+		}
+	}
+	return true
 }
 
 func TestPalindromicHalving(t *testing.T) {
 	ns := figure3Node()
 	ns.Pattern = interleavePattern(ns)
-	if !ns.IsPalindromic() {
+	if !isPalindromic(ns.Pattern) {
 		t.Fatal("Figure 3 pattern not palindromic")
 	}
-	half := ns.HalfPattern()
-	if len(half) != 4 { // ceil(7/2)
-		t.Fatalf("half length %d", len(half))
-	}
+	// The first ceil(7/2) = 4 slots describe the whole pattern (Section
+	// 6.3): half + reverse(half[:3]) must equal the original.
+	half := ns.Pattern[:(len(ns.Pattern)+1)/2]
 	// Reconstruct: half + reverse(half[:3]) must equal the original.
 	full := append([]Slot{}, half...)
 	for i := len(half) - 2; i >= 0; i-- {
@@ -400,15 +412,11 @@ func TestPalindromicHalving(t *testing.T) {
 			t.Fatalf("reconstruction differs at %d", i)
 		}
 	}
-	// A non-palindromic pattern returns itself.
 	asym := &NodeSchedule{Pattern: []Slot{{Dest: Self}, {Dest: 0}, {Dest: 0}}}
-	if asym.IsPalindromic() {
+	if isPalindromic(asym.Pattern) {
 		t.Fatal("asymmetric pattern reported palindromic")
 	}
-	if len(asym.HalfPattern()) != 3 {
-		t.Fatal("asymmetric half truncated")
-	}
-	if (&NodeSchedule{}).IsPalindromic() {
+	if isPalindromic(nil) {
 		t.Fatal("nil pattern palindromic")
 	}
 }
@@ -441,13 +449,8 @@ func TestPaperTreePalindromes(t *testing.T) {
 			continue
 		}
 		sawTieFree = true
-		if !ns.IsPalindromic() {
+		if !isPalindromic(ns.Pattern) {
 			t.Errorf("tie-free node %s not palindromic: %v", s.Tree.Name(ns.Node), ns.Pattern)
-		}
-		// The halved description reconstructs the original.
-		half := ns.HalfPattern()
-		if len(half) != (len(ns.Pattern)+1)/2 {
-			t.Errorf("node %s: half length %d of %d", s.Tree.Name(ns.Node), len(half), len(ns.Pattern))
 		}
 	}
 	if !sawTieFree {

@@ -79,16 +79,3 @@ func Analyze(t *tree.Tree, speedup rat.R) ([]Upgrade, error) {
 	})
 	return out, nil
 }
-
-// Best returns the single most valuable upgrade; ok is false when the
-// platform has no upgradable resources (e.g. a lone switch).
-func Best(t *tree.Tree, speedup rat.R) (Upgrade, bool, error) {
-	ups, err := Analyze(t, speedup)
-	if err != nil {
-		return Upgrade{}, false, err
-	}
-	if len(ups) == 0 {
-		return Upgrade{}, false, nil
-	}
-	return ups[0], true, nil
-}

@@ -43,10 +43,11 @@ func TestGainsNonNegativeAndBottleneckAligned(t *testing.T) {
 
 func TestBestUpgradeOnPaperTree(t *testing.T) {
 	tr := paperexample.Tree()
-	best, ok, err := Best(tr, rat.Two)
-	if err != nil || !ok {
-		t.Fatalf("%v %v", err, ok)
+	ups, err := Analyze(tr, rat.Two)
+	if err != nil || len(ups) == 0 {
+		t.Fatalf("%d upgrades, err %v", len(ups), err)
 	}
+	best := ups[0]
 	if !best.Gain.IsPos() {
 		t.Fatalf("best gain %s not positive", best.Gain)
 	}
@@ -56,7 +57,6 @@ func TestBestUpgradeOnPaperTree(t *testing.T) {
 	if !best.Gain.Equal(rat.New(1, 4)) || best.Kind != Link {
 		t.Fatalf("best = %s/%s gain %s, want a link gaining 1/4", tr.Name(best.Node), best.Kind, best.Gain)
 	}
-	ups, _ := Analyze(tr, rat.Two)
 	for _, u := range ups {
 		if u.Node == tr.Root() && u.Kind == CPU {
 			if !u.Gain.Equal(rat.New(1, 9)) {
@@ -100,8 +100,8 @@ func TestValidation(t *testing.T) {
 	}
 	// A lone switch has nothing to upgrade.
 	sw := tree.NewBuilder().RootSwitch("s").MustBuild()
-	if _, ok, err := Best(sw, rat.Two); err != nil || ok {
-		t.Fatalf("lone switch: ok=%v err=%v", ok, err)
+	if ups, err := Analyze(sw, rat.Two); err != nil || len(ups) != 0 {
+		t.Fatalf("lone switch: %d upgrades, err %v", len(ups), err)
 	}
 }
 

@@ -460,6 +460,7 @@ func TestSteadyUtilizationMatchesAnalytic(t *testing.T) {
 	}
 	// Steady window: periods 5..9 (18 units each).
 	from, to := rat.FromInt(18*5), rat.FromInt(18*10)
+	span := to.Sub(from)
 	for id := 0; id < tr.Len(); id++ {
 		nid := tree.NodeID(id)
 		st := res.Nodes[id]
@@ -468,7 +469,7 @@ func TestSteadyUtilizationMatchesAnalytic(t *testing.T) {
 		}
 		if w, ok := tr.ProcTime(nid); ok {
 			want := st.Alpha.Mul(w)
-			got := run.Trace.Utilization(nid, trace.Compute, from, to)
+			got := run.Trace.BusyTime(nid, trace.Compute, from, to).Div(span)
 			if !got.Equal(want) {
 				t.Errorf("node %s cpu util %s, want w·α = %s", tr.Name(nid), got, want)
 			}
@@ -477,7 +478,7 @@ func TestSteadyUtilizationMatchesAnalytic(t *testing.T) {
 		for j, c := range tr.Children(nid) {
 			spent = spent.Add(st.SendRates[j].Mul(tr.CommTime(c)))
 		}
-		got := run.Trace.Utilization(nid, trace.Send, from, to)
+		got := run.Trace.BusyTime(nid, trace.Send, from, to).Div(span)
 		if !got.Equal(spent) {
 			t.Errorf("node %s send util %s, want Σc·η = %s", tr.Name(nid), got, spent)
 		}

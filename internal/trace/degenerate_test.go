@@ -65,14 +65,11 @@ func TestZeroLengthIntervalStatistics(t *testing.T) {
 	if got := tr.BusyTime(0, Compute, rat.Zero, rat.FromInt(10)); !got.Equal(rat.Two) {
 		t.Fatalf("BusyTime = %s, want 2", got)
 	}
-	// A zero-length measurement window has no meaningful utilization.
-	if got := tr.Utilization(0, Compute, at, at); !got.IsZero() {
-		t.Fatalf("Utilization over empty window = %s", got)
+	// A zero-length measurement window holds no busy time.
+	if got := tr.BusyTime(0, Compute, at, at); !got.IsZero() {
+		t.Fatalf("BusyTime over empty window = %s", got)
 	}
 	// Reversed windows behave like empty ones.
-	if got := tr.Utilization(0, Compute, rat.FromInt(4), rat.Zero); !got.IsZero() {
-		t.Fatalf("Utilization over reversed window = %s", got)
-	}
 	if got := tr.BusyTime(0, Compute, rat.FromInt(4), rat.Zero); !got.IsZero() {
 		t.Fatalf("BusyTime over reversed window = %s", got)
 	}

@@ -226,14 +226,3 @@ func (tr *Trace) BusyTime(node tree.NodeID, kind Kind, from, to rat.R) rat.R {
 	}
 	return busy
 }
-
-// Utilization returns the fraction of [from, to) the node's resource was
-// busy: its steady-state value is w·α for the CPU and Σ c_j·η_j for the
-// send port, which experiment tests verify against the analytic rates.
-func (tr *Trace) Utilization(node tree.NodeID, kind Kind, from, to rat.R) rat.R {
-	span := to.Sub(from)
-	if !span.IsPos() {
-		return rat.Zero
-	}
-	return tr.BusyTime(node, kind, from, to).Div(span)
-}

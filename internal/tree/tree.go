@@ -154,9 +154,6 @@ func (t *Tree) Parent(id NodeID) NodeID { t.check(id); return t.nodes[id].parent
 // slice must not be modified.
 func (t *Tree) Children(id NodeID) []NodeID { t.check(id); return t.nodes[id].children }
 
-// IsLeaf reports whether the node has no children.
-func (t *Tree) IsLeaf(id NodeID) bool { return len(t.Children(id)) == 0 }
-
 // Depth returns the number of edges from the root to the node (0 for the
 // root).
 func (t *Tree) Depth(id NodeID) int {
@@ -178,16 +175,6 @@ func (t *Tree) Height() int {
 		}
 	}
 	return h
-}
-
-// Ancestors returns the node's ancestors from its parent up to the root.
-func (t *Tree) Ancestors(id NodeID) []NodeID {
-	t.check(id)
-	var out []NodeID
-	for p := t.nodes[id].parent; p != None; p = t.nodes[p].parent {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Walk visits the subtree rooted at id in preorder (parent before children,
@@ -222,25 +209,6 @@ func (t *Tree) PostOrder(id NodeID) []NodeID {
 	}
 	t.check(id)
 	rec(id)
-	return out
-}
-
-// SubtreeSize returns the number of nodes in the subtree rooted at id.
-func (t *Tree) SubtreeSize(id NodeID) int {
-	n := 0
-	t.Walk(id, func(NodeID) bool { n++; return true })
-	return n
-}
-
-// Leaves returns all leaves of the subtree rooted at id, in preorder.
-func (t *Tree) Leaves(id NodeID) []NodeID {
-	var out []NodeID
-	t.Walk(id, func(n NodeID) bool {
-		if t.IsLeaf(n) {
-			out = append(out, n)
-		}
-		return true
-	})
 	return out
 }
 

@@ -124,12 +124,16 @@ func TestDepthHeightAncestors(t *testing.T) {
 	if h := tr.Height(); h != 2 {
 		t.Fatalf("height = %d", h)
 	}
-	anc := tr.Ancestors(p4)
-	if len(anc) != 2 || tr.Name(anc[0]) != "P3" || tr.Name(anc[1]) != "P0" {
+	// The parent chain climbs P4's ancestors to the root.
+	var anc []string
+	for p := tr.Parent(p4); p != None; p = tr.Parent(p) {
+		anc = append(anc, tr.Name(p))
+	}
+	if strings.Join(anc, " ") != "P3 P0" {
 		t.Fatalf("ancestors(P4) = %v", anc)
 	}
-	if len(tr.Ancestors(tr.Root())) != 0 {
-		t.Fatal("root has ancestors")
+	if tr.Parent(tr.Root()) != None {
+		t.Fatal("root has a parent")
 	}
 }
 
@@ -161,24 +165,25 @@ func TestWalkAndPostOrder(t *testing.T) {
 	}
 }
 
+// TestSubtreeSizeLeaves: a walk from a node visits exactly its subtree,
+// whose leaves are the visited nodes without children.
 func TestSubtreeSizeLeaves(t *testing.T) {
 	tr := sample(t)
-	if s := tr.SubtreeSize(tr.Root()); s != 5 {
-		t.Fatalf("size(root) = %d", s)
+	walk := func(id NodeID) (nodes, leaves []string) {
+		tr.Walk(id, func(n NodeID) bool {
+			nodes = append(nodes, tr.Name(n))
+			if len(tr.Children(n)) == 0 {
+				leaves = append(leaves, tr.Name(n))
+			}
+			return true
+		})
+		return nodes, leaves
 	}
-	if s := tr.SubtreeSize(tr.MustLookup("P3")); s != 2 {
-		t.Fatalf("size(P3) = %d", s)
+	if nodes, leaves := walk(tr.Root()); len(nodes) != 5 || strings.Join(leaves, " ") != "P1 P2 P4" {
+		t.Fatalf("root subtree %v, leaves %v", nodes, leaves)
 	}
-	leaves := tr.Leaves(tr.Root())
-	var names []string
-	for _, id := range leaves {
-		names = append(names, tr.Name(id))
-	}
-	if strings.Join(names, " ") != "P1 P2 P4" {
-		t.Fatalf("leaves = %v", names)
-	}
-	if !tr.IsLeaf(tr.MustLookup("P4")) || tr.IsLeaf(tr.Root()) {
-		t.Fatal("IsLeaf wrong")
+	if nodes, leaves := walk(tr.MustLookup("P3")); strings.Join(nodes, " ") != "P3 P4" || strings.Join(leaves, " ") != "P4" {
+		t.Fatalf("P3 subtree %v, leaves %v", nodes, leaves)
 	}
 }
 

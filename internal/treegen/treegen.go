@@ -67,16 +67,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind maps a name back to its Kind.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("treegen: unknown kind %q", s)
-}
-
 // randRat draws a rational in (0, maxNum/denom] with denominator denom.
 func randRat(r *rand.Rand, maxNum, denom int64) rat.R {
 	return rat.New(r.Int63n(maxNum)+1, denom)

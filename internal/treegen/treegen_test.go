@@ -101,15 +101,17 @@ func TestAllWeightsPositive(t *testing.T) {
 	}
 }
 
+// TestKindStringRoundTrip: every kind has a name of its own, so a name
+// (bwsched gen -kind) selects exactly one kind by matching String over
+// Kinds.
 func TestKindStringRoundTrip(t *testing.T) {
+	seen := map[string]Kind{}
 	for _, k := range Kinds {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("round trip %v: %v %v", k, got, err)
+		name := k.String()
+		if prev, dup := seen[name]; dup || name == "" || kindNames[k] != name {
+			t.Errorf("kind %d: name %q (already %v)", int(k), name, prev)
 		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind(bogus) succeeded")
+		seen[name] = k
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind String empty")

@@ -50,7 +50,7 @@ type callCfg struct {
 	anOptions AnalyzeOptions
 	anSet     bool
 
-	// Adaptive runtime (SimulateAdaptive, DetectDrift, SimulateChurn).
+	// Adaptive runtime (SimulateAdaptive, SimulateChurn).
 	adaptOptions adapt.Options
 	faults       []Fault
 	detectOnly   bool
@@ -61,7 +61,6 @@ type callCfg struct {
 	flapThreshold  int
 	flapWindow     Rational
 	resolveRetries int
-	retryBackoff   Rational
 }
 
 func buildCfg(opts []Option) callCfg {
@@ -149,7 +148,7 @@ func WithAnalyzeOptions(o AnalyzeOptions) Option {
 }
 
 // WithFaults appends scripted perturbations to the fault timeline of
-// SimulateAdaptive, DetectDrift and SimulateChurn (see DegradeLink,
+// SimulateAdaptive and SimulateChurn (see DegradeLink,
 // SlowNode, CrashNode, RandomFaults).
 func WithFaults(faults ...Fault) Option {
 	return func(c *callCfg) { c.faults = append(c.faults, faults...) }
@@ -182,8 +181,7 @@ func WithMaxAdapts(n int) Option {
 
 // WithDetectOnly disables adaptation in SimulateAdaptive and
 // SimulateChurn: the first detected drift surfaces as an error wrapping
-// ErrScheduleStale instead of triggering a re-solve. DetectDrift is
-// shorthand for SimulateAdaptive with this.
+// ErrScheduleStale instead of triggering a re-solve.
 func WithDetectOnly() Option {
 	return func(c *callCfg) { c.detectOnly = true }
 }
@@ -215,13 +213,10 @@ func WithFlapQuarantine(threshold int, window Rational) Option {
 }
 
 // WithResolveRetries bounds how many consecutive failed churn re-solves
-// are retried, each backing off exponentially from the given base (zero
-// base uses the detection window), before the run collapses.
-func WithResolveRetries(n int, backoff Rational) Option {
-	return func(c *callCfg) {
-		c.resolveRetries = n
-		c.retryBackoff = backoff
-	}
+// are retried, each backing off exponentially from the detection window,
+// before the run collapses.
+func WithResolveRetries(n int) Option {
+	return func(c *callCfg) { c.resolveRetries = n }
 }
 
 // materializers
@@ -264,7 +259,6 @@ func (c callCfg) buildChurnOptions() adapt.ChurnOptions {
 		Churn:          c.churn,
 		RetentionFloor: c.retentionFloor,
 		ResolveRetries: c.resolveRetries,
-		RetryBackoff:   c.retryBackoff,
 		FlapThreshold:  c.flapThreshold,
 		FlapWindow:     c.flapWindow,
 	}

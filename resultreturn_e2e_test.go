@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bwc"
-	"bwc/internal/graphlp"
 	"bwc/internal/treegen"
 )
 
@@ -23,8 +22,9 @@ P2 M  1/2 1   1/2
 // model predicts 1, and an actual engine run must realize the separate
 // flows — every result drained to the root, the conformance analyzer's
 // result-return verdict PASS (its folded-model detector asserts the
-// measured rate exceeds the folded bound). The graph layer's own
-// separate-flows LP stays as an independent oracle for the tree LP.
+// measured rate exceeds the folded bound). internal/graphlp's tests
+// cross-check the tree LP on this star against the graph layer's own
+// separate-flows LP.
 func TestE10ResultReturnEndToEnd(t *testing.T) {
 	tr, err := bwc.ParsePlatformString(counterExamplePlatform)
 	if err != nil {
@@ -50,25 +50,6 @@ func TestE10ResultReturnEndToEnd(t *testing.T) {
 	}
 	if !folded.Equal(bwc.RatInt(1)) {
 		t.Fatalf("folded baseline %s, want 1", folded)
-	}
-
-	// Cross-check: the same star built as a platform graph, solved by
-	// the graph layer's separate-flows LP (an independent formulation),
-	// must agree with the tree LP.
-	g := bwc.NewGraphBuilder().
-		Switch("M").
-		Node("P1", bwc.RatInt(1)).
-		Node("P2", bwc.RatInt(1)).
-		Link("M", "P1", bwc.Rat(1, 2)).
-		Link("M", "P2", bwc.Rat(1, 2)).
-		Master("M").
-		MustBuild()
-	graphOpt, err := graphlp.OptimalThroughputWithReturns(g, bwc.Rat(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphOpt.Equal(exact) {
-		t.Fatalf("graph LP %s disagrees with tree LP %s", graphOpt, exact)
 	}
 
 	// Engine layer: run a batch, require full drain and the analyzer's
@@ -195,7 +176,7 @@ func TestFoldedReturnsMatchesChained(t *testing.T) {
 		for i := 1; i < len(ds); i++ {
 			ds[i] = bwc.Rat(int64(i%4), int64(1+i%5)) // every fourth link returns for free
 		}
-		perLink, err := bwc.PlatformWithResultReturn(fwd, ds)
+		perLink, err := fwd.WithReturnTimes(ds)
 		if err != nil {
 			t.Fatal(err)
 		}

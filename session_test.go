@@ -6,7 +6,6 @@ import (
 
 	"bwc"
 	"bwc/internal/benchfix"
-	"bwc/internal/rat"
 	"bwc/internal/sched"
 )
 
@@ -420,8 +419,8 @@ func TestSessionSchedulePeriodsConcurrent(t *testing.T) {
 	}
 	for id := range s.Nodes {
 		n := bwc.NodeID(id)
-		if !got[0].T0(n).Equal(rat.FromBigInt(fresh.T0(n))) {
-			t.Fatalf("node %d: T0 %s, a fresh build's %s", id, got[0].T0(n), fresh.T0(n))
+		if want := fresh.Periods().T0(n); !got[0].T0(n).Equal(want) {
+			t.Fatalf("node %d: T0 %s, a fresh build's %s", id, got[0].T0(n), want)
 		}
 	}
 }
