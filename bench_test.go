@@ -317,24 +317,20 @@ func BenchmarkE14Renegotiation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var run *bwc.DynRun
+	timeline := bwc.WithSimOptions(bwc.SimOptions{
+		Phases:  []bwc.DynPhase{{At: bwc.RatInt(160), Schedule: sAfter}},
+		Physics: []bwc.DynPhysics{{At: bwc.RatInt(120), Tree: after}},
+	})
+	var run *bwc.Run
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err = bwc.SimulateDynamic(bwc.DynOptions{
-			Phases: []bwc.DynPhase{
-				{At: bwc.RatInt(0), Schedule: sBefore},
-				{At: bwc.RatInt(160), Schedule: sAfter},
-			},
-			Physics:       []bwc.DynPhysics{{At: bwc.RatInt(120), Tree: after}},
-			Stop:          bwc.RatInt(400),
-			SkipIntervals: true,
-		})
+		run, err = bwc.Simulate(sBefore, bwc.WithStop(bwc.RatInt(400)), bwc.WithSkipIntervals(), timeline)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(run.Completed), "tasks")
-	b.ReportMetric(float64(run.Dropped), "dropped")
+	b.ReportMetric(float64(run.Stats.Completed), "tasks")
+	b.ReportMetric(float64(run.Stats.Dropped), "dropped")
 }
 
 // E15 — Section 6: bounding "embarrassingly long" periods by quantizing

@@ -111,14 +111,10 @@ type (
 	Trace = trace.Trace
 	// DemandOptions configures the demand-driven comparator protocol.
 	DemandOptions = kreaseck.Options
-	// DynOptions configures a dynamic (multi-phase) simulation.
-	DynOptions = sim.DynOptions
-	// DynPhase activates a schedule at a point in virtual time.
+	// DynPhase is one schedule switch of SimOptions.Phases.
 	DynPhase = sim.Phase
-	// DynPhysics swaps the platform weights at a point in virtual time.
+	// DynPhysics is one weight change of SimOptions.Physics.
 	DynPhysics = sim.PhysicsChange
-	// DynRun is the result of a dynamic simulation.
-	DynRun = sim.DynRun
 	// ExecuteConfig configures a real goroutine-backed execution of a
 	// schedule (wall-clock, not simulated).
 	ExecuteConfig = runtime.Config
@@ -324,16 +320,13 @@ func QuantizeSchedule(res *Result, den int64, opts ...Option) (*Schedule, Ration
 // start-up from empty buffers, wind-down after the horizon. Exactly one
 // of WithStop / WithPeriods / WithTasks must set the horizon;
 // WithObserver instruments the run and WithSimOptions seeds the rarer
-// knobs (BurstRoot, MaxEvents).
+// knobs (BurstRoot, MaxEvents). SimOptions.Phases and Physics give the
+// run a timeline: the deployed schedule and the platform's physics may
+// change at different moments, measuring the paper's open question
+// about re-negotiation overhead (Section 5 / future work).
 func Simulate(s *Schedule, opts ...Option) (*Run, error) {
 	return sim.Simulate(s, buildCfg(opts).buildSimOptions())
 }
-
-// SimulateDynamic runs a multi-phase simulation: the platform's physics
-// and the deployed schedules may change at different moments, measuring
-// the paper's open question about re-negotiation overhead (Section 5 /
-// future work).
-func SimulateDynamic(opt DynOptions) (*DynRun, error) { return sim.SimulateDynamic(opt) }
 
 // Execute runs a batch as a real concurrent Master-Worker application:
 // goroutines per node, channels as links, wall-clock pacing scaled by

@@ -341,19 +341,15 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := bwc.SimulateDynamic(bwc.DynOptions{
-		Phases: []bwc.DynPhase{
-			{At: bwc.RatInt(0), Schedule: full},
-			{At: bwc.RatInt(100), Schedule: sAfter},
-		},
-		Physics:       []bwc.DynPhysics{{At: bwc.RatInt(80), Tree: after}},
-		Stop:          bwc.RatInt(200),
-		SkipIntervals: true,
-	})
+	dyn, err := bwc.Simulate(full, bwc.WithStop(bwc.RatInt(200)), bwc.WithSkipIntervals(),
+		bwc.WithSimOptions(bwc.SimOptions{
+			Phases:  []bwc.DynPhase{{At: bwc.RatInt(100), Schedule: sAfter}},
+			Physics: []bwc.DynPhysics{{At: bwc.RatInt(80), Tree: after}},
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.Generated != dyn.Completed+dyn.Dropped {
+	if st := dyn.Stats; st.Generated != st.Completed+st.Dropped {
 		t.Fatal("dynamic conservation")
 	}
 	// Upgrades through the facade.
@@ -421,12 +417,8 @@ func TestFacadeAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	ob2 := bwc.NewObserver()
-	dyn, err := bwc.SimulateDynamic(bwc.DynOptions{
-		Phases:  []bwc.DynPhase{{Schedule: s}},
-		Physics: []bwc.DynPhysics{{Tree: slow}},
-		Stop:    bwc.RatInt(360),
-		Obs:     ob2,
-	})
+	dyn, err := bwc.Simulate(s, bwc.WithStop(bwc.RatInt(360)), bwc.WithObserver(ob2),
+		bwc.WithSimOptions(bwc.SimOptions{Physics: []bwc.DynPhysics{{Tree: slow}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +431,19 @@ func TestFacadeAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.Generated == 0 || bad.Healthy() {
+	if dyn.Stats.Generated == 0 || bad.Healthy() {
 		t.Fatal("degraded link went undetected through the facade")
+	}
+	// Read in place, the same run fails the same checks; its counters
+	// add a task-conservation verdict the exported spans lack.
+	inPlace := bwc.AnalyzeRun(dyn)
+	for _, c := range bad.Checks {
+		if got := inPlace.Check(c.Name); c.Verdict == bwc.HealthFail && (got == nil || got.Verdict != bwc.HealthFail) {
+			t.Errorf("%s fails on the exported spans but not on the run read in place: %+v", c.Name, got)
+		}
+	}
+	if inPlace.Failed != bad.Failed {
+		t.Fatalf("the run read in place fails %d checks, its exported spans %d", inPlace.Failed, bad.Failed)
 	}
 	if c := bad.Check("buffer-watermark"); c == nil || c.Verdict != bwc.HealthFail {
 		t.Fatalf("buffer-watermark: %+v", c)

@@ -55,12 +55,8 @@ func TestAnalyzeFaultExitsNonzero(t *testing.T) {
 		t.Fatal(err)
 	}
 	ob := bwc.NewObserver()
-	_, err = bwc.SimulateDynamic(bwc.DynOptions{
-		Phases:  []bwc.DynPhase{{Schedule: s}},
-		Physics: []bwc.DynPhysics{{Tree: slow}},
-		Stop:    bwc.RatInt(360),
-		Obs:     ob,
-	})
+	_, err = bwc.Simulate(s, bwc.WithStop(bwc.RatInt(360)), bwc.WithObserver(ob),
+		bwc.WithSimOptions(bwc.SimOptions{Physics: []bwc.DynPhysics{{Tree: slow}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -643,18 +643,14 @@ func cmdDynamic(args []string) error {
 	if *logOut != "" {
 		ob = bwc.NewObserver()
 	}
-	run, err := bwc.SimulateDynamic(bwc.DynOptions{
-		Phases: []bwc.DynPhase{
-			{At: bwc.RatInt(0), Schedule: sBefore},
-			{At: atR.Add(lagR), Schedule: sAfter},
-		},
+	run, err := bwc.Simulate(sBefore, bwc.WithStop(stopR), bwc.WithSimOptions(bwc.SimOptions{
+		Phases:  []bwc.DynPhase{{At: atR.Add(lagR), Schedule: sAfter}},
 		Physics: []bwc.DynPhysics{{At: atR, Tree: after}},
-		Stop:    stopR,
 		// Interval recording feeds the exported spans; skip it only when
 		// nothing will be exported.
 		SkipIntervals: ob == nil,
 		Obs:           ob,
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -672,8 +668,9 @@ func cmdDynamic(args []string) error {
 	}
 	fmt.Printf("rates:        %s before, %s after the change\n", resBefore.Throughput, resAfter.Throughput)
 	fmt.Printf("change at:    %s; schedules switch at %s (lag %s)\n", atR, atR.Add(lagR), lagR)
-	fmt.Printf("tasks:        %d generated, %d completed, %d dropped\n", run.Generated, run.Completed, run.Dropped)
-	fmt.Printf("wind-down:    %s; max buffered %d\n", run.WindDown, run.MaxHeld)
+	st := run.Stats
+	fmt.Printf("tasks:        %d generated, %d completed, %d dropped\n", st.Generated, st.Completed, st.Dropped)
+	fmt.Printf("wind-down:    %s; max buffered %d\n", st.WindDown, st.MaxHeld)
 	return nil
 }
 

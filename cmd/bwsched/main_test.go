@@ -242,14 +242,31 @@ func TestCmdOverlay(t *testing.T) {
 	}
 }
 
+// TestCmdDynamic pins the full transcript of the two documented
+// scenarios: a degradation renegotiated after a 40-unit lag, and the
+// stale schedule CI feeds to the analyzer (the switch at 1000 falls
+// after the stop, so the old schedule runs on the degraded link to the
+// end).
 func TestCmdDynamic(t *testing.T) {
 	f := platformFile(t)
-	out := capture(t, func() error {
-		return cmdDynamic([]string{"-f", f, "-degrade", "P1=4", "-at", "120", "-lag", "40", "-stop", "400"})
-	})
-	for _, frag := range []string{"rates:        10/9 before, 137/180 after", "360 generated, 360 completed"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("dynamic output missing %q:\n%s", frag, out)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-degrade", "P1=4", "-at", "120", "-lag", "40", "-stop", "400"}, `rates:        10/9 before, 137/180 after the change
+change at:    120; schedules switch at 160 (lag 40)
+tasks:        360 generated, 360 completed, 0 dropped
+wind-down:    823/10; max buffered 49
+`},
+		{[]string{"-degrade", "P4=6", "-at", "0", "-lag", "1000", "-stop", "360"}, `rates:        10/9 before, 37/36 after the change
+change at:    0; schedules switch at 1000 (lag 1000)
+tasks:        400 generated, 400 completed, 0 dropped
+wind-down:    2773/10; max buffered 57
+`},
+	} {
+		out := capture(t, func() error { return cmdDynamic(append([]string{"-f", f}, c.args...)) })
+		if out != c.want {
+			t.Errorf("dynamic %v:\n%s\nwant:\n%s", c.args, out, c.want)
 		}
 	}
 	bad := [][]string{

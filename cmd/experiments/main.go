@@ -417,21 +417,17 @@ func e14() {
 		resAfter.Throughput)
 	fmt.Printf("          %-10s %18s %18s %10s\n", "lag", "tasks in window", "ideal", "overhead")
 	for _, lag := range []int64{0, 20, 40, 80} {
-		run, err := bwc.SimulateDynamic(bwc.DynOptions{
-			Phases: []bwc.DynPhase{
-				{At: bwc.RatInt(0), Schedule: sBefore},
-				{At: bwc.RatInt(120 + lag), Schedule: sAfter},
-			},
-			Physics:       []bwc.DynPhysics{{At: bwc.RatInt(120), Tree: after}},
-			Stop:          bwc.RatInt(400),
-			SkipIntervals: true,
-		})
+		run, err := bwc.Simulate(sBefore, bwc.WithStop(bwc.RatInt(400)), bwc.WithSkipIntervals(),
+			bwc.WithSimOptions(bwc.SimOptions{
+				Phases:  []bwc.DynPhase{{At: bwc.RatInt(120 + lag), Schedule: sAfter}},
+				Physics: []bwc.DynPhysics{{At: bwc.RatInt(120), Tree: after}},
+			}))
 		check(err)
 		got := run.Trace.CompletedIn(bwc.RatInt(120), bwc.RatInt(windowEnd))
 		overhead := ideal.Sub(bwc.RatInt(int64(got)))
 		fmt.Printf("          %-10d %18d %18s %10s\n", lag, got, ideal, overhead)
-		if run.Dropped > 0 {
-			fmt.Printf("          (lag %d: %d stragglers re-routed or dropped)\n", lag, run.Dropped)
+		if run.Stats.Dropped > 0 {
+			fmt.Printf("          (lag %d: %d stragglers re-routed or dropped)\n", lag, run.Stats.Dropped)
 		}
 	}
 	fmt.Printf("          the BW-First messages themselves are ~%d scalars (E9): the real cost\n", 16)

@@ -124,7 +124,7 @@ type Adaptation struct {
 type SimReport struct {
 	// Run is the final verification run: the full timeline with every
 	// adaptation applied.
-	Run *sim.DynRun
+	Run *sim.Run
 	// Drifts lists every drift the loop detected, in order: each one it
 	// acted on (the Drift of an Adaptation), each one whose re-solve it
 	// retried, and a last one it could not act on — too late for a swap
@@ -233,7 +233,7 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 	}
 	rep.Baseline, rep.Final = prevRes.Throughput, prevRes.Throughput
 
-	phases := []sim.Phase{{At: rat.Zero, Schedule: s}}
+	var phases []sim.Phase // the swaps after s, which runs from 0
 	segStart, active := rat.Zero, s
 	// settle is the absolute time before which the active regime is not
 	// yet owed its steady state: its Proposition 4 start-up bound past the
@@ -246,7 +246,7 @@ func control(s *sched.Schedule, opt ChurnOptions, churn bool) (*ChurnReport, err
 	var collapse error
 
 	for {
-		run, err := simulateOnce(phases, physics, opt.Stop)
+		run, err := simulateOnce(s, phases, physics, opt.Stop)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +387,7 @@ func (r *SimReport) note(sc *obs.Scope, at rat.R, name, line string, attrs ...ob
 // schedule's tree-period grid (anchored at the last swap) so that
 // per-node steady-state expectations are exact integers.
 func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsChange, opt Options, segStart rat.R, s *sched.Schedule) error {
-	final := phases[len(phases)-1].Schedule
+	final := rep.FinalSchedule()
 	verifyStop := opt.Stop
 	var postFrom, onsetW rat.R
 	if len(rep.Adaptations) > 0 {
@@ -403,7 +403,7 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 		verifyStop = rat.Max(verifyStop, postFrom.Add(tp.Mul(rat.FromInt(verifyPeriods))))
 		onsetW = tp
 	}
-	run, err := simulateOnce(phases, physics, verifyStop)
+	run, err := simulateOnce(s, phases, physics, verifyStop)
 	if err != nil {
 		return err
 	}
@@ -423,14 +423,9 @@ func verifyAndReport(rep *SimReport, phases []sim.Phase, physics []sim.PhysicsCh
 	return nil
 }
 
-// simulateOnce runs the accumulated timeline under a fresh scope.
-func simulateOnce(phases []sim.Phase, physics []sim.PhysicsChange, stop rat.R) (*sim.DynRun, error) {
-	return sim.SimulateDynamic(sim.DynOptions{
-		Phases:  phases,
-		Physics: physics,
-		Stop:    stop,
-		Obs:     obs.New(),
-	})
+// simulateOnce runs s and the accumulated timeline under a fresh scope.
+func simulateOnce(s *sched.Schedule, phases []sim.Phase, physics []sim.PhysicsChange, stop rat.R) (*sim.Run, error) {
+	return sim.Simulate(s, sim.Options{Stop: stop, Phases: phases, Physics: physics, Obs: obs.New()})
 }
 
 // physicsAt returns the platform in effect at time t.

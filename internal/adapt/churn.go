@@ -327,8 +327,8 @@ func finishChurn(rep *ChurnReport, base *tree.Tree, physics []sim.PhysicsChange,
 	if oracle, err := bwfirst.SolvePruned(finalPlat, prunedSet(finalPlat, faults, opt.Stop, nil)); err == nil {
 		rep.Oracle = oracle.Throughput
 	}
-	if fs := rep.FinalSchedule(); fs != nil && fs.Res != nil {
-		rep.Final = fs.Res.Throughput
+	if fs := rep.FinalSchedule(); fs != nil {
+		rep.Final = fs.Throughput()
 	}
 	if rep.Oracle.IsPos() {
 		rep.Retention = rep.Final.Div(rep.Oracle).Float64()

@@ -95,7 +95,7 @@ func (f Fault) String() string {
 // crashes scale the victim's w by crashFactor (its link is untouched; a
 // crashed switch changes no weight — it is pruned at negotiation time
 // instead). The returned changes share the base tree's shape, as
-// sim.SimulateDynamic requires.
+// sim.Simulate requires.
 func Timeline(base *tree.Tree, faults []Fault, crashFactor rat.R) ([]sim.PhysicsChange, error) {
 	if len(faults) == 0 {
 		return nil, nil

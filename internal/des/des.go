@@ -11,12 +11,10 @@
 // An event is a pointer-free record: its time as the int64 numerator and
 // denominator of its rat.R, its sequence number, and a typed payload
 // (Event). The engine's owner installs one Handler that receives every
-// typed event, so a model's per-task transitions allocate nothing and the
-// heap holds nothing for the collector to scan. A time off the int64 path
-// lives in a side slice the record indexes and compares through rat.Cmp:
-// exact promotion, the same way rat itself promotes. A closure (At) is
-// one more record kind, an index into a side table, for once-per-run
-// callbacks and for models written as closures.
+// event, so a model's transitions allocate nothing and the heap holds
+// nothing for the collector to scan. A time off the int64 path lives in a
+// side slice the record indexes and compares through rat.Cmp: exact
+// promotion, the same way rat itself promotes.
 package des
 
 import (
@@ -26,12 +24,13 @@ import (
 	"bwc/internal/rat"
 )
 
-// Kind tells a typed event's handler which transition it is. Models
-// number their kinds from 0; the largest value is reserved for closures.
-type Kind uint8
+// DefaultMaxEvents is the drain bound a model applies when its options
+// leave MaxEvents zero: a guard against runs that never terminate.
+const DefaultMaxEvents = 20_000_000
 
-// kindFunc marks a closure record: Event.Task indexes Engine.fns.
-const kindFunc Kind = 255
+// Kind tells the handler which transition an event is. Models number
+// their kinds from 0.
+type Kind uint8
 
 // Event is the typed payload of a scheduled event. Its meaning belongs
 // to the model that posted it: Kind names the transition, Node the node
@@ -44,7 +43,7 @@ type Event struct {
 	Task int64
 }
 
-// Handler receives every typed event the engine fires.
+// Handler receives every event the engine fires.
 type Handler func(Event)
 
 // Handle identifies a scheduled event for cancellation. The zero Handle is
@@ -63,13 +62,11 @@ type record struct {
 }
 
 // Engine runs events in virtual time. The zero value is ready to use at
-// time 0; SetHandler must be called before a typed event fires.
+// time 0; SetHandler must be called before an event fires.
 type Engine struct {
 	events    []record // binary min-heap ordered by (time, seq)
 	big       []rat.R  // times off the int64 path, indexed by stamp.num
 	bigFree   []int64
-	fns       []func() // closures, indexed by Event.Task
-	fnFree    []int64
 	handler   Handler
 	now       stamp // den == 0 (the zero Engine) is time 0
 	nowBig    rat.R // the current time when now.den < 0
@@ -78,7 +75,7 @@ type Engine struct {
 	cancelled map[Handle]bool
 }
 
-// SetHandler installs the handler that receives every typed event.
+// SetHandler installs the handler that receives every event.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // Now returns the current virtual time.
@@ -98,8 +95,9 @@ func (e *Engine) Processed() uint64 { return e.count }
 // Pending returns how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Post schedules the typed event ev at absolute time t. Scheduling in the
-// past panics: it always indicates a logic error in the model.
+// Post schedules the event ev at absolute time t and returns a Handle
+// that Cancel accepts. Scheduling in the past panics: it always
+// indicates a logic error in the model.
 func (e *Engine) Post(t rat.R, ev Event) Handle {
 	if t.Less(e.Now()) {
 		panic(fmt.Sprintf("des: scheduling at %s before now %s", t, e.Now()))
@@ -119,34 +117,16 @@ func (e *Engine) Post(t rat.R, ev Event) Handle {
 	return Handle(e.seq)
 }
 
-// After schedules the typed event ev d time units from now (d must be
+// After schedules the event ev d time units from now (d must be
 // non-negative).
 func (e *Engine) After(d rat.R, ev Event) {
 	e.Post(e.Now().Add(d), ev)
 }
 
-// At schedules fn at absolute time t.
-func (e *Engine) At(t rat.R, fn func()) {
-	e.AtCancellable(t, fn)
-}
-
-// AtCancellable schedules fn at absolute time t and returns a Handle that
-// Cancel accepts. Models with preemption (e.g. the interruptible
-// communication model) cancel in-flight completion events.
-func (e *Engine) AtCancellable(t rat.R, fn func()) Handle {
-	ev := Event{Kind: kindFunc}
-	if k := len(e.fnFree); k > 0 {
-		ev.Task, e.fnFree = e.fnFree[k-1], e.fnFree[:k-1]
-		e.fns[ev.Task] = fn
-	} else {
-		ev.Task = int64(len(e.fns))
-		e.fns = append(e.fns, fn)
-	}
-	return e.Post(t, ev)
-}
-
 // Cancel prevents a scheduled event from firing. It reports whether the
 // event was still pending (false when it already fired or was cancelled).
+// Models with preemption (e.g. the interruptible communication model)
+// cancel in-flight completion events.
 func (e *Engine) Cancel(h Handle) bool {
 	if h == 0 || Handle(e.seq) < h {
 		return false
@@ -249,15 +229,11 @@ func (e *Engine) pop() record {
 	return top
 }
 
-// release frees the side-table slots a popped record held.
+// release frees the side-slice slot a popped record's time held.
 func (e *Engine) release(r *record) {
 	if r.at.den < 0 {
 		e.big[r.at.num] = rat.R{}
 		e.bigFree = append(e.bigFree, r.at.num)
-	}
-	if r.ev.Kind == kindFunc {
-		e.fns[r.ev.Task] = nil
-		e.fnFree = append(e.fnFree, r.ev.Task)
 	}
 }
 
@@ -276,40 +252,12 @@ func (e *Engine) Step() bool {
 		if r.at.den < 0 {
 			e.nowBig = e.big[r.at.num]
 		}
-		if r.ev.Kind != kindFunc {
-			e.release(&r)
-			e.count++
-			e.handler(r.ev)
-			return true
-		}
-		fn := e.fns[r.ev.Task]
 		e.release(&r)
 		e.count++
-		fn()
+		e.handler(r.ev)
 		return true
 	}
 	return false
-}
-
-// RunUntil fires events while the earliest live one is at or before
-// limit, then advances the clock to limit (if it is ahead). Events
-// scheduled during the run are processed too, as long as they fall
-// within the limit.
-func (e *Engine) RunUntil(limit rat.R) {
-	for {
-		at, ok := e.peekLive()
-		if !ok || !e.time(at).LessEq(limit) {
-			break
-		}
-		e.Step()
-	}
-	if e.Now().Less(limit) {
-		if n, d, ok := limit.Frac64(); ok {
-			e.now = stamp{n, d}
-		} else {
-			e.now, e.nowBig = stamp{den: -1}, limit
-		}
-	}
 }
 
 // Drain fires events until none remain or maxEvents is exceeded, in which

@@ -6,19 +6,27 @@ import (
 	"bwc/internal/rat"
 )
 
-func TestOrderingByTime(t *testing.T) {
+// recording returns an engine whose handler appends each fired event's
+// Task to the returned slice.
+func recording() (*Engine, *[]int64) {
 	var e Engine
-	var got []int
-	e.At(rat.Two, func() { got = append(got, 2) })
-	e.At(rat.One, func() { got = append(got, 1) })
-	e.At(rat.New(3, 2), func() { got = append(got, 15) })
+	got := new([]int64)
+	e.SetHandler(func(ev Event) { *got = append(*got, ev.Task) })
+	return &e, got
+}
+
+func TestOrderingByTime(t *testing.T) {
+	e, got := recording()
+	e.Post(rat.Two, Event{Task: 2})
+	e.Post(rat.One, Event{Task: 1})
+	e.Post(rat.New(3, 2), Event{Task: 15})
 	if err := e.Drain(100); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 15, 2}
+	want := []int64{1, 15, 2}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
+		if (*got)[i] != want[i] {
+			t.Fatalf("order = %v", *got)
 		}
 	}
 	if !e.Now().Equal(rat.Two) {
@@ -30,17 +38,16 @@ func TestOrderingByTime(t *testing.T) {
 }
 
 func TestFIFOAtEqualTimes(t *testing.T) {
-	var e Engine
-	var got []int
-	for i := 0; i < 10; i++ {
-		e.At(rat.One, func() { got = append(got, i) })
+	e, got := recording()
+	for i := int64(0); i < 10; i++ {
+		e.Post(rat.One, Event{Task: i})
 	}
 	if err := e.Drain(100); err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("equal-time events out of order: %v", got)
+	for i, v := range *got {
+		if v != int64(i) {
+			t.Fatalf("equal-time events out of order: %v", *got)
 		}
 	}
 }
@@ -48,11 +55,14 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	var e Engine
 	var trail []string
-	e.At(rat.One, func() {
-		trail = append(trail, "a")
-		e.At(e.Now().Add(rat.New(1, 2)), func() { trail = append(trail, "b") })
+	e.SetHandler(func(ev Event) {
+		trail = append(trail, string(rune('a'+ev.Kind)))
+		if ev.Kind == 0 {
+			e.After(rat.New(1, 2), Event{Kind: 1})
+		}
 	})
-	e.At(rat.Two, func() { trail = append(trail, "c") })
+	e.Post(rat.One, Event{Kind: 0})
+	e.Post(rat.Two, Event{Kind: 2})
 	if err := e.Drain(100); err != nil {
 		t.Fatal(err)
 	}
@@ -62,40 +72,21 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 }
 
 func TestPastSchedulingPanics(t *testing.T) {
-	var e Engine
-	e.At(rat.One, func() {})
+	e, _ := recording()
+	e.Post(rat.One, Event{})
 	e.Step()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(rat.New(1, 2), func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.At(rat.One, func() { fired++ })
-	e.At(rat.Two, func() { fired++ })
-	e.At(rat.FromInt(5), func() { fired++ })
-	e.RunUntil(rat.FromInt(3))
-	if fired != 2 {
-		t.Fatalf("fired = %d", fired)
-	}
-	if !e.Now().Equal(rat.FromInt(3)) {
-		t.Fatalf("now = %s (clock should advance to the limit)", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
+	e.Post(rat.New(1, 2), Event{})
 }
 
 func TestDrainGuard(t *testing.T) {
 	var e Engine
-	var reschedule func()
-	reschedule = func() { e.At(e.Now().Add(rat.One), reschedule) }
-	e.At(rat.Zero, reschedule)
+	e.SetHandler(func(ev Event) { e.After(rat.One, ev) })
+	e.Post(rat.Zero, Event{})
 	if err := e.Drain(50); err == nil {
 		t.Fatal("runaway model not caught")
 	}
@@ -112,10 +103,9 @@ func TestStepOnEmpty(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	var e Engine
-	fired := []string{}
-	h1 := e.AtCancellable(rat.One, func() { fired = append(fired, "a") })
-	e.AtCancellable(rat.Two, func() { fired = append(fired, "b") })
+	e, fired := recording()
+	h1 := e.Post(rat.One, Event{Task: 1})
+	e.Post(rat.Two, Event{Task: 2})
 	if !e.Cancel(h1) {
 		t.Fatal("cancel of pending event failed")
 	}
@@ -125,8 +115,8 @@ func TestCancel(t *testing.T) {
 	if err := e.Drain(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 1 || fired[0] != "b" {
-		t.Fatalf("fired = %v", fired)
+	if len(*fired) != 1 || (*fired)[0] != 2 {
+		t.Fatalf("fired = %v", *fired)
 	}
 	// Clock must not have been advanced by the cancelled event... it ends
 	// at b's time.
@@ -139,8 +129,8 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelAfterFire(t *testing.T) {
-	var e Engine
-	h := e.AtCancellable(rat.One, func() {})
+	e, _ := recording()
+	h := e.Post(rat.One, Event{})
 	e.Step()
 	if e.Cancel(h) {
 		t.Fatal("cancelled an already-fired event")
@@ -150,23 +140,12 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestCancelledEventsSkippedByRunUntil(t *testing.T) {
-	var e Engine
-	n := 0
-	h := e.AtCancellable(rat.One, func() { n++ })
-	e.AtCancellable(rat.One, func() { n++ })
-	e.Cancel(h)
-	e.RunUntil(rat.Two)
-	if n != 1 {
-		t.Fatalf("n = %d", n)
-	}
-}
-
 func BenchmarkEngine10kEvents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var e Engine
+		e.SetHandler(func(Event) {})
 		for j := int64(0); j < 10000; j++ {
-			e.At(rat.New(j%97, 7), func() {})
+			e.Post(rat.New(j%97, 7), Event{Task: j})
 		}
 		if err := e.Drain(20000); err != nil {
 			b.Fatal(err)

@@ -10,12 +10,11 @@ import (
 )
 
 // refEvent is an event as the engine stored it before its records went
-// pointer-free: the time as a rat.R, and a closure or a typed payload.
+// pointer-free: the time as a rat.R, and the typed payload.
 type refEvent struct {
 	at  rat.R
 	seq uint64
 	ev  Event
-	fn  func()
 }
 
 // refHeap is the container/heap adapter the engine used before its typed
@@ -45,23 +44,17 @@ type refEngine struct {
 	handler   Handler
 }
 
-func (e *refEngine) Now() rat.R             { return e.now }
-func (e *refEngine) Processed() uint64      { return e.count }
-func (e *refEngine) Pending() int           { return len(e.events) }
-func (e *refEngine) SetHandler(h Handler)   { e.handler = h }
-func (e *refEngine) Post(t rat.R, ev Event) { e.push(t, refEvent{ev: ev}) }
+func (e *refEngine) Now() rat.R           { return e.now }
+func (e *refEngine) Processed() uint64    { return e.count }
+func (e *refEngine) Pending() int         { return len(e.events) }
+func (e *refEngine) SetHandler(h Handler) { e.handler = h }
 
-func (e *refEngine) AtCancellable(t rat.R, fn func()) Handle {
-	return e.push(t, refEvent{fn: fn})
-}
-
-func (e *refEngine) push(t rat.R, ev refEvent) Handle {
+func (e *refEngine) Post(t rat.R, ev Event) Handle {
 	if t.Less(e.now) {
 		panic("scheduling in the past")
 	}
 	e.seq++
-	ev.at, ev.seq = t, e.seq
-	heap.Push(&e.events, ev)
+	heap.Push(&e.events, refEvent{at: t, seq: e.seq, ev: ev})
 	return Handle(e.seq)
 }
 
@@ -93,27 +86,20 @@ func (e *refEngine) Step() bool {
 		}
 		e.now = ev.at
 		e.count++
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			e.handler(ev.ev)
-		}
+		e.handler(ev.ev)
 		return true
 	}
 	return false
 }
 
-func (e *refEngine) RunUntil(limit rat.R) {
-	for {
-		at, ok := e.peekLive()
-		if !ok || !at.LessEq(limit) {
-			break
+func (e *refEngine) Drain(maxEvents uint64) error {
+	start := e.count
+	for e.Step() {
+		if e.count-start > maxEvents {
+			return fmt.Errorf("drain exceeded %d events", maxEvents)
 		}
-		e.Step()
 	}
-	if e.now.Less(limit) {
-		e.now = limit
-	}
+	return nil
 }
 
 func (e *refEngine) peekLive() (rat.R, bool) {
@@ -163,25 +149,19 @@ type engineAPI interface {
 	Processed() uint64
 	Pending() int
 	SetHandler(h Handler)
-	Post(t rat.R, ev Event)
-	AtCancellable(t rat.R, fn func()) Handle
+	Post(t rat.R, ev Event) Handle
 	Cancel(h Handle) bool
 	Step() bool
-	RunUntil(limit rat.R)
+	Drain(maxEvents uint64) error
 	DrainBatched(maxEvents uint64, onBatch func(at, end rat.R, n uint64, more bool)) error
 }
-
-// typedEngine adapts Engine.Post, which also returns a Handle, to engineAPI.
-type typedEngine struct{ *Engine }
-
-func (e typedEngine) Post(t rat.R, ev Event) { e.Engine.Post(t, ev) }
 
 // offsets are the delays the differential schedules with. Few distinct
 // small offsets make many events share an instant. The large-prime
 // denominators make sums whose numerators and denominators approach
 // 2^62, so the cross products the heap compares pass 2^64; the 2^-70
-// steps take times off the int64 path, and sums with them stay off it
-// until a RunUntil moves the clock to an integer.
+// steps take times off the int64 path, and the clock leaves it whenever
+// such an event fires.
 var offsets = []rat.R{
 	rat.Zero, rat.New(1, 2), rat.One, rat.New(3, 2),
 	rat.New(2147483629, 2147483647), rat.New(4294967291, 2147483659),
@@ -190,9 +170,9 @@ var offsets = []rat.R{
 }
 
 // heapScript replays one random operation sequence on eng and returns
-// its transcript: every fired closure and typed event with its instant,
-// every batch, every Cancel and Step result, and the clock after each
-// operation. Follow-up events depend only on the firing event's label,
+// its transcript: every fired event with its instant, every batch and
+// drain, every Cancel and Step result, and the clock after each
+// operation. Follow-up events depend only on the firing event's payload,
 // so the same script drives both engines identically.
 func heapScript(seed int64, eng engineAPI) []string {
 	r := rand.New(rand.NewSource(seed))
@@ -205,31 +185,22 @@ func heapScript(seed int64, eng engineAPI) []string {
 		}
 		return offsets[r.Intn(4)]
 	}
-	var schedule func(at rat.R)
-	schedule = func(at rat.R) {
-		id := label
-		label++
-		handles = append(handles, eng.AtCancellable(at, func() {
-			log = append(log, fmt.Sprintf("fire %d at %s", id, eng.Now()))
-			if id%4 == 0 { // nested: same instant or a little later
-				schedule(eng.Now().Add(offsets[id%len(offsets)]))
-			}
-		}))
-	}
 	post := func(at rat.R) {
-		eng.Post(at, Event{Kind: Kind(label % 7), Node: int32(label), Arg: int64(label) << 33, Task: -int64(label)})
+		ev := Event{Kind: Kind(label % 7), Node: int32(label), Arg: int64(label) << 33, Task: -int64(label)}
+		handles = append(handles, eng.Post(at, ev))
 		label++
+	}
+	batch := func(at, end rat.R, n uint64, more bool) {
+		log = append(log, fmt.Sprintf("batch %s..%s n=%d more=%v", at, end, n, more))
 	}
 	eng.SetHandler(func(ev Event) {
-		log = append(log, fmt.Sprintf("typed %d/%d/%d/%d at %s", ev.Kind, ev.Node, ev.Arg, ev.Task, eng.Now()))
-		if ev.Node%3 == 0 {
+		log = append(log, fmt.Sprintf("fire %d/%d/%d/%d at %s", ev.Kind, ev.Node, ev.Arg, ev.Task, eng.Now()))
+		if ev.Node%3 == 0 { // nested: same instant or a little later
 			post(eng.Now().Add(offsets[int(ev.Node)%len(offsets)]))
 		}
 	})
 	for op := 0; op < 300; op++ {
-		switch k := r.Intn(12); {
-		case k < 4:
-			schedule(eng.Now().Add(offset()))
+		switch k := r.Intn(10); {
 		case k < 6:
 			post(eng.Now().Add(offset()))
 		case k == 6 && len(handles) > 0:
@@ -237,35 +208,28 @@ func heapScript(seed int64, eng engineAPI) []string {
 			log = append(log, fmt.Sprintf("cancel %d %v", h, eng.Cancel(h)))
 		case k == 7:
 			log = append(log, fmt.Sprintf("step %v", eng.Step()))
-		case k == 8:
-			eng.RunUntil(eng.Now().Add(rat.New(int64(r.Intn(3)), 2)))
-		case k == 9:
-			eng.RunUntil(eng.Now().Floor().Add(rat.FromInt(int64(1 + r.Intn(2)))))
-		case k == 10 && r.Intn(4) == 0:
-			err := eng.DrainBatched(1000, func(at, end rat.R, n uint64, more bool) {
-				log = append(log, fmt.Sprintf("batch %s..%s n=%d more=%v", at, end, n, more))
-			})
-			log = append(log, fmt.Sprintf("drain %v", err))
+		case k == 8 && r.Intn(4) == 0:
+			log = append(log, fmt.Sprintf("drain %v", eng.DrainBatched(1000, batch)))
+		case k == 9 && r.Intn(4) == 0:
+			log = append(log, fmt.Sprintf("drain %v", eng.Drain(1000)))
 		}
 		log = append(log, fmt.Sprintf("now %s processed %d pending %d", eng.Now(), eng.Processed(), eng.Pending()))
 	}
-	err := eng.DrainBatched(10000, func(at, end rat.R, n uint64, more bool) {
-		log = append(log, fmt.Sprintf("batch %s..%s n=%d more=%v", at, end, n, more))
-	})
+	err := eng.DrainBatched(10000, batch)
 	return append(log, fmt.Sprintf("final drain %v now %s processed %d", err, eng.Now(), eng.Processed()))
 }
 
-// TestTypedHeapMatchesReference drives random Post/At/Step/Cancel/
-// RunUntil/DrainBatched sequences, with many equal instants, nested
-// scheduling, times off the int64 path and times whose cross products
-// pass 2^64, through the engine and through the container/heap
-// reference: both must fire every closure and typed event in the same
-// (time, seq) order and report the same batches.
+// TestTypedHeapMatchesReference drives random Post/Cancel/Step/Drain/
+// DrainBatched sequences, with many equal instants, nested scheduling,
+// times off the int64 path and times whose cross products pass 2^64,
+// through the engine and through the container/heap reference: both
+// must fire every event in the same (time, seq) order and report the
+// same batches.
 func TestTypedHeapMatchesReference(t *testing.T) {
 	sawBig := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		eng := &Engine{}
-		got := heapScript(seed, typedEngine{eng})
+		got := heapScript(seed, eng)
 		want := heapScript(seed, &refEngine{})
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: transcript length %d, reference %d", seed, len(got), len(want))
@@ -310,36 +274,13 @@ func TestWideCrossProducts(t *testing.T) {
 	}
 }
 
-// TestRunUntilSkipsCancelledHead: a cancelled event at the top of the
-// heap must not let RunUntil fire a live event past its limit.
-func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	var e Engine
-	fired := 0
-	h := e.AtCancellable(rat.One, func() { fired++ })
-	e.At(rat.FromInt(5), func() { fired++ })
-	e.Cancel(h)
-	e.RunUntil(rat.Two)
-	if fired != 0 {
-		t.Fatalf("RunUntil(2) fired %d events; the only live one is at 5", fired)
-	}
-	if !e.Now().Equal(rat.Two) {
-		t.Fatalf("now = %s, want the limit 2", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want the event at 5", e.Pending())
-	}
-}
-
-// TestScheduleFireAllocs: in steady state, scheduling and firing a typed
-// event, or a closure that captures nothing, allocates nothing: boxing a
-// record on push or pop, or a side-table slot that is not reused, would
-// show here.
+// TestScheduleFireAllocs: in steady state, scheduling and firing an
+// event allocates nothing: boxing a record on push or pop would show
+// here.
 func TestScheduleFireAllocs(t *testing.T) {
 	var e Engine
 	e.SetHandler(func(Event) {})
-	fn := func() {}
 	for i := 0; i < 64; i++ {
-		e.At(e.Now(), fn)
 		e.Post(e.Now(), Event{Node: int32(i)})
 	}
 	if err := e.Drain(200); err != nil {
@@ -347,13 +288,6 @@ func TestScheduleFireAllocs(t *testing.T) {
 	}
 	step := rat.New(1, 3)
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.At(e.Now().Add(step), fn)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("%.1f allocs per scheduled and fired closure, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
 		e.After(step, Event{Kind: 1, Task: 7})
 		e.Step()
 	})

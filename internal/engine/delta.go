@@ -6,11 +6,11 @@ import (
 )
 
 // Delta hot-swap: an incremental re-solve (bwfirst.SolveIncremental)
-// changes only the nodes on the affected spine, so re-pointing every
-// node's pattern and zeroing every cursor — what Install does — throws
-// away Ψ-bunch positions that are still valid. InstallDelta preserves
-// them: untouched nodes keep consuming exactly where they were, so a
-// churn swap disturbs only the part of the platform the churn touched.
+// changes only the nodes on the affected spine, so zeroing every cursor
+// would throw away Ψ-bunch positions that are still valid. InstallDelta
+// preserves them: untouched nodes keep consuming exactly where they
+// were, so a churn swap disturbs only the part of the platform the churn
+// touched. Listing every node restarts every pattern.
 
 // ChangedNodes compares two same-shaped schedules and returns the nodes
 // whose deployed behavior differs: activity flipped, or the allocation
@@ -39,14 +39,17 @@ func samePattern(a, b *sched.NodeSchedule) bool {
 	return true
 }
 
-// InstallDelta is Install restricted to a known delta: every node is
-// re-pointed at the new schedule's pattern slices, but only the changed
-// nodes get their bunch cursor reset — an unchanged node's pattern is
-// slot-for-slot identical, so its cursor position remains meaningful
-// and its Ψ-bunch phase survives the swap. Callers must pass the true
-// delta (ChangedNodes); a node whose pattern shrank but is not listed
-// is reset defensively rather than indexed out of range. An empty
-// changed list resets nothing — use Install to force a full reset.
+// InstallDelta atomically switches the core to schedule s — the phase
+// switch of a dynamic run. Every node is re-pointed at the new
+// schedule's pattern slices, but only the changed nodes get their bunch
+// cursor reset — an unchanged node's pattern is slot-for-slot identical,
+// so its cursor position remains meaningful and its Ψ-bunch phase
+// survives the swap. Callers pass the true delta (ChangedNodes), or
+// every node to restart every pattern; a node whose pattern shrank but
+// is not listed is reset defensively rather than indexed out of range.
+// Nothing is drained first: tasks already in flight route through the
+// new patterns when they arrive. Every listed ID must be a node of the
+// platform.
 func (c *Core) InstallDelta(s *sched.Schedule, changed []tree.NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

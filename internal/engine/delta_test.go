@@ -49,10 +49,7 @@ func feed(t *testing.T, c *Core, eng *des.Engine, n, firstID int) {
 	t.Helper()
 	base := eng.Now()
 	for i := 0; i < n; i++ {
-		id := firstID + i
-		eng.At(base.Add(rat.FromInt(int64(i+1)).Mul(rat.FromInt(4))), func() {
-			c.Release(sched.Dest(0), Task{ID: id})
-		})
+		eng.Post(base.Add(rat.FromInt(int64(4*(i+1)))), Event{Kind: testRelease, Arg: 0, Task: int64(firstID + i)})
 	}
 	if err := eng.Drain(1_000_000); err != nil {
 		t.Fatal(err)
@@ -61,8 +58,9 @@ func feed(t *testing.T, c *Core, eng *des.Engine, n, firstID int) {
 
 // TestInstallDeltaPreservesCursors: a mid-bunch delta install that lists
 // no nodes leaves every pattern cursor where it was — the routing stream
-// is identical to an uninterrupted run — while a full Install at the
-// same point restarts P1's pattern and visibly reroutes the tail.
+// is identical to an uninterrupted run — while an install listing every
+// node at the same point restarts P1's pattern and visibly reroutes the
+// tail.
 func TestInstallDeltaPreservesCursors(t *testing.T) {
 	s := chainWorkers(t)
 	p1 := s.Tree.MustLookup("P1")
@@ -75,7 +73,7 @@ func TestInstallDeltaPreservesCursors(t *testing.T) {
 		eng := &des.Engine{}
 		rec := NewRecorder()
 		c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
-		eng.SetHandler(c.Fire)
+		eng.SetHandler(fireWithReleases(c))
 		feed(t, c, eng, half, 0)
 		if install != nil {
 			install(c)
@@ -91,8 +89,8 @@ func TestInstallDeltaPreservesCursors(t *testing.T) {
 	if got := run(func(c *Core) { c.InstallDelta(s, []tree.NodeID{p1}) }); got == uninterrupted {
 		t.Fatal("listed-node reset did not change the routing; fixture too weak")
 	}
-	if got := run(func(c *Core) { c.Install(s) }); got == uninterrupted {
-		t.Fatal("full Install preserved mid-bunch cursors; delta seam is vacuous")
+	if got := run(func(c *Core) { c.InstallDelta(s, allNodes(s.Tree.Len())) }); got == uninterrupted {
+		t.Fatal("installing every node preserved mid-bunch cursors; delta seam is vacuous")
 	}
 }
 
@@ -103,7 +101,7 @@ func TestInstallDeltaClampsCursor(t *testing.T) {
 	p1 := s.Tree.MustLookup("P1")
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng, BestEffort: true})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	feed(t, c, eng, len(s.Nodes[p1].Pattern)/2+1, 0)
 
 	short := s.Clone()

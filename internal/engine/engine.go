@@ -14,9 +14,9 @@
 //   - buffer watermark tracking (Proposition 3): the buffered-task count
 //     (compute + send queues, excluding tasks in service) and its peak,
 //     the quantity χ bounds;
-//   - schedule switches for dynamic runs: Install atomically re-points
-//     every node at a new schedule's patterns with reset bunch cursors
-//     (InstallDelta only the changed nodes), and SetPhysics publishes
+//   - schedule switches for dynamic runs: InstallDelta atomically
+//     re-points every node at a new schedule's patterns and resets the
+//     bunch cursors of the nodes it lists, and SetPhysics publishes
 //     re-measured platform weights.
 //
 // Backends parameterize the core with two small interfaces: a Clock that
@@ -318,22 +318,6 @@ func (c *Core) Dropped() int64 { return c.dropped.Load() }
 // ResultsHome counts task results that reached the root (tasks computed
 // at the root count immediately). Zero on forward-only platforms.
 func (c *Core) ResultsHome() int64 { return c.resultsHome.Load() }
-
-// Install atomically re-points every node at the schedule's patterns and
-// resets the bunch cursors — the phase switch of a dynamic run. Nothing
-// is drained first: tasks already in flight route through the new
-// patterns when they arrive (the dynamic simulator's detection-lag
-// experiments deliberately leave them).
-func (c *Core) Install(s *sched.Schedule) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hasRet = s.ResultReturn || s.Tree.HasResultReturn()
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		n.pattern = s.Nodes[i].Pattern
-		n.cursor = 0
-	}
-}
 
 // Buffered returns n's current buffered-task count (compute + send
 // queues, tasks in service excluded) — the Section-6.3 metric.
@@ -679,7 +663,7 @@ func (c *Core) sampleBuffer(ns *node) {
 
 // SameShape checks two trees share names and parent structure (weights
 // may differ) — the invariant both SetPhysics and a schedule switch
-// (Install) require.
+// (InstallDelta) require.
 func SameShape(a, b *tree.Tree) error {
 	if a.Len() != b.Len() {
 		return fmt.Errorf("topology changed: %d vs %d nodes", a.Len(), b.Len())

@@ -32,6 +32,32 @@ func twoWorkers(t *testing.T) *sched.Schedule {
 	return buildSchedule(t, tr)
 }
 
+// testRelease is the tests' own DES kind: the root releases task Task
+// to slot destination Arg.
+const testRelease = NumKinds
+
+// fireWithReleases is a test core's DES handler: the tests' releases,
+// and the core's transitions.
+func fireWithReleases(c *Core) des.Handler {
+	return func(ev Event) {
+		if ev.Kind != testRelease {
+			c.Fire(ev)
+			return
+		}
+		c.Release(sched.Dest(ev.Arg), Task{ID: int(ev.Task)})
+	}
+}
+
+// allNodes lists every node of an n-node platform: the delta that
+// restarts every pattern.
+func allNodes(n int) []tree.NodeID {
+	ids := make([]tree.NodeID, n)
+	for i := range ids {
+		ids[i] = tree.NodeID(i)
+	}
+	return ids
+}
+
 // runBatch drives a core over the DES clock: release n tasks with the
 // pacer's law, then drain.
 func runBatch(t *testing.T, c *Core, p *Pacer, eng *des.Engine, n int) {
@@ -40,9 +66,7 @@ func runBatch(t *testing.T, c *Core, p *Pacer, eng *des.Engine, n int) {
 	released := 0
 	for period := int64(0); released < n; period++ {
 		for i := 0; i < p.Len() && released < n; i++ {
-			id := released
-			dest := p.Dest(i)
-			eng.At(base.Add(p.At(period, i)), func() { c.Release(dest, Task{ID: id}) })
+			eng.Post(base.Add(p.At(period, i)), Event{Kind: testRelease, Arg: int64(p.Dest(i)), Task: int64(released)})
 			released++
 		}
 	}
@@ -56,7 +80,7 @@ func TestBatchConservation(t *testing.T) {
 	eng := &des.Engine{}
 	rec := NewRecorder()
 	c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	p := NewPacer(s, false)
 	runBatch(t, c, p, eng, 19)
 
@@ -98,7 +122,7 @@ func TestRecorderCountsComputeBeforeHook(t *testing.T) {
 	rec := NewRecorder()
 	h := &computeOrderHooks{t: t, rec: rec, seen: make([]int64, s.Tree.Len())}
 	c := New(Config{Schedule: s, Clock: eng, Hooks: h, Recorder: rec})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	runBatch(t, c, NewPacer(s, false), eng, 19)
 	var total int64
 	for _, v := range h.seen {
@@ -115,7 +139,7 @@ func TestRecorderDeterministic(t *testing.T) {
 		eng := &des.Engine{}
 		rec := NewRecorder()
 		c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
-		eng.SetHandler(c.Fire)
+		eng.SetHandler(fireWithReleases(c))
 		runBatch(t, c, NewPacer(s, false), eng, 38)
 		return rec.Fingerprint()
 	}
@@ -133,7 +157,7 @@ func TestBunchAccounting(t *testing.T) {
 	eng := &des.Engine{}
 	rec := NewRecorder()
 	c := New(Config{Schedule: s, Clock: eng, Recorder: rec})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	p := NewPacer(s, false)
 	periods := 4
 	runBatch(t, c, p, eng, p.Len()*periods)
@@ -168,7 +192,7 @@ func TestWatermarkTracksBuffering(t *testing.T) {
 	s := twoWorkers(t)
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	// Burst release: the whole first period lands at t=0, so queues form.
 	runBatch(t, c, NewPacer(s, true), eng, 19)
 	if c.MaxWatermark() == 0 {
@@ -185,12 +209,13 @@ func TestInstallResetsCursors(t *testing.T) {
 	s := twoWorkers(t)
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	p := NewPacer(s, false)
-	// Half a period in, install the same schedule: cursors reset, and the
-	// remaining tasks still route without panicking.
+	// Half a period in, install the same schedule listing every node:
+	// cursors reset, and the remaining tasks still route without
+	// panicking.
 	runBatch(t, c, p, eng, 5)
-	c.Install(s)
+	c.InstallDelta(s, allNodes(s.Tree.Len()))
 	runBatch(t, c, p, eng, 5)
 	if c.Completed() != 10 {
 		t.Fatalf("completed %d, want 10", c.Completed())
@@ -209,7 +234,7 @@ func TestBestEffortStranding(t *testing.T) {
 	}
 	eng := &des.Engine{}
 	c := New(Config{Schedule: stripped, Clock: eng, BestEffort: true})
-	eng.SetHandler(c.Fire)
+	eng.SetHandler(fireWithReleases(c))
 	p := NewPacer(stripped, false)
 	runBatch(t, c, p, eng, 6)
 	if c.Completed() != 6 {
@@ -273,22 +298,24 @@ func TestSendQueueStorageStaysBounded(t *testing.T) {
 	s := buildSchedule(t, tr)
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
-	eng.SetHandler(c.Fire)
 	q := &c.nodes[tr.Root()].sendQ
 	const backlog, tasks = 8, 100_000
 	for id := 0; id < backlog; id++ {
 		c.Release(0, Task{ID: id})
 	}
 	minLen, maxCap := backlog, 0
-	var release func(id int)
-	release = func(id int) {
-		c.Release(0, Task{ID: id})
-		minLen, maxCap = min(minLen, q.len()), max(maxCap, cap(q.buf))
-		if id+1 < tasks {
-			eng.At(eng.Now().Add(rat.One), func() { release(id + 1) })
+	eng.SetHandler(func(ev Event) {
+		if ev.Kind != testRelease {
+			c.Fire(ev)
+			return
 		}
-	}
-	eng.At(rat.One, func() { release(backlog) })
+		c.Release(0, Task{ID: int(ev.Task)})
+		minLen, maxCap = min(minLen, q.len()), max(maxCap, cap(q.buf))
+		if ev.Task+1 < tasks {
+			eng.After(rat.One, Event{Kind: testRelease, Task: ev.Task + 1})
+		}
+	})
+	eng.Post(rat.One, Event{Kind: testRelease, Task: backlog})
 	if err := eng.Drain(10 * tasks); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type Options struct {
 	// interrupted child is next served, only the remaining transfer time
 	// is paid. Models links that can suspend and continue a transfer.
 	Resume bool
-	// MaxEvents bounds the engine (default 20 million).
+	// MaxEvents bounds the engine (default des.DefaultMaxEvents).
 	MaxEvents uint64
 	// SkipIntervals suppresses Gantt interval recording.
 	SkipIntervals bool
@@ -148,7 +148,7 @@ func Simulate(t *tree.Tree, opt Options) (*Run, error) {
 		opt.BufferTarget = 2
 	}
 	if opt.MaxEvents == 0 {
-		opt.MaxEvents = 20_000_000
+		opt.MaxEvents = des.DefaultMaxEvents
 	}
 	sm := &simulator{
 		eng:   &des.Engine{},
@@ -167,13 +167,12 @@ func Simulate(t *tree.Tree, opt Options) (*Run, error) {
 			resumable: make([]bool, len(t.Children(id))),
 		}
 	}
-	// Kick-off: every node issues its initial requests (leaves first is
-	// irrelevant — requests are instantaneous and idempotent).
-	sm.eng.At(rat.Zero, func() {
-		for i := range sm.nodes {
-			sm.maybeRequest(&sm.nodes[i])
-		}
-	})
+	sm.eng.SetHandler(sm.fire)
+	// Kick-off at t = 0: every node issues its initial requests (leaves
+	// first is irrelevant — requests are instantaneous and idempotent).
+	for i := range sm.nodes {
+		sm.maybeRequest(&sm.nodes[i])
+	}
 	if err := sm.eng.Drain(opt.MaxEvents); err != nil {
 		return nil, err
 	}
@@ -195,6 +194,38 @@ func Simulate(t *tree.Tree, opt Options) (*Run, error) {
 		st.Aborted += sm.nodes[i].aborted
 	}
 	return &Run{Tree: t, Trace: sm.tr, Stats: st}, nil
+}
+
+// The model's DES event kinds: node Node finishes computing a task, or
+// finishes transmitting one to child Arg.
+const (
+	computeDone des.Kind = iota
+	sendDone
+)
+
+// fire is the DES handler.
+func (sm *simulator) fire(ev des.Event) {
+	n := &sm.nodes[ev.Node]
+	if ev.Kind == computeDone {
+		n.computing = false
+		sm.tr.AddCompletion(n.id, sm.eng.Now())
+		sm.maybeRequest(n)
+		sm.kickAll(n)
+		return
+	}
+	child := tree.NodeID(ev.Arg)
+	n.sending = false
+	if !sm.opt.SkipIntervals {
+		end := sm.eng.Now()
+		sm.tr.AddInterval(trace.Interval{Node: n.id, Kind: trace.Send, Start: n.sendStart, End: end, Peer: child})
+		sm.tr.AddInterval(trace.Interval{Node: child, Kind: trace.Recv, Start: n.sendStart, End: end, Peer: n.id})
+	}
+	cn := &sm.nodes[child]
+	cn.outstanding--
+	cn.held++
+	sm.kickAll(cn)
+	sm.maybeRequest(cn) // top back up after consuming headroom
+	sm.kickAll(n)
 }
 
 // demand returns how many tasks node n currently wants to hold: its own
@@ -282,12 +313,7 @@ func (sm *simulator) kickCompute(n *nodeState) {
 	if !sm.opt.SkipIntervals {
 		sm.tr.AddInterval(trace.Interval{Node: n.id, Kind: trace.Compute, Start: start, End: end, Peer: tree.None})
 	}
-	sm.eng.At(end, func() {
-		n.computing = false
-		sm.tr.AddCompletion(n.id, end)
-		sm.maybeRequest(n)
-		sm.kickAll(n)
-	})
+	sm.eng.Post(end, des.Event{Kind: computeDone, Node: int32(n.id)})
 	sm.sampleBuffer(n)
 }
 
@@ -327,20 +353,7 @@ func (sm *simulator) kickSend(n *nodeState) {
 		n.remaining[best] = rat.Zero
 	}
 	n.sendCost = cost
-	end := n.sendStart.Add(cost)
-	n.sendHandle = sm.eng.AtCancellable(end, func() {
-		n.sending = false
-		if !sm.opt.SkipIntervals {
-			sm.tr.AddInterval(trace.Interval{Node: n.id, Kind: trace.Send, Start: n.sendStart, End: end, Peer: child})
-			sm.tr.AddInterval(trace.Interval{Node: child, Kind: trace.Recv, Start: n.sendStart, End: end, Peer: n.id})
-		}
-		cn := &sm.nodes[child]
-		cn.outstanding--
-		cn.held++
-		sm.kickAll(cn)
-		sm.maybeRequest(cn) // top back up after consuming headroom
-		sm.kickAll(n)
-	})
+	n.sendHandle = sm.eng.Post(n.sendStart.Add(cost), des.Event{Kind: sendDone, Node: int32(n.id), Arg: int64(child)})
 	sm.sampleBuffer(n)
 }
 

@@ -812,7 +812,7 @@ func (a *analysis) startupUsefulWork(onset rat.R, onsetOK bool) Check {
 		c.Verdict, c.Detail = Pass, "steady from t=0; no start-up phase"
 		return c
 	}
-	rate := a.s.Res.Throughput
+	rate := a.s.Throughput()
 	done := 0
 	for i := range a.nodes {
 		for _, p := range a.nodes[i].compute {
@@ -1103,7 +1103,7 @@ func (a *analysis) resultReturn() Check {
 	foldedNote := ""
 	if a.haveSim && a.s.Res != nil {
 		folded := bwfirst.Solve(a.t.WithFoldedReturns()).Throughput
-		planned := a.s.Res.Throughput
+		planned := a.s.Throughput()
 		if folded.Less(planned) {
 			period := a.s.Periods().Tree()
 			L := a.fullWindows(period)

@@ -96,14 +96,9 @@ func TestSeededFaultDetected(t *testing.T) {
 
 	sc := obs.New()
 	stop := rat.FromInt(360)
-	_, err = sim.SimulateDynamic(sim.DynOptions{
-		Phases:  []sim.Phase{{Schedule: s}},
-		Physics: []sim.PhysicsChange{{Tree: slow}},
-		Stop:    stop,
-		Obs:     sc,
-	})
+	_, err = sim.Simulate(s, sim.Options{Stop: stop, Physics: []sim.PhysicsChange{{Tree: slow}}, Obs: sc})
 	if err != nil {
-		t.Fatalf("SimulateDynamic: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 
 	rep := Analyze(FromScope(sc), Options{Schedule: s, Stop: stop})

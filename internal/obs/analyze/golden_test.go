@@ -259,7 +259,7 @@ func goldenDynamic(t *testing.T, name string, s *sched.Schedule, c goldenCase) {
 		vs = append(vs, variant{"cpu", slow, false})
 	}
 	for _, v := range vs {
-		phases := []sim.Phase{{Schedule: s}}
+		var phases []sim.Phase
 		if v.resolv {
 			next, ok := goldenSchedule(t, bwfirst.Solve(v.slow), false)
 			if !ok {
@@ -268,10 +268,10 @@ func goldenDynamic(t *testing.T, name string, s *sched.Schedule, c goldenCase) {
 			phases = append(phases, sim.Phase{At: stop.Div(rat.Two), Schedule: next})
 		}
 		sc := obs.New()
-		run, err := sim.SimulateDynamic(sim.DynOptions{
+		run, err := sim.Simulate(s, sim.Options{
+			Stop:    stop,
 			Phases:  phases,
 			Physics: []sim.PhysicsChange{{Tree: v.slow}},
-			Stop:    stop,
 			Obs:     sc,
 		})
 		if err != nil {

@@ -500,6 +500,16 @@ func (s *Schedule) Periods() *Periods {
 // node ever needs it.
 func (s *Schedule) TreePeriod() *big.Int { return s.Periods().Tree().Num() }
 
+// Throughput returns the rate the schedule deploys: the root's total
+// consumption rate η_{-1}. It equals Res.Throughput on a schedule built
+// from the exact optimum, and the rounded-down rate on a quantized one.
+func (s *Schedule) Throughput() rat.R {
+	if s.Tree.Len() == 0 {
+		return rat.Zero
+	}
+	return s.Nodes[s.Tree.Root()].RecvRate
+}
+
 // RootlessRate returns the delegation rate of the root: the throughput of
 // the "rootless tree" (everything except the root's own computation), the
 // quantity Section 8 uses when discussing start-up.

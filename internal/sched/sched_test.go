@@ -580,23 +580,6 @@ func TestQuantizeBoundsPeriodAndLoss(t *testing.T) {
 	}
 }
 
-func TestQuantizeSimulates(t *testing.T) {
-	// The quantized schedule is executable and sustains its own rate.
-	r := rand.New(rand.NewSource(7))
-	tr := awkwardTree(r, 10)
-	res := bwfirst.Solve(tr)
-	s, thr, err := Quantize(res, 100, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !thr.IsPos() {
-		t.Skip("quantized to zero on this platform")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantizeValidation(t *testing.T) {
 	res := bwfirst.Solve(paperTree())
 	if _, _, err := Quantize(res, 0, Options{}); err == nil {

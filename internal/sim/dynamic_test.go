@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"bwc/internal/bwfirst"
@@ -19,26 +21,42 @@ func mustSchedule(t *testing.T, tr *tree.Tree) *sched.Schedule {
 	return s
 }
 
+// TestDynamicSinglePhaseMatchesStatic: a timeline whose events change
+// nothing replays the one-schedule run. A physics swap to identical
+// weights leaves the trace unchanged, and re-installing the same
+// schedule with an empty delta at a root-period boundary — its release
+// chain anchored there — releases and completes what the one-schedule
+// run does.
 func TestDynamicSinglePhaseMatchesStatic(t *testing.T) {
 	tr := paperexample.Tree()
 	s := mustSchedule(t, tr)
-	static, err := Simulate(s, Options{Stop: rat.FromInt(115), SkipIntervals: true})
+	stop := rat.FromInt(115)
+	static, err := Simulate(s, Options{Stop: stop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := SimulateDynamic(DynOptions{
-		Phases: []Phase{{At: rat.Zero, Schedule: s}},
-		Stop:   rat.FromInt(115), SkipIntervals: true,
-	})
+	same, err := Simulate(s, Options{Stop: stop, Physics: []PhysicsChange{{At: rat.FromInt(40), Tree: tr}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.Generated != static.Stats.Generated || dyn.Completed != static.Stats.Completed {
-		t.Fatalf("dynamic %d/%d vs static %d/%d",
-			dyn.Generated, dyn.Completed, static.Stats.Generated, static.Stats.Completed)
+	if !reflect.DeepEqual(same.Trace, static.Trace) {
+		t.Fatal("a physics swap to identical weights changed the trace")
 	}
-	if !dyn.WindDown.Equal(static.Stats.WindDown) {
-		t.Fatalf("wind-down %s vs %s", dyn.WindDown, static.Stats.WindDown)
+	if same.Stats.SteadyOK || same.Stats.PerPeriod != nil {
+		t.Fatalf("a timeline reported steady-state statistics: %+v", same.Stats)
+	}
+	tw := s.Nodes[tr.Root()].TW
+	dyn, err := Simulate(s, Options{Stop: stop, SkipIntervals: true,
+		Phases: []Phase{{At: tw.Mul(rat.Two), Schedule: s, Changed: []tree.NodeID{}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, st := dyn.Stats, static.Stats
+	if d.Generated != st.Generated || d.Completed != st.Completed || d.Dropped != 0 {
+		t.Fatalf("timeline %d/%d/%d vs one schedule %d/%d", d.Generated, d.Completed, d.Dropped, st.Generated, st.Completed)
+	}
+	if !d.WindDown.Equal(st.WindDown) || d.MaxHeld != st.MaxHeld {
+		t.Fatalf("wind-down %s, max held %d vs %s, %d", d.WindDown, d.MaxHeld, st.WindDown, st.MaxHeld)
 	}
 }
 
@@ -53,11 +71,8 @@ func TestDynamicRenegotiation(t *testing.T) {
 	}
 	sBefore := mustSchedule(t, before)
 	sAfter := mustSchedule(t, after)
-	run, err := SimulateDynamic(DynOptions{
-		Phases: []Phase{
-			{At: rat.Zero, Schedule: sBefore},
-			{At: rat.FromInt(160), Schedule: sAfter},
-		},
+	run, err := Simulate(sBefore, Options{
+		Phases:        []Phase{{At: rat.FromInt(160), Schedule: sAfter}},
 		Physics:       []PhysicsChange{{At: rat.FromInt(120), Tree: after}},
 		Stop:          rat.FromInt(400),
 		SkipIntervals: true,
@@ -65,9 +80,9 @@ func TestDynamicRenegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Generated != run.Completed+run.Dropped {
+	if st := run.Stats; st.Generated != st.Completed+st.Dropped {
 		t.Fatalf("conservation lost: %d generated, %d completed, %d dropped",
-			run.Generated, run.Completed, run.Dropped)
+			st.Generated, st.Completed, st.Dropped)
 	}
 	if err := run.Trace.Validate(); err != nil {
 		t.Fatal(err)
@@ -94,35 +109,42 @@ func TestDynamicRenegotiation(t *testing.T) {
 	}
 }
 
+// TestDynamicValidation: the one validation pass refuses a malformed
+// timeline with an error, before anything runs.
 func TestDynamicValidation(t *testing.T) {
 	tr := paperexample.Tree()
 	s := mustSchedule(t, tr)
-	cases := []DynOptions{
-		{}, // no phases
-		{Phases: []Phase{{At: rat.One, Schedule: s}}, Stop: rat.FromInt(10)},                               // first not at 0
-		{Phases: []Phase{{At: rat.Zero, Schedule: s}}},                                                     // no stop
-		{Phases: []Phase{{At: rat.Zero, Schedule: s}, {At: rat.Zero, Schedule: s}}, Stop: rat.FromInt(10)}, // not increasing
-		{Phases: []Phase{{At: rat.Zero, Schedule: nil}}, Stop: rat.FromInt(10)},                            // nil schedule
+	other := tree.NewBuilder().Root("x", rat.One).MustBuild()
+	stop := rat.FromInt(10)
+	cases := map[string]Options{
+		"phase at 0":       {Stop: stop, Phases: []Phase{{At: rat.Zero, Schedule: s}}},
+		"not increasing":   {Stop: stop, Phases: []Phase{{At: rat.Two, Schedule: s}, {At: rat.One, Schedule: s}}},
+		"nil schedule":     {Stop: stop, Phases: []Phase{{At: rat.One}}},
+		"no stop":          {Phases: []Phase{{At: rat.One, Schedule: s}}},
+		"batch":            {Tasks: 5, Physics: []PhysicsChange{{At: rat.One, Tree: tr}}},
+		"topology":         {Stop: stop, Phases: []Phase{{At: rat.One, Schedule: mustSchedule(t, other)}}},
+		"physics shape":    {Stop: stop, Physics: []PhysicsChange{{At: rat.One, Tree: other}}},
+		"physics before 0": {Stop: stop, Physics: []PhysicsChange{{At: rat.FromInt(-1), Tree: tr}}},
+		"physics order":    {Stop: stop, Physics: []PhysicsChange{{At: rat.Two, Tree: tr}, {At: rat.Two, Tree: tr}}},
 	}
-	for i, opt := range cases {
-		if _, err := SimulateDynamic(opt); err == nil {
-			t.Errorf("case %d accepted", i)
+	for name, opt := range cases {
+		if _, err := Simulate(s, opt); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Topology mismatch.
-	other := mustSchedule(t, tree.NewBuilder().Root("x", rat.One).MustBuild())
-	if _, err := SimulateDynamic(DynOptions{
-		Phases: []Phase{{At: rat.Zero, Schedule: s}, {At: rat.One, Schedule: other}},
-		Stop:   rat.FromInt(10),
-	}); err == nil {
-		t.Error("topology change accepted")
-	}
-	// Physics change with different shape.
-	if _, err := SimulateDynamic(DynOptions{
-		Phases:  []Phase{{At: rat.Zero, Schedule: s}},
-		Physics: []PhysicsChange{{At: rat.One, Tree: tree.NewBuilder().Root("x", rat.One).MustBuild()}},
-		Stop:    rat.FromInt(10),
-	}); err == nil {
-		t.Error("physics shape change accepted")
+}
+
+// TestChangedOutsideTreeRejected: a phase that lists a node the platform
+// does not have is refused by validation instead of indexing out of
+// range inside the run.
+func TestChangedOutsideTreeRejected(t *testing.T) {
+	tr := paperexample.Tree()
+	s := mustSchedule(t, tr)
+	for _, id := range []tree.NodeID{99, tree.NodeID(tr.Len()), -1} {
+		_, err := Simulate(s, Options{Stop: rat.FromInt(200),
+			Phases: []Phase{{At: rat.FromInt(100), Schedule: s, Changed: []tree.NodeID{id}}}})
+		if err == nil || !strings.Contains(err.Error(), "not on the 12-node platform") {
+			t.Errorf("Changed [%d]: err = %v", id, err)
+		}
 	}
 }

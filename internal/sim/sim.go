@@ -29,6 +29,16 @@
 // A task "held" at a node counts the tasks waiting in its compute or send
 // queues (not the ones currently being computed or transmitted); this is
 // the buffered-task metric of Section 6.3.
+//
+// The paper's Section 5 sketches dynamic adaptation — the root re-runs
+// BW-First when it observes a throughput drop — and leaves "measuring the
+// overhead incurred by the global synchronization phase" as future work.
+// A run's timeline makes that measurable: the physical platform can
+// change mid-run (a link degrades, Options.Physics), and the schedule can
+// change at a different, later moment (Options.Phases), modeling the
+// detection-and-renegotiation lag. Between the two instants every node
+// still runs its stale schedule against the new physics, which is
+// exactly the regime whose cost the paper asks about.
 package sim
 
 import (
@@ -56,13 +66,15 @@ type Options struct {
 	// Tasks, when positive, releases exactly this many tasks (a finite
 	// batch, the makespan-minimization setting of Section 2) and then
 	// stops; the effective StopAt is the release time of the last task.
+	// A run with a timeline (Phases or Physics) needs Stop or Periods.
 	Tasks int
 	// BurstRoot releases all of a root period's tasks at the period start
 	// instead of pacing them at their slot positions — the naive "give
 	// the nodes all their tasks at once" timing that the Section 6.3
 	// strategy avoids. Used by the E7 ablation.
 	BurstRoot bool
-	// MaxEvents bounds the discrete-event engine (default 20 million).
+	// MaxEvents bounds the discrete-event engine (default
+	// des.DefaultMaxEvents).
 	MaxEvents uint64
 	// SkipIntervals suppresses Gantt interval recording (completions and
 	// buffer samples are always recorded); useful for large sweeps. It
@@ -79,11 +91,40 @@ type Options struct {
 	// (bwc_node_buffer_tasks, bwc_node_buffer_max_tasks) and task/event
 	// counters. nil (the default) is the disabled fast path.
 	Obs *obs.Scope
+	// Phases lists later schedule switches, each strictly after 0 and in
+	// increasing At order; the schedule passed to Simulate runs from 0.
+	Phases []Phase
+	// Physics lists platform weight changes in increasing At order.
+	Physics []PhysicsChange
 }
 
-// Stats summarizes a run.
+// Phase activates a schedule at a point in virtual time. Buffered tasks
+// survive the switch and are re-routed by the new pattern; a task that
+// reaches a node the new schedule no longer uses is computed there,
+// forwarded over its fastest link, or dropped.
+type Phase struct {
+	At       rat.R
+	Schedule *sched.Schedule
+	// Changed lists the nodes whose pattern cursor the switch resets
+	// (engine.Core.InstallDelta); every other node keeps its Ψ-bunch
+	// position. Pass engine.ChangedNodes(prev, next) — the adaptation
+	// loop's delta swap. nil resets every node.
+	Changed []tree.NodeID
+}
+
+// PhysicsChange swaps the physical platform (weights only; same topology)
+// at a point in virtual time. Transfers already in flight complete under
+// the conditions they started with.
+type PhysicsChange struct {
+	At   rat.R
+	Tree *tree.Tree
+}
+
+// Stats summarizes a run. Throughput, TreePeriod, PerPeriod and the
+// steady-state fields describe one schedule on fixed physics; a run
+// with a timeline (Phases or Physics) leaves them unset.
 type Stats struct {
-	// Throughput is the analytic optimal rate the schedule targets.
+	// Throughput is the rate the schedule deploys (Schedule.Throughput).
 	Throughput rat.R
 	// TreePeriod is the synchronized steady-state period T of the whole
 	// tree; PerPeriod = Throughput·T tasks complete per period in steady
@@ -93,9 +134,11 @@ type Stats struct {
 	// StopAt is the effective stop time of the run.
 	StopAt rat.R
 	// Generated counts tasks released by the root; Completed counts tasks
-	// executed. After drain they must be equal.
+	// executed; Dropped counts stragglers that no node could handle after
+	// a schedule switch. After drain Generated = Completed + Dropped.
 	Generated int
 	Completed int
+	Dropped   int
 	// SteadyStart is the beginning of the first TreePeriod-aligned window
 	// from which every later full window runs at the optimal rate;
 	// SteadyOK is false when the run never settles before StopAt.
@@ -119,6 +162,7 @@ type Stats struct {
 
 // Run is the result of simulating a schedule.
 type Run struct {
+	// Schedule is the schedule the run starts with.
 	Schedule *sched.Schedule
 	Trace    *trace.Trace
 	Stats    Stats
@@ -135,7 +179,6 @@ type simulator struct {
 	eng    *des.Engine
 	core   *engine.Core
 	phases []phase
-	t      *tree.Tree
 	s      *sched.Schedule
 	tr     *trace.Trace
 	opt    Options
@@ -175,12 +218,12 @@ func (sm *simulator) initObs(sc *obs.Scope) {
 	sm.batchHist = reg.Histogram("bwc_sim_batch_events",
 		"events fired per same-instant DES batch",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
-	n := sm.t.Len()
+	n := sm.s.Tree.Len()
 	sm.bufG = make([]*obs.Gauge, n)
 	sm.bufMaxG = make([]*obs.Gauge, n)
 	sm.doneNode = make([]*obs.Counter, n)
 	for i := 0; i < n; i++ {
-		name := sm.t.Name(tree.NodeID(i))
+		name := sm.s.Tree.Name(tree.NodeID(i))
 		sm.bufG[i] = reg.GaugeLabeled("bwc_node_buffer_tasks",
 			"tasks buffered at the node (compute + send queues)", "node", name)
 		sm.bufMaxG[i] = reg.GaugeLabeled("bwc_node_buffer_max_tasks",
@@ -191,8 +234,9 @@ func (sm *simulator) initObs(sc *obs.Scope) {
 }
 
 // phase is one release window of the root: its pacer, anchored at start,
-// releases until until. Simulate runs one phase from 0; SimulateDynamic
-// one per schedule regime.
+// releases until until. Phase 0 is the schedule the run starts with,
+// phase i > 0 is Options.Phases[i-1]; a phase whose root is inactive has
+// no pacer and releases nothing.
 type phase struct {
 	pacer        *engine.Pacer
 	start, until rat.R
@@ -203,12 +247,13 @@ const (
 	// release: the root releases one task through slot Arg of phase
 	// Node's pacer.
 	release = engine.NumKinds + iota
-	// nextPeriod: Simulate's release chain reaches period Task, with Arg
-	// releases scheduled so far (Tasks mode).
+	// nextPeriod: phase Node's release chain reaches period Task, with
+	// Arg releases posted so far (Tasks mode).
 	nextPeriod
-	// nextPhasePeriod: the release chain of SimulateDynamic's phase Node
-	// reaches period Task.
-	nextPhasePeriod
+	// install: phase Node's schedule takes over.
+	install
+	// physics: the platform weights become Options.Physics[Node].
+	physics
 )
 
 // fire is the DES handler: the simulator's own events, and the engine
@@ -220,9 +265,19 @@ func (sm *simulator) fire(ev des.Event) {
 		sm.genCtr.Inc()
 		sm.core.Release(sm.phases[ev.Node].pacer.Dest(int(ev.Arg)), engine.Task{ID: sm.stats.Generated - 1})
 	case nextPeriod:
-		sm.schedulePeriod(ev.Task, ev.Arg)
-	case nextPhasePeriod:
-		sm.genPhase(int(ev.Node), ev.Task)
+		sm.genPhase(int(ev.Node), ev.Task, ev.Arg)
+	case install:
+		p := &sm.opt.Phases[ev.Node-1]
+		changed := p.Changed
+		if changed == nil {
+			changed = make([]tree.NodeID, sm.s.Tree.Len())
+			for i := range changed {
+				changed[i] = tree.NodeID(i)
+			}
+		}
+		sm.core.InstallDelta(p.Schedule, changed)
+	case physics:
+		sm.core.SetPhysics(sm.opt.Physics[ev.Node].Tree)
 	default:
 		sm.core.Fire(ev)
 	}
@@ -292,70 +347,27 @@ func (sm *simulator) ResultHome(tk engine.Task) {
 	sm.retCtr.Inc()
 }
 
-// Simulate runs the schedule until the root stops and all in-flight work
-// drains, then post-processes the trace into Stats.
+// Simulate runs schedule s, and the timeline of opt.Phases and
+// opt.Physics, until the root stops and all in-flight work drains, then
+// post-processes the trace into Stats.
 func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
-	t := s.Tree
-	if t.Len() == 0 {
-		return nil, fmt.Errorf("sim: empty platform")
+	if err := opt.validate(s); err != nil {
+		return nil, err
 	}
-	root := t.Root()
-	rootSched := &s.Nodes[root]
-	set := 0
-	if opt.Periods > 0 {
-		set++
-	}
-	if opt.Stop.IsPos() {
-		set++
-	}
-	if opt.Tasks > 0 {
-		set++
-	}
-	if set != 1 {
-		return nil, fmt.Errorf("sim: set exactly one of Stop, Periods and Tasks")
-	}
-	if opt.Periods > 0 {
-		opt.Stop = rootSched.TW.Mul(rat.FromInt(int64(opt.Periods)))
-	}
-	if opt.Stop.IsNeg() {
-		return nil, fmt.Errorf("sim: Stop must be positive")
-	}
-	if opt.MaxEvents == 0 {
-		opt.MaxEvents = 20_000_000
-	}
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if ns.Active && ns.Pattern == nil {
-			return nil, fmt.Errorf("sim: node %s has Ψ=%s, too large to materialize (raise sched.Options.MaxPatternLen)",
-				t.Name(ns.Node), ns.Bunch)
+	st := &Stats{StopAt: opt.Stop}
+	if len(opt.Phases)+len(opt.Physics) == 0 {
+		st.Throughput, st.TreePeriod = s.Throughput(), s.TreePeriod()
+		perPeriod := st.Throughput.Mul(s.Periods().Tree())
+		if !perPeriod.IsInt() {
+			return nil, fmt.Errorf("sim: throughput·period = %s not integer", perPeriod)
 		}
+		st.PerPeriod = perPeriod.Num()
 	}
-	if !rootSched.Active {
-		return nil, fmt.Errorf("sim: root is inactive; nothing to simulate")
-	}
-
-	if opt.Tasks > 0 {
-		// A finite batch needs a positive release rate.
-		if !s.Res.Throughput.IsPos() {
-			return nil, fmt.Errorf("sim: platform has zero throughput; cannot release a batch")
-		}
-	}
-	st := &Stats{
-		Throughput: s.Res.Throughput,
-		TreePeriod: s.TreePeriod(),
-		StopAt:     opt.Stop,
-	}
-	perPeriod := s.Res.Throughput.Mul(s.Periods().Tree())
-	if !perPeriod.IsInt() {
-		return nil, fmt.Errorf("sim: throughput·period = %s not integer", perPeriod)
-	}
-	st.PerPeriod = perPeriod.Num()
 
 	sm := &simulator{
 		eng:   &des.Engine{},
-		t:     t,
 		s:     s,
-		tr:    &trace.Trace{Tree: t},
+		tr:    &trace.Trace{Tree: s.Tree},
 		opt:   opt,
 		stats: st,
 	}
@@ -363,15 +375,16 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 		sm.initObs(opt.Obs)
 	}
 	sm.eng.SetHandler(sm.fire)
+	// BestEffort: a phase switch can strand in-flight tasks at nodes the
+	// new schedule no longer uses; the engine re-routes or drops them.
 	sm.core = engine.New(engine.Config{
-		Schedule: s,
-		Clock:    sm.eng,
-		Hooks:    sm,
-		Recorder: opt.Recorder,
+		Schedule:   s,
+		Clock:      sm.eng,
+		Hooks:      sm,
+		Recorder:   opt.Recorder,
+		BestEffort: len(opt.Phases) > 0,
 	})
-	sm.phases = []phase{{pacer: engine.NewPacer(s, opt.BurstRoot)}}
-
-	sm.schedulePeriod(0, 0)
+	sm.start()
 	if sm.sc != nil {
 		if err := sm.drainObserved(opt.MaxEvents); err != nil {
 			return nil, err
@@ -390,6 +403,126 @@ func Simulate(s *sched.Schedule, opt Options) (*Run, error) {
 	return &Run{Schedule: s, Trace: sm.tr, Stats: *st, Obs: sm.sc}, nil
 }
 
+// validate checks the options of a run that starts with schedule s, and
+// fills in the derived ones: Stop from Periods, and the MaxEvents
+// default.
+func (opt *Options) validate(s *sched.Schedule) error {
+	t := s.Tree
+	if t.Len() == 0 {
+		return fmt.Errorf("sim: empty platform")
+	}
+	set := 0
+	for _, on := range []bool{opt.Periods > 0, opt.Stop.IsPos(), opt.Tasks > 0} {
+		if on {
+			set++
+		}
+	}
+	if set != 1 {
+		return fmt.Errorf("sim: set exactly one of Stop, Periods and Tasks")
+	}
+	root := &s.Nodes[t.Root()]
+	if opt.Periods > 0 {
+		opt.Stop = root.TW.Mul(rat.FromInt(int64(opt.Periods)))
+	}
+	if opt.Stop.IsNeg() {
+		return fmt.Errorf("sim: Stop must be positive")
+	}
+	if opt.MaxEvents == 0 {
+		opt.MaxEvents = des.DefaultMaxEvents
+	}
+	timeline := len(opt.Phases)+len(opt.Physics) > 0
+	if timeline && opt.Tasks > 0 {
+		return fmt.Errorf("sim: a run with Phases or Physics needs Stop or Periods, not Tasks")
+	}
+	if err := materialized(s); err != nil {
+		return fmt.Errorf("sim: %v", err)
+	}
+	prev := rat.Zero
+	for i, p := range opt.Phases {
+		if p.Schedule == nil {
+			return fmt.Errorf("sim: phase %d has no schedule", i)
+		}
+		if err := engine.SameShape(t, p.Schedule.Tree); err != nil {
+			return fmt.Errorf("sim: phase %d: %v", i, err)
+		}
+		if !prev.Less(p.At) {
+			return fmt.Errorf("sim: phase times not increasing")
+		}
+		prev = p.At
+		for _, id := range p.Changed {
+			if id < 0 || int(id) >= t.Len() {
+				return fmt.Errorf("sim: phase %d: changed node %d is not on the %d-node platform", i, id, t.Len())
+			}
+		}
+		if err := materialized(p.Schedule); err != nil {
+			return fmt.Errorf("sim: phase %d: %v", i, err)
+		}
+	}
+	for i, pc := range opt.Physics {
+		if err := engine.SameShape(t, pc.Tree); err != nil {
+			return fmt.Errorf("sim: physics change %d: %v", i, err)
+		}
+		if pc.At.IsNeg() || i > 0 && !opt.Physics[i-1].At.Less(pc.At) {
+			return fmt.Errorf("sim: physics times not increasing from 0")
+		}
+	}
+	if !timeline && !root.Active {
+		return fmt.Errorf("sim: root is inactive; nothing to simulate")
+	}
+	if opt.Tasks > 0 && !s.Throughput().IsPos() {
+		// A finite batch needs a positive release rate.
+		return fmt.Errorf("sim: platform has zero throughput; cannot release a batch")
+	}
+	return nil
+}
+
+// materialized reports an active node of s whose pattern was too long
+// to build.
+func materialized(s *sched.Schedule) error {
+	for i := range s.Nodes {
+		if ns := &s.Nodes[i]; ns.Active && ns.Pattern == nil {
+			return fmt.Errorf("node %s has Ψ=%s, too large to materialize (raise sched.Options.MaxPatternLen)",
+				s.Tree.Name(ns.Node), ns.Bunch)
+		}
+	}
+	return nil
+}
+
+// start posts the run's timeline in a fixed order, so every run
+// replays event for event: the physics swaps up to Stop, then each
+// phase's install followed by its release chain. Phase 0, the schedule
+// the run starts with, is already installed.
+func (sm *simulator) start() {
+	opt := &sm.opt
+	timed := opt.Tasks == 0
+	for k, pc := range opt.Physics {
+		if !opt.Stop.Less(pc.At) {
+			sm.eng.Post(pc.At, des.Event{Kind: physics, Node: int32(k)})
+		}
+	}
+	sm.phases = make([]phase, 1+len(opt.Phases))
+	for i := range sm.phases {
+		s, at := sm.s, rat.Zero
+		if i > 0 {
+			s, at = opt.Phases[i-1].Schedule, opt.Phases[i-1].At
+		}
+		until := opt.Stop
+		if i < len(opt.Phases) && opt.Phases[i].At.Less(until) {
+			until = opt.Phases[i].At
+		}
+		if timed && !at.Less(until) {
+			continue // the phase starts after Stop
+		}
+		if i > 0 {
+			sm.eng.Post(at, des.Event{Kind: install, Node: int32(i)})
+		}
+		if rs := &s.Nodes[s.Tree.Root()]; rs.Active && len(rs.Pattern) > 0 {
+			sm.phases[i] = phase{pacer: engine.NewPacer(s, opt.BurstRoot), start: at, until: until}
+			sm.genPhase(i, 0, 0)
+		}
+	}
+}
+
 // exportIntervalSpans registers the deferred producer that exports the
 // run's record as spans: one per interval, on tracks "<node>/C|S|R".
 // The trace is the run's one record and its spans are a view of it,
@@ -400,7 +533,7 @@ func (sm *simulator) exportIntervalSpans() {
 	if sm.sc == nil {
 		return
 	}
-	t, ivs := sm.t, sm.tr.Intervals
+	t, ivs := sm.s.Tree, sm.tr.Intervals
 	sm.sc.AddDeferredSpans(func(emit func(obs.Span)) {
 		// Indexed by 3·node + kind: the node's track, and the name of a
 		// transfer whose peer it is ("send <node>", "recv <node>").
@@ -486,48 +619,48 @@ func smallInt(v uint64) string {
 	return strconv.FormatUint(v, 10)
 }
 
-// schedulePeriod releases the root's period-p slots that fall before Stop
-// (or until the Tasks budget is exhausted), then chains the next period
-// lazily. released counts slots scheduled so far in Tasks mode.
-func (sm *simulator) schedulePeriod(p, released int64) {
-	pacer := sm.phases[0].pacer
-	base := pacer.PeriodStart(p)
-	timed := sm.opt.Tasks == 0
-	if timed && !base.Less(sm.opt.Stop) {
+// genPhase posts the root's period-p releases of phase i — its slots in
+// the window [start, until), or in Tasks mode the slots up to the
+// budget, released counting those posted so far — anchored at the phase
+// start, then chains the next period lazily.
+func (sm *simulator) genPhase(i int, p, released int64) {
+	ph := &sm.phases[i]
+	budget := int64(sm.opt.Tasks)
+	timed := budget == 0
+	base := ph.start.Add(ph.pacer.PeriodStart(p))
+	if timed && !base.Less(ph.until) {
 		return
 	}
-	for i := 0; i < pacer.Len(); i++ {
-		at := pacer.At(p, i)
-		if timed && !at.Less(sm.opt.Stop) {
+	for j := 0; j < ph.pacer.Len(); j++ {
+		at := ph.start.Add(ph.pacer.At(p, j))
+		if timed && !at.Less(ph.until) {
 			continue
 		}
 		if !timed {
-			if released >= int64(sm.opt.Tasks) {
+			if released >= budget {
 				return
 			}
 			released++
 			// The last release time is the batch's effective stop.
 			sm.stats.StopAt = at
 		}
-		sm.eng.Post(at, des.Event{Kind: release, Arg: int64(i)})
+		sm.eng.Post(at, des.Event{Kind: release, Node: int32(i), Arg: int64(j)})
 	}
-	if !timed && released >= int64(sm.opt.Tasks) {
+	next := base.Add(ph.pacer.TW())
+	if timed && !next.Less(ph.until) || !timed && released >= budget {
 		return
 	}
-	next := base.Add(pacer.TW())
-	if timed && !next.Less(sm.opt.Stop) {
-		return
-	}
-	sm.eng.Post(next, des.Event{Kind: nextPeriod, Task: p + 1, Arg: released})
+	sm.eng.Post(next, des.Event{Kind: nextPeriod, Node: int32(i), Task: p + 1, Arg: released})
 }
 
 func (sm *simulator) finishStats() {
 	st := sm.stats
 	st.Completed = sm.tr.TotalCompleted()
+	st.Dropped = int(sm.core.Dropped())
 	st.ResultsReturned = int(sm.core.ResultsHome())
-	period := sm.s.Periods().Tree()
-	horizon := periodFloor(st.StopAt, period)
-	if st.PerPeriod.IsInt64() {
+	if st.PerPeriod != nil && st.PerPeriod.IsInt64() {
+		period := sm.s.Periods().Tree()
+		horizon := periodFloor(st.StopAt, period)
 		start, ok := sm.tr.SteadyStart(period, int(st.PerPeriod.Int64()), horizon)
 		st.SteadyStart, st.SteadyOK = start, ok
 		if ok {

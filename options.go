@@ -36,7 +36,6 @@ type callCfg struct {
 	tasks      int
 	skip       bool
 	simOptions SimOptions
-	simSet     bool
 
 	// Schedule construction (BuildSchedule, QuantizeSchedule,
 	// UnmarshalDeployment, and re-solves inside the adaptive loop).
@@ -107,10 +106,11 @@ func WithSkipIntervals() Option {
 }
 
 // WithSimOptions seeds the full simulation configuration for fields
-// without a dedicated option (BurstRoot, MaxEvents). Dedicated options
-// applied after it override the seeded fields.
+// without a dedicated option (BurstRoot, MaxEvents, and the timeline:
+// Phases, Physics). Dedicated options applied after it override the
+// seeded fields.
 func WithSimOptions(o SimOptions) Option {
-	return func(c *callCfg) { c.simOptions = o; c.simSet = true }
+	return func(c *callCfg) { c.simOptions = o }
 }
 
 // WithScheduleOptions configures schedule construction wherever one is
