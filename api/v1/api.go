@@ -19,8 +19,10 @@ const (
 	CacheReprimed = "reprimed"
 )
 
-// SubmitRequest asks the control plane to solve a platform and
-// materialize its schedule. Platform is the line-oriented text format
+// SubmitRequest asks the control plane to solve a platform and build
+// its schedule: the Lemma-1 periods and ψ counts the deployment ships
+// (every node derives its bunch order from ψ). Platform is the
+// line-oriented text format
 // ("name parent comm proc" lines, '-' for the root, "inf" for
 // switches).
 type SubmitRequest struct {

@@ -289,8 +289,9 @@ func BottomUp(t *Tree) *BottomUpResult { return bottomup.Solve(t) }
 func LPThroughput(t *Tree) (Rational, []Rational, error) { return lp.OptimalThroughput(t) }
 
 // BuildSchedule reconstructs every node's asynchronous, event-driven local
-// schedule (periods, ψ quantities, interleaved allocation pattern) from a
-// BW-First result. WithScheduleOptions tunes the construction.
+// schedule (Lemma-1 periods and ψ quantities; Schedule.Cursor derives a
+// node's interleaved order from its ψ on demand) from a BW-First result.
+// WithScheduleOptions tunes the construction.
 func BuildSchedule(res *Result, opts ...Option) (*Schedule, error) {
 	return sched.Build(res, buildCfg(opts).schedOptions)
 }

@@ -643,8 +643,14 @@ func cmdDynamic(args []string) error {
 	if *logOut != "" {
 		ob = bwc.NewObserver()
 	}
-	run, err := bwc.Simulate(sBefore, bwc.WithStop(stopR), bwc.WithSimOptions(bwc.SimOptions{
-		Phases:  []bwc.DynPhase{{At: atR.Add(lagR), Schedule: sAfter}},
+	// A switch at t = 0 is no switch: the re-solved schedule runs from
+	// the start.
+	start, phases := sBefore, []bwc.DynPhase{{At: atR.Add(lagR), Schedule: sAfter}}
+	if phases[0].At.IsZero() {
+		start, phases = sAfter, nil
+	}
+	run, err := bwc.Simulate(start, bwc.WithStop(stopR), bwc.WithSimOptions(bwc.SimOptions{
+		Phases:  phases,
 		Physics: []bwc.DynPhysics{{At: atR, Tree: after}},
 		// Interval recording feeds the exported spans; skip it only when
 		// nothing will be exported.

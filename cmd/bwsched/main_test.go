@@ -263,6 +263,13 @@ change at:    0; schedules switch at 1000 (lag 1000)
 tasks:        400 generated, 400 completed, 0 dropped
 wind-down:    2773/10; max buffered 57
 `},
+		// A switch at t = 0 runs the re-solved schedule from the start:
+		// the run of 'simulate -stop 400' on the degraded platform.
+		{[]string{"-degrade", "P1=4", "-at", "0", "-lag", "0", "-stop", "400"}, `rates:        10/9 before, 137/180 after the change
+change at:    0; schedules switch at 0 (lag 0)
+tasks:        304 generated, 304 completed, 0 dropped
+wind-down:    1364/109; max buffered 4
+`},
 	} {
 		out := capture(t, func() error { return cmdDynamic(append([]string{"-f", f}, c.args...)) })
 		if out != c.want {

@@ -91,8 +91,9 @@ func e2() {
 	check(err)
 	root := &s.Nodes[tr.Root()]
 	var order []string
-	for _, slot := range root.Pattern {
-		if slot.Dest < 0 {
+	cur := s.Cursor(tr.Root(), nil)
+	for range cur.Len() {
+		if slot := cur.Next(); slot.Dest < 0 {
 			order = append(order, "P0")
 		} else {
 			order = append(order, tr.Name(tr.Children(tr.Root())[slot.Dest]))
@@ -446,7 +447,7 @@ func e15() {
 		Child("b", "d", bwc.Rat(4, 7), bwc.RatInt(19)).
 		MustBuild()
 	res := bwc.Solve(tr)
-	exact, err := bwc.BuildSchedule(res, bwc.WithScheduleOptions(bwc.ScheduleOptions{MaxPatternLen: 8}))
+	exact, err := bwc.BuildSchedule(res)
 	check(err)
 	fmt.Printf("measured: optimum %s tasks/unit, exact tree period T = %s\n", res.Throughput, exact.TreePeriod())
 	fmt.Printf("          %-8s %14s %16s %10s\n", "D", "period", "throughput", "loss")

@@ -20,8 +20,8 @@ var (
 
 	// ErrInfeasible reports that no positive-throughput steady state
 	// exists for the requested operation — e.g. the root delegates
-	// everything and computes nothing, or a re-solved schedule has no
-	// usable root pattern.
+	// everything and computes nothing, or a re-solved schedule's root is
+	// inactive.
 	ErrInfeasible = bwcerr.ErrInfeasible
 
 	// ErrScheduleStale reports drift detected against the active schedule

@@ -449,8 +449,8 @@ func buildResolved(res *bwfirst.Result, opt sched.Options) (*sched.Schedule, err
 	if err != nil {
 		return nil, err
 	}
-	if rs := &next.Nodes[next.Tree.Root()]; !rs.Active || rs.Pattern == nil {
-		return nil, fmt.Errorf("adapt: re-solved schedule has no usable root pattern: %w", bwcerr.ErrInfeasible)
+	if !next.Nodes[next.Tree.Root()].Active {
+		return nil, fmt.Errorf("adapt: re-solved schedule's root is inactive: %w", bwcerr.ErrInfeasible)
 	}
 	return next, nil
 }
@@ -468,17 +468,16 @@ func nextBoundary(active *sched.Schedule, segStart, detectedAt rat.R) (rat.R, er
 }
 
 // pauseSchedule returns old with its root deactivated: every other node
-// keeps its pattern (in-flight and buffered tasks still route and
+// keeps its bunch order (in-flight and buffered tasks still route and
 // compute), but the root releases nothing while the platform drains.
 func pauseSchedule(old *sched.Schedule) *sched.Schedule {
 	pause := old.Clone()
-	root := &pause.Nodes[old.Tree.Root()]
-	root.Active, root.Pattern = false, nil
+	pause.Nodes[old.Tree.Root()].Active = false
 	return pause
 }
 
 // drainBound bounds how long the root's send port needs to work off the
-// backlog a stale regime left behind: the stale pattern demanded
+// backlog a stale regime left behind: the stale schedule demanded
 // Σ η_i·c_new(i) units of port time per released unit under the faulted
 // link weights, so a stale window of duration `stale` queues at most
 // (inflation − 1)·stale units of port work. An overestimate merely

@@ -26,8 +26,8 @@ func Uniform25() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 25, 3) }
 func Uniform64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 11) }
 
 // LongBunch64 is the BuildSchedule stage platform: a 64-node uniform
-// tree whose largest bunch Ψ is 15,179 slots, so building its schedule
-// is mostly materializing Figure-3 patterns.
+// tree whose largest bunch Ψ is 15,179 slots, which a schedule build
+// must not pay for (the bunch order is derived on use).
 func LongBunch64() *bwc.Tree { return bwc.GeneratePlatform(bwc.Uniform, 64, 10) }
 
 // Analyze16 is the Analyze and ServeSimulate stage platform: a 16-node

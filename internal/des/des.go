@@ -20,6 +20,7 @@ package des
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"bwc/internal/rat"
 )
@@ -71,6 +72,7 @@ type Engine struct {
 	now       stamp // den == 0 (the zero Engine) is time 0
 	nowBig    rat.R // the current time when now.den < 0
 	seq       uint64
+	firing    uint64 // seq of the event being fired
 	count     uint64
 	cancelled map[Handle]bool
 }
@@ -89,16 +91,29 @@ func (e *Engine) Now() rat.R {
 	return rat.Zero
 }
 
-// Processed returns how many events have fired so far.
-func (e *Engine) Processed() uint64 { return e.count }
-
-// Pending returns how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
+// Reserve makes room for n pending events.
+func (e *Engine) Reserve(n int) { e.events = slices.Grow(e.events, n) }
 
 // Post schedules the event ev at absolute time t and returns a Handle
 // that Cancel accepts. Scheduling in the past panics: it always
 // indicates a logic error in the model.
 func (e *Engine) Post(t rat.R, ev Event) Handle {
+	e.seq++
+	e.insert(t, e.seq, ev)
+	return Handle(e.seq)
+}
+
+// Chain schedules ev at absolute time t under the sequence number of the
+// event being fired, so a run of events posted back to back can be kept
+// pending one at a time, each firing chaining the next, in the order the
+// whole run would fire. A handler chains at most one event per firing;
+// a chained event cannot be cancelled, nor may the one it chains from.
+func (e *Engine) Chain(t rat.R, ev Event) {
+	e.insert(t, e.firing, ev)
+}
+
+// insert schedules ev at t under sequence number seq.
+func (e *Engine) insert(t rat.R, seq uint64, ev Event) {
 	if t.Less(e.Now()) {
 		panic(fmt.Sprintf("des: scheduling at %s before now %s", t, e.Now()))
 	}
@@ -112,9 +127,7 @@ func (e *Engine) Post(t rat.R, ev Event) Handle {
 		at.num = int64(len(e.big))
 		e.big = append(e.big, t)
 	}
-	e.seq++
-	e.push(record{at: at, seq: e.seq, ev: ev})
-	return Handle(e.seq)
+	e.push(record{at: at, seq: seq, ev: ev})
 }
 
 // After schedules the event ev d time units from now (d must be
@@ -156,9 +169,10 @@ func (e *Engine) time(s stamp) rat.R {
 	return e.big[s.num]
 }
 
-// less is the heap order: time, then scheduling order. seq is unique, so
-// the order is strict and total and any correct heap fires the same
-// events in the same sequence. Two int64 times compare as the cross
+// less is the heap order: time, then scheduling order. seq is unique
+// among pending events (Chain reuses a fired one's), so the order is
+// strict and total and any correct heap fires the same events in the
+// same sequence. Two int64 times compare as the cross
 // products x.num·y.den and y.num·x.den, formed in 128 bits so no pair of
 // int64 times can overflow the comparison; times are never negative
 // (nothing is scheduled before 0), so the products are unsigned.
@@ -254,6 +268,7 @@ func (e *Engine) Step() bool {
 		}
 		e.release(&r)
 		e.count++
+		e.firing = r.seq
 		e.handler(r.ev)
 		return true
 	}

@@ -9,14 +9,15 @@
 //     task on the send port at any instant, receive serialized by the
 //     parent's own send port);
 //   - Ψ-bunch accounting (Section 6.2): incoming tasks are consumed
-//     round-robin through the node's interleaved allocation pattern, so
-//     each wrap of the cursor is one Lemma-1 consuming period T^w;
+//     in the node's bunch order, which a sched.Cursor derives from ψ
+//     slot by slot, so each wrap of the cursor is one Lemma-1 consuming
+//     period T^w;
 //   - buffer watermark tracking (Proposition 3): the buffered-task count
 //     (compute + send queues, excluding tasks in service) and its peak,
 //     the quantity χ bounds;
 //   - schedule switches for dynamic runs: InstallDelta atomically
-//     re-points every node at a new schedule's patterns and resets the
-//     bunch cursors of the nodes it lists, and SetPhysics publishes
+//     re-points every node at a new schedule's bunch order and resets
+//     the cursors of the nodes it lists, and SetPhysics publishes
 //     re-measured platform weights.
 //
 // Backends parameterize the core with two small interfaces: a Clock that
@@ -180,9 +181,8 @@ func (q *fifo[T]) pop() T {
 // node is the per-node automaton state.
 type node struct {
 	id        tree.NodeID
-	pattern   []sched.Slot
-	cursor    int
-	bunches   int64 // completed pattern wraps (Ψ-bunches handled)
+	cur       sched.Cursor // the node's place in its bunch order
+	bunches   int64        // completed cursor wraps (Ψ-bunches handled)
 	computeQ  fifo[Task]
 	computing bool
 	sendQ     fifo[outgoing]
@@ -202,9 +202,8 @@ type node struct {
 
 // Config assembles a core.
 type Config struct {
-	// Schedule is the initially installed schedule (patterns must be
-	// materialized for every active node; backends validate and report
-	// their own errors before constructing the core).
+	// Schedule is the initially installed schedule (backends validate
+	// it and report their own errors before constructing the core).
 	Schedule *sched.Schedule
 	// Clock is the backend's time domain (required).
 	Clock Clock
@@ -216,7 +215,7 @@ type Config struct {
 	// streams of the run (see Recorder).
 	Recorder *Recorder
 	// BestEffort enables stranded-task handling for tasks that arrive at
-	// nodes whose active pattern is empty (only possible across dynamic
+	// nodes whose bunch is empty (only possible across dynamic
 	// schedule switches): compute locally, else forward over the fastest
 	// link, else drop. Without it such an arrival panics — in a static
 	// run it is a schedule bug.
@@ -229,6 +228,7 @@ type Core struct {
 	mu    sync.Mutex
 	t     *tree.Tree // topology (names, parent/child structure); immutable
 	phys  atomic.Pointer[tree.Tree]
+	s     *sched.Schedule // the installed schedule; guarded by mu
 	nodes []node
 
 	clock     Clock
@@ -248,8 +248,7 @@ type Core struct {
 
 // New assembles a core over the schedule's platform. The schedule and
 // clock are required; backends are expected to have validated the
-// schedule (materialized patterns, usable root) with their own error
-// vocabulary first.
+// schedule (usable root) with their own error vocabulary first.
 func New(cfg Config) *Core {
 	if cfg.Schedule == nil || cfg.Schedule.Tree == nil {
 		panic("engine: nil schedule")
@@ -283,8 +282,9 @@ func New(cfg Config) *Core {
 	}
 	c.phys.Store(t)
 	for i := range c.nodes {
-		c.nodes[i] = node{id: tree.NodeID(i), pattern: cfg.Schedule.Nodes[i].Pattern}
+		c.nodes[i].id = tree.NodeID(i)
 	}
+	c.install(cfg.Schedule, nil)
 	if c.rec != nil {
 		c.rec.init(t.Len())
 	}
@@ -319,14 +319,6 @@ func (c *Core) Dropped() int64 { return c.dropped.Load() }
 // at the root count immediately). Zero on forward-only platforms.
 func (c *Core) ResultsHome() int64 { return c.resultsHome.Load() }
 
-// Buffered returns n's current buffered-task count (compute + send
-// queues, tasks in service excluded) — the Section-6.3 metric.
-func (c *Core) Buffered(n tree.NodeID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[n].held
-}
-
 // MaxWatermark returns the peak buffered-task count over all nodes — the
 // largest of the per-node quantities Proposition 3's χ bounds.
 func (c *Core) MaxWatermark() int {
@@ -341,16 +333,9 @@ func (c *Core) MaxWatermark() int {
 	return max
 }
 
-// Bunches returns how many complete Ψ-bunches node n has consumed (full
-// wraps of its allocation pattern — Lemma-1 consuming periods).
-func (c *Core) Bunches(n tree.NodeID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[n].bunches
-}
-
 // Release injects one task at the root, pre-routed to dest by the root's
-// own pattern (the pacer decides dest; the root automaton only queues).
+// own bunch order (the pacer decides dest; the root automaton only
+// queues).
 func (c *Core) Release(dest sched.Dest, tk Task) {
 	c.released.Add(1)
 	root := c.t.Root()
@@ -362,24 +347,23 @@ func (c *Core) Release(dest sched.Dest, tk Task) {
 	c.mu.Unlock()
 }
 
-// Arrive processes a task arriving on n's receive port: route it through
-// the node's allocation pattern (event-driven, no clock — Section 6.2).
+// Arrive processes a task arriving on n's receive port: route it to the
+// next slot of the node's bunch order (event-driven, no clock — Section
+// 6.2).
 func (c *Core) Arrive(n tree.NodeID, tk Task) {
 	c.mu.Lock()
 	ns := &c.nodes[n]
-	if len(ns.pattern) == 0 {
+	if ns.cur.Len() == 0 {
 		if c.best {
 			c.strand(ns, tk)
 			c.mu.Unlock()
 			return
 		}
 		c.mu.Unlock()
-		panic(fmt.Sprintf("engine: node %s received a task but has an empty pattern", c.t.Name(n)))
+		panic(fmt.Sprintf("engine: node %s received a task but has an empty bunch", c.t.Name(n)))
 	}
-	slot := ns.pattern[ns.cursor]
-	ns.cursor++
-	if ns.cursor == len(ns.pattern) {
-		ns.cursor = 0
+	slot := ns.cur.Next()
+	if ns.cur.Index() == 0 {
 		ns.bunches++
 	}
 	if c.rec != nil {
@@ -389,7 +373,7 @@ func (c *Core) Arrive(n tree.NodeID, tk Task) {
 	c.mu.Unlock()
 }
 
-// strand handles a task at a node whose active pattern is empty — only
+// strand handles a task at a node whose bunch is empty — only
 // possible after a dynamic schedule switch left in-flight tasks behind.
 // Best effort: compute locally, otherwise forward over the fastest link,
 // otherwise the task is dropped. Called with the lock held.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
@@ -48,6 +49,16 @@ func fireWithReleases(c *Core) des.Handler {
 	}
 }
 
+// emptyBunch zeroes a row's ψ counts, so its node routes nothing. The
+// row's own count slice is replaced, not written: a clone shares it.
+func emptyBunch(ns *sched.NodeSchedule) {
+	zero := new(big.Int)
+	ns.Psi0, ns.Bunch, ns.Psi = zero, zero, make([]*big.Int, len(ns.Psi))
+	for j := range ns.Psi {
+		ns.Psi[j] = zero
+	}
+}
+
 // allNodes lists every node of an n-node platform: the delta that
 // restarts every pattern.
 func allNodes(n int) []tree.NodeID {
@@ -60,15 +71,12 @@ func allNodes(n int) []tree.NodeID {
 
 // runBatch drives a core over the DES clock: release n tasks with the
 // pacer's law, then drain.
-func runBatch(t *testing.T, c *Core, p *Pacer, eng *des.Engine, n int) {
+func runBatch(t *testing.T, c *Core, p Pacer, eng *des.Engine, n int) {
 	t.Helper()
 	base := eng.Now() // restarted batches anchor past the drained clock
-	released := 0
-	for period := int64(0); released < n; period++ {
-		for i := 0; i < p.Len() && released < n; i++ {
-			eng.Post(base.Add(p.At(period, i)), Event{Kind: testRelease, Arg: int64(p.Dest(i)), Task: int64(released)})
-			released++
-		}
+	for released := 0; released < n; released++ {
+		dest, at := p.Next()
+		eng.Post(base.Add(at), Event{Kind: testRelease, Arg: int64(dest), Task: int64(released)})
 	}
 	if err := eng.Drain(1_000_000); err != nil {
 		t.Fatal(err)
@@ -160,9 +168,9 @@ func TestBunchAccounting(t *testing.T) {
 	eng.SetHandler(fireWithReleases(c))
 	p := NewPacer(s, false)
 	periods := 4
-	runBatch(t, c, p, eng, p.Len()*periods)
-	// Every node consumed one Ψ-bunch per full wrap of its pattern: the
-	// bunch counter must equal arrivals ÷ pattern length (Lemma 1).
+	runBatch(t, c, p, eng, int(p.Len())*periods)
+	// Every node consumed one Ψ-bunch per full wrap of its cursor: the
+	// bunch counter must equal arrivals ÷ Ψ (Lemma 1).
 	root := s.Tree.Root()
 	sawBunch := false
 	for id := 0; id < s.Tree.Len(); id++ {
@@ -171,13 +179,13 @@ func TestBunchAccounting(t *testing.T) {
 			continue
 		}
 		ns := &s.Nodes[n]
-		if !ns.Active || len(ns.Pattern) == 0 {
+		if !ns.Active || ns.Bunch.Sign() == 0 {
 			continue
 		}
-		want := int64(len(rec.Routes(n)) / len(ns.Pattern))
+		want := int64(len(rec.Routes(n))) / ns.Bunch.Int64()
 		if got := c.Bunches(n); got != want {
-			t.Fatalf("node %s: %d bunches, want %d (arrivals=%d Ψ=%d)",
-				s.Tree.Name(n), got, want, len(rec.Routes(n)), len(ns.Pattern))
+			t.Fatalf("node %s: %d bunches, want %d (arrivals=%d Ψ=%s)",
+				s.Tree.Name(n), got, want, len(rec.Routes(n)), ns.Bunch)
 		}
 		if want > 0 {
 			sawBunch = true
@@ -210,13 +218,12 @@ func TestInstallResetsCursors(t *testing.T) {
 	eng := &des.Engine{}
 	c := New(Config{Schedule: s, Clock: eng})
 	eng.SetHandler(fireWithReleases(c))
-	p := NewPacer(s, false)
 	// Half a period in, install the same schedule listing every node:
 	// cursors reset, and the remaining tasks still route without
 	// panicking.
-	runBatch(t, c, p, eng, 5)
+	runBatch(t, c, NewPacer(s, false), eng, 5)
 	c.InstallDelta(s, allNodes(s.Tree.Len()))
-	runBatch(t, c, p, eng, 5)
+	runBatch(t, c, NewPacer(s, false), eng, 5)
 	if c.Completed() != 10 {
 		t.Fatalf("completed %d, want 10", c.Completed())
 	}
@@ -224,12 +231,13 @@ func TestInstallResetsCursors(t *testing.T) {
 
 func TestBestEffortStranding(t *testing.T) {
 	s := twoWorkers(t)
-	// Empty every pattern: arrivals at a non-switch node should fall back
-	// to local compute under BestEffort instead of panicking.
+	// Empty every bunch but the root's: arrivals at a non-switch node
+	// should fall back to local compute under BestEffort instead of
+	// panicking.
 	stripped := s.Clone()
 	for i := range stripped.Nodes {
 		if tree.NodeID(i) != s.Tree.Root() {
-			stripped.Nodes[i].Pattern = nil
+			emptyBunch(&stripped.Nodes[i])
 		}
 	}
 	eng := &des.Engine{}
@@ -260,26 +268,31 @@ func TestSameShape(t *testing.T) {
 	}
 }
 
+// TestPacerLaw: slot k of period p leaves at (p + pos_k)·T^w, in the
+// root's bunch order, and in burst mode at p·T^w.
 func TestPacerLaw(t *testing.T) {
 	s := twoWorkers(t)
-	p := NewPacer(s, false)
-	root := &s.Nodes[s.Tree.Root()]
-	if !p.TW().Equal(root.TW) || p.Len() != len(root.Pattern) {
-		t.Fatalf("pacer tw=%s len=%d, want %s/%d", p.TW(), p.Len(), root.TW, len(root.Pattern))
+	root := s.Tree.Root()
+	rs := &s.Nodes[root]
+	p, burst := NewPacer(s, false), NewPacer(s, true)
+	if !p.TW().Equal(rs.TW) || p.Len() != rs.Bunch.Int64() {
+		t.Fatalf("pacer tw=%s len=%d, want %s/%s", p.TW(), p.Len(), rs.TW, rs.Bunch)
 	}
-	for i, slot := range root.Pattern {
-		want := root.TW.Mul(rat.Two).Add(slot.Pos().Mul(root.TW))
-		if got := p.At(2, i); !got.Equal(want) {
-			t.Fatalf("slot %d period 2: at=%s want %s", i, got, want)
-		}
-		if p.Dest(i) != slot.Dest {
-			t.Fatalf("slot %d dest mismatch", i)
-		}
-	}
-	burst := NewPacer(s, true)
-	for i := range root.Pattern {
-		if !burst.At(3, i).Equal(burst.PeriodStart(3)) {
-			t.Fatal("burst pacer must release at the period start")
+	for period := int64(0); period < 3; period++ {
+		cur := s.Cursor(root, nil)
+		for i := range p.Len() {
+			if p.Index() != i || burst.Index() != i {
+				t.Fatalf("period %d: pacers at slot %d and %d, want %d", period, p.Index(), burst.Index(), i)
+			}
+			slot := cur.Next()
+			start := rs.TW.Mul(rat.FromInt(period))
+			dest, at := p.Next()
+			if want := start.Add(slot.Pos().Mul(rs.TW)); dest != slot.Dest || !at.Equal(want) {
+				t.Fatalf("slot %d period %d: (%d, %s), want (%d, %s)", i, period, dest, at, slot.Dest, want)
+			}
+			if dest, at := burst.Next(); dest != slot.Dest || !at.Equal(start) {
+				t.Fatalf("burst slot %d period %d: (%d, %s), want (%d, %s)", i, period, dest, at, slot.Dest, start)
+			}
 		}
 	}
 }

@@ -5,49 +5,52 @@ import (
 	"bwc/internal/sched"
 )
 
-// Pacer enumerates the root's release instants: slot i of period p fires
-// at (p + pos_i)·T^w — the Section-6.3 pacing that keeps the root in
-// steady state from t = 0. In burst mode every slot of a period fires at
-// the period start instead (the naive timing the E7 ablation studies).
-// The pacer is pure arithmetic: backends own the clock that realizes the
-// instants (the simulator schedules whole periods en bloc to preserve
-// deterministic event order; the runtime sleeps slot to slot).
+// Pacer enumerates the root's releases: slot k of period p fires at
+// (p + pos_k)·T^w — the Section-6.3 pacing that keeps the root in steady
+// state from t = 0. In burst mode every slot of a period fires at the
+// period start instead (the naive timing the E7 ablation studies). It
+// walks a cursor over the root's bunch; backends own the clock that
+// realizes the instants.
 type Pacer struct {
-	tw      rat.R
-	pattern []sched.Slot
-	burst   bool
+	tw     rat.R
+	cur    sched.Cursor
+	period int64
+	burst  bool
 }
 
 // NewPacer derives the release law from the schedule's root row. The
-// root must be active with a materialized pattern (backends validate
-// this with their own error vocabulary before building a pacer).
-func NewPacer(s *sched.Schedule, burst bool) *Pacer {
-	root := &s.Nodes[s.Tree.Root()]
-	if !root.Active || len(root.Pattern) == 0 {
+// root must be active with a non-empty bunch (backends validate this
+// with their own error vocabulary before building a pacer).
+func NewPacer(s *sched.Schedule, burst bool) Pacer {
+	root := s.Tree.Root()
+	if rs := &s.Nodes[root]; !rs.Active || rs.Bunch.Sign() == 0 {
 		panic("engine: pacer over an inactive root")
 	}
-	return &Pacer{tw: root.TW, pattern: root.Pattern, burst: burst}
+	return Pacer{tw: s.Nodes[root].TW, cur: s.Cursor(root, nil), burst: burst}
 }
 
 // TW is the root's consuming period T^w.
 func (p *Pacer) TW() rat.R { return p.tw }
 
 // Len is the number of release slots per period (the root's Ψ).
-func (p *Pacer) Len() int { return len(p.pattern) }
+func (p *Pacer) Len() int64 { return p.cur.Len() }
 
-// Dest is the pre-routed destination of slot i (Self or child index).
-func (p *Pacer) Dest(i int) sched.Dest { return p.pattern[i].Dest }
+// Index is the number of slots of the current period already taken.
+func (p *Pacer) Index() int64 { return p.cur.Index() }
 
-// PeriodStart is the start instant of period n: n·T^w.
-func (p *Pacer) PeriodStart(n int64) rat.R {
-	return p.tw.Mul(rat.FromInt(n))
-}
+// PeriodStart is the start instant of the current period: p·T^w.
+func (p *Pacer) PeriodStart() rat.R { return p.tw.Mul(rat.FromInt(p.period)) }
 
-// At is the release instant of slot i in period n.
-func (p *Pacer) At(n int64, i int) rat.R {
-	base := p.PeriodStart(n)
-	if p.burst {
-		return base
+// Next takes the next slot: its pre-routed destination (Self or child
+// index) and its release instant.
+func (p *Pacer) Next() (sched.Dest, rat.R) {
+	at := p.PeriodStart()
+	slot := p.cur.Next()
+	if !p.burst {
+		at = at.Add(slot.Pos().Mul(p.tw))
 	}
-	return base.Add(p.pattern[i].Pos().Mul(p.tw))
+	if p.cur.Index() == 0 {
+		p.period++
+	}
+	return slot.Dest, at
 }

@@ -94,20 +94,6 @@ func (r *Recorder) Fingerprint() string {
 	return b.String()
 }
 
-// Computes returns how many tasks node n computed.
-func (r *Recorder) Computes(n tree.NodeID) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.computes[n]
-}
-
-// Routes returns a copy of node n's routing-decision stream.
-func (r *Recorder) Routes(n tree.NodeID) []sched.Dest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]sched.Dest(nil), r.routes[n]...)
-}
-
 // Results returns how many results departed node n toward its parent
 // (transfers plus zero-cost hops). Zero on forward-only runs.
 func (r *Recorder) Results(n tree.NodeID) int64 {

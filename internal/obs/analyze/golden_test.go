@@ -122,7 +122,7 @@ type goldenCase struct {
 // bunch exceeds the corpus bound.
 func goldenSchedule(t *testing.T, res *bwfirst.Result, block bool) (*sched.Schedule, bool) {
 	t.Helper()
-	s, err := sched.Build(res, sched.Options{Block: block, MaxPatternLen: goldenMaxPsi})
+	s, err := sched.Build(res, sched.Options{Block: block})
 	if err != nil {
 		t.Fatal(err)
 	}

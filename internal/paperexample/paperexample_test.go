@@ -6,6 +6,7 @@ import (
 	"bwc/internal/bottomup"
 	"bwc/internal/bwfirst"
 	"bwc/internal/lp"
+	"bwc/internal/rat"
 	"bwc/internal/sched"
 	"bwc/internal/tree"
 )
@@ -50,6 +51,38 @@ func TestUnvisitedInvariant(t *testing.T) {
 	}
 	if res.VisitedCount != tr.Len()-len(Unvisited) {
 		t.Fatalf("visited %d of %d", res.VisitedCount, tr.Len())
+	}
+}
+
+// Alphas returns the expected per-node compute rates.
+func Alphas() map[string]rat.R {
+	return map[string]rat.R{
+		"P0":  rat.New(1, 9),
+		"P1":  rat.New(1, 8),
+		"P2":  rat.New(1, 4),
+		"P3":  rat.New(1, 8),
+		"P4":  rat.New(1, 5),
+		"P5":  rat.Zero,
+		"P6":  rat.New(1, 5),
+		"P7":  rat.New(1, 20),
+		"P8":  rat.New(1, 20),
+		"P9":  rat.Zero,
+		"P10": rat.Zero,
+		"P11": rat.Zero,
+	}
+}
+
+// EdgeRates returns the expected steady-state task rate on each used edge,
+// keyed by child name.
+func EdgeRates() map[string]rat.R {
+	return map[string]rat.R{
+		"P1": rat.New(1, 2),
+		"P2": rat.New(1, 2),
+		"P3": rat.New(1, 8),
+		"P4": rat.New(1, 4),
+		"P6": rat.New(1, 5),
+		"P7": rat.New(1, 20),
+		"P8": rat.New(1, 20),
 	}
 }
 

@@ -144,9 +144,9 @@ func Default() *perf.Suite {
 		}
 	}})
 
-	// BuildSchedule is the schedule stage alone: Lemma-1 periods, ψ
-	// counts and every node's Figure-3 pattern from a fixed BW-First
-	// result whose largest bunch is 15,179 slots.
+	// BuildSchedule is the schedule stage alone: Lemma-1 periods and ψ
+	// counts from a fixed BW-First result whose largest bunch is 15,179
+	// slots (no pattern is built; a cursor derives each order on use).
 	s.Register(perf.Bench{Name: "BuildSchedule", Short: true, Fn: func(b *testing.B) {
 		res := bwc.Solve(benchfix.LongBunch64())
 		b.ReportAllocs()

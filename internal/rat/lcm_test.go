@@ -94,7 +94,7 @@ func TestDenLCMEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		got, want := DenLCM(c.vs...), bigDenLCM(c.vs...)
-		if got.Cmp(want) != 0 {
+		if !got.Equal(FromBigInt(want)) {
 			t.Errorf("%s: DenLCM = %s, want %s", c.name, got, want)
 		}
 	}

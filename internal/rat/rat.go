@@ -510,28 +510,20 @@ func LCM(a, b R) R {
 	return FromBigInt(LCMInt(a.Num(), b.Num()))
 }
 
-// DenLCM returns the least common multiple of the denominators of vs as a
-// new big.Int. The LCM of an empty list is 1 (the schedule period of a node
+// DenLCM returns the least common multiple of the denominators of vs, an
+// integer. The LCM of an empty list is 1 (the schedule period of a node
 // that sends nothing is one time unit). The running lcm stays in int64
-// until it overflows or meets a value held as big; the rest of the list
-// then goes through LCMInt.
-func DenLCM(vs ...R) *big.Int {
-	l := int64(1)
-	for i, v := range vs {
-		v = v.norm()
-		if v.big == nil {
-			if next, ok := lcm64(l, v.d); ok {
-				l = next
-				continue
-			}
+// until it overflows (LCM).
+func DenLCM(vs ...R) R {
+	l := One
+	for _, v := range vs {
+		if v = v.norm(); v.big == nil {
+			l = LCM(l, R{n: v.d, d: 1})
+		} else {
+			l = LCM(l, FromBigInt(v.big.Denom()))
 		}
-		acc := big.NewInt(l)
-		for _, w := range vs[i:] {
-			acc = LCMInt(acc, w.Den())
-		}
-		return acc
 	}
-	return big.NewInt(l)
+	return l
 }
 
 // MulInt returns a * i where i is a big integer, as an R.

@@ -323,10 +323,10 @@ func TestGCDLCMInt(t *testing.T) {
 
 func TestDenLCM(t *testing.T) {
 	l := DenLCM(New(1, 4), New(5, 6), FromInt(7))
-	if l.Int64() != 12 {
+	if !l.Equal(FromInt(12)) {
 		t.Fatalf("DenLCM(1/4,5/6,7) = %s", l)
 	}
-	if DenLCM().Int64() != 1 {
+	if !DenLCM().Equal(One) {
 		t.Fatal("DenLCM() != 1")
 	}
 }

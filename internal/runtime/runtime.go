@@ -24,7 +24,7 @@
 // wall-clock reference the sim ≡ runtime differential test compares the
 // simulator against.
 //
-// Because routing is deterministic (pattern cursors), the per-node
+// Because routing is deterministic (bunch cursors), the per-node
 // execution counts of a batch are exactly reproducible even though wall
 // -clock interleavings are not.
 package runtime
@@ -45,8 +45,7 @@ import (
 
 // Config describes an execution.
 type Config struct {
-	// Schedule is the deployed event-driven schedule (patterns must be
-	// materialized).
+	// Schedule is the deployed event-driven schedule.
 	Schedule *sched.Schedule
 	// Tasks is the batch size (> 0).
 	Tasks int
@@ -108,25 +107,6 @@ type execution struct {
 	bufMaxG   []*obs.Gauge
 	linkTrack []string     // "<parent>→<child>", indexed by child node
 	sendSpan  []obs.SpanID // active transfer span, indexed by sender
-}
-
-// checkSchedule validates a schedule for execution.
-func checkSchedule(s *sched.Schedule) error {
-	if s == nil || s.Tree.Len() == 0 {
-		return fmt.Errorf("runtime: no schedule")
-	}
-	root := s.Tree.Root()
-	rootSched := &s.Nodes[root]
-	if !rootSched.Active || len(rootSched.Pattern) == 0 {
-		return fmt.Errorf("runtime: root is inactive; nothing to execute: %w", bwcerr.ErrInfeasible)
-	}
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		if ns.Active && ns.Pattern == nil {
-			return fmt.Errorf("runtime: node %s pattern too large to materialize", s.Tree.Name(ns.Node))
-		}
-	}
-	return nil
 }
 
 // wallClock realizes engine durations as scaled timers that fire the
@@ -216,8 +196,12 @@ func (h hooks) ResultHome(tk engine.Task) {
 // Execute runs a batch of cfg.Tasks tasks to completion and reports the
 // per-node execution counts and the wall-clock makespan.
 func Execute(cfg Config) (*Report, error) {
-	if err := checkSchedule(cfg.Schedule); err != nil {
-		return nil, err
+	s := cfg.Schedule
+	if s == nil || s.Tree.Len() == 0 {
+		return nil, fmt.Errorf("runtime: no schedule")
+	}
+	if rs := &s.Nodes[s.Tree.Root()]; !rs.Active || rs.Bunch.Sign() == 0 {
+		return nil, fmt.Errorf("runtime: root is inactive; nothing to execute: %w", bwcerr.ErrInfeasible)
 	}
 	if cfg.Tasks <= 0 {
 		return nil, fmt.Errorf("runtime: Tasks must be positive")
@@ -225,7 +209,6 @@ func Execute(cfg Config) (*Report, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("runtime: Scale must be positive")
 	}
-	s := cfg.Schedule
 	t := s.Tree
 
 	e := &execution{
@@ -296,14 +279,11 @@ func (e *execution) scaleOf(v rat.R) time.Duration {
 // at (p + pos_k)·T^w·Scale after the start.
 func (e *execution) runMaster() {
 	pacer := engine.NewPacer(e.cfg.Schedule, false)
-	released := 0
-	for p := int64(0); released < e.cfg.Tasks; p++ {
-		for i := 0; i < pacer.Len() && released < e.cfg.Tasks; i++ {
-			if wait := e.scaleOf(pacer.At(p, i)) - time.Since(e.start); wait > 0 {
-				time.Sleep(wait)
-			}
-			e.core.Release(pacer.Dest(i), engine.Task{ID: released})
-			released++
+	for released := 0; released < e.cfg.Tasks; released++ {
+		dest, at := pacer.Next()
+		if wait := e.scaleOf(at) - time.Since(e.start); wait > 0 {
+			time.Sleep(wait)
 		}
+		e.core.Release(dest, engine.Task{ID: released})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"bwc/internal/bwfirst"
 	"bwc/internal/rat"
+	"bwc/internal/tree"
 )
 
 // refSlot is a slot of the sort-based reference, its position held as a
@@ -17,8 +18,28 @@ type refSlot struct {
 	Pos  rat.R
 }
 
+// destCount pairs a destination with its ψ.
+type destCount struct {
+	dest Dest
+	psi  int64
+}
+
+// destCounts lists the row's destinations with ψ > 0, Self first.
+func destCounts(ns *NodeSchedule) []destCount {
+	var ds []destCount
+	if ns.Psi0.Sign() > 0 {
+		ds = append(ds, destCount{Self, ns.Psi0.Int64()})
+	}
+	for j, p := range ns.Psi {
+		if p.Sign() > 0 {
+			ds = append(ds, destCount{Dest(j), p.Int64()})
+		}
+	}
+	return ds
+}
+
 // sortInterleave is the Figure-3 construction as a stable sort of every
-// position: the reference the merge in interleavePattern must reproduce
+// position: the reference a cursor's interleaved order must reproduce
 // slot for slot.
 func sortInterleave(ns *NodeSchedule) []refSlot {
 	ds := destCounts(ns)
@@ -51,6 +72,23 @@ func sortInterleave(ns *NodeSchedule) []refSlot {
 	return slots
 }
 
+// blockReference is the block order written out: each destination's ψ
+// slots in turn, at uniform positions i/(Ψ+1).
+func blockReference(ns *NodeSchedule) []refSlot {
+	ds := destCounts(ns)
+	total := int64(0)
+	for _, d := range ds {
+		total += d.psi
+	}
+	var slots []refSlot
+	for _, d := range ds {
+		for range d.psi {
+			slots = append(slots, refSlot{Dest: d.dest, Pos: rat.New(int64(len(slots))+1, total+1)})
+		}
+	}
+	return slots
+}
+
 // psiNode fabricates a node schedule with the given ψ_0 and child ψs.
 func psiNode(psi0 int64, psi []int64) *NodeSchedule {
 	ns := &NodeSchedule{Psi0: big.NewInt(psi0), Psi: make([]*big.Int, len(psi))}
@@ -60,27 +98,74 @@ func psiNode(psi0 int64, psi []int64) *NodeSchedule {
 	return ns
 }
 
-// checkAgainstSort fails unless the merged pattern has the reference's
-// destination and position at every index.
+// cursorOf returns a cursor at the start of a fabricated row's bunch.
+func cursorOf(ns *NodeSchedule, block bool) Cursor {
+	s := &Schedule{Nodes: []NodeSchedule{*ns}, Block: block}
+	return s.Cursor(0, nil)
+}
+
+// take returns the next n slots of c.
+func take(c *Cursor, n int64) []Slot {
+	out := make([]Slot, n)
+	for i := range out {
+		out[i] = c.Next()
+	}
+	return out
+}
+
+// interleavePattern materializes one bunch of a row's Figure-3 order.
+func interleavePattern(ns *NodeSchedule) []Slot {
+	c := cursorOf(ns, false)
+	return take(&c, c.Len())
+}
+
+// blockPattern materializes one bunch of a row's block order.
+func blockPattern(ns *NodeSchedule) []Slot {
+	c := cursorOf(ns, true)
+	return take(&c, c.Len())
+}
+
+// patternOf materializes one bunch of node id's order in s.
+func patternOf(s *Schedule, id tree.NodeID) []Slot {
+	c := s.Cursor(id, nil)
+	return take(&c, c.Len())
+}
+
+// checkAgainstSort fails unless a cursor, interleaved and in block order,
+// yields the reference's destination and position at every index for
+// two full bunches, and reports each wrap.
 func checkAgainstSort(t *testing.T, psi0 int64, psi []int64) {
 	t.Helper()
 	ns := psiNode(psi0, psi)
-	got, want := interleavePattern(ns), sortInterleave(ns)
-	if len(got) != len(want) {
-		t.Fatalf("ψ_0=%d ψ=%v: merge made %d slots, sort %d", psi0, psi, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Dest != want[i].Dest || !got[i].Pos().Equal(want[i].Pos) {
-			t.Fatalf("ψ_0=%d ψ=%v: slot %d is (%d, %s), sort has (%d, %s)",
-				psi0, psi, i, got[i].Dest, got[i].Pos(), want[i].Dest, want[i].Pos)
+	for _, block := range []bool{false, true} {
+		want := sortInterleave(ns)
+		if block {
+			want = blockReference(ns)
+		}
+		c := cursorOf(ns, block)
+		if c.Len() != int64(len(want)) || c.Index() != 0 {
+			t.Fatalf("ψ_0=%d ψ=%v block=%v: cursor over %d slots at %d, reference has %d",
+				psi0, psi, block, c.Len(), c.Index(), len(want))
+		}
+		for wrap := 0; wrap < 2 && len(want) > 0; wrap++ {
+			for i := range want {
+				got := c.Next()
+				if got.Dest != want[i].Dest || !got.Pos().Equal(want[i].Pos) {
+					t.Fatalf("ψ_0=%d ψ=%v block=%v bunch %d: slot %d is (%d, %s), reference has (%d, %s)",
+						psi0, psi, block, wrap, i, got.Dest, got.Pos(), want[i].Dest, want[i].Pos)
+				}
+				if next := (int64(i) + 1) % c.Len(); c.Index() != next {
+					t.Fatalf("ψ_0=%d ψ=%v block=%v: index %d after slot %d", psi0, psi, block, c.Index(), i)
+				}
+			}
 		}
 	}
 }
 
 // TestInterleaveMatchesSortReference: on hand-picked tie patterns and on
 // random ψ vectors (Self present and absent, zero entries, repeated ψ,
-// fan-out up to 64, Ψ up to 2^14), the merge and the stable sort produce
-// the same destination and position sequence.
+// fan-out up to 64, Ψ up to 2^14), a cursor and the stable sort produce
+// the same destination and position sequence, bunch after bunch.
 func TestInterleaveMatchesSortReference(t *testing.T) {
 	// ψ = 2^i − 1 puts every stream on a power-of-two grid, so 1/2 is
 	// contested by all of them, 1/4 and 3/4 by all but one, and so on;
@@ -140,9 +225,10 @@ func TestInterleaveMatchesSortReference(t *testing.T) {
 	}
 }
 
-// FuzzInterleave compares the merge with the sort reference on fuzzed
-// ψ vectors: ψ_0 from the first argument, one child per byte of the
-// second (fan-out capped at 64, so Ψ stays below 2^14 + 2^12).
+// FuzzInterleave drives a cursor through two full bunches, interleaved
+// and in block order, against the references on fuzzed ψ vectors: ψ_0
+// from the first argument, one child per byte of the second (fan-out
+// capped at 64, so Ψ stays below 2^14 + 2^12).
 func FuzzInterleave(f *testing.F) {
 	f.Add(uint16(1), []byte{2, 4})
 	f.Add(uint16(1), []byte{1, 3})
@@ -161,8 +247,9 @@ func FuzzInterleave(f *testing.F) {
 	})
 }
 
-// TestCheckInvariantsRejectsBadPatterns: the integer pattern checks
-// catch each way a pattern can be malformed.
+// TestCheckInvariantsRejectsBadPatterns: a node's bunch order is a
+// function of its ψ counts, so a bad pattern is a bad count; the checks
+// catch each way one can disagree with Lemma 1.
 func TestCheckInvariantsRejectsBadPatterns(t *testing.T) {
 	s, err := Build(bwfirst.Solve(paperTree()), Options{})
 	if err != nil {
@@ -172,25 +259,28 @@ func TestCheckInvariantsRejectsBadPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := &s.Nodes[s.Tree.Root()]
-	good := root.Pattern
-	if len(good) < 3 || good[0].Dest == good[1].Dest {
-		t.Fatalf("fixture: root pattern %v", patternDests(good))
+	if len(root.Psi) != 3 || root.Psi[1].Cmp(root.Psi[2]) == 0 || root.Psi[1].Sign() == 0 {
+		t.Fatalf("fixture: root ψ %v", root.Psi)
 	}
+	good := *root
+	plus := func(x *big.Int, d int64) *big.Int { return new(big.Int).Add(x, big.NewInt(d)) }
 	corrupt := []struct {
 		name string
-		edit func(p []Slot) []Slot
+		edit func(ns *NodeSchedule)
 	}{
-		{"swapped", func(p []Slot) []Slot { p[0], p[1] = p[1], p[0]; return p }},
-		{"unknown-dest", func(p []Slot) []Slot { p[0].Dest = Dest(len(root.Psi)); return p }},
-		{"missing-slot", func(p []Slot) []Slot { return p[:len(p)-1] }},
-		{"position-one", func(p []Slot) []Slot { p[len(p)-1].k = p[len(p)-1].den; return p }},
-		{"position-zero", func(p []Slot) []Slot { p[0].k = 0; return p }},
+		{"swapped", func(ns *NodeSchedule) { ns.Psi = []*big.Int{ns.Psi[0], ns.Psi[2], ns.Psi[1]} }},
+		{"missing-child", func(ns *NodeSchedule) { ns.Psi = ns.Psi[:len(ns.Psi)-1] }},
+		{"self-short", func(ns *NodeSchedule) { ns.Psi0 = plus(ns.Psi0, -1) }},
+		{"bunch-long", func(ns *NodeSchedule) { ns.Bunch = plus(ns.Bunch, 1) }},
+		{"child-moved", func(ns *NodeSchedule) {
+			ns.Psi = []*big.Int{plus(ns.Psi[0], 1), plus(ns.Psi[1], -1), ns.Psi[2]}
+		}},
 	}
 	for _, c := range corrupt {
-		root.Pattern = c.edit(append([]Slot(nil), good...))
+		c.edit(root)
 		if err := s.CheckInvariants(); err == nil {
-			t.Errorf("%s: corrupted pattern passed", c.name)
+			t.Errorf("%s: corrupted ψ passed", c.name)
 		}
+		*root = good
 	}
-	root.Pattern = good
 }

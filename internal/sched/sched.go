@@ -26,6 +26,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"slices"
@@ -44,11 +45,11 @@ type Dest int
 // node's children in insertion order.
 const Self Dest = -1
 
-// Slot is one entry of a node's interleaved allocation pattern.
+// Slot is one entry of a node's bunch order, as a Cursor yields it.
 type Slot struct {
 	// Dest says where the task handled by this slot goes.
 	Dest Dest
-	// k/den is the slot's position, kept as two integers so patterns
+	// k/den is the slot's position, kept as two integers so cursors
 	// hold no pointers and comparisons need no gcd.
 	k, den int64
 }
@@ -67,7 +68,7 @@ func (s Slot) Pos() rat.R {
 // smaller ψ (it wins the contested task; den = ψ+1), then smaller index
 // (Self = -1 first). A (position, destination) pair is unique, so the
 // order is total. Positions compare as the cross products k_a·den_b and
-// k_b·den_a, formed in 128 bits so no pattern length can overflow them.
+// k_b·den_a, formed in 128 bits so no bunch length can overflow them.
 func before(a, b Slot) bool {
 	hiA, loA := bits.Mul64(uint64(a.k), uint64(b.den))
 	hiB, loB := bits.Mul64(uint64(b.k), uint64(a.den))
@@ -82,7 +83,8 @@ func before(a, b Slot) bool {
 
 // NodeSchedule is the compact, self-contained description of one node's
 // steady-state behavior — everything a node needs, built purely from local
-// information (Section 6's semi-autonomy).
+// information (Section 6's semi-autonomy); a Cursor derives its bunch
+// order from ψ. The counts share storage: treat them as read-only.
 type NodeSchedule struct {
 	Node tree.NodeID
 
@@ -116,11 +118,6 @@ type NodeSchedule struct {
 	Psi0  *big.Int   // ψ_0
 	Psi   []*big.Int // ψ_i
 	Bunch *big.Int   // Ψ = ψ_0 + Σψ_i
-
-	// Pattern is the interleaved allocation of one bunch (length Ψ), or
-	// nil when Ψ exceeds the MaxPatternLen option (the "embarrassingly
-	// long period" case the paper warns about).
-	Pattern []Slot
 }
 
 // Schedule bundles the per-node schedules of a platform.
@@ -135,6 +132,10 @@ type Schedule struct {
 	// same single ports.
 	ResultReturn bool
 
+	// Block records Options.Block: the nodes hand out their bunches in
+	// block order instead of Figure 3's interleave.
+	Block bool
+
 	// periods memoizes Periods. It also makes a Schedule a value that
 	// must not be copied (go vet reports copies): a copy would carry the
 	// original's periods whatever its own nodes say.
@@ -143,9 +144,7 @@ type Schedule struct {
 
 // Options configures schedule construction.
 type Options struct {
-	// MaxPatternLen bounds the materialized pattern length Ψ per node;
-	// longer patterns leave Pattern nil (quantities are still computed).
-	// Zero means the default of 1<<20.
+	// MaxPatternLen is ignored: no bunch order is materialized.
 	MaxPatternLen int
 	// Block switches the local ordering strategy from the paper's
 	// interleaving (Figure 3) to naive block allocation — all of a
@@ -154,12 +153,10 @@ type Options struct {
 	Block bool
 }
 
-const defaultMaxPatternLen = 1 << 20
-
 // nodeRates is the per-node steady-state description a schedule is built
-// from: the compute rate and the per-child send rates. Build derives it
-// from a BW-First result; Quantize derives a denominator-bounded
-// approximation.
+// from: the compute rate and the per-child send rates (nil when all are
+// zero; an inactive node's rates are all zero). Build derives it from a
+// BW-First result; Quantize derives a denominator-bounded approximation.
 type nodeRates struct {
 	alpha  rat.R
 	sends  []rat.R
@@ -177,19 +174,13 @@ func (nr nodeRates) recv() rat.R {
 
 // Build constructs the full schedule from a BW-First result.
 func Build(res *bwfirst.Result, opt Options) (*Schedule, error) {
-	t := res.Tree
-	rates := make([]nodeRates, t.Len())
-	for id := 0; id < t.Len(); id++ {
-		st := res.Nodes[id]
-		nr := nodeRates{alpha: st.Alpha, sends: st.SendRates}
-		if nr.sends == nil {
-			nr.sends = make([]rat.R, len(t.Children(tree.NodeID(id))))
-		}
-		recv := st.ConsumeRate()
-		nr.active = st.Visited && (recv.IsPos() || nr.alpha.IsPos())
-		rates[id] = nr
+	rates := make([]nodeRates, len(res.Nodes))
+	for id := range rates {
+		st := &res.Nodes[id]
+		rates[id] = nodeRates{alpha: st.Alpha, sends: st.SendRates,
+			active: st.Visited && (st.ConsumeRate().IsPos() || st.Alpha.IsPos())}
 	}
-	s, err := buildFromRates(t, rates, opt)
+	s, err := buildFromRates(res.Tree, rates, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -228,18 +219,15 @@ func Quantize(res *bwfirst.Result, den int64, opt Options) (*Schedule, rat.R, er
 		}
 		throughput = subtree[t.Root()]
 	}
+	// A node receives its subtree's flow; one that receives none is idle.
 	rates := make([]nodeRates, t.Len())
-	for id := 0; id < t.Len(); id++ {
-		nid := tree.NodeID(id)
-		children := t.Children(nid)
-		nr := nodeRates{alpha: alpha[id], sends: make([]rat.R, len(children))}
-		recv := alpha[id]
-		for j, c := range children {
-			nr.sends[j] = subtree[c]
-			recv = recv.Add(subtree[c])
+	for id := range rates {
+		if nr := &rates[id]; subtree[id].IsPos() {
+			nr.alpha, nr.active = alpha[id], true
+			for _, c := range t.Children(tree.NodeID(id)) {
+				nr.sends = append(nr.sends, subtree[c])
+			}
 		}
-		nr.active = recv.IsPos()
-		rates[id] = nr
 	}
 	s, err := buildFromRates(t, rates, opt)
 	if err != nil {
@@ -249,142 +237,223 @@ func Quantize(res *bwfirst.Result, den int64, opt Options) (*Schedule, rat.R, er
 	return s, throughput, nil
 }
 
-// buildFromRates assembles the schedule from per-node rates.
+// buildFromRates assembles the schedule from per-node rates, in rat's
+// int64 arithmetic, which promotes to math/big on overflow.
 func buildFromRates(t *tree.Tree, rates []nodeRates, opt Options) (*Schedule, error) {
-	if opt.MaxPatternLen == 0 {
-		opt.MaxPatternLen = defaultMaxPatternLen
-	}
-	s := &Schedule{Tree: t, Nodes: make([]NodeSchedule, t.Len()), ResultReturn: t.HasResultReturn()}
-	if t.Len() == 0 {
-		return s, nil
-	}
-	// TS must be computed top-down so TR can copy the parent's TS.
-	for _, id := range preorder(t) {
-		if err := s.buildNode(id, rates[id], opt); err != nil {
+	s := &Schedule{Tree: t, Nodes: make([]NodeSchedule, t.Len()), ResultReturn: t.HasResultReturn(), Block: opt.Block}
+	a := newArena(t, rates)
+	for id := range s.Nodes {
+		if err := s.buildNode(tree.NodeID(id), &rates[id], &a); err != nil {
 			return nil, err
+		}
+	}
+	// T^r is the parent's T^s, so it waits for every row's T^s.
+	for id := range s.Nodes {
+		ns := &s.Nodes[id]
+		ns.TR, ns.PhiRecv = rat.Zero, a.zero
+		if p := t.Parent(ns.Node); p != tree.None {
+			ns.TR = s.Nodes[p].TS
+		}
+		if ns.Active && ns.TR.IsPos() {
+			ns.PhiRecv = a.count(ns.RecvRate.Mul(ns.TR), "φ_{-1}", t, ns.Node)
 		}
 	}
 	return s, nil
 }
 
-func preorder(t *tree.Tree) []tree.NodeID {
-	var out []tree.NodeID
-	t.Walk(t.Root(), func(id tree.NodeID) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-func (s *Schedule) buildNode(id tree.NodeID, nr nodeRates, opt Options) error {
+// buildNode fills node id's row but T^r and φ_{-1}. An idle row has
+// T^s = T^c = T^w = 1 and shares its zero counts with every other. A
+// bunch whose Ψ + 1 does not fit int64, the range of a Cursor's
+// counters, is an error: the one limit on the bunch of a schedule.
+func (s *Schedule) buildNode(id tree.NodeID, nr *nodeRates, a *arena) error {
 	t := s.Tree
 	ns := &s.Nodes[id]
-	ns.Node = id
-	ns.Alpha = nr.alpha
-	ns.Sends = nr.sends
+	ns.Node, ns.Active, ns.Alpha, ns.Sends = id, nr.active, nr.alpha, nr.sends
+	if ns.Sends == nil {
+		ns.Sends = a.zeroRates[:len(t.Children(id))]
+	}
 	ns.RecvRate = nr.recv()
-	ns.Active = nr.active
-	if s.ResultReturn && ns.Active && id != t.Root() {
+	if !ns.Active {
+		ns.TS, ns.TC, ns.TW = rat.One, rat.One, rat.One
+		ns.Phi0, ns.Psi0, ns.Bunch = a.zero, a.zero, a.zero
+		ns.Phi, ns.Psi = a.zeros[:len(ns.Sends)], a.zeros[:len(ns.Sends)]
+		return nil
+	}
+	if s.ResultReturn && id != t.Root() {
 		ns.ReturnRate = ns.RecvRate
 	}
 
 	// Lemma 1. T^s = lcm of the children's send-rate denominators (an
 	// empty lcm is 1: a node that sends nothing still has a well-defined
-	// unit period).
-	ts := rat.DenLCM(ns.Sends...)
-	ns.TS = rat.FromBigInt(ts)
-	ns.TC = rat.FromBigInt(ns.Alpha.Den())
-	if id == t.Root() {
-		ns.TR = rat.Zero
-		ns.PhiRecv = big.NewInt(0)
-	} else {
-		ns.TR = s.Nodes[t.Parent(id)].TS
-		ns.PhiRecv = mustInt(ns.RecvRate.Mul(ns.TR), "φ_{-1}", t.Name(id))
-	}
-	ns.Phi0 = ns.Alpha.Num() // ρ_0 = η_0 · μ_0
-	ns.Phi = make([]*big.Int, len(ns.Sends))
-	for j, eta := range ns.Sends {
-		ns.Phi[j] = mustInt(eta.Mul(ns.TS), "φ_i", t.Name(id))
-	}
+	// unit period), T^c = μ_0 and ρ_0 = η_0·μ_0.
+	ns.TS = rat.DenLCM(ns.Sends...)
+	ns.TC = rat.DenLCM(ns.Alpha)
+	ns.Phi0 = a.count(ns.Alpha.Mul(ns.TC), "ρ_0", t, id)
 
-	// Event-driven quantities.
-	tw := rat.LCMInt(ns.TC.Num(), ns.TS.Num())
-	ns.TW = rat.FromBigInt(tw)
-	ns.Psi0 = mustInt(ns.Alpha.Mul(ns.TW), "ψ_0", t.Name(id))
-	ns.Psi = make([]*big.Int, len(ns.Sends))
-	ns.Bunch = new(big.Int).Set(ns.Psi0)
+	// Event-driven quantities over T^w = lcm(T^c, T^s).
+	ns.TW = rat.LCM(ns.TC, ns.TS)
+	k := len(ns.Sends)
+	ns.Phi, ns.Psi, a.ptrs = a.ptrs[:k:k], a.ptrs[k:2*k:2*k], a.ptrs[2*k:]
+	bunch := ns.Alpha.Mul(ns.TW)
+	ns.Psi0 = a.count(bunch, "ψ_0", t, id)
 	for j, eta := range ns.Sends {
-		ns.Psi[j] = mustInt(eta.Mul(ns.TW), "ψ_i", t.Name(id))
-		ns.Bunch.Add(ns.Bunch, ns.Psi[j])
+		ns.Phi[j] = a.count(eta.Mul(ns.TS), "φ_i", t, id)
+		psi := eta.Mul(ns.TW)
+		ns.Psi[j] = a.count(psi, "ψ_i", t, id)
+		bunch = bunch.Add(psi)
 	}
-
-	if ns.Bunch.IsInt64() && ns.Bunch.Int64() <= int64(opt.MaxPatternLen) {
-		if opt.Block {
-			ns.Pattern = blockPattern(ns)
-		} else {
-			ns.Pattern = interleavePattern(ns)
-		}
+	ns.Bunch = a.count(bunch, "Ψ", t, id)
+	if n, ok := bunch.Int64(); !ok || n == math.MaxInt64 {
+		return fmt.Errorf("sched: node %s has Ψ=%s, beyond the int64 range of a cursor", t.Name(id), bunch)
 	}
 	return nil
 }
 
-// mustInt converts a rational that is provably integer by construction; a
-// failure indicates a bug upstream, not bad input.
-func mustInt(v rat.R, what, node string) *big.Int {
-	if !v.IsInt() {
-		panic(fmt.Sprintf("sched: %s of node %s = %s is not an integer", what, node, v))
-	}
-	return v.Num()
+// arena is the storage a schedule's rows share, allocated once per
+// build: active rows' non-zero counts and their φ and ψ slices, and the
+// zeros of idle rows.
+type arena struct {
+	ints      []big.Int
+	words     []big.Word
+	ptrs      []*big.Int
+	zero      *big.Int
+	zeros     []*big.Int // every entry is zero
+	zeroRates []rat.R
 }
 
-// destCount pairs a destination with its ψ for pattern construction.
-type destCount struct {
-	dest Dest
-	psi  int64
+// newArena sizes the arena: an active row has at most four counts
+// (φ_{-1}, ρ_0, ψ_0, Ψ) and two per child (φ_i, ψ_i).
+func newArena(t *tree.Tree, rates []nodeRates) arena {
+	counts, ptrs, fan := 0, 0, 0
+	for id := range rates {
+		k := len(t.Children(tree.NodeID(id)))
+		fan = max(fan, k)
+		if rates[id].active {
+			counts += 4 + 2*k
+			ptrs += 2 * k
+		}
+	}
+	a := arena{ints: make([]big.Int, counts), words: make([]big.Word, counts),
+		ptrs: make([]*big.Int, ptrs), zero: new(big.Int), zeros: make([]*big.Int, fan), zeroRates: make([]rat.R, fan)}
+	for i := range a.zeros {
+		a.zeros[i] = a.zero
+	}
+	return a
 }
 
-func destCounts(ns *NodeSchedule) []destCount {
-	var ds []destCount
-	if ns.Psi0.Sign() > 0 {
-		ds = append(ds, destCount{Self, ns.Psi0.Int64()})
+// count returns v, an integer by construction (otherwise a bug upstream),
+// as a *big.Int: the zero, the next arena value, or v's own numerator.
+func (a *arena) count(v rat.R, what string, t *tree.Tree, id tree.NodeID) *big.Int {
+	n, ok := v.Int64()
+	switch {
+	case !ok && !v.IsInt():
+		panic(fmt.Sprintf("sched: %s of node %s = %s is not an integer", what, t.Name(id), v))
+	case !ok || n < 0 || uint64(n) > uint64(^big.Word(0)):
+		return v.Num()
+	case n == 0:
+		return a.zero
 	}
-	for j, p := range ns.Psi {
+	x, w := &a.ints[0], a.words[:1:1]
+	a.ints, a.words = a.ints[1:], a.words[1:]
+	w[0] = big.Word(n)
+	return x.SetBits(w)
+}
+
+// Cursor walks one node's bunch order slot by slot and wraps after Ψ
+// slots, each wrap one consuming period T^w. Interleaved (Figure 3), it
+// merges the destinations' streams k/(ψ_d+1), k = 1..ψ_d, through a
+// binary min-heap over the D stream heads: O(log D) a slot. In block
+// order it serves each destination's ψ_d slots in turn, at uniform
+// positions so the root's pacing stays defined. The zero Cursor is empty.
+type Cursor struct {
+	// heads holds one stream per destination with ψ > 0, k its next slot
+	// and den = ψ + 1. Interleaved, heads[:live] is the heap of streams
+	// not yet exhausted; in block order heads[live] is being served.
+	heads []Slot
+	live  int
+	i, n  int64 // slots taken in this bunch, and Ψ
+	block bool
+}
+
+// Cursor returns a cursor at the start of node id's bunch. Its state,
+// one slot per destination with ψ > 0, goes to heads while heads has the
+// capacity, so cursors can share one array (nil allocates it).
+func (s *Schedule) Cursor(id tree.NodeID, heads []Slot) Cursor {
+	ns := &s.Nodes[id]
+	if heads == nil {
+		heads = make([]Slot, 0, len(ns.Psi)+1)
+	}
+	c := Cursor{heads: heads[:0], block: s.Block}
+	for j := -1; j < len(ns.Psi); j++ {
+		p := ns.Psi0
+		if j >= 0 {
+			p = ns.Psi[j]
+		}
 		if p.Sign() > 0 {
-			ds = append(ds, destCount{Dest(j), p.Int64()})
+			c.heads = append(c.heads, Slot{Dest: Dest(j), k: 1, den: p.Int64() + 1})
+			c.n += p.Int64()
 		}
 	}
-	return ds
+	c.rewind()
+	return c
 }
 
-// interleavePattern implements the Figure-3 strategy. Destination d's
-// slots k/(ψ_d+1), k = 1..ψ_d, already ascend in k, so a k-way merge of
-// the D streams (a binary min-heap over their next slots) yields the
-// whole bunch in order in O(Ψ log D).
-func interleavePattern(ns *NodeSchedule) []Slot {
-	ds := destCounts(ns)
-	heads := make([]Slot, len(ds))
-	total := int64(0)
-	for i, d := range ds {
-		heads[i] = Slot{Dest: d.dest, k: 1, den: d.psi + 1}
-		total += d.psi
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftDown(heads, i)
-	}
-	slots := make([]Slot, 0, total)
-	for len(heads) > 0 {
-		top := &heads[0]
-		slots = append(slots, *top)
-		top.k++
-		if top.k == top.den { // stream exhausted
-			*top = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
+// Len is the bunch size Ψ: 0 for an empty cursor.
+func (c *Cursor) Len() int64 { return c.n }
+
+// Index is the number of slots taken in the current bunch.
+func (c *Cursor) Index() int64 { return c.i }
+
+// Next returns the next slot, wrapping after the last. The cursor must
+// not be empty.
+func (c *Cursor) Next() Slot {
+	var s Slot
+	if c.block {
+		h := &c.heads[c.live]
+		s = Slot{Dest: h.Dest, k: c.i + 1, den: c.n + 1}
+		if h.k++; h.k == h.den {
+			c.live++
 		}
-		if len(heads) > 0 {
-			siftDown(heads, 0)
+	} else {
+		h := &c.heads[0]
+		s = *h
+		if h.k++; h.k == h.den { // stream exhausted: park it past the heap
+			c.live--
+			c.heads[0], c.heads[c.live] = c.heads[c.live], c.heads[0]
+		}
+		if c.live > 0 {
+			siftDown(c.heads[:c.live], 0)
 		}
 	}
-	return slots
+	if c.i++; c.i == c.n {
+		c.rewind()
+	}
+	return s
+}
+
+// SetIndex moves the cursor to slot i of its bunch (0 <= i < Len).
+func (c *Cursor) SetIndex(i int64) {
+	c.rewind()
+	for c.i < i {
+		c.Next()
+	}
+}
+
+// rewind starts a bunch. A heap pops in the total order before, whatever
+// order its array holds.
+func (c *Cursor) rewind() {
+	c.i = 0
+	for j := range c.heads {
+		c.heads[j].k = 1
+	}
+	if c.block {
+		c.live = 0
+		return
+	}
+	c.live = len(c.heads)
+	for j := c.live/2 - 1; j >= 0; j-- {
+		siftDown(c.heads, j)
+	}
 }
 
 // siftDown restores the min-heap order below h[i].
@@ -405,26 +474,6 @@ func siftDown(h []Slot, i int) {
 		i = c
 	}
 	h[i] = x
-}
-
-// blockPattern hands each destination all of its tasks consecutively (the
-// strategy the paper's interleaving improves upon). Positions are assigned
-// uniformly so the root pacing remains well defined.
-func blockPattern(ns *NodeSchedule) []Slot {
-	ds := destCounts(ns)
-	total := int64(0)
-	for _, d := range ds {
-		total += d.psi
-	}
-	slots := make([]Slot, 0, total)
-	i := int64(0)
-	for _, d := range ds {
-		for k := int64(0); k < d.psi; k++ {
-			slots = append(slots, Slot{Dest: d.dest, k: i + 1, den: total + 1})
-			i++
-		}
-	}
-	return slots
 }
 
 // Periods are a schedule's Proposition-3 quantities: every node's
@@ -462,7 +511,7 @@ func (p *Periods) Chi(id tree.NodeID) rat.R {
 // rows' slices are shared), for callers that derive a schedule by
 // editing rows. The copy computes its own Periods.
 func (s *Schedule) Clone() *Schedule {
-	return &Schedule{Tree: s.Tree, Res: s.Res, Nodes: slices.Clone(s.Nodes), ResultReturn: s.ResultReturn}
+	return &Schedule{Tree: s.Tree, Res: s.Res, Nodes: slices.Clone(s.Nodes), ResultReturn: s.ResultReturn, Block: s.Block}
 }
 
 // Periods returns the schedule's periods, computing them on first use.
@@ -551,58 +600,41 @@ func (s *Schedule) MaxStartupBound() rat.R {
 
 // CheckInvariants validates the constructed schedule against the paper's
 // equations: Lemma 1 integrality (already enforced), the event-driven
-// conservation Ψ = ψ_0 + Σψ_i = η_{-1}·T^w, Proposition 3's synchronized
-// consistency (χ_{-1} = Σχ_i over T_0 = lcm(T^r, T^c, T^s)), and pattern
-// well-formedness.
+// counts ψ_d = η_d·T^w and Ψ = Σψ_d = η_{-1}·T^w (the bunch order is a
+// function of ψ), and Proposition 3's synchronized consistency
+// (χ_{-1} = Σχ_i over T_0 = lcm(T^r, T^c, T^s)).
 func (s *Schedule) CheckInvariants() error {
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		name := s.Tree.Name(ns.Node)
-		// Ψ = η_{-1}·T^w.
-		want := ns.RecvRate.Mul(ns.TW)
-		if !rat.FromBigInt(ns.Bunch).Equal(want) {
-			return fmt.Errorf("node %s: Ψ=%s but η_{-1}·T^w=%s", name, ns.Bunch, want)
+		if len(ns.Psi) != len(ns.Sends) {
+			return fmt.Errorf("node %s: %d ψ counts for %d send rates", name, len(ns.Psi), len(ns.Sends))
+		}
+		// ψ_d = η_d·T^w for every destination d (Self is d = 0), and
+		// Ψ = Σψ_d = η_{-1}·T^w.
+		sum := rat.Zero
+		for d, p := range append([]*big.Int{ns.Psi0}, ns.Psi...) {
+			eta := ns.Alpha
+			if d > 0 {
+				eta = ns.Sends[d-1]
+			}
+			want := eta.Mul(ns.TW)
+			if !rat.FromBigInt(p).Equal(want) {
+				return fmt.Errorf("node %s: ψ_%d=%s but η_%d·T^w=%s", name, d, p, d, want)
+			}
+			sum = sum.Add(want)
+		}
+		if want := ns.RecvRate.Mul(ns.TW); !rat.FromBigInt(ns.Bunch).Equal(sum) || !sum.Equal(want) {
+			return fmt.Errorf("node %s: Ψ=%s but Σψ=%s and η_{-1}·T^w=%s", name, ns.Bunch, sum, want)
 		}
 		// Proposition 3 over T_0.
-		t0 := rat.LCMInt(ns.TS.Num(), ns.TC.Num())
-		if ns.TR.IsPos() {
-			t0 = rat.LCMInt(t0, ns.TR.Num())
-		}
-		t0r := rat.FromBigInt(t0)
-		chiIn := ns.RecvRate.Mul(t0r)
-		chiSum := ns.Alpha.Mul(t0r)
+		t0 := s.Periods().T0(ns.Node)
+		chiIn, chiSum := ns.RecvRate.Mul(t0), ns.Alpha.Mul(t0)
 		for _, eta := range ns.Sends {
-			chiSum = chiSum.Add(eta.Mul(t0r))
+			chiSum = chiSum.Add(eta.Mul(t0))
 		}
 		if !chiIn.IsInt() || !chiIn.Equal(chiSum) {
 			return fmt.Errorf("node %s: Prop 3 violated: χ_{-1}=%s Σχ=%s", name, chiIn, chiSum)
-		}
-		// Pattern: right multiset of destinations, ordered by position
-		// (ties as the Figure-3 rule breaks them).
-		if ns.Pattern != nil {
-			counts := make([]int64, len(ns.Psi)+1) // indexed by Dest+1, Self first
-			last := Slot{den: 1}
-			for _, sl := range ns.Pattern {
-				if sl.Dest < Self || int(sl.Dest) >= len(ns.Psi) {
-					return fmt.Errorf("node %s: pattern slot for unknown destination %d", name, sl.Dest)
-				}
-				counts[sl.Dest+1]++
-				if sl.k <= 0 || sl.k >= sl.den {
-					return fmt.Errorf("node %s: pattern position %s outside (0,1)", name, sl.Pos())
-				}
-				if !before(last, sl) {
-					return fmt.Errorf("node %s: pattern slots out of order", name)
-				}
-				last = sl
-			}
-			if counts[0] != ns.Psi0.Int64() {
-				return fmt.Errorf("node %s: pattern has %d self slots, want %s", name, counts[0], ns.Psi0)
-			}
-			for j, p := range ns.Psi {
-				if counts[j+1] != p.Int64() {
-					return fmt.Errorf("node %s: pattern has %d slots for child %d, want %s", name, counts[j+1], j, p)
-				}
-			}
 		}
 	}
 	return nil
@@ -627,13 +659,14 @@ func (s *Schedule) DescribeNode(id tree.NodeID) string {
 			fmt.Fprintf(&b, ", send %s to %s", p, t.Name(t.Children(id)[j]))
 		}
 	}
-	if ns.Pattern != nil && len(ns.Pattern) > 0 && len(ns.Pattern) <= 64 {
+	if ns.Bunch.Sign() > 0 && ns.Bunch.IsInt64() && ns.Bunch.Int64() <= 64 {
 		b.WriteString(" | order: ")
-		for i, sl := range ns.Pattern {
+		cur := s.Cursor(id, nil)
+		for i := range cur.Len() {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			if sl.Dest == Self {
+			if sl := cur.Next(); sl.Dest == Self {
 				b.WriteString(t.Name(id))
 			} else {
 				b.WriteString(t.Name(t.Children(id)[sl.Dest]))

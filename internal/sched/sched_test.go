@@ -3,6 +3,7 @@ package sched
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,8 +146,8 @@ func TestEventDrivenQuantities(t *testing.T) {
 	if root.Bunch.Int64() != 19 {
 		t.Fatalf("root Ψ = %s", root.Bunch)
 	}
-	if len(root.Pattern) != 19 {
-		t.Fatalf("root pattern length %d", len(root.Pattern))
+	if got := patternOf(s, tr.Root()); len(got) != 19 {
+		t.Fatalf("root pattern length %d", len(got))
 	}
 	p1 := s.Nodes[tr.MustLookup("P1")]
 	if p1.Bunch.Int64() != 1 || !p1.TW.Equal(rat.FromInt(3)) {
@@ -210,6 +211,9 @@ func TestBlockOptionInvariants(t *testing.T) {
 	}
 }
 
+// TestMaxPatternLenSkipsMaterialization: no pattern is materialized, so
+// the bound is ignored — a schedule built under a bound below its root's
+// Ψ = 19 has the same quantities and the same bunch order.
 func TestMaxPatternLenSkipsMaterialization(t *testing.T) {
 	_, s := twoWorker(t)
 	res := s.Res
@@ -217,13 +221,13 @@ func TestMaxPatternLenSkipsMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := small.Nodes[res.Tree.Root()]
-	if root.Pattern != nil {
-		t.Fatal("pattern materialized despite Ψ=19 > 5")
+	root := res.Tree.Root()
+	if small.Nodes[root].Bunch.Int64() != 19 {
+		t.Fatalf("Ψ = %s", small.Nodes[root].Bunch)
 	}
-	// Quantities must still be present.
-	if root.Bunch.Int64() != 19 {
-		t.Fatalf("Ψ = %s", root.Bunch)
+	got, want := patternDests(patternOf(small, root)), patternDests(patternOf(s, root))
+	if len(got) != 19 || !slices.Equal(got, want) {
+		t.Fatalf("bunch order under the bound %v, without %v", got, want)
 	}
 	if err := small.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -303,7 +307,8 @@ func TestPatternRunLengthBound(t *testing.T) {
 	}
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
-		if ns.Pattern == nil || len(ns.Pattern) < 3 {
+		pattern := patternOf(s, ns.Node)
+		if len(pattern) < 3 {
 			continue
 		}
 		count := map[Dest]int64{Self: ns.Psi0.Int64()}
@@ -323,9 +328,9 @@ func TestPatternRunLengthBound(t *testing.T) {
 			return best
 		}
 		run := 1
-		for j := 1; j < len(ns.Pattern); j++ {
-			d := ns.Pattern[j].Dest
-			if d != ns.Pattern[j-1].Dest {
+		for j := 1; j < len(pattern); j++ {
+			d := pattern[j].Dest
+			if d != pattern[j-1].Dest {
 				run = 1
 				continue
 			}
@@ -394,26 +399,24 @@ func isPalindromic(p []Slot) bool {
 }
 
 func TestPalindromicHalving(t *testing.T) {
-	ns := figure3Node()
-	ns.Pattern = interleavePattern(ns)
-	if !isPalindromic(ns.Pattern) {
+	pattern := interleavePattern(figure3Node())
+	if !isPalindromic(pattern) {
 		t.Fatal("Figure 3 pattern not palindromic")
 	}
 	// The first ceil(7/2) = 4 slots describe the whole pattern (Section
 	// 6.3): half + reverse(half[:3]) must equal the original.
-	half := ns.Pattern[:(len(ns.Pattern)+1)/2]
+	half := pattern[:(len(pattern)+1)/2]
 	// Reconstruct: half + reverse(half[:3]) must equal the original.
 	full := append([]Slot{}, half...)
 	for i := len(half) - 2; i >= 0; i-- {
 		full = append(full, half[i])
 	}
-	for i := range ns.Pattern {
-		if full[i].Dest != ns.Pattern[i].Dest {
+	for i := range pattern {
+		if full[i].Dest != pattern[i].Dest {
 			t.Fatalf("reconstruction differs at %d", i)
 		}
 	}
-	asym := &NodeSchedule{Pattern: []Slot{{Dest: Self}, {Dest: 0}, {Dest: 0}}}
-	if isPalindromic(asym.Pattern) {
+	if isPalindromic([]Slot{{Dest: Self}, {Dest: 0}, {Dest: 0}}) {
 		t.Fatal("asymmetric pattern reported palindromic")
 	}
 	if isPalindromic(nil) {
@@ -435,12 +438,13 @@ func TestPaperTreePalindromes(t *testing.T) {
 	sawTieFree := false
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
-		if !ns.Active || len(ns.Pattern) < 2 {
+		pattern := patternOf(s, ns.Node)
+		if !ns.Active || len(pattern) < 2 {
 			continue
 		}
 		ties := false
-		for j := 1; j < len(ns.Pattern); j++ {
-			if ns.Pattern[j].Pos().Equal(ns.Pattern[j-1].Pos()) {
+		for j := 1; j < len(pattern); j++ {
+			if pattern[j].Pos().Equal(pattern[j-1].Pos()) {
 				ties = true
 				break
 			}
@@ -449,8 +453,8 @@ func TestPaperTreePalindromes(t *testing.T) {
 			continue
 		}
 		sawTieFree = true
-		if !isPalindromic(ns.Pattern) {
-			t.Errorf("tie-free node %s not palindromic: %v", s.Tree.Name(ns.Node), ns.Pattern)
+		if !isPalindromic(pattern) {
+			t.Errorf("tie-free node %s not palindromic: %v", s.Tree.Name(ns.Node), patternDests(pattern))
 		}
 	}
 	if !sawTieFree {
@@ -532,7 +536,7 @@ func TestQuantizeBoundsPeriodAndLoss(t *testing.T) {
 	for seed := int64(0); seed < 60 && !found; seed++ {
 		cand := awkwardTree(rand.New(rand.NewSource(seed)), 12)
 		candRes := bwfirst.Solve(cand)
-		s, err := Build(candRes, Options{MaxPatternLen: 4})
+		s, err := Build(candRes, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

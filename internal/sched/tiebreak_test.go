@@ -75,8 +75,7 @@ func TestTieBreakTable(t *testing.T) {
 
 // TestTieBreakEndToEnd drives the equal-ψ equal-c case through the real
 // pipeline: two identical children (same c, same w) get equal ψ from the
-// solver, and the materialized pattern must alternate them smaller-index
-// first.
+// solver, and the bunch order must alternate them smaller-index first.
 func TestTieBreakEndToEnd(t *testing.T) {
 	pl := tree.NewBuilder().
 		Root("P0", rat.FromInt(1)).
@@ -91,18 +90,19 @@ func TestTieBreakEndToEnd(t *testing.T) {
 	if root.Psi[0].Cmp(root.Psi[1]) != 0 {
 		t.Fatalf("identical children got different ψ: %v vs %v", root.Psi[0], root.Psi[1])
 	}
+	pattern := patternOf(s, pl.Root())
 	var last Dest = Self
-	for _, sl := range root.Pattern {
+	for _, sl := range pattern {
 		if sl.Dest == Self {
 			last = Self
 			continue
 		}
 		if sl.Dest == last {
-			t.Fatalf("equal-ψ children not alternating in %v", patternDests(root.Pattern))
+			t.Fatalf("equal-ψ children not alternating in %v", patternDests(pattern))
 		}
 		if last == Self && sl.Dest != 0 {
 			t.Fatalf("contested position went to child %d before child 0: %v",
-				sl.Dest, patternDests(root.Pattern))
+				sl.Dest, patternDests(pattern))
 		}
 		last = sl.Dest
 	}

@@ -42,11 +42,12 @@ func TestDeploymentRoundTrip(t *testing.T) {
 		if a.Bunch.Cmp(b.Bunch) != 0 {
 			t.Fatalf("node %s Ψ differs", tr.Name(a.Node))
 		}
-		if len(a.Pattern) != len(b.Pattern) {
+		pa, pb := patternOf(orig, a.Node), patternOf(back, b.Node)
+		if len(pa) != len(pb) {
 			t.Fatalf("node %s pattern length differs", tr.Name(a.Node))
 		}
-		for k := range a.Pattern {
-			if a.Pattern[k].Dest != b.Pattern[k].Dest {
+		for k := range pa {
+			if pa[k].Dest != pb[k].Dest {
 				t.Fatalf("node %s pattern slot %d differs", tr.Name(a.Node), k)
 			}
 		}
@@ -152,5 +153,26 @@ func TestDeploymentIsCompact(t *testing.T) {
 	// Even pretty-printed JSON stays below 1KB for the 12-node platform.
 	if len(data) > 1024 {
 		t.Fatalf("deployment doc %d bytes", len(data))
+	}
+}
+
+// TestBunchBeyondCursorRange: a bunch whose Ψ + 1 does not fit int64, the
+// range of a cursor's counters, is refused at build time; the largest
+// one that fits builds and walks.
+func TestBunchBeyondCursorRange(t *testing.T) {
+	tr := tree.NewBuilder().Root("P0", rat.One).MustBuild()
+	doc := func(psi0 string) []byte { return []byte(`[{"name":"P0","tw":"1","psi0":"` + psi0 + `"}]`) }
+	for _, psi0 := range []string{"9223372036854775807", "100000000000000000000"} {
+		if _, err := UnmarshalDeployment(tr, doc(psi0), Options{}); err == nil || !strings.Contains(err.Error(), "int64 range") {
+			t.Errorf("Ψ=%s: err = %v", psi0, err)
+		}
+	}
+	s, err := UnmarshalDeployment(tr, doc("9223372036854775806"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Cursor(tr.Root(), nil)
+	if sl := c.Next(); c.Len() != 1<<63-2 || sl.Dest != Self || c.Index() != 1 {
+		t.Fatalf("cursor over Ψ=%d at %d gave %d", c.Len(), c.Index(), sl.Dest)
 	}
 }

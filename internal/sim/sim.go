@@ -16,15 +16,16 @@
 // stream, and the Section 8 statistics.
 //
 //   - Every node except the root acts without any time-related information.
-//     Incoming tasks are assigned round-robin through the node's
-//     interleaved allocation pattern (bunches of size Ψ): a slot either
-//     queues the task for local computation or queues it for one child.
+//     Incoming tasks are assigned in the node's interleaved bunch order
+//     (bunches of size Ψ): a slot either queues the task for local
+//     computation or queues it for one child.
 //     The single send port serves the send queue FIFO; the single receive
 //     port is naturally serialized because only the parent ever sends.
-//   - The root is the only clocked node. Slot k of its pattern in period p
+//   - The root is the only clocked node. Slot k of its bunch in period p
 //     releases one task at the nominal time (p + pos_k)·T^w, which keeps
 //     the root in steady state from t = 0 (Section 7: the start-up phase
-//     allows useful computation everywhere).
+//     allows useful computation everywhere). Each phase keeps one release
+//     pending, whatever the root's Ψ.
 //
 // A task "held" at a node counts the tasks waiting in its compute or send
 // queues (not the ones currently being computed or transmitted); this is
@@ -99,13 +100,13 @@ type Options struct {
 }
 
 // Phase activates a schedule at a point in virtual time. Buffered tasks
-// survive the switch and are re-routed by the new pattern; a task that
+// survive the switch and are re-routed by the new bunch order; a task that
 // reaches a node the new schedule no longer uses is computed there,
 // forwarded over its fastest link, or dropped.
 type Phase struct {
 	At       rat.R
 	Schedule *sched.Schedule
-	// Changed lists the nodes whose pattern cursor the switch resets
+	// Changed lists the nodes whose bunch cursor the switch resets
 	// (engine.Core.InstallDelta); every other node keeps its Ψ-bunch
 	// position. Pass engine.ChangedNodes(prev, next) — the adaptation
 	// loop's delta swap. nil resets every node.
@@ -234,21 +235,22 @@ func (sm *simulator) initObs(sc *obs.Scope) {
 }
 
 // phase is one release window of the root: its pacer, anchored at start,
-// releases until until. Phase 0 is the schedule the run starts with,
+// releases until until (in Tasks mode, until the budget is posted,
+// counting in posted). Phase 0 is the schedule the run starts with,
 // phase i > 0 is Options.Phases[i-1]; a phase whose root is inactive has
 // no pacer and releases nothing.
 type phase struct {
-	pacer        *engine.Pacer
+	pacer        engine.Pacer
 	start, until rat.R
+	posted       int64
 }
 
 // The simulator's own DES event kinds, numbered after the engine core's.
 const (
-	// release: the root releases one task through slot Arg of phase
-	// Node's pacer.
+	// release: the root releases one task of phase Node to destination
+	// Arg.
 	release = engine.NumKinds + iota
-	// nextPeriod: phase Node's release chain reaches period Task, with
-	// Arg releases posted so far (Tasks mode).
+	// nextPeriod: phase Node's release chain reaches its next period.
 	nextPeriod
 	// install: phase Node's schedule takes over.
 	install
@@ -263,9 +265,10 @@ func (sm *simulator) fire(ev des.Event) {
 	case release:
 		sm.stats.Generated++
 		sm.genCtr.Inc()
-		sm.core.Release(sm.phases[ev.Node].pacer.Dest(int(ev.Arg)), engine.Task{ID: sm.stats.Generated - 1})
+		sm.core.Release(sched.Dest(ev.Arg), engine.Task{ID: sm.stats.Generated - 1})
+		sm.postRelease(int(ev.Node), true)
 	case nextPeriod:
-		sm.genPhase(int(ev.Node), ev.Task, ev.Arg)
+		sm.genPhase(int(ev.Node))
 	case install:
 		p := &sm.opt.Phases[ev.Node-1]
 		changed := p.Changed
@@ -434,9 +437,6 @@ func (opt *Options) validate(s *sched.Schedule) error {
 	if timeline && opt.Tasks > 0 {
 		return fmt.Errorf("sim: a run with Phases or Physics needs Stop or Periods, not Tasks")
 	}
-	if err := materialized(s); err != nil {
-		return fmt.Errorf("sim: %v", err)
-	}
 	prev := rat.Zero
 	for i, p := range opt.Phases {
 		if p.Schedule == nil {
@@ -453,9 +453,6 @@ func (opt *Options) validate(s *sched.Schedule) error {
 			if id < 0 || int(id) >= t.Len() {
 				return fmt.Errorf("sim: phase %d: changed node %d is not on the %d-node platform", i, id, t.Len())
 			}
-		}
-		if err := materialized(p.Schedule); err != nil {
-			return fmt.Errorf("sim: phase %d: %v", i, err)
 		}
 	}
 	for i, pc := range opt.Physics {
@@ -476,18 +473,6 @@ func (opt *Options) validate(s *sched.Schedule) error {
 	return nil
 }
 
-// materialized reports an active node of s whose pattern was too long
-// to build.
-func materialized(s *sched.Schedule) error {
-	for i := range s.Nodes {
-		if ns := &s.Nodes[i]; ns.Active && ns.Pattern == nil {
-			return fmt.Errorf("node %s has Ψ=%s, too large to materialize (raise sched.Options.MaxPatternLen)",
-				s.Tree.Name(ns.Node), ns.Bunch)
-		}
-	}
-	return nil
-}
-
 // start posts the run's timeline in a fixed order, so every run
 // replays event for event: the physics swaps up to Stop, then each
 // phase's install followed by its release chain. Phase 0, the schedule
@@ -495,6 +480,15 @@ func materialized(s *sched.Schedule) error {
 func (sm *simulator) start() {
 	opt := &sm.opt
 	timed := opt.Tasks == 0
+	// Each active node has at most two events pending (a computation
+	// and a transfer), each phase three (release, period start, install).
+	pending := 3*(1+len(opt.Phases)) + len(opt.Physics)
+	for i := range sm.s.Nodes {
+		if sm.s.Nodes[i].Active {
+			pending += 2
+		}
+	}
+	sm.eng.Reserve(pending)
 	for k, pc := range opt.Physics {
 		if !opt.Stop.Less(pc.At) {
 			sm.eng.Post(pc.At, des.Event{Kind: physics, Node: int32(k)})
@@ -516,9 +510,9 @@ func (sm *simulator) start() {
 		if i > 0 {
 			sm.eng.Post(at, des.Event{Kind: install, Node: int32(i)})
 		}
-		if rs := &s.Nodes[s.Tree.Root()]; rs.Active && len(rs.Pattern) > 0 {
+		if rs := &s.Nodes[s.Tree.Root()]; rs.Active && rs.Bunch.Sign() > 0 {
 			sm.phases[i] = phase{pacer: engine.NewPacer(s, opt.BurstRoot), start: at, until: until}
-			sm.genPhase(i, 0, 0)
+			sm.genPhase(i)
 		}
 	}
 }
@@ -619,38 +613,54 @@ func smallInt(v uint64) string {
 	return strconv.FormatUint(v, 10)
 }
 
-// genPhase posts the root's period-p releases of phase i — its slots in
-// the window [start, until), or in Tasks mode the slots up to the
-// budget, released counting those posted so far — anchored at the phase
-// start, then chains the next period lazily.
-func (sm *simulator) genPhase(i int, p, released int64) {
+// genPhase starts the next period of phase i: it posts the period's
+// first release, and the next period's start if the phase reaches it.
+// Each release, when it fires, chains the next of its period
+// (des.Engine.Chain), so a phase keeps one release pending whatever its
+// Ψ, and every event fires as if the whole period were posted at once.
+func (sm *simulator) genPhase(i int) {
 	ph := &sm.phases[i]
 	budget := int64(sm.opt.Tasks)
 	timed := budget == 0
-	base := ph.start.Add(ph.pacer.PeriodStart(p))
+	base := ph.start.Add(ph.pacer.PeriodStart())
 	if timed && !base.Less(ph.until) {
 		return
 	}
-	for j := 0; j < ph.pacer.Len(); j++ {
-		at := ph.start.Add(ph.pacer.At(p, j))
-		if timed && !at.Less(ph.until) {
-			continue
-		}
-		if !timed {
-			if released >= budget {
-				return
-			}
-			released++
-			// The last release time is the batch's effective stop.
-			sm.stats.StopAt = at
-		}
-		sm.eng.Post(at, des.Event{Kind: release, Node: int32(i), Arg: int64(j)})
-	}
+	// The whole period is posted unless the window or the budget ends
+	// inside it, and then there is no next period either.
+	more := !timed && ph.pacer.Len() < budget-ph.posted
+	sm.postRelease(i, false)
 	next := base.Add(ph.pacer.TW())
-	if timed && !next.Less(ph.until) || !timed && released >= budget {
+	if timed && !next.Less(ph.until) || !timed && !more {
 		return
 	}
-	sm.eng.Post(next, des.Event{Kind: nextPeriod, Node: int32(i), Task: p + 1, Arg: released})
+	sm.eng.Post(next, des.Event{Kind: nextPeriod, Node: int32(i)})
+}
+
+// postRelease schedules the release of phase i's next slot, chained to
+// the one being fired (unless that ended its period) or posted afresh,
+// unless the slot falls past the phase's window or budget. A release in
+// Tasks mode moves the batch's effective stop to its time.
+func (sm *simulator) postRelease(i int, chain bool) {
+	ph := &sm.phases[i]
+	if chain && ph.pacer.Index() == 0 {
+		return
+	}
+	dest, at := ph.pacer.Next()
+	at = ph.start.Add(at)
+	budget := int64(sm.opt.Tasks)
+	if budget == 0 && !at.Less(ph.until) || budget > 0 && ph.posted == budget {
+		return
+	}
+	if budget > 0 {
+		ph.posted++
+		sm.stats.StopAt = at
+	}
+	if ev := (des.Event{Kind: release, Node: int32(i), Arg: int64(dest)}); chain {
+		sm.eng.Chain(at, ev)
+	} else {
+		sm.eng.Post(at, ev)
+	}
 }
 
 func (sm *simulator) finishStats() {

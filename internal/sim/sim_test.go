@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,16 +184,74 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-func TestOversizedPatternRejected(t *testing.T) {
+// TestMaxPatternLenIgnored: a schedule built under a pattern bound below
+// its root's Ψ = 19 simulates exactly as the default one does.
+func TestMaxPatternLenIgnored(t *testing.T) {
 	tr := tree.NewBuilder().
 		Root("P0", rat.Two).
 		Child("P0", "P1", rat.One, rat.FromInt(3)).
 		Child("P0", "P2", rat.FromInt(3), rat.Two).
 		MustBuild()
-	s := buildSchedule(t, tr, sched.Options{MaxPatternLen: 2})
-	_, err := Simulate(s, Options{Periods: 2})
-	if err == nil || !strings.Contains(err.Error(), "too large") {
-		t.Fatalf("err = %v", err)
+	var runs [2]*Run
+	for i, opt := range []sched.Options{{MaxPatternLen: 2}, {}} {
+		run, err := Simulate(buildSchedule(t, tr, opt), Options{Periods: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = run
+	}
+	if !reflect.DeepEqual(runs[0].Stats, runs[1].Stats) || !reflect.DeepEqual(runs[0].Trace, runs[1].Trace) {
+		t.Fatalf("bounded build ran %+v, default %+v", runs[0].Stats, runs[1].Stats)
+	}
+}
+
+// hugeBunch is treegen compute-limited n = 32, seed 2: its root's bunch
+// is Ψ = 1,351,258 slots.
+func hugeBunch(t *testing.T) *sched.Schedule {
+	t.Helper()
+	s := buildSchedule(t, treegen.Generate(treegen.ComputeLimited, 32, 2), sched.Options{})
+	if b := s.Nodes[s.Tree.Root()].Bunch; b.Int64() != 1_351_258 {
+		t.Fatalf("fixture drift: root Ψ = %s", b)
+	}
+	return s
+}
+
+// TestHugeBunchSimulates: a root bunch past a million slots simulates
+// with default options and conserves every task.
+func TestHugeBunchSimulates(t *testing.T) {
+	run, err := Simulate(hugeBunch(t), Options{Stop: rat.FromInt(2000), SkipIntervals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if run.Stats.Generated == 0 {
+		t.Fatal("no task released")
+	}
+}
+
+// TestHugeBunchMemoryBounded: a period of the huge root releases 1.35M
+// tasks. Keeping one release pending, the run reaches the event bound
+// with a heap that grew by well under a posted period's 65 MB of DES
+// records.
+func TestHugeBunchMemoryBounded(t *testing.T) {
+	s := hugeBunch(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Simulate(s, Options{Periods: 1, MaxEvents: 10_000, SkipIntervals: true})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 10000 events") {
+		t.Fatalf("err = %v, want the event bound", err)
+	}
+	grown := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the run allocated %d bytes", grown)
+	if grown > 4<<20 {
+		t.Fatalf("the run allocated %d bytes", grown)
 	}
 }
 
@@ -225,15 +285,6 @@ func TestThroughputAcrossGenerators(t *testing.T) {
 			period := rat.FromBigInt(s.TreePeriod())
 			// Keep runs tractable: skip pathological LCM blowups.
 			if perInt, ok := period.Int64(); !ok || perInt > 3000 {
-				continue
-			}
-			skip := false
-			for i := range s.Nodes {
-				if s.Nodes[i].Active && s.Nodes[i].Pattern == nil {
-					skip = true
-				}
-			}
-			if skip {
 				continue
 			}
 			stop := period.Mul(rat.FromInt(8))
@@ -316,14 +367,8 @@ func TestBuffersWithinChi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok := true
-		for i := range s.Nodes {
-			if s.Nodes[i].Active && s.Nodes[i].Pattern == nil {
-				ok = false
-			}
-		}
 		period := rat.FromBigInt(s.TreePeriod())
-		if p, fits := period.Int64(); !ok || !fits || p > 2000 {
+		if p, fits := period.Int64(); !fits || p > 2000 {
 			continue
 		}
 		run, err := Simulate(s, Options{Stop: period.Mul(rat.FromInt(6)), SkipIntervals: true})
