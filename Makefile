@@ -53,7 +53,7 @@ bench:
 # job runs; exit code 8 means a metric regressed. BENCHTIME is pinned so
 # every point on the trajectory measures the same way.
 BENCHTIME ?= 1s
-BASELINE  ?= BENCH_PR30.json
+BASELINE  ?= BENCH_PR31.json
 bench-trajectory:
 	$(GO) run ./cmd/bwsched bench -short -benchtime $(BENCHTIME) -compare $(BASELINE)
 

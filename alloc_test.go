@@ -116,3 +116,81 @@ func TestSimulateAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocs per unobserved Figure-5 run", allocs)
 	}
 }
+
+// TestParsePlatformAllocs bounds the heap allocations of parsing a
+// 64-node SETI platform's text. Lines and fields are substrings of the
+// text and rationals on the int64 path never reach math/big, so what
+// allocates is one copy of each name (so the tree does not keep the
+// text alive) and the growth of the nodes slice, the name index and
+// each parent's children. The ceiling is the measured 97 (953 with the
+// line reader and math/big) plus slack.
+func TestParsePlatformAllocs(t *testing.T) {
+	text := bwc.FormatPlatform(bwc.GeneratePlatform(bwc.SETI, 64, 12))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := bwc.ParsePlatformString(text); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per parse", allocs)
+	if allocs > 110 {
+		t.Fatalf("%.0f allocs per parse", allocs)
+	}
+}
+
+// TestFingerprintAllocs bounds the heap allocations of a first
+// fingerprint of a 256-node SETI platform: one text buffer sized from
+// the node count, the hex key and the memo's pointer. Each tree is
+// cloned outside the count, since the key is memoized. The ceiling is
+// the measured 4 (256 when each rational went through fmt) plus slack.
+func TestFingerprintAllocs(t *testing.T) {
+	tr := bwc.GeneratePlatform(bwc.SETI, 256, 11)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var total uint64
+	for i := 0; i < runs; i++ {
+		fresh := tr.Clone()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bwc.PlatformFingerprint(fresh)
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	allocs := float64(total) / runs
+	t.Logf("%.0f allocs per fingerprint", allocs)
+	if allocs > 8 {
+		t.Fatalf("%.0f allocs per fingerprint", allocs)
+	}
+}
+
+// TestMarshalDeploymentAllocs bounds the heap allocations of rendering
+// the deployment document of the 64-node BuildSchedule fixture: one
+// buffer sized from the active count, grown at most a few times, and
+// the index slice of the ψ keys. The ceiling is the measured 4 (77
+// through maps, reflection and json.MarshalIndent) plus slack.
+func TestMarshalDeploymentAllocs(t *testing.T) {
+	s, err := bwc.BuildSchedule(bwc.Solve(benchfix.LongBunch64()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := bwc.MarshalDeployment(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per deployment document", allocs)
+	if allocs > 8 {
+		t.Fatalf("%.0f allocs per deployment document", allocs)
+	}
+}
+
+// TestRatStringAllocs: formatting a rational makes exactly one
+// allocation, the string (2 through fmt.Sprintf). String does not call
+// Append, so the digits are formatted in a stack buffer.
+func TestRatStringAllocs(t *testing.T) {
+	r := bwc.Rat(-355, 113)
+	var s string
+	allocs := testing.AllocsPerRun(100, func() { s = r.String() })
+	if s != "-355/113" || allocs != 1 {
+		t.Fatalf("String = %q in %.0f allocs, want -355/113 in 1", s, allocs)
+	}
+}

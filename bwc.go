@@ -44,7 +44,6 @@ package bwc
 import (
 	"io"
 	"math/rand"
-	"strings"
 
 	"bwc/internal/bottomup"
 	"bwc/internal/bwfirst"
@@ -371,7 +370,7 @@ func FoldedThroughput(t *Tree) (Rational, error) {
 func ParsePlatform(r io.Reader) (*Tree, error) { return tree.ParseText(r) }
 
 // ParsePlatformString is ParsePlatform on a string.
-func ParsePlatformString(s string) (*Tree, error) { return tree.ParseText(strings.NewReader(s)) }
+func ParsePlatformString(s string) (*Tree, error) { return tree.ParseString(s) }
 
 // FormatPlatform renders a platform in the text format.
 func FormatPlatform(t *Tree) string { return t.Text() }

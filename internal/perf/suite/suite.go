@@ -104,6 +104,26 @@ func Default() *perf.Suite {
 		}
 	}})
 
+	// Parse is the parse stage: the text of a 256-node SETI platform (the
+	// Fingerprint fixture) read into a tree. Parse65k reads a
+	// 65,536-node SETI platform, 1.4 MB of text, to show how parsing
+	// scales. Both report their rate in MB/s.
+	parse := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
+			text := treegen.Generate(treegen.SETI, n, 11).Text()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bwc.ParsePlatformString(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(text))*float64(b.N)/b.Elapsed().Seconds()/1e6, "MB/s")
+		}
+	}
+	s.Register(perf.Bench{Name: "Parse", Short: true, Fn: parse(256)})
+	s.Register(perf.Bench{Name: "Parse65k", Fn: parse(1 << 16)})
+
 	// Fingerprint is the tenant key's cost on a platform seen for the
 	// first time: serialize and hash a 256-node SETI tree (a fresh clone
 	// per iteration, since the key is memoized on the tree).
@@ -141,6 +161,30 @@ func Default() *perf.Suite {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			submit()
+		}
+	}})
+
+	// SubmitCold is one first submit of the ServeSubmitHit platform
+	// through bwschedd's full handler, in process: decode, parse,
+	// fingerprint, the cold solve, the schedule build, the deployment
+	// render and the JSON encode. Each iteration gets a new server, made
+	// outside the timer, so the text is never cached.
+	s.Register(perf.Bench{Name: "SubmitCold", Short: true, Fn: func(b *testing.B) {
+		body, err := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := server.New(server.Options{}).Handler()
+			b.StartTimer()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+			}
 		}
 	}})
 

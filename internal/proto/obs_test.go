@@ -62,3 +62,29 @@ func TestObservedAgreesWithPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestNegotiateEventAtVirtualZero: the negotiate event is stamped at
+// virtual 0, not at the wall time the wave took, so two runs of one
+// platform emit the same event.
+func TestNegotiateEventAtVirtualZero(t *testing.T) {
+	sc := obs.New()
+	var got []obs.Event
+	sc.Attach(obs.SinkFunc(func(e obs.Event) { got = append(got, e) }))
+	res := SolveObserved(treegen.Generate(treegen.Uniform, 23, 42), sc)
+	var negotiate []obs.Event
+	for _, e := range got {
+		if e.Name == "negotiate" {
+			negotiate = append(negotiate, e)
+		}
+	}
+	if len(negotiate) != 1 || negotiate[0].Virtual != "0" {
+		t.Fatalf("negotiate events %+v, want one at virtual 0", negotiate)
+	}
+	if attrs := fmt.Sprint(negotiate[0].Attrs); attrs != fmt.Sprint([]obs.Attr{
+		obs.A("throughput", res.Throughput.String()),
+		obs.A("messages", fmt.Sprint(res.Messages)),
+		obs.A("visited", fmt.Sprint(res.VisitedCount)),
+	}) {
+		t.Fatalf("negotiate attrs %s", attrs)
+	}
+}

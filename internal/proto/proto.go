@@ -182,7 +182,9 @@ func (s *Session) Run() *Result {
 		}
 	}
 	s.visitedG.Set(int64(res.VisitedCount))
-	s.sc.Emit("negotiate",
+	// Stamped at virtual 0: the negotiation precedes every run it feeds,
+	// and the scope has no clock while it runs.
+	s.sc.EmitAt(rat.Zero, "negotiate",
 		obs.A("throughput", res.Throughput.String()),
 		obs.A("messages", fmt.Sprint(res.Messages)),
 		obs.A("visited", fmt.Sprint(res.VisitedCount)))

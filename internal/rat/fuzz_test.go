@@ -5,21 +5,33 @@ import (
 	"testing"
 )
 
-// FuzzParse checks the rational parser never panics and that accepted
-// values round-trip through String.
+// FuzzParse checks Parse against math/big, the reader its int64 path
+// stands in for: both accept or refuse each input, with the same value.
+// Every accepted value round-trips through String and Append.
 func FuzzParse(f *testing.F) {
-	f.Add("3/4")
-	f.Add("-10/9")
-	f.Add("0.125")
-	f.Add("")
-	f.Add("1/0")
-	f.Add("9223372036854775807/2")
-	f.Add("-9223372036854775808")
-	f.Add("1e10")
+	for _, s := range []string{
+		"3/4", "-10/9", "0.125", "", "1/0", "9223372036854775807/2",
+		"-9223372036854775808", "1e10", "010/3", "1_0", "0x10", "1e2", "+3",
+		".5", "5.", "-0", "0", "-0.5", "00", "3/00", "3/07", "0.000000000000000001",
+		"123456789012345678", "1234567890123456789", "-123456789/987654321",
+		"12345678901/12345678", "123456789.123456789", "1.", "-", "/2", "1/-2",
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		v, err := Parse(s)
+		br, ok := new(big.Rat).SetString(s)
+		if (err == nil) != ok {
+			t.Fatalf("Parse(%q) err = %v, math/big ok = %v", s, err, ok)
+		}
 		if err != nil {
 			return
+		}
+		if want := fromBigRat(br); !v.Equal(want) || v.IsBig() != want.IsBig() {
+			t.Fatalf("Parse(%q) = %s, math/big reads %s", s, v, want)
+		}
+		if got := string(v.Append([]byte("x"))); got != "x"+v.String() {
+			t.Fatalf("Append of %q gives %q, String %q", s, got, v.String())
 		}
 		back, err := Parse(v.String())
 		if err != nil {

@@ -18,6 +18,8 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"strconv"
+	"strings"
 )
 
 // R is an immutable exact rational number.
@@ -362,6 +364,7 @@ func (a R) Float64() float64 {
 }
 
 // String formats the value as "n" for integers and "n/d" otherwise.
+// It makes at most one allocation, the string itself.
 func (a R) String() string {
 	a = a.norm()
 	if a.big != nil {
@@ -371,18 +374,91 @@ func (a R) String() string {
 		return a.big.RatString()
 	}
 	if a.d == 1 {
-		return fmt.Sprintf("%d", a.n)
+		return strconv.FormatInt(a.n, 10) // 0 to 99 without allocating
 	}
-	return fmt.Sprintf("%d/%d", a.n, a.d)
+	var buf [40]byte // "-9223372036854775808/9223372036854775807"
+	return string(appendFrac(buf[:0], a.n, a.d))
 }
 
-// Parse parses "n", "n/d", or a decimal like "0.5" into an R.
+// Append appends String's form of the value to b and returns the
+// extended buffer.
+func (a R) Append(b []byte) []byte {
+	a = a.norm()
+	if a.big != nil {
+		return append(b, a.String()...)
+	}
+	return appendFrac(b, a.n, a.d)
+}
+
+// appendFrac appends n, then "/d" unless d is 1. String formats
+// through it, not through Append, which would move String's stack
+// buffer to the heap.
+func appendFrac(b []byte, n, d int64) []byte {
+	b = strconv.AppendInt(b, n, 10)
+	if d != 1 {
+		b = strconv.AppendInt(append(b, '/'), d, 10)
+	}
+	return b
+}
+
+// Parse parses "n", "n/d", or a decimal like "0.5" into an R. Short
+// plain forms are read in int64 (parseInt64); the rest go to math/big.
 func Parse(s string) (R, error) {
+	if r, ok := parseInt64(s); ok {
+		return r, nil
+	}
 	br, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return R{}, fmt.Errorf("rat: cannot parse %q", s)
 	}
 	return fromBigRat(br), nil
+}
+
+// maxInt64Digits bounds the digits parseInt64 reads, so every value fits.
+const maxInt64Digits = 18
+
+// parseInt64 reads s in int64 arithmetic when it matches -?I(/I|.D)?,
+// where I is "0" or digits without a leading zero, D is digits, and at
+// most maxInt64Digits digits appear in all. ok is false for anything
+// else, a zero denominator included. math/big reads some such inputs
+// unlike plain decimal ("010/3" is octal 8/3, "1_0" is 10, and "0x10",
+// "1e2" and "+3" parse too), so Parse leaves all of them to it.
+func parseInt64(s string) (R, bool) {
+	s, neg := strings.CutPrefix(s, "-")
+	n, k := leadingInt(s)
+	if k == 0 || k > maxInt64Digits || k > 1 && s[0] == '0' {
+		return R{}, false
+	}
+	d := int64(1)
+	if rest := s[k:]; rest != "" {
+		m, j := leadingInt(rest[1:])
+		switch {
+		case j == 0 || 1+j != len(rest) || k+j > maxInt64Digits:
+			return R{}, false
+		case rest[0] == '/' && m != 0 && (j == 1 || rest[1] != '0'):
+			d = m
+		case rest[0] == '.':
+			for ; j > 0; j-- {
+				n, d = n*10, d*10
+			}
+			n += m
+		default:
+			return R{}, false
+		}
+	}
+	if neg {
+		n = -n
+	}
+	return New(n, d), true
+}
+
+// leadingInt returns the value of s's leading decimal digits and their
+// count. Past 18 digits the value wraps; callers check the count.
+func leadingInt(s string) (v int64, k int) {
+	for ; k < len(s) && '0' <= s[k] && s[k] <= '9'; k++ {
+		v = v*10 + int64(s[k]-'0')
+	}
+	return v, k
 }
 
 // MustParse is Parse that panics on error; intended for constants in tests

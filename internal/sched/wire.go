@@ -3,6 +3,10 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"bwc/internal/rat"
 	"bwc/internal/tree"
@@ -28,36 +32,83 @@ type wireNode struct {
 	RetRate string `json:"ret_rate,omitempty"`
 }
 
-// MarshalDeployment encodes the schedule's active nodes as JSON.
+// MarshalDeployment encodes the schedule's active nodes as JSON: an
+// array of wireNode objects in node order, indented by two spaces, with
+// the psi keys in byte order; "null" when no node is active. These are
+// the bytes json.MarshalIndent(nodes, "", "  ") writes for the same
+// document, appended directly.
 func (s *Schedule) MarshalDeployment() ([]byte, error) {
-	var nodes []wireNode
+	active := 0
+	for i := range s.Nodes {
+		if s.Nodes[i].Active {
+			active++
+		}
+	}
+	if active == 0 {
+		return []byte("null"), nil
+	}
+	// 128 bytes hold one node's object with two ψ entries.
+	b := append(make([]byte, 0, 2+128*active), '[')
+	var psi []int // positions of the children with ψ > 0
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		if !ns.Active {
 			continue
 		}
-		w := wireNode{
-			Name: s.Tree.Name(ns.Node),
-			TW:   ns.TW.String(),
-			Psi0: ns.Psi0.String(),
+		if len(b) > 1 {
+			b = append(b, ',')
 		}
-		if s.ResultReturn && ns.Node != s.Tree.Root() {
-			w.Ret = s.Tree.ReturnTime(ns.Node).String()
-			if !ns.ReturnRate.IsZero() {
-				w.RetRate = ns.ReturnRate.String()
-			}
-		}
+		b = appendJSONString(append(b, "\n  {\n    \"name\": "...), s.Tree.Name(ns.Node))
+		b = ns.TW.Append(append(b, ",\n    \"tw\": \""...))
+		// Every count fits int64: Build refuses a Ψ + 1 beyond it.
+		b = append(strconv.AppendInt(append(b, "\",\n    \"psi0\": \""...), ns.Psi0.Int64(), 10), '"')
+		kids := s.Tree.Children(ns.Node)
+		psi = psi[:0]
 		for j, p := range ns.Psi {
 			if p.Sign() > 0 {
-				if w.Psi == nil {
-					w.Psi = map[string]string{}
-				}
-				w.Psi[s.Tree.Name(s.Tree.Children(ns.Node)[j])] = p.String()
+				psi = append(psi, j)
 			}
 		}
-		nodes = append(nodes, w)
+		if len(psi) > 0 {
+			slices.SortFunc(psi, func(x, y int) int {
+				return strings.Compare(s.Tree.Name(kids[x]), s.Tree.Name(kids[y]))
+			})
+			b = append(b, ",\n    \"psi\": {"...)
+			for k, j := range psi {
+				if k > 0 {
+					b = append(b, ',')
+				}
+				b = appendJSONString(append(b, "\n      "...), s.Tree.Name(kids[j]))
+				b = append(strconv.AppendInt(append(b, ": \""...), ns.Psi[j].Int64(), 10), '"')
+			}
+			b = append(b, "\n    }"...)
+		}
+		if s.ResultReturn && ns.Node != s.Tree.Root() {
+			b = append(s.Tree.ReturnTime(ns.Node).Append(append(b, ",\n    \"ret\": \""...)), '"')
+			if !ns.ReturnRate.IsZero() {
+				b = append(ns.ReturnRate.Append(append(b, ",\n    \"ret_rate\": \""...)), '"')
+			}
+		}
+		b = append(b, "\n  }"...)
 	}
-	return json.MarshalIndent(nodes, "", "  ")
+	return append(b, "\n]"...), nil
+}
+
+// appendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it: a name of printable ASCII without '"', '\\', '<', '>' and
+// '&' is copied between quotes, and any other goes through json.Marshal
+// (HTML-safe escapes, U+2028 and U+2029 escaped, invalid UTF-8 as
+// U+FFFD).
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // UnmarshalDeployment rebuilds a schedule for platform t from a deployment

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -174,5 +176,116 @@ func TestBunchBeyondCursorRange(t *testing.T) {
 	c := s.Cursor(tr.Root(), nil)
 	if sl := c.Next(); c.Len() != 1<<63-2 || sl.Dest != Self || c.Index() != 1 {
 		t.Fatalf("cursor over Ψ=%d at %d gave %d", c.Len(), c.Index(), sl.Dest)
+	}
+}
+
+// marshalDeploymentReference is the reflection writer MarshalDeployment
+// replaced: the wireNode document through json.MarshalIndent. It is the
+// oracle MarshalDeployment's bytes are compared with.
+func marshalDeploymentReference(s *Schedule) ([]byte, error) {
+	var nodes []wireNode
+	for i := range s.Nodes {
+		ns := &s.Nodes[i]
+		if !ns.Active {
+			continue
+		}
+		w := wireNode{
+			Name: s.Tree.Name(ns.Node),
+			TW:   ns.TW.String(),
+			Psi0: ns.Psi0.String(),
+		}
+		if s.ResultReturn && ns.Node != s.Tree.Root() {
+			w.Ret = s.Tree.ReturnTime(ns.Node).String()
+			if !ns.ReturnRate.IsZero() {
+				w.RetRate = ns.ReturnRate.String()
+			}
+		}
+		for j, p := range ns.Psi {
+			if p.Sign() > 0 {
+				if w.Psi == nil {
+					w.Psi = map[string]string{}
+				}
+				w.Psi[s.Tree.Name(s.Tree.Children(ns.Node)[j])] = p.String()
+			}
+		}
+		nodes = append(nodes, w)
+	}
+	return json.MarshalIndent(nodes, "", "  ")
+}
+
+// TestMarshalDeploymentMatchesReference: MarshalDeployment writes the
+// reference writer's bytes on every treegen family, forward and with
+// result returns, interleaved and block, on names that need JSON
+// escapes, and on a schedule with no active node.
+func TestMarshalDeploymentMatchesReference(t *testing.T) {
+	check := func(what string, s *Schedule) {
+		t.Helper()
+		got, err := s.MarshalDeployment()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, err := marshalDeploymentReference(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: MarshalDeployment wrote\n%s\nreference\n%s", what, got, want)
+		}
+	}
+	built := 0
+	for _, k := range treegen.Kinds {
+		for _, n := range []int{1, 2, 8, 33} {
+			for seed := int64(1); seed <= 3; seed++ {
+				fwd := treegen.Generate(k, n, seed)
+				ret, err := fwd.WithUniformReturnTime(rat.New(1, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tr := range []*tree.Tree{fwd, ret} {
+					res := bwfirst.Solve(tr)
+					for _, block := range []bool{false, true} {
+						s, err := Build(res, Options{Block: block})
+						if err != nil {
+							continue // a bunch beyond int64; nothing to write
+						}
+						built++
+						check(k.String(), s)
+					}
+				}
+			}
+		}
+	}
+	if built < 300 {
+		t.Fatalf("only %d of 336 schedules built", built)
+	}
+	names := []string{"r<&>", `a"b`, `c\d`, "e\u2028f\u2029g", "h\xffi", "j\x01k\x7f", "N10", "N2", "é"}
+	b := tree.NewBuilder().Root(names[0], rat.One)
+	for _, name := range names[1:] {
+		b.Child(names[0], name, rat.New(1, 8), rat.One)
+	}
+	odd := b.MustBuild()
+	oddRet, err := odd.WithUniformReturnTime(rat.New(1, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*tree.Tree{odd, oddRet} {
+		s, err := Build(bwfirst.Solve(tr), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if !s.Nodes[tr.MustLookup(name)].Active {
+				t.Fatalf("%q inactive; the escapes go untested", name)
+			}
+		}
+		check("escaped names", s)
+	}
+	idle, err := Build(bwfirst.Solve(tree.NewBuilder().RootSwitch("s").MustBuild()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("no active node", idle)
+	if doc, _ := idle.MarshalDeployment(); string(doc) != "null" {
+		t.Fatalf("no active node: %s", doc)
 	}
 }

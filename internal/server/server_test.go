@@ -106,6 +106,37 @@ func TestSubmitMalformed422(t *testing.T) {
 	}
 }
 
+// TestSubmitLongLine: a platform line longer than 64 KiB (here a
+// 70,000-byte node name) is served, or refused as not_a_tree, and is
+// never an internal error. A line reader with a token limit once
+// answered it with HTTP 500.
+func TestSubmitLongLine(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	long := strings.Repeat("n", 70000)
+	for _, c := range []struct {
+		platform string
+		status   int
+	}{
+		{"P0 - - 2\n" + long + " P0 1 1\n", http.StatusOK},
+		{"P0 - - 2\n" + long + " NOPE 1 1\n", http.StatusUnprocessableEntity},
+	} {
+		var out struct {
+			apiv1.SubmitResponse
+			Error *apiv1.Error `json:"error"`
+		}
+		r := post(t, ts.URL+"/api/v1/platforms", apiv1.SubmitRequest{Platform: c.platform}, &out)
+		if r.StatusCode != c.status {
+			t.Fatalf("status %d, error %+v; want %d", r.StatusCode, out.Error, c.status)
+		}
+		if c.status == http.StatusOK && (out.Nodes != 2 || out.Throughput != "3/2") {
+			t.Errorf("served %d nodes at %q, want 2 at 3/2", out.Nodes, out.Throughput)
+		}
+		if c.status != http.StatusOK && (out.Error == nil || out.Error.Code != apiv1.CodeNotATree) {
+			t.Errorf("error %+v, want not_a_tree", out.Error)
+		}
+	}
+}
+
 // TestSubmitMissingPlatform400 and unknown endpoints use the same
 // envelope shape with the request-level codes.
 func TestSubmitBadRequests(t *testing.T) {

@@ -1,12 +1,12 @@
 package tree
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/rat"
@@ -33,35 +33,39 @@ func (t *Tree) appendText(b []byte) []byte {
 	} else {
 		b = append(b, "# name parent comm proc\n"...)
 	}
-	field := func(s string) {
+	return t.appendLines(b, t.Root(), withRet)
+}
+
+// appendLines appends the lines of the subtree rooted at id in preorder.
+func (t *Tree) appendLines(b []byte, id NodeID, withRet bool) []byte {
+	n := &t.nodes[id]
+	b = append(b, n.name...)
+	if n.parent == None {
+		b = append(b, " - -"...)
+	} else {
 		b = append(b, ' ')
-		b = append(b, s...)
+		b = append(b, t.nodes[n.parent].name...)
+		b = append(b, ' ')
+		b = n.commIn.Append(b)
 	}
-	t.Walk(t.Root(), func(id NodeID) bool {
-		n := &t.nodes[id]
-		b = append(b, n.name...)
+	if n.hasProc {
+		b = append(b, ' ')
+		b = n.procTime.Append(b)
+	} else {
+		b = append(b, " inf"...)
+	}
+	if withRet {
 		if n.parent == None {
-			field("-")
-			field("-")
+			b = append(b, " -"...)
 		} else {
-			field(t.nodes[n.parent].name)
-			field(n.commIn.String())
+			b = append(b, ' ')
+			b = n.retOut.Append(b)
 		}
-		if n.hasProc {
-			field(n.procTime.String())
-		} else {
-			field("inf")
-		}
-		if withRet {
-			if n.parent == None {
-				field("-")
-			} else {
-				field(n.retOut.String())
-			}
-		}
-		b = append(b, '\n')
-		return true
-	})
+	}
+	b = append(b, '\n')
+	for _, c := range n.children {
+		b = t.appendLines(b, c, withRet)
+	}
 	return b
 }
 
@@ -75,38 +79,48 @@ func (t *Tree) Fingerprint() string {
 	if fp := t.fp.Load(); fp != nil {
 		return *fp
 	}
-	sum := sha256.Sum256(t.appendText(nil))
+	// 32 bytes hold a line of short names and small rationals, such as
+	// "N17 N4 7/3 11/2 1/2".
+	sum := sha256.Sum256(t.appendText(make([]byte, 0, 32*(len(t.nodes)+1))))
 	fp := hex.EncodeToString(sum[:])
 	t.fp.Store(&fp)
 	return fp
 }
 
-// ParseText reads the format Text writes from r. It also accepts
-// rationals written as decimals ("0.25"), '#' comments anywhere and a
-// missing or "-" ret field. Structural errors wrap bwcerr.ErrNotATree;
-// their messages keep the "treeio:" prefix that clients see in
-// not_a_tree responses and CLI errors.
+// ParseText reads all of r and parses it as ParseString does.
 func ParseText(r io.Reader) (*Tree, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseString(string(data))
+}
+
+// ParseString reads the format Text writes. It also accepts rationals
+// written as decimals ("0.25"), '#' comments anywhere, "\r\n" line ends
+// and a missing or "-" ret field; a line may be of any length. Lines
+// and fields are substrings of s; node names are copied out of it, so
+// the tree does not keep s alive. Structural errors wrap
+// bwcerr.ErrNotATree; their messages keep the "treeio:" prefix that
+// clients see in not_a_tree responses and CLI errors.
+func ParseString(s string) (*Tree, error) {
 	b := NewBuilder()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
+	var fields [5]string
 	seenRoot := false
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
+	for lineNo := 1; s != ""; lineNo++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line, _, _ = strings.Cut(line, "#")
+		nf := splitFields(line, &fields)
+		if nf == 0 {
 			continue
 		}
-		if len(fields) != 4 && len(fields) != 5 {
-			return nil, fmt.Errorf("treeio: line %d: want 4 or 5 fields (name parent comm proc [ret]), got %d: %w", lineNo, len(fields), bwcerr.ErrNotATree)
+		if nf != 4 && nf != 5 {
+			return nil, fmt.Errorf("treeio: line %d: want 4 or 5 fields (name parent comm proc [ret]), got %d: %w", lineNo, nf, bwcerr.ErrNotATree)
 		}
-		name, parent, commS, procS := fields[0], fields[1], fields[2], fields[3]
+		name, parent, commS, procS := strings.Clone(fields[0]), fields[1], fields[2], fields[3]
 		retS := ""
-		if len(fields) == 5 {
+		if nf == 5 {
 			retS = fields[4]
 		}
 		isRoot := parent == "-"
@@ -153,8 +167,34 @@ func ParseText(r io.Reader) (*Tree, error) {
 			b.Return(name, ret)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return b.Build()
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields stores the first len(fs) fields of line in fs and returns
+// how many fields line has, splitting as strings.Fields does. A line
+// holding a byte outside ASCII goes through strings.Fields itself, so
+// the Unicode spaces U+0085 and U+00A0 separate fields there.
+func splitFields(line string, fs *[5]string) int {
+	n := 0
+	for i := 0; i < len(line); i++ {
+		j := i
+		for ; j < len(line) && !asciiSpace[line[j]]; j++ {
+			if line[j] >= utf8.RuneSelf {
+				all := strings.Fields(line)
+				copy(fs[:], all)
+				return len(all)
+			}
+		}
+		if j > i {
+			if n < len(fs) {
+				fs[n] = line[i:j]
+			}
+			n++
+		}
+		i = j
+	}
+	return n
 }

@@ -1,9 +1,16 @@
 package tree_test
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"math/big"
+	"runtime"
 	"strings"
 	"testing"
 
+	"bwc/internal/bwcerr"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 	"bwc/internal/treegen"
@@ -134,8 +141,93 @@ func TestDOTWithRates(t *testing.T) {
 	}
 }
 
-// FuzzParseText checks that arbitrary input never panics the parser and
-// that every successfully parsed platform round-trips through Text.
+// parseTextReference is the line reader ParseString replaced: a
+// bufio.Scanner over lines, strings.Fields over each, and every rational
+// through math/big. It is the oracle FuzzParseText compares with.
+func parseTextReference(r io.Reader) (*tree.Tree, error) {
+	parseRat := func(s string) (rat.R, error) {
+		br, ok := new(big.Rat).SetString(s)
+		if !ok {
+			return rat.R{}, fmt.Errorf("rat: cannot parse %q", s)
+		}
+		return rat.FromBigRat(br), nil
+	}
+	b := tree.NewBuilder()
+	sc := bufio.NewScanner(r)
+	lineNo := 0
+	seenRoot := false
+	for sc.Scan() {
+		lineNo++
+		line := sc.Text()
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 4 && len(fields) != 5 {
+			return nil, fmt.Errorf("treeio: line %d: want 4 or 5 fields (name parent comm proc [ret]), got %d: %w", lineNo, len(fields), bwcerr.ErrNotATree)
+		}
+		name, parent, commS, procS := fields[0], fields[1], fields[2], fields[3]
+		retS := ""
+		if len(fields) == 5 {
+			retS = fields[4]
+		}
+		if parent == "-" {
+			if seenRoot {
+				return nil, fmt.Errorf("treeio: line %d: second root %q: %w", lineNo, name, bwcerr.ErrNotATree)
+			}
+			if commS != "-" {
+				return nil, fmt.Errorf("treeio: line %d: root must have comm '-': %w", lineNo, bwcerr.ErrNotATree)
+			}
+			if retS != "" && retS != "-" {
+				return nil, fmt.Errorf("treeio: line %d: root must have ret '-': %w", lineNo, bwcerr.ErrNotATree)
+			}
+			seenRoot = true
+			if procS == "inf" {
+				b.RootSwitch(name)
+			} else {
+				proc, err := parseRat(procS)
+				if err != nil {
+					return nil, fmt.Errorf("treeio: line %d: proc: %v: %w", lineNo, err, bwcerr.ErrNotATree)
+				}
+				b.Root(name, proc)
+			}
+			continue
+		}
+		comm, err := parseRat(commS)
+		if err != nil {
+			return nil, fmt.Errorf("treeio: line %d: comm: %v: %w", lineNo, err, bwcerr.ErrNotATree)
+		}
+		if procS == "inf" {
+			b.SwitchChild(parent, name, comm)
+		} else {
+			proc, err := parseRat(procS)
+			if err != nil {
+				return nil, fmt.Errorf("treeio: line %d: proc: %v: %w", lineNo, err, bwcerr.ErrNotATree)
+			}
+			b.Child(parent, name, comm, proc)
+		}
+		if retS != "" && retS != "-" {
+			ret, err := parseRat(retS)
+			if err != nil {
+				return nil, fmt.Errorf("treeio: line %d: ret: %v: %w", lineNo, err, bwcerr.ErrNotATree)
+			}
+			b.Return(name, ret)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// FuzzParseText checks ParseString and ParseText against the reference
+// reader: both accept the same inputs with Equal trees and the same
+// Text, or fail with the same message. Lines over bufio.Scanner's 64 KiB
+// token limit, which the reference refuses, are left out. Every parsed
+// platform also round-trips through Text.
 func FuzzParseText(f *testing.F) {
 	f.Add("P0 - - 3\nP1 P0 1 2\n")
 	f.Add("# comment only\n")
@@ -144,11 +236,34 @@ func FuzzParseText(f *testing.F) {
 	f.Add("a - - 1\nb a 1 1\nc b 1/3 7/2")
 	f.Add("x - 1 1")
 	f.Add("")
+	f.Add("P0 - - 3\r\nP1 P0 1 2 1/2\r\n\r\nP2 P0 3 4 -\r")
+	f.Add("P0\u0085-\u00a0- 3\nP1 P0\u00a01 2")
+	f.Add("# header\n  # indented comment\n\t\nP0 - - 3 # trailing\nP1 P0 1 2")
+	f.Add("P0 - - 3\nP1 P0 010/3 1_0\nP2 P0 0x10 1e2\nP3 P0 +3 .5\nP4 P0 5. -0")
+	f.Add("P0 - - 1234567890123456789\nP1 P0 9223372036854775807/2 1\x85")
+	f.Add("P0 - - 3\nP1 P0 1 2 -1\nP2 P0 1\v2 3\fx")
+	f.Add("P0 - - 3\nP1 P0 1 2 3 4 5 6\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := parse(input)
-		if err != nil {
+		want, werr := parseTextReference(strings.NewReader(input))
+		if errors.Is(werr, bufio.ErrTooLong) {
 			return
 		}
+		for _, p := range []func(string) (*tree.Tree, error){tree.ParseString, parse} {
+			got, err := p(input)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("err = %v, reference err = %v", err, werr)
+			}
+			if err != nil {
+				if errors.Is(err, bwcerr.ErrNotATree) != errors.Is(werr, bwcerr.ErrNotATree) {
+					t.Fatalf("err %v and reference err %v disagree on ErrNotATree", err, werr)
+				}
+				return
+			}
+			if !got.Equal(want) || got.Text() != want.Text() {
+				t.Fatalf("parsed %s, reference %s", got, want)
+			}
+		}
+		tr, _ := tree.ParseString(input)
 		out := tr.Text()
 		back, err := parse(out)
 		if err != nil {
@@ -158,4 +273,54 @@ func FuzzParseText(f *testing.F) {
 			t.Fatalf("round trip changed the tree:\nin:  %s\nout: %s", tr, back)
 		}
 	})
+}
+
+// TestParseLongLine: a line past bufio.Scanner's 64 KiB token limit,
+// which the line reader refused with an error that wrapped no sentinel,
+// parses; the name is kept whole.
+func TestParseLongLine(t *testing.T) {
+	long := strings.Repeat("n", 70000)
+	tr, err := tree.ParseString("P0 - - 3\n" + long + " P0 1 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := tr.Lookup(long); !ok || tr.Parent(id) != tr.Root() {
+		t.Fatalf("70,000-byte name not found under the root")
+	}
+	if _, err := parseTextReference(strings.NewReader("P0 - - 3\n" + long + " P0 1 2\n")); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("reference reader err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestParsePaddingCostsNothing: blank and comment lines cost nothing,
+// neither while parsing nor after. A one-node platform padded with a
+// million of them parses in a few kilobytes (sizing the nodes and the
+// name index from the line count cost about 180 bytes per padding
+// line), and the tree keeps none of the text alive (names sliced out
+// of it kept all of it).
+func TestParsePaddingCostsNothing(t *testing.T) {
+	parse := func() (*tree.Tree, uint64) {
+		text := "P0 - - 1\n" + strings.Repeat("\n  # pad\n", 500_000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := tree.ParseString(text)
+		runtime.ReadMemStats(&after)
+		if err != nil || tr.Len() != 1 {
+			t.Fatalf("parse = %v, %v; want a one-node tree", tr, err)
+		}
+		return tr, after.TotalAlloc - before.TotalAlloc
+	}
+	var base, live runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+	tr, allocated := parse()
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	if allocated > 1<<20 {
+		t.Fatalf("parsing one node and 1,000,000 padding lines allocated %d bytes", allocated)
+	}
+	if kept := int64(live.HeapAlloc) - int64(base.HeapAlloc); kept > 1<<20 {
+		t.Fatalf("a one-node tree parsed from 4.5 MB of text keeps %d bytes alive", kept)
+	}
+	runtime.KeepAlive(tr)
 }
