@@ -53,7 +53,7 @@ bench:
 # job runs; exit code 8 means a metric regressed. BENCHTIME is pinned so
 # every point on the trajectory measures the same way.
 BENCHTIME ?= 1s
-BASELINE  ?= BENCH_PR31.json
+BASELINE  ?= BENCH_PR33.json
 bench-trajectory:
 	$(GO) run ./cmd/bwsched bench -short -benchtime $(BENCHTIME) -compare $(BASELINE)
 
@@ -113,7 +113,9 @@ resultreturn-smoke:
 	grep -Fx 'protocol:    4 messages, 2 nodes visited' /tmp/bwsched-rr-obs.txt
 
 # Control-plane smoke: start bwschedd on a random port and drive the
-# api/v1 wire end to end — cache miss/hit markers, the typed 422
-# envelope, an SSE analyzer verdict, and exit 10 on a dead daemon.
+# api/v1 wire end to end — cache miss/hit markers, a hit answer equal to
+# its miss but for the marker, the typed 422 envelope (within a second
+# for a 2^10,000,000 weight), an SSE analyzer verdict, and exit 10 on a
+# dead daemon.
 serve-smoke:
 	sh scripts/serve-smoke.sh

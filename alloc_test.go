@@ -1,11 +1,17 @@
 package bwc_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"bwc"
+	apiv1 "bwc/api/v1"
 	"bwc/internal/benchfix"
+	"bwc/internal/server"
 )
 
 // TestBuildScheduleAllocs bounds the heap allocations of one schedule
@@ -25,6 +31,34 @@ func TestBuildScheduleAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per schedule build", allocs)
 	if allocs > 16 {
 		t.Fatalf("%.0f allocs per schedule build", allocs)
+	}
+}
+
+// TestServeSubmitHitAllocs bounds the heap allocations of the
+// ServeSubmitHit stage: one repeat submit of a primed 64-node tenant
+// through bwschedd's full handler. A hit decodes the request, finds the
+// tenant by its text, records the run and appends its answer around the
+// cached deployment; nothing is encoded by reflection and no event is
+// built with no subscriber. The ceiling is the measured 39 (54 when the
+// answer went through encoding/json) plus slack.
+func TestServeSubmitHitAllocs(t *testing.T) {
+	h := server.New(server.Options{}).Handler()
+	body, err := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	submit() // the miss that primes the tenant
+	allocs := testing.AllocsPerRun(50, submit)
+	t.Logf("%.0f allocs per submit hit", allocs)
+	if allocs > 50 {
+		t.Fatalf("%.0f allocs per submit hit", allocs)
 	}
 }
 

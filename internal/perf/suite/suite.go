@@ -144,23 +144,12 @@ func Default() *perf.Suite {
 	// network): decode, tenant resolution, the memo lookups, the
 	// rendered wire fields and the JSON encode.
 	s.Register(perf.Bench{Name: "ServeSubmitHit", Short: true, Fn: func(b *testing.B) {
-		h := server.New(server.Options{}).Handler()
-		body, err := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
-		if err != nil {
-			b.Fatal(err)
-		}
-		submit := func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("submit status %d: %s", rec.Code, rec.Body)
-			}
-		}
-		submit() // the miss that primes the tenant
+		h, body := server.New(server.Options{}).Handler(), submitBody()
+		post(b, h, "/platforms", body) // the miss that primes the tenant
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			submit()
+			post(b, h, "/platforms", body)
 		}
 	}})
 
@@ -170,21 +159,14 @@ func Default() *perf.Suite {
 	// render and the JSON encode. Each iteration gets a new server, made
 	// outside the timer, so the text is never cached.
 	s.Register(perf.Bench{Name: "SubmitCold", Short: true, Fn: func(b *testing.B) {
-		body, err := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
-		if err != nil {
-			b.Fatal(err)
-		}
+		body := submitBody()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			h := server.New(server.Options{}).Handler()
 			b.StartTimer()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/platforms", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("submit status %d: %s", rec.Code, rec.Body)
-			}
+			post(b, h, "/platforms", body)
 		}
 	}})
 
@@ -230,27 +212,31 @@ func Default() *perf.Suite {
 	// lookup, the observed 120-task run, the analyzer and the JSON
 	// encode.
 	s.Register(perf.Bench{Name: "ServeSimulate", Short: true, Fn: func(b *testing.B) {
-		h := server.New(server.Options{}).Handler()
-		body, err := json.Marshal(apiv1.SimulateRequest{
-			Platform: bwc.FormatPlatform(benchfix.Analyze16()),
-			Tasks:    benchfix.AnalyzeTasks,
-			Analyze:  true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		simulate := func() {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+"/simulate", bytes.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("simulate status %d: %s", rec.Code, rec.Body)
-			}
-		}
-		simulate() // the miss that primes the tenant
+		h, body := server.New(server.Options{}).Handler(), simulateBody()
+		post(b, h, "/simulate", body) // the miss that primes the tenant
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			simulate()
+			post(b, h, "/simulate", body)
+		}
+	}})
+
+	// Encode is the encode stage alone: the ServeSubmitHit answer, its
+	// deployment rendered as a hit finds it, and the ServeSimulate answer,
+	// each appended into a new buffer as the handler appends them.
+	s.Register(perf.Bench{Name: "Encode", Short: true, Fn: func(b *testing.B) {
+		h := server.New(server.Options{}).Handler()
+		var sub apiv1.SubmitResponse
+		var sim apiv1.SimulateResponse
+		if json.Unmarshal(post(b, h, "/platforms", submitBody()), &sub) != nil ||
+			json.Unmarshal(post(b, h, "/simulate", simulateBody()), &sim) != nil {
+			b.Fatal("an answer does not decode")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			server.AppendSubmit(nil, &sub)
+			server.AppendSimulate(nil, &sim)
 		}
 	}})
 
@@ -479,6 +465,30 @@ func Default() *perf.Suite {
 		return v, ok
 	})
 	return s
+}
+
+// submitBody and simulateBody are the serve benches' requests: a submit
+// of the 64-node Uniform64 platform, and a 120-task simulate with
+// analyze of the Analyze stage fixture. Request types always marshal.
+func submitBody() []byte {
+	body, _ := json.Marshal(apiv1.SubmitRequest{Platform: bwc.FormatPlatform(benchfix.Uniform64())})
+	return body
+}
+
+func simulateBody() []byte {
+	body, _ := json.Marshal(apiv1.SimulateRequest{Platform: bwc.FormatPlatform(benchfix.Analyze16()), Tasks: benchfix.AnalyzeTasks, Analyze: true})
+	return body
+}
+
+// post sends body to path through h in process (httptest, no network)
+// and returns the answer; any status but 200 fails b.
+func post(b *testing.B, h http.Handler, path string, body []byte) []byte {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathPrefix+path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s status %d: %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
 }
 
 // Thresholds is the suite's CI gate: the defaults (10% time on matching

@@ -2,12 +2,15 @@ package rat
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 )
 
 // FuzzParse checks Parse against math/big, the reader its int64 path
-// stands in for: both accept or refuse each input, with the same value.
-// Every accepted value round-trips through String and Append.
+// stands in for: within the exponent bound both accept or refuse each
+// input, with the same value; past it Parse refuses, and math/big,
+// which would build the power in full, is not asked. Every accepted
+// value round-trips through String and Append.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"3/4", "-10/9", "0.125", "", "1/0", "9223372036854775807/2",
@@ -15,11 +18,20 @@ func FuzzParse(f *testing.F) {
 		".5", "5.", "-0", "0", "-0.5", "00", "3/00", "3/07", "0.000000000000000001",
 		"123456789012345678", "1234567890123456789", "-123456789/987654321",
 		"12345678901/12345678", "123456789.123456789", "1.", "-", "/2", "1/-2",
+		"1p10000000", "1000000000000000000p0000000010000000", "3p7890123", "1e999", "-1E+999",
+		"1e1000", "1e-1000", "0x1e5", "0x1E5p-999", "0x1p1000", "1_0e1_000", "1e0000000000999",
+		"1e5e5000", "0b1e1000", "0o7p-1000", "1e",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		v, err := Parse(s)
+		if exponentPastBound(s) {
+			if err == nil {
+				t.Fatalf("Parse(%q) = %s, want a refusal past the exponent bound", s, v)
+			}
+			return
+		}
 		br, ok := new(big.Rat).SetString(s)
 		if (err == nil) != ok {
 			t.Fatalf("Parse(%q) err = %v, math/big ok = %v", s, err, ok)
@@ -41,6 +53,22 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed value: %q -> %s -> %s", s, v, back)
 		}
 	})
+}
+
+// exponentPastBound reports whether math/big would read s with an
+// exponent beyond ±999: the integer after the last exponent marker,
+// where a hex mantissa's 'e' and 'E' are digits.
+func exponentPastBound(s string) bool {
+	markers := "eEpP"
+	if m := strings.TrimLeft(s, "+-"); strings.HasPrefix(m, "0x") || strings.HasPrefix(m, "0X") {
+		markers = "pP"
+	}
+	i := strings.LastIndexAny(s, markers)
+	if i < 0 || strings.Contains(s, "/") {
+		return false
+	}
+	exp, ok := new(big.Int).SetString(strings.ReplaceAll(strings.TrimLeft(s[i+1:], "+-"), "_", ""), 10)
+	return ok && exp.Cmp(big.NewInt(999)) > 0
 }
 
 // FuzzLCM checks LCMInt and DenLCM against the math/big fold on

@@ -402,16 +402,43 @@ func appendFrac(b []byte, n, d int64) []byte {
 }
 
 // Parse parses "n", "n/d", or a decimal like "0.5" into an R. Short
-// plain forms are read in int64 (parseInt64); the rest go to math/big.
+// plain forms are read in int64 (parseInt64); the rest go to math/big,
+// except that a decimal or binary exponent beyond ±maxExponent is
+// refused before math/big builds its power in full.
 func Parse(s string) (R, error) {
 	if r, ok := parseInt64(s); ok {
 		return r, nil
+	}
+	if exponentBeyondMax(s) {
+		return R{}, fmt.Errorf("rat: exponent beyond ±%d in %q", maxExponent, s)
 	}
 	br, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return R{}, fmt.Errorf("rat: cannot parse %q", s)
 	}
 	return fromBigRat(br), nil
+}
+
+// maxExponent bounds the exponent of "1e-3" and "0x1p4": 10^999 takes
+// microseconds, math/big's own bounds 10^10^6 and 2^10^7 take seconds.
+const maxExponent = 999
+
+// exponentBeyondMax reports whether the digits after s's first 'e',
+// 'E', 'p' or 'P' (in a hex mantissa, 'p' or 'P') exceed maxExponent,
+// underscores and signs aside. math/big refuses any marker in "a/b".
+func exponentBeyondMax(s string) bool {
+	markers, exp := "eEpP", 0
+	if m := strings.TrimLeft(s, "+-"); strings.HasPrefix(m, "0x") || strings.HasPrefix(m, "0X") {
+		markers = "pP"
+	}
+	if i := strings.IndexAny(s, markers); i >= 0 {
+		for _, c := range s[i+1:] {
+			if '0' <= c && c <= '9' {
+				exp = min(10*exp+int(c-'0'), maxExponent+1)
+			}
+		}
+	}
+	return exp > maxExponent
 }
 
 // maxInt64Digits bounds the digits parseInt64 reads, so every value fits.

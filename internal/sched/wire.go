@@ -6,8 +6,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
+	"bwc/internal/jsonw"
 	"bwc/internal/rat"
 	"bwc/internal/tree"
 )
@@ -36,8 +36,15 @@ type wireNode struct {
 // array of wireNode objects in node order, indented by two spaces, with
 // the psi keys in byte order; "null" when no node is active. These are
 // the bytes json.MarshalIndent(nodes, "", "  ") writes for the same
-// document, appended directly.
+// document, appended directly. It is AppendDeployment at depth 0.
 func (s *Schedule) MarshalDeployment() ([]byte, error) {
+	return s.AppendDeployment(nil, 0), nil
+}
+
+// AppendDeployment appends MarshalDeployment's document to b as it
+// reads nested depth levels deep in a document json.Encoder indents by
+// two spaces: every line after the first gains 2·depth spaces.
+func (s *Schedule) AppendDeployment(b []byte, depth int) []byte {
 	active := 0
 	for i := range s.Nodes {
 		if s.Nodes[i].Active {
@@ -45,23 +52,32 @@ func (s *Schedule) MarshalDeployment() ([]byte, error) {
 		}
 	}
 	if active == 0 {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
-	// 128 bytes hold one node's object with two ψ entries.
-	b := append(make([]byte, 0, 2+128*active), '[')
+	// nl appends a line break and the indent of nesting level depth+k.
+	nl := func(b []byte, k int) []byte {
+		b = append(b, '\n')
+		for range depth + k {
+			b = append(b, ' ', ' ')
+		}
+		return b
+	}
+	// 128 bytes hold one node's object with two ψ entries at depth 0.
+	b = append(slices.Grow(b, 2+(128+16*depth)*active), '[')
+	open := len(b)
 	var psi []int // positions of the children with ψ > 0
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		if !ns.Active {
 			continue
 		}
-		if len(b) > 1 {
+		if len(b) > open {
 			b = append(b, ',')
 		}
-		b = appendJSONString(append(b, "\n  {\n    \"name\": "...), s.Tree.Name(ns.Node))
-		b = ns.TW.Append(append(b, ",\n    \"tw\": \""...))
+		b = jsonw.String(append(nl(append(nl(b, 1), '{'), 2), `"name": `...), s.Tree.Name(ns.Node))
+		b = ns.TW.Append(append(nl(append(b, ','), 2), `"tw": "`...))
 		// Every count fits int64: Build refuses a Ψ + 1 beyond it.
-		b = append(strconv.AppendInt(append(b, "\",\n    \"psi0\": \""...), ns.Psi0.Int64(), 10), '"')
+		b = append(strconv.AppendInt(append(nl(append(b, '"', ','), 2), `"psi0": "`...), ns.Psi0.Int64(), 10), '"')
 		kids := s.Tree.Children(ns.Node)
 		psi = psi[:0]
 		for j, p := range ns.Psi {
@@ -73,42 +89,25 @@ func (s *Schedule) MarshalDeployment() ([]byte, error) {
 			slices.SortFunc(psi, func(x, y int) int {
 				return strings.Compare(s.Tree.Name(kids[x]), s.Tree.Name(kids[y]))
 			})
-			b = append(b, ",\n    \"psi\": {"...)
+			b = append(nl(append(b, ','), 2), `"psi": {`...)
 			for k, j := range psi {
 				if k > 0 {
 					b = append(b, ',')
 				}
-				b = appendJSONString(append(b, "\n      "...), s.Tree.Name(kids[j]))
-				b = append(strconv.AppendInt(append(b, ": \""...), ns.Psi[j].Int64(), 10), '"')
+				b = jsonw.String(nl(b, 3), s.Tree.Name(kids[j]))
+				b = append(strconv.AppendInt(append(b, `: "`...), ns.Psi[j].Int64(), 10), '"')
 			}
-			b = append(b, "\n    }"...)
+			b = append(nl(b, 2), '}')
 		}
 		if s.ResultReturn && ns.Node != s.Tree.Root() {
-			b = append(s.Tree.ReturnTime(ns.Node).Append(append(b, ",\n    \"ret\": \""...)), '"')
+			b = append(s.Tree.ReturnTime(ns.Node).Append(append(nl(append(b, ','), 2), `"ret": "`...)), '"')
 			if !ns.ReturnRate.IsZero() {
-				b = append(ns.ReturnRate.Append(append(b, ",\n    \"ret_rate\": \""...)), '"')
+				b = append(ns.ReturnRate.Append(append(nl(append(b, ','), 2), `"ret_rate": "`...)), '"')
 			}
 		}
-		b = append(b, "\n  }"...)
+		b = append(nl(b, 1), '}')
 	}
-	return append(b, "\n]"...), nil
-}
-
-// appendJSONString appends s as a JSON string, escaped as encoding/json
-// escapes it: a name of printable ASCII without '"', '\\', '<', '>' and
-// '&' is copied between quotes, and any other goes through json.Marshal
-// (HTML-safe escapes, U+2028 and U+2029 escaped, invalid UTF-8 as
-// U+FFFD).
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return append(nl(b, 0), ']')
 }
 
 // UnmarshalDeployment rebuilds a schedule for platform t from a deployment

@@ -216,7 +216,9 @@ func marshalDeploymentReference(s *Schedule) ([]byte, error) {
 // TestMarshalDeploymentMatchesReference: MarshalDeployment writes the
 // reference writer's bytes on every treegen family, forward and with
 // result returns, interleaved and block, on names that need JSON
-// escapes, and on a schedule with no active node.
+// escapes, and on a schedule with no active node; AppendDeployment one
+// level deep writes the reference re-indented there. (U+2028 and U+2029
+// are spaces no name may hold; jsonw's FuzzString covers their escapes.)
 func TestMarshalDeploymentMatchesReference(t *testing.T) {
 	check := func(what string, s *Schedule) {
 		t.Helper()
@@ -230,6 +232,15 @@ func TestMarshalDeploymentMatchesReference(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: MarshalDeployment wrote\n%s\nreference\n%s", what, got, want)
+		}
+		// One level down, as the submit answer nests it: the encoder
+		// prefixes every line after the first with the outer indent.
+		var nested bytes.Buffer
+		if err := json.Indent(&nested, want, "  ", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.AppendDeployment([]byte("x"), 1); string(got) != "x"+nested.String() {
+			t.Fatalf("%s: AppendDeployment at depth 1 wrote\n%s\nreference\n%s", what, got, nested.Bytes())
 		}
 	}
 	built := 0
@@ -258,7 +269,7 @@ func TestMarshalDeploymentMatchesReference(t *testing.T) {
 	if built < 300 {
 		t.Fatalf("only %d of 336 schedules built", built)
 	}
-	names := []string{"r<&>", `a"b`, `c\d`, "e\u2028f\u2029g", "h\xffi", "j\x01k\x7f", "N10", "N2", "é"}
+	names := []string{"r<&>", `a"b`, `c\d`, "h\xffi", "j\x01k\x7f", "N10", "N2", "é"}
 	b := tree.NewBuilder().Root(names[0], rat.One)
 	for _, name := range names[1:] {
 		b.Child(names[0], name, rat.New(1, 8), rat.One)

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,24 +71,34 @@ func (h *hub) Subscribe(run, name string, buf int) (<-chan apiv1.Event, func()) 
 	return s.ch, cancel
 }
 
-// Publish fans one event out to every matching subscriber, assigning the
-// stream-wide sequence number. Delivery is drop-on-full per subscriber.
-func (h *hub) Publish(ev apiv1.Event) {
-	ev.Seq = h.seq.Add(1)
-	if ev.Wall.IsZero() {
-		ev.Wall = time.Now()
-	}
+// Publish sends the event name of run, with attrs as its key/value
+// pairs, to every matching subscriber (see publish).
+func (h *hub) Publish(run, name string, attrs ...string) {
+	h.publish(run, name, func() apiv1.Event {
+		ev := apiv1.Event{Wall: time.Now(), Run: run, Name: name, Attrs: make(map[string]string, len(attrs)/2)}
+		for i := 0; i+1 < len(attrs); i += 2 {
+			ev.Attrs[attrs[i]] = attrs[i+1]
+		}
+		return ev
+	})
+}
+
+// publish numbers one event in the stream-wide sequence and fans it out
+// to every subscriber whose filters match; delivery is drop-on-full per
+// subscriber. build makes the event only once a subscriber takes it, so
+// with nobody listening a publish only takes its number.
+func (h *hub) publish(run, name string, build func() apiv1.Event) {
+	seq := h.seq.Add(1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
+	var ev apiv1.Event
 	for s := range h.subs {
-		if s.run != "" && s.run != ev.Run {
+		if s.run != "" && s.run != run || !strings.HasPrefix(name, s.name) {
 			continue
 		}
-		if s.name != "" && !hasPrefix(ev.Name, s.name) {
-			continue
+		if ev.Seq == 0 {
+			ev = build()
+			ev.Seq = seq
 		}
 		select {
 		case s.ch <- ev:
@@ -95,10 +106,6 @@ func (h *hub) Publish(ev apiv1.Event) {
 		default:
 		}
 	}
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
 // Streamed returns how many events were delivered to subscribers.
@@ -110,7 +117,7 @@ func (h *hub) Streamed() uint64 { return h.streamed.Load() }
 // wire shape) and carries the producer's virtual timestamp through.
 func (h *hub) Sink(runID string) obs.Sink {
 	return obs.SinkFunc(func(e obs.Event) {
-		h.Publish(wireEvent(runID, e))
+		h.publish(runID, e.Name, func() apiv1.Event { return wireEvent(runID, e) })
 	})
 }
 

@@ -224,9 +224,7 @@ func parseOptRat(field, s string) (bwc.Rational, *apiv1.Error) {
 // begin opens a run record and publishes its start event.
 func (s *Server) beginRun(kind, fp string) string {
 	id := s.store.Start(kind, fp)
-	s.hub.Publish(apiv1.Event{Run: id, Name: "run.start", Attrs: map[string]string{
-		"kind": kind, "fingerprint": fpLabel(fp),
-	}})
+	s.hub.Publish(id, "run.start", "kind", kind, "fingerprint", fpLabel(fp))
 	return id
 }
 
@@ -234,14 +232,10 @@ func (s *Server) beginRun(kind, fp string) string {
 func (s *Server) endRun(id, summary string, wireErr *apiv1.Error) {
 	s.store.Finish(id, summary, wireErr)
 	if wireErr != nil {
-		s.hub.Publish(apiv1.Event{Run: id, Name: "run.failed", Attrs: map[string]string{
-			"code": string(wireErr.Code), "message": wireErr.Message,
-		}})
+		s.hub.Publish(id, "run.failed", "code", string(wireErr.Code), "message", wireErr.Message)
 		return
 	}
-	s.hub.Publish(apiv1.Event{Run: id, Name: "run.done", Attrs: map[string]string{
-		"summary": summary,
-	}})
+	s.hub.Publish(id, "run.done", "summary", summary)
 }
 
 // runObserver builds the per-run Observer bridged onto the event hub: a
@@ -278,9 +272,7 @@ func wireReport(rep *bwc.HealthReport) *apiv1.Report {
 // check — the live view of a run's health report.
 func (s *Server) publishVerdicts(runID string, rep *apiv1.Report) {
 	for _, c := range rep.Checks {
-		s.hub.Publish(apiv1.Event{Run: runID, Name: "analyze.verdict", Attrs: map[string]string{
-			"check": c.Name, "verdict": c.Verdict, "detail": c.Detail,
-		}})
+		s.hub.Publish(runID, "analyze.verdict", "check", c.Name, "verdict", c.Verdict, "detail", c.Detail)
 	}
 }
 
@@ -293,43 +285,36 @@ type wireFields struct {
 	treePeriod     string
 	rootlessPeriod string
 	startupBound   string
-	deployment     json.RawMessage
-	folded         string // FoldedThroughput; empty on forward-only platforms
+	deployment     json.RawMessage // indented for its place in the answer
+	folded         string          // FoldedThroughput; empty on forward-only platforms
 }
 
-func renderWire(sch *bwc.Schedule) (*wireFields, error) {
-	dep, err := bwc.MarshalDeployment(sch)
-	if err != nil {
-		return nil, err
-	}
+func renderWire(sch *bwc.Schedule) *wireFields {
 	w := &wireFields{
 		sched:          sch,
 		treePeriod:     sch.TreePeriod().String(),
 		rootlessPeriod: sch.RootlessPeriod().String(),
 		startupBound:   sch.MaxStartupBound().String(),
-		deployment:     dep,
+		deployment:     sch.AppendDeployment(nil, 1),
 	}
 	if sch.Tree.HasResultReturn() {
 		if ft, err := bwc.FoldedThroughput(sch.Tree); err == nil {
 			w.folded = ft.String()
 		}
 	}
-	return w, nil
+	return w
 }
 
 // wireFor returns sch's rendered fields, rendering again only when the
 // tenant's Session returned a different schedule than last time (a
 // re-prime, an invalidation or the other Block setting).
-func (e *shardEntry) wireFor(sch *bwc.Schedule) (*wireFields, error) {
+func (e *shardEntry) wireFor(sch *bwc.Schedule) *wireFields {
 	if w := e.wire.Load(); w != nil && w.sched == sch {
-		return w, nil
+		return w
 	}
-	w, err := renderWire(sch)
-	if err != nil {
-		return nil, err
-	}
+	w := renderWire(sch)
 	e.wire.Store(w)
-	return w, nil
+	return w
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -391,13 +376,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Quantized = qr.String()
-		wire, err = renderWire(sch)
+		wire = renderWire(sch)
 	} else {
-		wire, err = ten.wireFor(sch)
-	}
-	if err != nil {
-		fail(err)
-		return
+		wire = ten.wireFor(sch)
 	}
 	resp.TreePeriod = wire.treePeriod
 	resp.RootlessPeriod = wire.rootlessPeriod
@@ -405,10 +386,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resp.Deployment = wire.deployment
 	resp.FoldedThroughput = wire.folded
 	s.endRun(runID, fmt.Sprintf("throughput %s (%s)", resp.Throughput, marker), nil)
-	s.hub.Publish(apiv1.Event{Run: runID, Name: "submit.solved", Attrs: map[string]string{
-		"throughput": resp.Throughput, "cache": marker, "fingerprint": fpLabel(fp),
-	}})
-	writeJSON(w, http.StatusOK, resp)
+	s.hub.Publish(runID, "submit.solved", "throughput", resp.Throughput, "cache", marker, "fingerprint", fpLabel(fp))
+	writeAnswer(w, AppendSubmit(nil, &resp))
 }
 
 func (s *Server) handlePlatforms(w http.ResponseWriter, _ *http.Request) {
@@ -518,7 +497,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.publishVerdicts(runID, resp.Report)
 	}
 	s.endRun(runID, fmt.Sprintf("completed %d tasks to %s", st.Completed, st.StopAt), nil)
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, AppendSimulate(nil, &resp))
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -560,12 +539,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	wire := wireReport(rep)
 	s.publishVerdicts(runID, wire)
 	s.endRun(runID, fmt.Sprintf("%d pass / %d fail / %d skip", wire.Passed, wire.Failed, wire.Skipped), nil)
-	writeJSON(w, http.StatusOK, apiv1.AnalyzeResponse{
+	writeAnswer(w, AppendAnalyze(nil, &apiv1.AnalyzeResponse{
 		APIVersion:  apiv1.Version,
 		Fingerprint: fp,
 		RunID:       runID,
 		Report:      *wire,
-	})
+	}))
 }
 
 // wireFaults compiles the request's fault script into facade faults.

@@ -69,15 +69,27 @@ func TestParseTextErrors(t *testing.T) {
 	}
 }
 
+// TestTextRoundTrip: on every treegen family, forward and with result
+// returns, the tree ParseString reads back from Text is equal and has
+// the same fingerprint.
 func TestTextRoundTrip(t *testing.T) {
 	for _, k := range treegen.Kinds {
-		orig := treegen.Generate(k, 25, 3)
-		back, err := parse(orig.Text())
+		fwd := treegen.Generate(k, 25, 3)
+		ret, err := fwd.WithUniformReturnTime(rat.New(1, 2))
 		if err != nil {
-			t.Fatalf("%v: %v", k, err)
+			t.Fatal(err)
 		}
-		if !orig.Equal(back) {
-			t.Fatalf("%v: text round trip changed the tree", k)
+		for _, orig := range []*tree.Tree{fwd, ret} {
+			back, err := parse(orig.Text())
+			if err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+			if !orig.Equal(back) {
+				t.Fatalf("%v: text round trip changed the tree", k)
+			}
+			if back.Fingerprint() != orig.Fingerprint() {
+				t.Fatalf("%v: text round trip changed the fingerprint", k)
+			}
 		}
 	}
 }
@@ -143,9 +155,14 @@ func TestDOTWithRates(t *testing.T) {
 
 // parseTextReference is the line reader ParseString replaced: a
 // bufio.Scanner over lines, strings.Fields over each, and every rational
-// through math/big. It is the oracle FuzzParseText compares with.
+// through math/big, once rat.Parse's exponent bound (which FuzzParse
+// checks) has refused what math/big would expand in full. It is the
+// oracle FuzzParseText compares with.
 func parseTextReference(r io.Reader) (*tree.Tree, error) {
 	parseRat := func(s string) (rat.R, error) {
+		if _, err := rat.Parse(s); err != nil && strings.Contains(err.Error(), "exponent beyond") {
+			return rat.R{}, err
+		}
 		br, ok := new(big.Rat).SetString(s)
 		if !ok {
 			return rat.R{}, fmt.Errorf("rat: cannot parse %q", s)
@@ -243,6 +260,8 @@ func FuzzParseText(f *testing.F) {
 	f.Add("P0 - - 1234567890123456789\nP1 P0 9223372036854775807/2 1\x85")
 	f.Add("P0 - - 3\nP1 P0 1 2 -1\nP2 P0 1\v2 3\fx")
 	f.Add("P0 - - 3\nP1 P0 1 2 3 4 5 6\n")
+	f.Add("P0 - - 1p10000000\nP1 P0 1e999 0x1e5 1e-1000\n")
+	f.Add("0 0 P1000 0")
 	f.Fuzz(func(t *testing.T, input string) {
 		want, werr := parseTextReference(strings.NewReader(input))
 		if errors.Is(werr, bufio.ErrTooLong) {

@@ -18,7 +18,9 @@ package tree
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
+	"unicode"
 
 	"bwc/internal/bwcerr"
 	"bwc/internal/rat"
@@ -336,6 +338,12 @@ func (b *Builder) addNode(name string, parent NodeID, comm rat.R, proc rat.R, ha
 	}
 	if name == "" {
 		b.fail("tree: empty node name")
+		return
+	}
+	// Text splits at spaces, cuts comments at '#' and reads "-" as no
+	// parent: such a name renders a text, and a fingerprint, no parse gives back.
+	if name == "-" || strings.ContainsFunc(name, func(r rune) bool { return r == '#' || unicode.IsSpace(r) }) {
+		b.fail("tree: node name %q holds a space or '#', or is \"-\", which the platform text cannot carry", name)
 		return
 	}
 	if _, dup := b.t.byName[name]; dup {

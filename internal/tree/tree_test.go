@@ -90,6 +90,24 @@ func TestBuilderErrors(t *testing.T) {
 		{"empty name", func() (*Tree, error) {
 			return NewBuilder().Root("", rat.One).Build()
 		}, "empty node name"},
+		{"name with a space", func() (*Tree, error) {
+			return NewBuilder().Root("a b", rat.One).Build()
+		}, "platform text cannot carry"},
+		{"name with a tab", func() (*Tree, error) {
+			return NewBuilder().Root("a", rat.One).Child("a", "b\tc", rat.One, rat.One).Build()
+		}, "platform text cannot carry"},
+		{"name with '#'", func() (*Tree, error) {
+			return NewBuilder().Root("a", rat.One).Child("a", "a#b", rat.One, rat.One).Build()
+		}, "platform text cannot carry"},
+		{"name with U+00A0", func() (*Tree, error) {
+			return NewBuilder().RootSwitch("x\xc2\xa0y").Build()
+		}, "platform text cannot carry"},
+		{"name with U+2028", func() (*Tree, error) {
+			return NewBuilder().Root("a", rat.One).SwitchChild("a", "e\xe2\x80\xa8f", rat.One).Build()
+		}, "platform text cannot carry"},
+		{"name \"-\"", func() (*Tree, error) {
+			return NewBuilder().Root("a", rat.One).Child("a", "-", rat.One, rat.One).Build()
+		}, "platform text cannot carry"},
 		{"switch root child bad comm", func() (*Tree, error) {
 			return NewBuilder().RootSwitch("s").SwitchChild("s", "t", rat.FromInt(-2)).Build()
 		}, "communication time must be > 0"},

@@ -3,8 +3,10 @@
 #
 # Starts `bwsched serve` on a random port and asserts, over the real
 # wire: a cold submit of the Section-8 platform is flagged "miss" and a
-# second submit "hit"; a malformed platform yields the typed 422
-# not_a_tree envelope (HTTP and exit code 4 through the client); one
+# second submit "hit", and a hit's raw answer is its miss's with only the
+# cache value swapped; a malformed platform yields the typed 422
+# not_a_tree envelope (HTTP and exit code 4 through the client), and a
+# platform with the exponent 1p10000000 yields it within a second; one
 # analyzer verdict arrives over the SSE stream; crash-fault adaptive runs
 # answer 200 with one adaptation each and leave the daemon healthy; and a
 # client pointed at the dead daemon exits 10.
@@ -33,6 +35,7 @@ while [ ! -s "$DIR/addr" ]; do
 done
 ADDR=$(cat "$DIR/addr")
 echo "serve-smoke: bwschedd at $ADDR"
+PLATFORM=$(awk 'BEGIN { ORS = "" } { gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); gsub(/\t/, "\\t"); print $0 "\\n" }' "$DIR/paper.txt")
 
 echo "serve-smoke: cold submit must miss, second must hit"
 "$BIN" submit -server "$ADDR" -f "$DIR/paper.txt" | tee "$DIR/first.out"
@@ -40,6 +43,15 @@ grep -q 'cache:        miss' "$DIR/first.out"
 grep -q 'throughput:   10/9' "$DIR/first.out"
 "$BIN" submit -server "$ADDR" -f "$DIR/paper.txt" | tee "$DIR/second.out"
 grep -q 'cache:        hit' "$DIR/second.out"
+
+echo "serve-smoke: a hit's raw answer must be its miss's with only the cache value swapped"
+for i in 1 2; do
+	curl -s -o "$DIR/raw$i.json" -X POST "http://$ADDR/api/v1/platforms" \
+		-d "{\"platform\": \"$PLATFORM\", \"uniform_return\": \"1/2\"}"
+done
+grep -q '"cache": "miss"' "$DIR/raw1.json"
+sed 's/"cache": "miss"/"cache": "hit"/' "$DIR/raw1.json" | cmp - "$DIR/raw2.json" ||
+	{ echo "hit answer differs from the miss answer" >&2; exit 1; }
 
 echo "serve-smoke: malformed platform must yield the typed 422 envelope"
 status=$(curl -s -o "$DIR/env.json" -w '%{http_code}' \
@@ -50,6 +62,10 @@ grep -q '"code": "not_a_tree"' "$DIR/env.json"
 grep -q '"exit_code": 4' "$DIR/env.json"
 rc=0; "$BIN" submit -server "$ADDR" -f "$DIR/bad.txt" || rc=$?
 test "$rc" -eq 4 || { echo "client exited $rc on the envelope, want 4" >&2; exit 1; }
+status=$(curl -s -m 1 -o "$DIR/exp.json" -w '%{http_code}' \
+	-X POST "http://$ADDR/api/v1/platforms" -d '{"platform": "P0 - - 1p10000000\n"}' || true)
+test "$status" = 422 || { echo "exponent platform: HTTP $status within 1 s, want 422" >&2; exit 1; }
+grep -q '"code": "not_a_tree"' "$DIR/exp.json"
 
 echo "serve-smoke: one analyzer verdict must arrive over SSE"
 "$BIN" watch -server "$ADDR" -event analyze.verdict -n 1 > "$DIR/watch.out" &
@@ -65,7 +81,6 @@ wait "$WATCH_PID"
 grep -q '"name":"analyze.verdict"' "$DIR/watch.out"
 
 echo "serve-smoke: crash-fault adaptive runs must answer 200 with one adaptation"
-PLATFORM=$(awk 'BEGIN { ORS = "" } { gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); gsub(/\t/, "\\t"); print $0 "\\n" }' "$DIR/paper.txt")
 for node in P3 P8 P6; do
 	status=$(curl -s -o "$DIR/adaptive.json" -w '%{http_code}' \
 		-X POST "http://$ADDR/api/v1/adaptive" \
